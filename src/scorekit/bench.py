@@ -8,11 +8,22 @@ determinism guarantee; they go to a `.timings.csv` sidecar instead of the
 main table. A `.summary.csv` sidecar holds the best-hyperparameter median
 error per (estimator, d, M), which is what the plotter consumes.
 
-Failures of individual cells (a bad lambda, a singular subset, CG running
-out of iterations) are recorded as rows with error = nan and the exception
-text in the reason column; they never abort the sweep. For the iterative
-schemes all snapshot fits of one cell group come from a single recursion
-run, so those rows share the path's fit time.
+The sweep runs one problem (d, M, seed) at a time; `threads` > 1 runs that
+many problems at once. Work that depends on neither lam nor the scheme is
+done once per problem and dropped when the problem ends: the draws X and
+Q, the true scores at Q, the median bandwidth, one Gram per (kernel spec,
+dense|implicit) with its h and eigensystem, one zeta(Q) table per spec, and
+the lam-independent Nystrom blocks. The shared values come from the same
+calls on the same arrays, so sharing changes no row. Shared work is timed
+in the fit_ms or predict_ms of the first cell that needs it, so a
+`.timings.csv` row is not the cost of that cell alone.
+
+A cell that fails with a contract error (InputError, NumericError or
+MemoryError: a bad lambda, a singular subset, CG running out of iterations)
+is recorded as a row with error = nan and the exception text in the reason
+column. Any other exception is a bug and aborts the sweep. For the
+iterative schemes all snapshot fits of one cell group come from a single
+recursion run, so those rows share the path's fit time.
 """
 
 import csv
@@ -21,13 +32,14 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, NumericError
 from .estimators import (
     TruncatedTikhonov,
+    _subset_building_blocks,
     fit_nystrom,
     fit_spectral_cutoff,
     fit_tikhonov,
@@ -35,8 +47,9 @@ from .estimators import (
     fit_truncated_tikhonov,
     landweber_path,
     nu_method_path,
+    predict,
 )
-from .kernels import ImplicitGram, MatrixKernelSpec, ScalarRadialKernel, assemble_gram
+from .kernels import MatrixKernelSpec, ScalarRadialKernel, assemble_gram, zeta_batch
 from .oracles import (
     MixtureDistribution,
     OracleScore,
@@ -67,6 +80,10 @@ DENSE_SYSTEM_LIMIT = 4096
 # capped budget; cells whose lambda is too small to converge report failure
 _TIK_IMPLICIT_TOL = 1e-8
 _TIK_IMPLICIT_MAX_ITER = 800
+
+# the errors a cell may fail with (errors.py); anything else is a bug and
+# aborts the sweep
+_CONTRACT_ERRORS = (InputError, NumericError, MemoryError)
 
 ROWS_HEADER = ("estimator", "kind", "d", "M", "hyperparams", "seed",
                "error", "reason")
@@ -358,7 +375,6 @@ class _Cell:
     reason: str = ""
     fit_ms: float = 0.0
     predict_ms: float = 0.0
-    est: object = field(default=None, repr=False, compare=False)
 
 
 def _reason(exc) -> str:
@@ -374,18 +390,61 @@ def _mean_error(truth: np.ndarray, pred: np.ndarray, d: int) -> float:
     return float(np.mean(np.square(truth - pred).sum(axis=1)) / d)
 
 
-def _fit_cells(entry: EstimatorEntry, X: np.ndarray,
-               spec: MatrixKernelSpec, seed: int, d: int, M: int) -> list:
-    """Fit every grid point of one (entry, d, M, seed) cell group."""
-    cells = [_Cell() for _ in entry.grid]
+class _Problem:
+    """The work one (d, M, seed) problem shares across its estimator entries.
+
+    The draws and the truth are made on construction; the bandwidth, Grams,
+    zeta(Q) tables and Nystrom blocks when a cell first needs them, inside
+    that cell's timing.
+    """
+
+    def __init__(self, cfg: ExperimentConfig, d: int, M: int, seed: int):
+        self.d, self.M, self.seed = d, M, seed
+        self.dist = build_distribution(cfg, d)
+        self.X = sample(self.dist, M, np.random.SeedSequence(seed, spawn_key=(1, d, M)))
+        self.Q = sample(self.dist, cfg.eval_size,
+                        np.random.SeedSequence(seed, spawn_key=(2, d, M)))
+        self.truth = score_batch(self.dist, self.Q)
+        self._shared = {}
+
+    def _once(self, key, build):
+        # a failed build is not stored: the next cell retries and fails alike
+        if key not in self._shared:
+            self._shared[key] = build()
+        return self._shared[key]
+
+    def spec(self, entry: EstimatorEntry) -> MatrixKernelSpec:
+        bw = entry.bandwidth if isinstance(entry.bandwidth, float) \
+            else self._once("bandwidth", lambda: median_bandwidth(self.X))
+        return MatrixKernelSpec(entry.kind, ScalarRadialKernel(entry.family, bw))
+
+    def gram(self, spec: MatrixKernelSpec, dense: bool):
+        mode = "dense" if dense else "implicit"
+        return self._once(("gram", spec, mode),
+                          lambda: assemble_gram(spec, self.X, mode=mode))
+
+    def zeta_q(self, spec: MatrixKernelSpec) -> np.ndarray:
+        return self._once(("zeta", spec), lambda: zeta_batch(spec, self.X, self.Q))
+
+    def subset_blocks(self, spec: MatrixKernelSpec, idx: np.ndarray):
+        return self._once(("nystrom", spec, idx.tobytes()),
+                          lambda: _subset_building_blocks(self.X, idx, spec))
+
+
+def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec):
+    """Fit every grid point of one entry on one problem.
+
+    Yields (grid index, cell, estimator or None) as each fit completes, so
+    the caller can predict and drop it before the next fit.
+    """
+    X, d, M = problem.X, problem.d, problem.M
     n = len(entry.grid)
+    # curl-free systems up to the dense limit use the dense Gram; larger ones
+    # are matrix-free, and diagonal kernels stay on the scalar M x M tables
+    dense = entry.kind == "curl_free" and M * d <= DENSE_SYSTEM_LIMIT
 
     if entry.id in ("tikhonov", "tikhonov_cg"):
-        big = entry.kind == "curl_free" and M * d > DENSE_SYSTEM_LIMIT
-        implicit = big or entry.id == "tikhonov_cg"
-        gram = ImplicitGram(spec, X) if implicit else None
-        if entry.kind == "curl_free" and not implicit:
-            gram = assemble_gram(spec, X, mode="dense")
+        implicit = entry.id == "tikhonov_cg" or (entry.kind == "curl_free" and not dense)
         # descending lambda so each solve can warm-start from the previous
         order = sorted(range(n), key=lambda i: -entry.grid[i][1]["lam"])
         prev, prev_lam = None, None
@@ -395,38 +454,35 @@ def _fit_cells(entry: EstimatorEntry, X: np.ndarray,
             try:
                 if entry.id == "tikhonov_cg":
                     est = fit_tikhonov_cg(X, spec, lam, tol=entry.tol,
-                                          max_iter=entry.max_iter, gram=gram)
+                                          max_iter=entry.max_iter,
+                                          gram=problem.gram(spec, dense=False))
                 elif implicit:
                     x0 = None if prev is None else (prev * (prev_lam / lam)).ravel()
-                    est = fit_tikhonov(X, spec, lam, mode="implicit", gram=gram,
+                    est = fit_tikhonov(X, spec, lam, mode="implicit",
+                                       gram=problem.gram(spec, dense=False),
                                        cg_tol=_TIK_IMPLICIT_TOL,
                                        cg_max_iter=_TIK_IMPLICIT_MAX_ITER,
                                        _cg_x0=x0)
                     prev, prev_lam = est.coeffs, lam
                 else:
+                    gram = problem.gram(spec, dense=True) if dense else None
                     est = fit_tikhonov(X, spec, lam, mode="dense", gram=gram)
-            except Exception as exc:
-                cells[i] = _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0)
+            except _CONTRACT_ERRORS as exc:
+                yield i, _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0), None
                 prev, prev_lam = None, None
                 continue
-            cells[i] = _Cell(fit_ms=_now_ms() - t0, est=est)
-        return cells
+            yield i, _Cell(fit_ms=_now_ms() - t0), est
+        return
 
     if entry.id in ("truncated_tikhonov", "spectral_cutoff"):
         # diagonal kernels go through the scalar M x M eigensystem (cached on
         # the implicit gram); curl-free ones need the dense Md x Md spectrum,
         # and over the dense limit the implicit gram makes the fit refuse
         # cleanly instead of materializing the matrix
-        try:
-            if entry.kind == "curl_free" and M * d <= DENSE_SYSTEM_LIMIT:
-                gram = assemble_gram(spec, X, mode="dense")
-            else:
-                gram = ImplicitGram(spec, X)
-        except Exception as exc:
-            return [_Cell(reason=_reason(exc)) for _ in range(n)]
         for i, (_, params) in enumerate(entry.grid):
             t0 = _now_ms()
             try:
+                gram = problem.gram(spec, dense)
                 if entry.id == "truncated_tikhonov":
                     est = fit_truncated_tikhonov(X, spec, params["lam"], gram=gram)
                 elif "lam" in params:
@@ -434,104 +490,109 @@ def _fit_cells(entry: EstimatorEntry, X: np.ndarray,
                 else:
                     rank = max(1, int(round(params["fraction"] * M))) * d
                     est = fit_spectral_cutoff(X, spec, rank=rank, gram=gram)
-            except Exception as exc:
-                cells[i] = _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0)
+            except _CONTRACT_ERRORS as exc:
+                yield i, _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0), None
                 continue
-            cells[i] = _Cell(fit_ms=_now_ms() - t0, est=est)
-        return cells
+            yield i, _Cell(fit_ms=_now_ms() - t0), est
+        return
 
     if entry.id in ("landweber", "nu_method"):
         # one recursion run snapshots every t in the grid; its wall time is
         # shared by all snapshot rows
-        use_dense = entry.kind == "curl_free" and M * d <= DENSE_SYSTEM_LIMIT
-        mode = "dense" if use_dense else "implicit"
         ts = [params["t"] for _, params in entry.grid]
         uniq = sorted(set(ts))
         t0 = _now_ms()
         try:
+            gram = problem.gram(spec, dense)
             if entry.id == "landweber":
                 eta = entry.eta if entry.eta > 0 else None
-                path = landweber_path(X, spec, uniq, eta=eta, mode=mode)
+                path = landweber_path(X, spec, uniq, eta=eta, gram=gram)
             else:
-                path = nu_method_path(X, spec, uniq, nu=entry.nu, mode=mode)
-        except Exception as exc:
+                path = nu_method_path(X, spec, uniq, nu=entry.nu, gram=gram)
+        except _CONTRACT_ERRORS as exc:
             ms = _now_ms() - t0
-            return [_Cell(reason=_reason(exc), fit_ms=ms) for _ in range(n)]
+            for i in range(n):
+                yield i, _Cell(reason=_reason(exc), fit_ms=ms), None
+            return
         ms = _now_ms() - t0
         by_t = dict(zip(uniq, path))
-        return [_Cell(fit_ms=ms, est=by_t[t]) for t in ts]
+        for i, t in enumerate(ts):
+            yield i, _Cell(fit_ms=ms), by_t[t]
+        return
 
     if entry.id == "nystrom":
         size = entry.subset_size or max(1, int(round(entry.subset_fraction * M)))
         size = min(size, M)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, d, M)))
+        rng = np.random.default_rng(
+            np.random.SeedSequence(problem.seed, spawn_key=(3, d, M)))
         idx = np.sort(rng.choice(M, size=size, replace=False))
         for i, (_, params) in enumerate(entry.grid):
             t0 = _now_ms()
             try:
-                est = fit_nystrom(X, idx, spec, TruncatedTikhonov(params["lam"]))
-            except Exception as exc:
-                cells[i] = _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0)
+                est = fit_nystrom(X, idx, spec, TruncatedTikhonov(params["lam"]),
+                                  _blocks=problem.subset_blocks(spec, idx))
+            except _CONTRACT_ERRORS as exc:
+                yield i, _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0), None
                 continue
-            cells[i] = _Cell(fit_ms=_now_ms() - t0, est=est)
-        return cells
+            yield i, _Cell(fit_ms=_now_ms() - t0), est
+        return
 
     raise InputError(f"unknown estimator id {entry.id!r}")
 
 
-def _run_cell_group(cfg: ExperimentConfig, entry: EstimatorEntry,
-                    d: int, M: int, seed: int) -> list:
-    n = len(entry.grid)
-    try:
-        dist = build_distribution(cfg, d)
-        X = sample(dist, M, np.random.SeedSequence(seed, spawn_key=(1, d, M)))
-        Q = sample(dist, cfg.eval_size, np.random.SeedSequence(seed, spawn_key=(2, d, M)))
-        truth = score_batch(dist, Q)
-    except Exception as exc:
-        return [_Cell(reason=_reason(exc)) for _ in range(n)]
-
+def _run_cell_group(problem: _Problem, entry: EstimatorEntry) -> list:
     if entry.id == "oracle":
         t0 = _now_ms()
-        pred = OracleScore(dist).predict(Q)
-        return [_Cell(error=_mean_error(truth, pred, d), predict_ms=_now_ms() - t0)]
+        pred = OracleScore(problem.dist).predict(problem.Q)
+        return [_Cell(error=_mean_error(problem.truth, pred, problem.d),
+                      predict_ms=_now_ms() - t0)]
 
     try:
-        bw = entry.bandwidth if isinstance(entry.bandwidth, float) \
-            else median_bandwidth(X)
-        spec = MatrixKernelSpec(entry.kind, ScalarRadialKernel(entry.family, bw))
-    except Exception as exc:
-        return [_Cell(reason=_reason(exc)) for _ in range(n)]
+        spec = problem.spec(entry)
+    except _CONTRACT_ERRORS as exc:
+        return [_Cell(reason=_reason(exc)) for _ in entry.grid]
 
-    cells = _fit_cells(entry, X, spec, seed, d, M)
-    for cell in cells:
-        if cell.est is None:
+    cells = [None] * len(entry.grid)
+    for i, cell, est in _fit_cells(entry, problem, spec):
+        cells[i] = cell
+        if est is None:
             continue
         t0 = _now_ms()
         try:
-            pred = cell.est.predict(Q)
-            cell.error = _mean_error(truth, pred, d)
-        except Exception as exc:
+            zeta_q = problem.zeta_q(spec) if est.offset != 0.0 else None
+            pred = predict(est, problem.Q, _zeta=zeta_q)
+            cell.error = _mean_error(problem.truth, pred, problem.d)
+        except _CONTRACT_ERRORS as exc:
             cell.reason = _reason(exc)
-            cell.error = math.nan
         cell.predict_ms = _now_ms() - t0
-        cell.est = None
     return cells
 
 
+def _run_problem(cfg: ExperimentConfig, d: int, M: int, seed: int) -> dict:
+    """Cells of every estimator entry on one (d, M, seed) problem, by id."""
+    try:
+        problem = _Problem(cfg, d, M, seed)
+    except _CONTRACT_ERRORS as exc:
+        return {e.id: [_Cell(reason=_reason(exc)) for _ in e.grid]
+                for e in cfg.estimators}
+    return {e.id: _run_cell_group(problem, e) for e in cfg.estimators}
+
+
 def run_grid_rows(cfg: ExperimentConfig, threads: int = 1) -> list:
-    """All ResultRows of the sweep, in canonical config order."""
-    tasks = [(entry, d, M, seed)
-             for entry in cfg.estimators
-             for d in cfg.dimensions
-             for M in cfg.sample_sizes
-             for seed in cfg.seeds]
+    """All ResultRows of the sweep, in canonical config order.
+
+    Problems (d, M, seed) run one at a time, or `threads` at a time.
+    """
+    problems = [(d, M, seed)
+                for d in cfg.dimensions
+                for M in cfg.sample_sizes
+                for seed in cfg.seeds]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(
-                lambda t: _run_cell_group(cfg, *t), tasks))
+            outcomes = list(pool.map(lambda p: _run_problem(cfg, *p), problems))
     else:
-        outcomes = [_run_cell_group(cfg, *t) for t in tasks]
-    by_task = dict(zip(((e.id, d, M, s) for e, d, M, s in tasks), outcomes))
+        outcomes = [_run_problem(cfg, *p) for p in problems]
+    by_problem = dict(zip(problems, outcomes))
 
     rows = []
     for entry in cfg.estimators:
@@ -539,7 +600,7 @@ def run_grid_rows(cfg: ExperimentConfig, threads: int = 1) -> list:
             for M in cfg.sample_sizes:
                 for gi, (label, _) in enumerate(entry.grid):
                     for seed in cfg.seeds:
-                        cell = by_task[(entry.id, d, M, seed)][gi]
+                        cell = by_problem[(d, M, seed)][entry.id][gi]
                         rows.append(ResultRow(
                             estimator=entry.id, kind=entry.kind, d=d, M=M,
                             hyperparams=label, seed=seed, error=cell.error,

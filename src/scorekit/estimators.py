@@ -181,12 +181,17 @@ class FittedScoreEstimator:
         return recover_log_density(self, query)
 
 
-def predict(est: FittedScoreEstimator, queries) -> np.ndarray:
-    """Evaluate the fitted score field at each query row."""
+def predict(est: FittedScoreEstimator, queries, _zeta=None) -> np.ndarray:
+    """Evaluate the fitted score field at each query row.
+
+    _zeta, when given, is zeta_batch(est.kernel, est.samples, queries),
+    computed once by a caller that predicts several fits on one problem.
+    """
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     out = cross_apply(est.kernel, Q, est.basis, est.coeffs)
     if est.offset != 0.0:
-        out = est.offset * zeta_batch(est.kernel, est.samples, Q) + out
+        z = zeta_batch(est.kernel, est.samples, Q) if _zeta is None else _zeta
+        out = est.offset * z + out
     if not np.all(np.isfinite(out)):
         raise NumericError("prediction produced non-finite values")
     return out
@@ -204,6 +209,13 @@ def _resolve_gram(spec, X, mode, gram):
             raise InputError("provided Gram was built for different samples")
         return gram
     return assemble_gram(spec, X, mode)
+
+
+def _divergence(spec, X, gram):
+    # h does not depend on lam or the scheme: a given Gram computes it once
+    if gram is None:
+        return h_vector(spec, X)
+    return _resolve_gram(spec, X, None, gram).divergence()
 
 
 def _scalar_eig(spec, X, gram):
@@ -248,14 +260,12 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense
         raise InputError(f"unknown mode {mode!r}; expected 'dense' or 'implicit'")
     X = as_samples(samples)
     M, d = X.shape
-    h = h_vector(spec, X)
     meta = {"mode": mode if gram is None else
             ("implicit" if isinstance(gram, ImplicitGram) else "dense")}
 
     use_implicit = meta["mode"] == "implicit"
     if not use_implicit:
-        if gram is not None:
-            gram = _resolve_gram(spec, X, "dense", gram)  # validation
+        h = _divergence(spec, X, gram)  # validates a given Gram
         if spec.kind == "diagonal":
             # K = k(X,X) (x) I_d, so the Md system splits into d copies of
             # (k + M lam I) C = H / lam over the scalar Gram.
@@ -275,6 +285,7 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense
                 raise FitError(f"tikhonov solve failed: {exc}") from exc
     else:
         gram = _resolve_gram(spec, X, "implicit", gram)
+        h = gram.divergence()
         if cg_max_iter is None:
             cg_max_iter = max(1000, 4 * M)
         c, rep = _tikhonov_system_solve_cg(gram, h, lam, cg_tol, cg_max_iter, x0=_cg_x0)
@@ -299,7 +310,7 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
     X = as_samples(samples)
     M, d = X.shape
     gram = _resolve_gram(spec, X, "implicit", gram)
-    h = h_vector(spec, X)
+    h = gram.divergence()
     c, rep = _tikhonov_system_solve_cg(gram, h, lam, tol, max_iter, x0=x0)
     meta = {"mode": "implicit", "cg_iterations": rep.iterations,
             "cg_residual": rep.residual, "cg_converged": rep.converged}
@@ -324,10 +335,10 @@ def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
     """
     X = as_samples(samples)
     M, d = X.shape
-    h = h_vector(spec, X)
     meta = dict(meta or {})
     if spec.kind == "diagonal":
         eig = _scalar_eig(spec, X, gram)
+        h = _divergence(spec, X, gram)
         sig = eig.values / M
         mask = numeric_rank_mask(sig)
         if require_nonzero and not mask.any():
@@ -339,6 +350,7 @@ def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
         C = -(eig.vectors @ (w[:, None] * (eig.vectors.T @ H)))
     else:
         eig = _dense_eig_or_refuse(spec, X, gram, type(scheme).__name__)
+        h = _divergence(spec, X, gram)
         sig = eig.values / M
         mask = numeric_rank_mask(sig)
         if require_nonzero and not mask.any():
@@ -447,7 +459,7 @@ def landweber_path(samples, spec: MatrixKernelSpec, ts, eta: float = None,
         raise FitError(
             f"Landweber step size violates eta * sigma_max(K/M) < 1: "
             f"eta={eta:.6g}, sigma_max~{sig_max:.6g}, product={eta * sig_max:.6g}")
-    h = h_vector(spec, X)
+    h = gram.divergence()
     out = []
     c = np.zeros(M * d)
     for tau in range(1, ts[-1] + 1):
@@ -493,7 +505,7 @@ def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0,
     if not ts or ts[0] < 1:
         raise InputError("iteration counts must be integers >= 1")
     gram = _resolve_gram(spec, X, mode, gram)
-    h = h_vector(spec, X)
+    h = gram.divergence()
 
     _, w1 = nu_coefficients(1, nu)
     a_prev, a_cur = 0.0, -w1          # a_0, a_1
@@ -565,7 +577,7 @@ def _subset_building_blocks(samples, subset_indices, spec):
 
 
 def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
-                scheme) -> FittedScoreEstimator:
+                scheme, _blocks=None) -> FittedScoreEstimator:
     """Restrict the estimator to basis functions at a sample subset Z.
 
     scheme TruncatedTikhonov(lam): closed form (no matrix square roots)
@@ -577,8 +589,14 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
     subset points. Predictions use a = 0 and the subset basis only. With
     the full subset this reproduces the corresponding full estimator at
     the same lam.
+
+    _blocks, when given, is _subset_building_blocks(samples,
+    subset_indices, spec): those blocks do not depend on the scheme, so a
+    caller fitting several schemes on one subset builds them once.
     """
-    X, Z, idx, Kzz, G, h_Z = _subset_building_blocks(samples, subset_indices, spec)
+    if _blocks is None:
+        _blocks = _subset_building_blocks(samples, subset_indices, spec)
+    X, Z, idx, Kzz, G, h_Z = _blocks
     M, d = X.shape
 
     if isinstance(scheme, TruncatedTikhonov):

@@ -256,14 +256,33 @@ def h_vector(spec: MatrixKernelSpec, samples) -> np.ndarray:
 # Gram matrices: dense and implicit (matrix-free) forms
 # ======================================================================
 
-class DenseGram:
-    """Materialized Md x Md Gram matrix over a sample set."""
+class _Gram:
+    """What both Gram forms share: spec, samples and the cached h."""
 
-    __slots__ = ("spec", "samples", "matrix", "_eig")
+    __slots__ = ("spec", "samples", "_h")
 
-    def __init__(self, spec, samples, matrix):
+    def __init__(self, spec, samples):
         self.spec = spec
         self.samples = samples
+        self._h = None
+
+    def divergence(self) -> np.ndarray:
+        """Cached h_vector(spec, samples), read-only; it depends on neither
+        lam nor the fit scheme, so every fit over this Gram shares it."""
+        if self._h is None:
+            h = h_vector(self.spec, self.samples)
+            h.setflags(write=False)
+            self._h = h
+        return self._h
+
+
+class DenseGram(_Gram):
+    """Materialized Md x Md Gram matrix over a sample set."""
+
+    __slots__ = ("matrix", "_eig")
+
+    def __init__(self, spec, samples, matrix):
+        super().__init__(spec, samples)
         self.matrix = matrix
         self._eig = None
 
@@ -285,19 +304,18 @@ class DenseGram:
         return self._eig
 
 
-class ImplicitGram:
+class ImplicitGram(_Gram):
     """Matrix-free Gram operator.
 
     Stores only O(M^2) scalar-derivative tables; a matvec costs O(M^2 d)
     time instead of touching an Md x Md matrix (O(M^2 d^2) storage dense).
     """
 
-    __slots__ = ("spec", "samples", "_p1", "_p2", "_k", "_keig")
+    __slots__ = ("_p1", "_p2", "_k", "_keig")
 
     def __init__(self, spec: MatrixKernelSpec, samples):
         X = as_samples(samples)
-        self.spec = spec
-        self.samples = X
+        super().__init__(spec, X)
         self._keig = None
         U = sq_dists(X, X)
         if spec.kind == "diagonal":

@@ -47,7 +47,8 @@ def sym_eig(K: np.ndarray) -> EigenSystem:
     """Eigendecomposition of a symmetric matrix, descending order.
 
     Symmetry is checked to 1e-10 (relative to the largest entry); ties in
-    the ordering keep the deterministic order produced by the solver.
+    the ordering keep the deterministic order produced by the solver. A
+    failed decomposition raises NumericError.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -55,7 +56,10 @@ def sym_eig(K: np.ndarray) -> EigenSystem:
     scale = max(1.0, float(np.abs(K).max(initial=0.0)))
     if float(np.abs(K - K.T).max(initial=0.0)) > 1e-10 * scale:
         raise InputError("sym_eig input is not symmetric to 1e-10")
-    w, V = np.linalg.eigh(K)
+    try:
+        w, V = np.linalg.eigh(K)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigendecomposition failed: {exc}") from exc
     return EigenSystem(w[::-1].copy(), V[:, ::-1].copy())
 
 

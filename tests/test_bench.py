@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from scorekit import bench, estimators, kernels, spectral_linalg
 from scorekit.bench import (
     FRACTION_GRID,
     ITERATION_GRID,
@@ -311,6 +312,15 @@ class TestGridExperiment:
         others = [r for r in rows if r.estimator != "landweber"]
         assert all(math.isfinite(r.error) for r in others)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bug_in_a_fit_aborts_the_sweep(self, monkeypatch, threads):
+        # only contract errors become nan rows; anything else is a bug
+        def broken(*args, **kwargs):
+            raise TypeError("injected bug")
+        monkeypatch.setattr(bench, "fit_tikhonov", broken)
+        with pytest.raises(TypeError, match="injected bug"):
+            run_grid_rows(small_config(), threads=threads)
+
     def test_curlfree_eig_scheme_refuses_large_system(self):
         # truncated Tikhonov needs the dense eigendecomposition; over the
         # dense limit the cells report failure instead of thrashing memory
@@ -326,6 +336,79 @@ class TestGridExperiment:
     def test_timings_nonnegative(self):
         rows = run_grid_rows(small_config())
         assert all(r.fit_ms >= 0.0 and r.predict_ms >= 0.0 for r in rows)
+
+
+class TestProblemSharing:
+    """Work shared across the cells of one (d, M, seed) problem."""
+
+    MIXED = [
+        {"id": "oracle"},
+        {"id": "tikhonov", "kind": "curl_free", "lambdas": [0.1, 0.01]},
+        {"id": "tikhonov_cg", "kind": "curl_free", "lambdas": [0.1, 0.01]},
+        {"id": "nu_method", "kind": "diagonal", "iterations": [3, 10]},
+        {"id": "truncated_tikhonov", "kind": "curl_free", "lambdas": [0.1, 0.01]},
+        {"id": "spectral_cutoff", "kind": "diagonal", "fractions": [0.5, 0.9]},
+        {"id": "landweber", "kind": "curl_free", "iterations": [5, 15]},
+        {"id": "nystrom", "kind": "curl_free", "lambdas": [0.1, 0.01],
+         "subset_fraction": 0.5},
+    ]
+
+    @staticmethod
+    def config(entries):
+        return parse_experiment_config(base_config(
+            dimensions=[2], sample_sizes=[12, 20], seeds=[0, 1], eval_size=32,
+            estimators=entries))
+
+    def test_sharing_leaves_every_row_unchanged(self, monkeypatch):
+        stable_fields = TestGridExperiment.stable_fields
+        mixed = self.config(self.MIXED)
+        shared = stable_fields(run_grid_rows(mixed, threads=1))
+        assert stable_fields(run_grid_rows(mixed, threads=2)) == shared
+        alone = []
+        for entry in self.MIXED:
+            alone += stable_fields(run_grid_rows(self.config([entry])))
+        assert alone == shared
+        # nothing shared at all: every cell builds its own Gram, h, zeta(Q)
+        # and Nystrom blocks
+        monkeypatch.setattr(bench._Problem, "_once", lambda self, key, build: build())
+        assert stable_fields(run_grid_rows(mixed)) == shared
+        assert all(reason == "" for *_, reason in shared)
+
+    def test_shared_work_runs_once_per_problem(self, monkeypatch):
+        calls = {}
+
+        def count(module, name):
+            orig = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+
+        count(spectral_linalg, "sym_eig")
+        count(estimators, "sym_eig")
+        count(kernels, "h_vector")
+        count(estimators, "h_vector")
+        count(bench, "score_batch")
+        count(bench, "_subset_building_blocks")
+        cfg = self.config([
+            {"id": "truncated_tikhonov", "kind": "curl_free", "lambdas": [0.1, 0.01]},
+            {"id": "spectral_cutoff", "kind": "curl_free", "fractions": [0.5, 0.9]},
+            {"id": "tikhonov", "kind": "curl_free", "lambdas": [0.1, 0.01]},
+            {"id": "landweber", "kind": "curl_free", "iterations": [5, 15]},
+            {"id": "tikhonov_cg", "kind": "curl_free", "lambdas": [0.1, 0.01]},
+            {"id": "nystrom", "kind": "curl_free", "lambdas": [0.1, 0.01, 0.001],
+             "subset_fraction": 0.5},
+        ])
+        rows = run_grid_rows(cfg)
+        assert all(r.reason == "" for r in rows)
+        problems = 4
+        # one dense eigensystem per problem across both eigen-filter fits
+        assert calls["sym_eig"] == problems
+        # one h per Gram: the dense one and the implicit one of tikhonov_cg
+        assert calls["h_vector"] == 2 * problems
+        assert calls["score_batch"] == problems
+        assert calls["_subset_building_blocks"] == problems
 
 
 class TestSummarize:

@@ -257,6 +257,14 @@ class TestTruncatedTikhonov:
         b = fit_truncated_tikhonov(X, spec, 0.1)
         assert np.abs(a.coeffs - b.coeffs).max() < 1e-12
 
+    def test_diagonal_rejects_gram_for_other_samples(self):
+        # the fit reads h from the Gram, so the Gram must match the samples
+        rng = np.random.default_rng(24)
+        X, spec = rng.normal(size=(7, 2)), diag("imq")
+        gram = assemble_gram(spec, rng.normal(size=(7, 2)), mode="implicit")
+        with pytest.raises(InputError):
+            fit_truncated_tikhonov(X, spec, 0.1, gram=gram)
+
 
 # ======================================================================
 # spectral cut-off

@@ -26,6 +26,14 @@ def random_gram(m, d, seed, kind="curl_free"):
 # sym_eig
 # ======================================================================
 
+def test_sym_eig_wraps_solver_failure(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        sym_eig(np.eye(3))
+
+
 def test_sym_eig_identity():
     eig = sym_eig(np.eye(3))
     assert np.allclose(eig.values, [1.0, 1.0, 1.0])
