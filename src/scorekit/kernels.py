@@ -340,6 +340,12 @@ class ImplicitGram(_Gram):
             self._keig = sym_eig(0.5 * (self._k + self._k.T))
         return self._keig
 
+    def scalar_matrix(self) -> np.ndarray:
+        """The scalar M x M Gram k(X, X) of a diagonal kernel."""
+        if self.spec.kind != "diagonal":
+            raise InputError("scalar_matrix is only defined for diagonal kernels")
+        return self._k
+
     @property
     def dim(self) -> int:
         M, d = self.samples.shape
@@ -403,11 +409,28 @@ def gram_matvec(gram, b: np.ndarray) -> np.ndarray:
     return gram.matvec(b)
 
 
-def cross_apply(spec: MatrixKernelSpec, queries, basis, coeffs: np.ndarray) -> np.ndarray:
+def query_tables(spec: MatrixKernelSpec, queries, basis) -> tuple:
+    """The radial tables cross_apply reads, from one sq_dists(queries, basis).
+
+    (phi(U),) for a diagonal kernel, (phi'(U), phi''(U)) for a curl-free
+    one, each Q x N. Every fit over one basis predicts through the same
+    tables, so a caller predicting several fits at one query set builds
+    them once and passes them as cross_apply(..., _tables=).
+    """
+    B = as_samples(basis)
+    U = sq_dists(_as_queries(queries, B.shape[1]), B)
+    if spec.kind == "diagonal":
+        return (spec.scalar.phi(U),)
+    return (spec.scalar.dphi(U), spec.scalar.d2phi(U))
+
+
+def cross_apply(spec: MatrixKernelSpec, queries, basis, coeffs: np.ndarray,
+                _tables=None) -> np.ndarray:
     """sum_j K(x_q, b_j) c_j for each query row; coeffs is N x d.
 
     This is the K_{xX} c part of every prediction, evaluated without
-    materializing the Q*d x N*d cross Gram.
+    materializing the Q*d x N*d cross Gram. _tables, when given, is
+    query_tables(spec, queries, basis).
     """
     B = as_samples(basis)
     N, d = B.shape
@@ -415,10 +438,15 @@ def cross_apply(spec: MatrixKernelSpec, queries, basis, coeffs: np.ndarray) -> n
     C = np.asarray(coeffs, dtype=np.float64)
     if C.shape != (N, d):
         raise InputError(f"coeffs must have shape ({N}, {d}), got {C.shape}")
-    U = sq_dists(Q, B)
+    if _tables is None:
+        _tables = query_tables(spec, Q, B)
+    elif any(T.shape != (Q.shape[0], N) for T in _tables):
+        raise InputError(f"query tables must have shape ({Q.shape[0]}, {N})")
     if spec.kind == "diagonal":
-        return spec.scalar.phi(U) @ C
+        (k,) = _tables
+        return k @ C
+    p1, p2 = _tables
     S = Q @ C.T
     t = np.einsum("ij,ij->i", B, C)
-    alpha = spec.scalar.d2phi(U) * (S - t[None, :])
-    return -4.0 * (alpha.sum(axis=1)[:, None] * Q - alpha @ B) - 2.0 * (spec.scalar.dphi(U) @ C)
+    alpha = p2 * (S - t[None, :])
+    return -4.0 * (alpha.sum(axis=1)[:, None] * Q - alpha @ B) - 2.0 * (p1 @ C)

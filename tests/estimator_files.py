@@ -1,0 +1,43 @@
+"""Hand-built estimator files in the save_estimator layout, valid or corrupt."""
+
+import struct
+
+import numpy as np
+
+from scorekit.estimators import _MAGIC
+
+
+def pack(fam=0, kind=1, bw=1.0, code=1, params=(0.1,), offset=-10.0, M=3, d=2,
+         N=None, flags=0, samples=None, idx=None, coeffs=None) -> bytes:
+    """One estimator file; every field defaults to a valid Tikhonov fit."""
+    N = M if N is None else N
+    samples = np.arange(M * d, dtype=float) / 7 if samples is None else samples
+    coeffs = np.linspace(-1.0, 1.0, N * d) if coeffs is None else coeffs
+    out = _MAGIC + struct.pack("<BBd", fam, kind, bw)
+    out += struct.pack("<BB", code, len(params)) + np.asarray(params, "<f8").tobytes()
+    out += struct.pack("<dIIIQ", offset, M, d, N, flags)
+    out += np.asarray(samples, "<f8").tobytes()
+    if idx is not None:
+        out += np.asarray(idx, "<u4").tobytes()
+    return out + np.asarray(coeffs, "<f8").tobytes()
+
+
+# (name, file bytes): each must be refused with InputError
+CORRUPT = [
+    ("unknown scheme code", pack(code=9)),
+    ("code 1 with two params", pack(code=1, params=(0.1, 2.0))),
+    ("code 4 with one param", pack(code=4, params=(0.1,))),
+    ("non-integer iteration count", pack(code=5, params=(1.0, 2.5))),
+    ("N > M with subset", pack(M=3, N=4, flags=1, idx=[0, 1, 2, 3])),
+    ("N > M without subset", pack(M=3, N=4)),
+    ("N != M without subset", pack(M=3, N=2)),
+    ("N = 0", pack(M=3, N=0, flags=1, idx=[])),
+    ("subset index out of range", pack(M=3, N=2, flags=1, idx=[0, 3])),
+    ("duplicate subset index", pack(M=3, N=2, flags=1, idx=[1, 1])),
+    ("unknown flag bit", pack(flags=2)),
+    ("high flag bit", pack(flags=1 << 63)),
+    ("nan sample", pack(samples=[0.0, 1.0, np.nan, 2.0, 3.0, 4.0])),
+    ("inf param", pack(params=(np.inf,))),
+    ("nan offset", pack(offset=np.nan)),
+    ("inf coefficient", pack(coeffs=[0.0, 1.0, 2.0, -np.inf, 4.0, 5.0])),
+]

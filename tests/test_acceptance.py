@@ -19,6 +19,7 @@ import time
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from fd_oracles import fd_gradient, fd_jacobian, fd_mixed_partial
 from test_estimators import ssge_reference_coeffs
@@ -207,6 +208,7 @@ def test_criterion_4_gradient_field_and_recovered_potential():
     assert time.perf_counter() - t0 < 10.0
 
 
+@pytest.mark.slow
 def test_criterion_5_error_decreases_with_sample_size():
     t0 = time.perf_counter()
     # for the iterative scheme the hyperparameter grid is the canonical
@@ -241,6 +243,7 @@ def test_criterion_5_error_decreases_with_sample_size():
     assert time.perf_counter() - t0 < 300.0
 
 
+@pytest.mark.slow
 def test_criterion_6_curl_free_beats_diagonal_in_high_dimension():
     t0 = time.perf_counter()
     cfg = parse_experiment_config({

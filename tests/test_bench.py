@@ -27,7 +27,7 @@ from scorekit.bench import (
     summarize,
     write_rows_csv,
 )
-from scorekit.errors import InputError
+from scorekit.errors import InputError, NumericError
 from scorekit.oracles import make_grid_distribution
 from scorekit.svgplot import render_line_chart
 
@@ -409,6 +409,139 @@ class TestProblemSharing:
         assert calls["h_vector"] == 2 * problems
         assert calls["score_batch"] == problems
         assert calls["_subset_building_blocks"] == problems
+
+
+    def test_diagonal_tikhonov_shares_the_scalar_gram_and_h(self, monkeypatch):
+        calls = {}
+        for module, name in ((kernels, "h_vector"), (estimators, "h_vector"),
+                             (kernels, "scalar_gram"), (estimators, "scalar_gram"),
+                             (kernels, "cross_gram"), (bench, "assemble_gram")):
+            def counted(*args, _orig=getattr(module, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        cfg = self.config([
+            {"id": "tikhonov", "kind": "diagonal"},
+            {"id": "spectral_cutoff", "kind": "diagonal", "fractions": [0.5, 0.9]},
+        ])
+        rows = run_grid_rows(cfg)
+        assert all(r.reason == "" for r in rows)
+        problems = 4
+        # one matrix-free Gram and one h per problem; no Md x Md matrix
+        assert calls == {"assemble_gram": problems, "h_vector": problems}
+        monkeypatch.undo()
+        assert TestGridExperiment.stable_fields(run_grid_rows(cfg)) == \
+            TestGridExperiment.stable_fields(rows)
+
+    def test_query_tables_built_once_per_spec(self, monkeypatch):
+        eval_size, sizes = 24, (12, 20)
+        cross, radial = {}, {}
+
+        def cross_shape(shape):
+            return len(shape) == 2 and shape[0] == eval_size and shape[1] in sizes
+
+        orig_sq = kernels.sq_dists
+
+        def sq_dists(A, B):
+            out = orig_sq(A, B)
+            if cross_shape(out.shape):
+                cross[out.shape[1]] = cross.get(out.shape[1], 0) + 1
+            return out
+        monkeypatch.setattr(kernels, "sq_dists", sq_dists)
+        for meth in ("phi", "dphi", "d2phi", "d3phi"):
+            def counted(self, u, _orig=getattr(kernels.ScalarRadialKernel, meth)):
+                if cross_shape(np.shape(u)):
+                    radial[np.shape(u)[1]] = radial.get(np.shape(u)[1], 0) + 1
+                return _orig(self, u)
+            monkeypatch.setattr(kernels.ScalarRadialKernel, meth, counted)
+        cfg = parse_experiment_config(base_config(
+            dimensions=[2], sample_sizes=list(sizes), seeds=[0], eval_size=eval_size,
+            estimators=[
+                {"id": "tikhonov", "kind": "curl_free", "lambdas": [0.1, 0.01]},
+                {"id": "nu_method", "kind": "curl_free", "iterations": [3, 10]},
+                {"id": "spectral_cutoff", "kind": "diagonal", "fractions": [0.5, 0.9]},
+                {"id": "truncated_tikhonov", "kind": "diagonal", "lambdas": [0.1]},
+                {"id": "nystrom", "kind": "curl_free", "lambdas": [0.1],
+                 "subset_fraction": 0.5},
+            ]))
+        rows = run_grid_rows(cfg)
+        assert all(r.reason == "" for r in rows)
+        # per problem: curl-free zeta(Q) and tables, diagonal tables; the
+        # Nystrom fit predicts from its subset basis
+        assert cross == {M: 3 for M in sizes}
+        # zeta(Q) reads phi'' and phi''', the curl-free tables phi' and
+        # phi'', the diagonal table phi
+        assert radial == {M: 5 for M in sizes}
+
+
+class TestMatrixFreeTikhonov:
+    """The sweep's curl-free Tikhonov grid over the dense limit (M*d > 4096)."""
+
+    @staticmethod
+    def run(monkeypatch, **entry):
+        cfg = parse_experiment_config(base_config(
+            dimensions=[17], sample_sizes=[256], seeds=[0], eval_size=32,
+            estimators=[dict({"id": "tikhonov", "kind": "curl_free"}, **entry)]))
+        fits = []
+        orig = bench.fit_tikhonov
+
+        def recorded(*args, **kwargs):
+            est = orig(*args, **kwargs)
+            fits.append(est)
+            return est
+        monkeypatch.setattr(bench, "fit_tikhonov", recorded)
+        return run_grid_rows(cfg), fits
+
+    @staticmethod
+    def true_residual(est):
+        gram = kernels.assemble_gram(est.kernel, est.samples, mode="implicit")
+        M = est.samples.shape[0]
+        lam = est.scheme.lam
+        c = est.coeffs.ravel()
+        b = kernels.h_vector(est.kernel, est.samples) / lam
+        return np.linalg.norm(gram.matvec(c) + M * lam * c - b) / np.linalg.norm(b)
+
+    def test_every_cell_meets_the_residual_contract(self, monkeypatch):
+        rows, fits = self.run(monkeypatch)
+        assert len(fits) == len(LAMBDA_GRID)
+        assert all(r.reason == "" for r in rows)
+        for est in fits:
+            assert est.meta["mode"] == "implicit"
+            assert self.true_residual(est) <= 1e-8
+
+    def test_one_shifted_run_serves_the_grid(self, monkeypatch):
+        calls = []
+        orig = bench.shifted_cg
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(bench, "shifted_cg", counted)
+        _, fits = self.run(monkeypatch)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], 256 * np.asarray(LAMBDA_GRID))
+        # the shifted solutions meet the tolerance; no fit iterates further
+        assert all(est.meta["cg_iterations"] == 0 for est in fits)
+
+    def test_drifted_starts_are_iterated_to_the_contract(self, monkeypatch):
+        orig = bench.shifted_cg
+
+        def drifted(*args, **kwargs):
+            Y, reps = orig(*args, **kwargs)
+            return Y * (1.0 + 1e-4), reps
+        monkeypatch.setattr(bench, "shifted_cg", drifted)
+        rows, fits = self.run(monkeypatch, lambdas=[1.0, 1e-3])
+        assert all(r.reason == "" for r in rows)
+        assert all(est.meta["cg_iterations"] > 0 for est in fits)
+        assert all(self.true_residual(est) <= 1e-8 for est in fits)
+
+    def test_failed_shifted_run_falls_back_to_cold_starts(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise NumericError("injected")
+        monkeypatch.setattr(bench, "shifted_cg", broken)
+        rows, fits = self.run(monkeypatch, lambdas=[1.0, 1e-3])
+        assert all(r.reason == "" for r in rows)
+        assert all(self.true_residual(est) <= 1e-8 for est in fits)
 
 
 class TestSummarize:

@@ -15,6 +15,8 @@ from scorekit.oracles import (
     standard_gaussian,
 )
 
+from estimator_files import CORRUPT, pack
+
 
 def write_json(path, data):
     path.write_text(json.dumps(data))
@@ -135,6 +137,23 @@ class TestExitCodes:
         cfg = fit_config(tmp_path, id="landweber", iterations=[5], eta=1e9)
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "e.bin")]) == 2
         assert "numeric failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, raw", CORRUPT, ids=[c[0] for c in CORRUPT])
+    def test_predict_on_corrupt_estimator_is_exit_1(self, tmp_path, capsys, name, raw):
+        (tmp_path / "est.bin").write_bytes(raw)
+        save_samples_csv(np.zeros((2, 2)), tmp_path / "q.csv")
+        pcfg = write_json(tmp_path / "p.json", {
+            "schema_version": 1, "estimator": "est.bin", "queries": "q.csv"})
+        assert main(["predict", "--config", pcfg, "--out", str(tmp_path / "s.csv")]) == 1
+        assert "error" in capsys.readouterr().err
+
+    def test_predict_on_valid_hand_built_estimator(self, tmp_path):
+        # the corrupt cases above differ from this file in one field each
+        (tmp_path / "est.bin").write_bytes(pack())
+        save_samples_csv(np.zeros((2, 2)), tmp_path / "q.csv")
+        pcfg = write_json(tmp_path / "p.json", {
+            "schema_version": 1, "estimator": "est.bin", "queries": "q.csv"})
+        assert main(["predict", "--config", pcfg, "--out", str(tmp_path / "s.csv")]) == 0
 
     def test_bad_threads(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "c.json", {})

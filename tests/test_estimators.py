@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scorekit import estimators, kernels, spectral_linalg
 from scorekit.errors import FitError, InputError
 from scorekit.estimators import (
     FittedScoreEstimator,
@@ -34,9 +35,11 @@ from scorekit.kernels import (
     assemble_gram,
     eval_matrix_kernel,
     h_vector,
+    query_tables,
     zeta_batch,
 )
 
+from estimator_files import CORRUPT, pack
 from fd_oracles import fd_gradient, fd_jacobian
 
 
@@ -118,6 +121,16 @@ class TestTikhonov:
         a = fit_tikhonov(X, spec, 0.1)
         b = fit_tikhonov(X, spec, 0.1, gram=gram)
         assert np.array_equal(a.coeffs, b.coeffs)
+
+    def test_diagonal_direct_solve_reads_a_matrix_free_gram(self):
+        # the scalar M x M Gram of the matrix-free form, never an Md x Md one
+        rng = np.random.default_rng(9)
+        X, spec = random_instance(rng, M=10, d=4, kind="diagonal")
+        gram = assemble_gram(spec, X, mode="implicit")
+        a = fit_tikhonov(X, spec, 0.05)
+        b = fit_tikhonov(X, spec, 0.05, mode="dense", gram=gram)
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert b.meta["mode"] == "dense"
 
     def test_gram_for_other_samples_rejected(self):
         rng = np.random.default_rng(7)
@@ -346,6 +359,26 @@ class TestSpectralCutoff:
             est = fit_spectral_cutoff(X, spec, rank=8)
         ref = fit_spectral_cutoff(X, spec, rank=6)  # numeric rank is 3*d
         assert np.abs(est.coeffs - ref.coeffs).max() < 1e-12
+
+    @pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
+    def test_rank_fit_builds_and_decomposes_the_gram_once(self, monkeypatch, kind):
+        rng = np.random.default_rng(34)
+        X = rng.normal(size=(40, 3))
+        spec = MatrixKernelSpec(kind, ScalarRadialKernel("imq", 1.5))
+        calls = {"cross_gram": 0, "sym_eig": 0}
+        for module, name in ((kernels, "cross_gram"), (spectral_linalg, "sym_eig"),
+                             (estimators, "sym_eig")):
+            def counted(*args, _orig=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        est = fit_spectral_cutoff(X, spec, rank=30)
+        # a diagonal kernel decomposes the scalar M x M Gram, no cross_gram
+        assert calls == {"cross_gram": int(kind == "curl_free"), "sym_eig": 1}
+        monkeypatch.undo()
+        # the rank's threshold, refitted from scratch, as a second pass would
+        two_pass = fit_spectral_cutoff(X, spec, lam=est.scheme.lam)
+        assert np.array_equal(est.coeffs, two_pass.coeffs)
 
     def test_lam_and_rank_are_mutually_exclusive(self):
         X = np.zeros((2, 1))
@@ -657,6 +690,28 @@ class TestPredict:
         slope = np.polyfit(xs.ravel(), preds, 1)[0]
         assert abs(slope - (-1.0)) < 0.25
 
+    @pytest.mark.parametrize("kind", ["diagonal", "curl_free"])
+    def test_shared_query_tables_change_no_prediction(self, kind):
+        rng = np.random.default_rng(74)
+        X, spec = random_instance(rng, M=20, d=3, kind=kind)
+        Q = rng.normal(size=(15, 3))
+        tables = query_tables(spec, Q, X)
+        assert len(tables) == (1 if kind == "diagonal" else 2)
+        # tikhonov carries the offset a = -1/lam, truncated tikhonov a = 0
+        for est in (fit_tikhonov(X, spec, 0.1), fit_truncated_tikhonov(X, spec, 0.1)):
+            plain = predict(est, Q)
+            assert np.array_equal(predict(est, Q, _tables=tables), plain)
+            assert np.array_equal(
+                predict(est, Q, _zeta=zeta_batch(spec, X, Q), _tables=tables), plain)
+
+    def test_query_tables_of_other_queries_rejected(self):
+        rng = np.random.default_rng(75)
+        X, spec = random_instance(rng, M=6, d=2, kind="curl_free")
+        est = fit_tikhonov(X, spec, 0.1)
+        tables = query_tables(spec, rng.normal(size=(4, 2)), X)
+        with pytest.raises(InputError):
+            predict(est, rng.normal(size=(5, 2)), _tables=tables)
+
     def test_immutable_fitted_state(self):
         rng = np.random.default_rng(73)
         X, spec = random_instance(rng, M=5, d=2)
@@ -797,3 +852,48 @@ class TestSerialization:
         p.write_bytes(raw + b"\x00")
         with pytest.raises(InputError):
             load_estimator(p)
+
+    @pytest.mark.parametrize("name, raw", CORRUPT, ids=[c[0] for c in CORRUPT])
+    def test_corrupt_file_rejected(self, tmp_path, name, raw):
+        p = tmp_path / "est.bin"
+        p.write_bytes(raw)
+        with pytest.raises(InputError):
+            load_estimator(p)
+
+    def test_hand_built_file_loads(self, tmp_path):
+        # the corrupt cases differ from this file in one field each
+        p = tmp_path / "est.bin"
+        p.write_bytes(pack())
+        est = load_estimator(p)
+        assert isinstance(est.scheme, Tikhonov) and est.offset == -10.0
+        p.write_bytes(pack(M=3, N=2, flags=1, idx=[2, 0]))
+        assert np.array_equal(load_estimator(p).subset_indices, [2, 0])
+
+    @staticmethod
+    def valid_files():
+        rng = np.random.default_rng(94)
+        X, spec = random_instance(rng, M=4, d=2, kind="curl_free")
+        return [fit_tikhonov(X, spec, 0.1),
+                fit_spectral_cutoff(X, spec, rank=3),
+                fit_nu_method(X, spec, t=3),
+                fit_nystrom(X, [0, 2], spec, TruncatedTikhonov(0.1))]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_truncated_or_flipped_file_loads_or_raises_input_error(
+            self, tmp_path_factory, data):
+        est = data.draw(st.sampled_from(self.valid_files()))
+        p = tmp_path_factory.mktemp("fuzz") / "est.bin"
+        save_estimator(est, p)
+        raw = bytearray(p.read_bytes())
+        if data.draw(st.booleans()):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+        else:
+            raw[data.draw(st.integers(0, len(raw) - 1))] ^= data.draw(st.integers(1, 255))
+        p.write_bytes(bytes(raw))
+        try:
+            back = load_estimator(p)
+        except InputError:
+            return
+        assert isinstance(back, FittedScoreEstimator)
+        assert np.all(np.isfinite(back.coeffs)) and np.isfinite(back.offset)
