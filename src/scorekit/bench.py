@@ -16,12 +16,16 @@ dense|implicit) with its h and eigensystem, one zeta(Q) table per spec,
 one set of query-side radial tables K(Q, X) per spec for every fit whose
 basis is the sample set, and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
-changes no row. The matrix-free Tikhonov grid is different: one shifted CG
-run solves every lam at once and each fit starts its own CG from that
-solution, so those rows differ from independent solves in their last
-digits while each still meets its residual tolerance. Shared work is timed
-in the fit_ms or predict_ms of the first cell that needs it, so a
-`.timings.csv` row is not the cost of that cell alone.
+changes no row. The curl-free Tikhonov grid is different: one shifted CG
+run solves every lam at once and gives each fit a start. Over a dense Gram
+the run keeps its Krylov basis orthogonal and aims 100x below solve_spd's
+1e-10 residual; solve_spd checks each start with one Gram product, returns
+it if it meets 1e-10 and factors the shifted Gram otherwise. Over a
+matrix-free Gram each fit runs its own CG from the start. Either way those
+rows differ from independent solves in their last digits while each still
+meets its residual tolerance. Shared work is timed in the fit_ms or
+predict_ms of the first cell that needs it, so a `.timings.csv` row is not
+the cost of that cell alone.
 
 A cell that fails with a contract error (InputError, NumericError or
 MemoryError: a bad lambda, a singular subset, CG running out of iterations)
@@ -41,6 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import InputError, NumericError
 from .estimators import (
     TruncatedTikhonov,
@@ -55,6 +60,7 @@ from .estimators import (
     predict,
 )
 from .kernels import (
+    DenseGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
     assemble_gram,
@@ -70,7 +76,7 @@ from .oracles import (
     score_batch,
     standard_gaussian,
 )
-from .spectral_linalg import shifted_cg
+from .spectral_linalg import SPD_RESIDUAL_TOL, shifted_cg
 from .svgplot import render_line_chart
 
 SCHEMA_VERSION = 1
@@ -92,6 +98,13 @@ DENSE_SYSTEM_LIMIT = 4096
 # capped budget; cells whose lambda is too small to converge report failure
 _TIK_IMPLICIT_TOL = 1e-8
 _TIK_IMPLICIT_MAX_ITER = 800
+
+# The dense grid's shifted run aims 100x below the residual solve_spd checks.
+# At lam = 1e-8 the shifted Gram's condition number is ~3e7, so starts that
+# only just met 1e-10 moved conv-1d benchmark rows by up to 3.7e-4 relative
+# from factored solves; at 1e-12 they move by under 1e-6, for ~3 more
+# iterations of the reorthogonalized run.
+_TIK_DENSE_START_TOL = SPD_RESIDUAL_TOL / 100
 
 # the errors a cell may fail with (errors.py); anything else is a bug and
 # aborts the sweep
@@ -447,19 +460,23 @@ class _Problem:
 
 
 def _shifted_starts(gram, grid) -> list:
-    """CG start vectors for the matrix-free Tikhonov lam grid.
+    """Start vectors for the curl-free Tikhonov lam grid, dense or matrix-free.
 
     (K + M lam I) y = h for every lam comes from one shifted CG run, and
-    c = y / lam solves the fit's system (K + M lam I) c = h / lam. Each fit
-    still checks its true residual and iterates on if it falls short. If
-    the shifted run fails, every fit starts from zero and meets its own
-    error.
+    c = y / lam solves the fit's system (K + M lam I) c = h / lam. For a
+    dense Gram the run is reorthogonalized and aims below solve_spd's
+    residual, which accepts a start that meets it and factors otherwise;
+    for a matrix-free one it aims at the CG tolerance, and each fit
+    iterates on from a start that falls short. If the shifted run fails,
+    every fit solves without a start and meets its own error.
     """
     M = gram.samples.shape[0]
     lams = np.array([params["lam"] for _, params in grid])
+    dense = isinstance(gram, DenseGram)
     try:
         Y, _ = shifted_cg(gram, gram.divergence(), M * lams,
-                          tol=_TIK_IMPLICIT_TOL, max_iter=_TIK_IMPLICIT_MAX_ITER)
+                          tol=_TIK_DENSE_START_TOL if dense else _TIK_IMPLICIT_TOL,
+                          max_iter=_TIK_IMPLICIT_MAX_ITER, reorthogonalize=dense)
     except _CONTRACT_ERRORS:
         return [None] * len(lams)
     return [y / lam for y, lam in zip(Y, lams)]
@@ -478,7 +495,6 @@ def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec)
     dense = entry.kind == "curl_free" and M * d <= DENSE_SYSTEM_LIMIT
 
     if entry.id in ("tikhonov", "tikhonov_cg"):
-        implicit = entry.kind == "curl_free" and not dense
         starts = None
         for i, (_, params) in enumerate(entry.grid):
             lam = params["lam"]
@@ -488,17 +504,17 @@ def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec)
                     est = fit_tikhonov_cg(X, spec, lam, tol=entry.tol,
                                           max_iter=entry.max_iter,
                                           gram=problem.gram(spec, dense=False))
-                elif implicit:
-                    gram = problem.gram(spec, dense=False)
+                elif entry.kind == "curl_free":
+                    # the Gram's form picks the direct solve or CG
+                    gram = problem.gram(spec, dense)
                     if starts is None:
                         starts = _shifted_starts(gram, entry.grid)
-                    est = fit_tikhonov(X, spec, lam, mode="implicit", gram=gram,
+                    est = fit_tikhonov(X, spec, lam, gram=gram,
                                        cg_tol=_TIK_IMPLICIT_TOL,
                                        cg_max_iter=_TIK_IMPLICIT_MAX_ITER,
-                                       _cg_x0=starts[i])
+                                       _x0=starts[i])
                 else:
-                    # the dense Gram, or for a diagonal kernel the scalar
-                    # M x M Gram of the shared matrix-free form
+                    # the scalar M x M Gram of the shared matrix-free form
                     est = fit_tikhonov(X, spec, lam, mode="dense",
                                        gram=problem.gram(spec, dense))
             except _CONTRACT_ERRORS as exc:
@@ -725,7 +741,7 @@ def fit_convergence_slopes(summary) -> list:
 # ======================================================================
 
 def _write_csv(path, header, records) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(records)

@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from .atomic import atomic_open
 from .bench import (
     DENSE_SYSTEM_LIMIT,
     _check_keys,
@@ -186,7 +187,7 @@ def _cmd_plot(args) -> int:
                     log_x=bool(data.get("log_x", False)),
                     log_y=bool(data.get("log_y", False)),
                     title=str(data.get("title", "")))
-    with open(args.out, "w", newline="") as f:
+    with atomic_open(args.out, "w", newline="") as f:
         f.write(svg)
     return 0
 

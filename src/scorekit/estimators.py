@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import FitError, InputError, NumericError
 from .kernels import (
     DenseGram,
@@ -250,15 +251,18 @@ def _tikhonov_system_solve_cg(gram, h, lam, tol, max_iter, x0=None):
 
 def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense",
                  gram=None, cg_tol: float = 1e-10, cg_max_iter: int = None,
-                 _cg_x0=None) -> FittedScoreEstimator:
+                 _x0=None) -> FittedScoreEstimator:
     """Solve (K + M lam I) c = h / lam; predictions carry a = -1/lam.
 
-    mode 'dense' factors the shifted Gram directly (diagonal kernels reduce
-    to an M x M system with d right-hand sides); mode 'implicit' runs CG on
-    the matrix-free Gram to the same 1e-10 residual contract and raises
-    FitError if that cannot be reached. A given curl-free Gram decides the
-    mode by its form; a diagonal one of either form serves both modes, the
-    direct solve reading its scalar M x M Gram.
+    mode 'dense' solves the shifted Gram directly with solve_spd (diagonal
+    kernels reduce to an M x M system with d right-hand sides); mode
+    'implicit' runs CG on the matrix-free Gram to the same 1e-10 residual
+    contract and raises FitError if that cannot be reached. A given
+    curl-free Gram decides the mode by its form; a diagonal one of either
+    form serves both modes, the direct solve reading its scalar M x M Gram.
+    _x0, when given, is a start for c: the direct solve returns it if it
+    already meets the solve_spd residual and factors otherwise, CG iterates
+    from it.
     """
     scheme = Tikhonov(lam)
     if mode not in ("dense", "implicit"):
@@ -269,37 +273,32 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense
         mode = "implicit" if isinstance(gram, ImplicitGram) else "dense"
     meta = {"mode": mode}
 
-    use_implicit = mode == "implicit"
-    if not use_implicit:
+    if mode == "dense":
         h = _divergence(spec, X, gram)  # validates a given Gram
         if spec.kind == "diagonal":
             # K = k(X,X) (x) I_d, so the Md system splits into d copies of
             # (k + M lam I) C = H / lam over the scalar Gram.
             if gram is None:
-                kX = scalar_gram(spec.scalar, X)
+                A = scalar_gram(spec.scalar, X)
             elif isinstance(gram, ImplicitGram):
-                kX = gram.scalar_matrix()
+                A = gram.scalar_matrix()
             else:
-                kX = gram.matrix[::d, ::d]
-            A = kX + M * lam * np.eye(M)
-            try:
-                C = solve_spd(A, h.reshape(M, d) / lam)
-            except NumericError as exc:
-                raise FitError(f"tikhonov solve failed: {exc}") from exc
+                A = gram.matrix[::d, ::d]
+            b = h.reshape(M, d) / lam
         else:
-            gram = _resolve_gram(spec, X, "dense", gram)
-            A = gram.matrix + 0.0  # private copy before shifting the diagonal
-            A[np.diag_indices_from(A)] += M * lam
-            try:
-                C = solve_spd(A, h / lam).reshape(M, d)
-            except NumericError as exc:
-                raise FitError(f"tikhonov solve failed: {exc}") from exc
+            A = _resolve_gram(spec, X, "dense", gram).matrix
+            b = h / lam
+        x0 = None if _x0 is None else np.reshape(_x0, b.shape)
+        try:
+            C = solve_spd(A, b, shift=M * lam, x0=x0).reshape(M, d)
+        except NumericError as exc:
+            raise FitError(f"tikhonov solve failed: {exc}") from exc
     else:
         gram = _resolve_gram(spec, X, "implicit", gram)
         h = gram.divergence()
         if cg_max_iter is None:
             cg_max_iter = max(1000, 4 * M)
-        c, rep = _tikhonov_system_solve_cg(gram, h, lam, cg_tol, cg_max_iter, x0=_cg_x0)
+        c, rep = _tikhonov_system_solve_cg(gram, h, lam, cg_tol, cg_max_iter, x0=_x0)
         meta.update(cg_iterations=rep.iterations, cg_residual=rep.residual)
         if not rep.converged:
             raise FitError(
@@ -623,7 +622,7 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
         for jit in (0.0,) + _NYSTROM_JITTERS:
             try:
                 shift = jit * max(1.0, float(np.trace(Kzz)) / Kzz.shape[0])
-                c = -solve_spd(A + lam * shift * np.eye(A.shape[0]), h_Z)
+                c = -solve_spd(A, h_Z, shift=lam * shift)
                 break
             except NumericError as exc:
                 last_err = exc
@@ -758,6 +757,20 @@ def _scheme_from_code(code, params):
     return NuMethod(params[0], _count(params[1], "iteration count"))
 
 
+def _scheme_offset(scheme) -> float:
+    """The zeta multiplier a that a fit of this scheme carries."""
+    if isinstance(scheme, Tikhonov):
+        return -1.0 / scheme.lam
+    if isinstance(scheme, Landweber):
+        return -scheme.t * scheme.eta
+    if isinstance(scheme, NuMethod):
+        # closed form of nu_method_path's a_t recursion (its filter is a
+        # normalized Jacobi polynomial), so a corrupt t cannot stall a load
+        t, nu = scheme.t, scheme.nu
+        return -2.0 * t * (t + 2.0 * nu) / (4.0 * nu + 1.0)
+    return 0.0  # truncated Tikhonov, spectral cut-off and every subset fit
+
+
 def save_estimator(est: FittedScoreEstimator, path) -> None:
     """Write the versioned binary form.
 
@@ -782,7 +795,7 @@ def save_estimator(est: FittedScoreEstimator, path) -> None:
     if flags & 1:
         buf.write(np.ascontiguousarray(est.subset_indices, dtype="<u4").tobytes())
     buf.write(np.ascontiguousarray(est.coeffs, dtype="<f8").tobytes())
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(buf.getvalue())
 
 
@@ -828,5 +841,11 @@ def load_estimator(path) -> FittedScoreEstimator:
                          "samples or coefficients")
     spec = MatrixKernelSpec(_KIND_NAME[kind], ScalarRadialKernel(_FAMILY_NAME[fam], bw))
     scheme = _scheme_from_code(code, params)
+    # the recursion that produced a saved nu-method a_t drifts from the closed
+    # form by up to 1e-9 relative at t = 2e5
+    expected = _scheme_offset(scheme)
+    if not (np.isfinite(expected) and abs(offset - expected) <= 1e-6 * abs(expected)):
+        raise InputError(f"offset {offset!r} contradicts the {type(scheme).__name__} "
+                         f"scheme, which defines {expected!r}")
     return FittedScoreEstimator(spec, samples, coeffs, offset, scheme,
                                 subset_indices=idx)

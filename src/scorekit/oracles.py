@@ -12,6 +12,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 from scipy.special import logsumexp, softmax
 
+from .atomic import atomic_open
 from .errors import DegenerateDataError, InputError
 from .kernels import as_samples
 
@@ -205,7 +206,7 @@ def normalized_error(est, dist: MixtureDistribution, n_eval: int = 1024,
 def save_samples_csv(samples, path) -> None:
     """Write samples with an x1..xd header and 17-significant-digit floats."""
     X = as_samples(samples)
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow([f"x{i + 1}" for i in range(X.shape[1])])
         for row in X:

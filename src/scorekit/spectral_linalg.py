@@ -20,6 +20,10 @@ from .errors import InputError, NumericError
 # stay irrelevant even after 1/lam amplification.
 EPS_RANK_REL = 1e-12
 
+# Relative residual ||b - (A + shift I) x|| / ||b|| that every solve_spd
+# result meets, whether it came from a start vector or a factorization.
+SPD_RESIDUAL_TOL = 1e-10
+
 
 class EigenSystem:
     """Full spectrum of a symmetric matrix, eigenvalues descending."""
@@ -63,22 +67,42 @@ def sym_eig(K: np.ndarray) -> EigenSystem:
     return EigenSystem(w[::-1].copy(), V[:, ::-1].copy())
 
 
-def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive definite A via Cholesky.
+def solve_spd(A: np.ndarray, b: np.ndarray, shift: float = 0.0,
+              x0: np.ndarray = None) -> np.ndarray:
+    """Solve (A + shift I) x = b for symmetric positive definite A + shift I.
 
-    b may be a vector or an (n, k) block of right-hand sides. The result is
-    refined to a relative residual of 1e-10; failure to reach that (or a
-    failed factorization) raises NumericError with a condition estimate.
+    b may be a vector or an (n, k) block of right-hand sides. Every result
+    meets the relative residual SPD_RESIDUAL_TOL. A start x0 (shaped like b)
+    that is finite and already meets it is returned after one product with
+    A, without a factorization. Otherwise a private copy of A is shifted,
+    factored by Cholesky and the solution refined; failure to reach the
+    residual (or a failed factorization) raises NumericError with a
+    condition estimate from the Cholesky diagonal. A is never modified.
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    shift = float(shift)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError(f"solve_spd expects a square matrix, got shape {A.shape}")
     if b.ndim not in (1, 2) or b.shape[0] != A.shape[0]:
         raise InputError("right-hand side length does not match matrix")
+    if not np.isfinite(shift):
+        raise InputError(f"shift must be finite, got {shift!r}")
     nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return np.zeros_like(b)
+    if x0 is not None:
+        x0 = np.asarray(x0, dtype=np.float64)
+        if x0.shape != b.shape:
+            raise InputError(f"start shape {x0.shape} does not match right-hand "
+                             f"side shape {b.shape}")
+        if np.all(np.isfinite(x0)):
+            r = b - (A @ x0 + shift * x0)
+            if float(np.linalg.norm(r)) / nb <= SPD_RESIDUAL_TOL:
+                return x0
+    if shift != 0.0:
+        A = A + 0.0  # private copy: the caller's A is often a shared Gram
+        A[np.diag_indices_from(A)] += shift
     try:
         cf = scipy.linalg.cho_factor(A, check_finite=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -87,16 +111,19 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     for _ in range(2):
         r = b - A @ x
         rel = float(np.linalg.norm(r)) / nb
-        if rel <= 1e-10:
+        if rel <= SPD_RESIDUAL_TOL:
             return x
         x = x + scipy.linalg.cho_solve(cf, r, check_finite=False)
     r = b - A @ x
     rel = float(np.linalg.norm(r)) / nb
-    if rel <= 1e-10:
+    if rel <= SPD_RESIDUAL_TOL:
         return x
-    cond = float(np.linalg.cond(A))
+    # cond(A) = cond(L)^2, and the spread of L's diagonal bounds cond(L)
+    # from below; a full SVD here would cost many times the factorization
+    ldiag = np.abs(np.diag(cf[0]))
+    cond = float((ldiag.max() / ldiag.min()) ** 2)
     raise NumericError(
-        f"solve_spd could not reach residual 1e-10 (got {rel:.3e}); "
+        f"solve_spd could not reach residual {SPD_RESIDUAL_TOL:.0e} (got {rel:.3e}); "
         f"condition estimate {cond:.3e}")
 
 
@@ -191,7 +218,8 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
     return x, CGReport(max_iter, rel, False)
 
 
-def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = None):
+def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = None,
+               reorthogonalize: bool = False):
     """Solve (op + s I) x_s = b for every shift s from one Krylov sequence.
 
     Multi-shift CG (CG-M): the shifted systems share the Krylov space of op
@@ -202,6 +230,14 @@ def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = Non
     underflow). The residuals are recurrence values: callers needing a
     guarantee recheck them. Returns (X, reports), X[k] solving shift k,
     reports a tuple of CGReport in the order of the shifts.
+
+    reorthogonalize=True keeps every normalized seed residual and projects
+    each new one off them (Gram-Schmidt, twice). In floating point, plain
+    CG loses that orthogonality and revisits converged eigendirections, so
+    a spectrum with a few large eigenvalues far above the smallest shift
+    costs many times the exact-arithmetic count of iterations (548 against
+    52 on a d=1 curl-free Gram at M=4096). The kept basis takes one vector
+    per iteration, so it suits operators small enough to hold as matrices.
     """
     if not tol > 0.0:
         raise InputError("tol must be positive")
@@ -230,6 +266,12 @@ def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = Non
     p = b.copy()
     rs = float(r @ r)
     P = np.repeat(b[None, :], S, axis=0)
+    if reorthogonalize:
+        # rows are written one per iteration; untouched rows of np.empty
+        # take no memory
+        V = np.empty((min(max_iter, b.shape[0]) + 1, b.shape[0]))
+        V[0] = b / nb
+        k = 1
     zeta = np.ones(S)           # zeta_k
     zeta_prev = np.ones(S)      # zeta_{k-1}
     alpha_prev, beta_prev = 1.0, 0.0
@@ -249,7 +291,13 @@ def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = Non
             raise NumericError("non-positive curvature encountered; operator is not PSD")
         alpha = rs / pAp
         r -= alpha * Ap
+        if reorthogonalize:
+            for _ in range(2):
+                r -= V[:k].T @ (V[:k] @ r)
         rs_new = float(r @ r)
+        if reorthogonalize and rs_new > 0.0 and k < V.shape[0]:
+            V[k] = r / np.sqrt(rs_new)
+            k += 1
         beta = rs_new / rs
         act = np.flatnonzero(active)
         z, zp = zeta[act], zeta_prev[act]

@@ -40,4 +40,15 @@ CORRUPT = [
     ("inf param", pack(params=(np.inf,))),
     ("nan offset", pack(offset=np.nan)),
     ("inf coefficient", pack(coeffs=[0.0, 1.0, 2.0, -np.inf, 4.0, 5.0])),
+    # an offset the scheme does not define: Tikhonov a = -1/lam, truncated
+    # Tikhonov, spectral cut-off and subset fits a = 0, Landweber a = -t eta,
+    # nu-method a_t = -2t(t + 2nu)/(4nu + 1)
+    ("tikhonov offset", pack(code=1, params=(0.1,), offset=12345.0)),
+    ("truncated tikhonov offset", pack(code=2, params=(0.1,), offset=3.1e-5)),
+    ("spectral cut-off offset", pack(code=3, params=(0.1, -1.0), offset=-1.0)),
+    ("subset fit offset", pack(code=2, params=(0.1,), offset=-10.0, M=3, N=2,
+                               flags=1, idx=[2, 0])),
+    ("landweber offset", pack(code=4, params=(0.5, 3.0), offset=12345.0)),
+    ("nu-method offset", pack(code=5, params=(1.0, 3.0), offset=12345.0)),
+    ("nu-method offset of another t", pack(code=5, params=(1.0, 3.0), offset=-3.2)),
 ]

@@ -544,6 +544,98 @@ class TestMatrixFreeTikhonov:
         assert all(self.true_residual(est) <= 1e-8 for est in fits)
 
 
+class TestDenseTikhonov:
+    """The sweep's curl-free Tikhonov grid up to the dense limit: one shifted
+    CG run gives every cell a start that solve_spd checks before factoring."""
+
+    SIZES, SEEDS = (64, 128), (0, 1)
+
+    @classmethod
+    def run(cls, monkeypatch):
+        cfg = parse_experiment_config(base_config(
+            dimensions=[2], sample_sizes=list(cls.SIZES), seeds=list(cls.SEEDS),
+            eval_size=32, estimators=[{"id": "tikhonov", "kind": "curl_free"}]))
+        calls = {"fit": [], "solve_spd": 0, "cho_factor": 0}
+        orig_fit, orig_solve = bench.fit_tikhonov, estimators.solve_spd
+        orig_factor = spectral_linalg.scipy.linalg.cho_factor
+
+        def fit(*args, **kwargs):
+            est = orig_fit(*args, **kwargs)
+            calls["fit"].append(est)
+            return est
+
+        def solve(*args, **kwargs):
+            calls["solve_spd"] += 1
+            return orig_solve(*args, **kwargs)
+
+        def factor(*args, **kwargs):
+            calls["cho_factor"] += 1
+            return orig_factor(*args, **kwargs)
+        monkeypatch.setattr(bench, "fit_tikhonov", fit)
+        monkeypatch.setattr(estimators, "solve_spd", solve)
+        monkeypatch.setattr(spectral_linalg.scipy.linalg, "cho_factor", factor)
+        return [(r.error, r.reason) for r in run_grid_rows(cfg)], calls
+
+    @property
+    def n_cells(self):
+        return len(self.SIZES) * len(self.SEEDS) * len(LAMBDA_GRID)
+
+    @staticmethod
+    def true_residual(est):
+        gram = kernels.assemble_gram(est.kernel, est.samples, mode="dense")
+        M = est.samples.shape[0]
+        lam = est.scheme.lam
+        c = est.coeffs.ravel()
+        b = kernels.h_vector(est.kernel, est.samples) / lam
+        return np.linalg.norm(gram.matrix @ c + M * lam * c - b) / np.linalg.norm(b)
+
+    def test_every_cell_meets_the_dense_residual_contract(self, monkeypatch):
+        rows, calls = self.run(monkeypatch)
+        assert all(reason == "" for _, reason in rows)
+        assert len(calls["fit"]) == self.n_cells
+        for est in calls["fit"]:
+            assert est.meta["mode"] == "dense"
+            assert self.true_residual(est) <= 1e-10
+
+    def test_one_shifted_run_per_problem_and_no_factorization(self, monkeypatch):
+        runs = []
+        orig = bench.shifted_cg
+
+        def counted(op, b, shifts, **kwargs):
+            runs.append((op.dim, shifts, kwargs))
+            return orig(op, b, shifts, **kwargs)
+        monkeypatch.setattr(bench, "shifted_cg", counted)
+        _, calls = self.run(monkeypatch)
+        assert sorted(dim for dim, _, _ in runs) == sorted(
+            2 * M for M in self.SIZES for _ in self.SEEDS)
+        for dim, shifts, kwargs in runs:
+            assert np.array_equal(shifts, dim // 2 * np.asarray(LAMBDA_GRID))
+            assert kwargs["tol"] < spectral_linalg.SPD_RESIDUAL_TOL
+            assert kwargs["reorthogonalize"] is True
+        assert calls["solve_spd"] == self.n_cells
+        assert calls["cho_factor"] == 0
+
+    @pytest.mark.parametrize("how", ["perturbed", "failed"])
+    def test_rejected_starts_factor_to_the_rows_without_starts(self, monkeypatch, how):
+        monkeypatch.setattr(bench, "_shifted_starts",
+                            lambda gram, grid: [None] * len(grid))
+        cold, cold_calls = self.run(monkeypatch)
+        monkeypatch.undo()
+        orig = bench.shifted_cg
+
+        def perturbed(*args, **kwargs):
+            Y, reps = orig(*args, **kwargs)
+            return Y * (1.0 + 1e-4), reps
+
+        def failed(*args, **kwargs):
+            raise NumericError("injected")
+        monkeypatch.setattr(bench, "shifted_cg", perturbed if how == "perturbed" else failed)
+        rows, calls = self.run(monkeypatch)
+        assert cold_calls["cho_factor"] == calls["cho_factor"] == self.n_cells
+        assert all(reason == "" for _, reason in rows)
+        assert repr(rows) == repr(cold)
+
+
 class TestSummarize:
 
     def test_best_is_grid_minimum(self):

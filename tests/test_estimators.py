@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -868,6 +870,43 @@ class TestSerialization:
         assert isinstance(est.scheme, Tikhonov) and est.offset == -10.0
         p.write_bytes(pack(M=3, N=2, flags=1, idx=[2, 0]))
         assert np.array_equal(load_estimator(p).subset_indices, [2, 0])
+
+    @staticmethod
+    def every_scheme():
+        rng = np.random.default_rng(95)
+        X, spec = random_instance(rng, M=6, d=2, kind="curl_free")
+        diag = MatrixKernelSpec("diagonal", spec.scalar)
+        return {
+            "tikhonov": [fit_tikhonov(X, spec, 0.1), fit_tikhonov(X, diag, 1e-3),
+                         fit_tikhonov_cg(X, spec, 0.5)],
+            "truncated_tikhonov": [fit_truncated_tikhonov(X, spec, 0.1)],
+            "spectral_cutoff": [fit_spectral_cutoff(X, spec, lam=0.05),
+                                fit_spectral_cutoff(X, diag, rank=4)],
+            "subset": [fit_nystrom(X, [0, 2, 5], spec, TruncatedTikhonov(0.1)),
+                       fit_nystrom(X, [1, 4], spec, SpectralCutoff(lam=0.05))],
+            "landweber": landweber_path(X, spec, [1, 7, 40]),
+            # a_t comes from the recursion, which the loader checks against
+            # its closed form
+            "nu_method": (nu_method_path(X, spec, [1, 2, 3, 50, 300])
+                          + nu_method_path(X, diag, [7, 1000], nu=2.5)),
+        }
+
+    @pytest.mark.parametrize("scheme", ["tikhonov", "truncated_tikhonov",
+                                        "spectral_cutoff", "subset", "landweber",
+                                        "nu_method"])
+    def test_offset_must_be_the_schemes_own(self, tmp_path, scheme):
+        for est in self.every_scheme()[scheme]:
+            p = tmp_path / "est.bin"
+            save_estimator(est, p)
+            assert load_estimator(p).offset == est.offset
+            raw = p.read_bytes()
+            # the offset follows magic, family, kind, bandwidth, code,
+            # n_params and the params
+            at = len(estimators._MAGIC) + 12 + 8 * raw[len(estimators._MAGIC) + 11]
+            assert struct.unpack("<d", raw[at:at + 8])[0] == est.offset
+            p.write_bytes(raw[:at] + struct.pack("<d", 12345.0) + raw[at + 8:])
+            with pytest.raises(InputError, match="offset"):
+                load_estimator(p)
 
     @staticmethod
     def valid_files():

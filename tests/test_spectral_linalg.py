@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from scorekit import InputError, NumericError, MatrixKernelSpec, ScalarRadialKernel, assemble_gram
+from scorekit import spectral_linalg
 from scorekit.spectral_linalg import (
+    SPD_RESIDUAL_TOL,
     CGReport,
     EigenSystem,
     LinearOperator,
@@ -100,6 +103,76 @@ def test_solve_spd_singular_raises():
 
 def test_solve_spd_zero_rhs():
     assert np.array_equal(solve_spd(np.eye(2), np.zeros(2)), np.zeros(2))
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """Counts Cholesky factorizations made by solve_spd."""
+    calls = []
+    orig = scipy.linalg.cho_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return orig(*args, **kwargs)
+    monkeypatch.setattr(spectral_linalg.scipy.linalg, "cho_factor", counted)
+    return calls
+
+
+@pytest.mark.parametrize("shape", [(40,), (40, 3)])
+def test_solve_spd_shift_equals_factoring_the_shifted_matrix(shape):
+    A = random_gram(20, 2, seed=5)
+    b = np.random.default_rng(6).standard_normal(shape)
+    before = A.copy()
+    x = solve_spd(A, b, shift=0.37)
+    assert np.array_equal(A, before)  # the caller's matrix is not shifted
+    assert np.array_equal(x, solve_spd(A + 0.37 * np.eye(40), b))
+    assert np.linalg.norm(A @ x + 0.37 * x - b) <= SPD_RESIDUAL_TOL * np.linalg.norm(b)
+
+
+def test_solve_spd_accepts_a_start_that_meets_the_contract(factor_calls):
+    A = random_gram(20, 2, seed=7)
+    b = np.random.default_rng(8).standard_normal(40)
+    x = solve_spd(A, b, shift=0.5)
+    assert len(factor_calls) == 1
+    assert np.array_equal(solve_spd(A, b, shift=0.5, x0=x), x)
+    assert len(factor_calls) == 1
+
+
+@pytest.mark.parametrize("start", ["nan", "inf", "short"])
+def test_solve_spd_factors_when_the_start_falls_short(factor_calls, start):
+    A = random_gram(20, 2, seed=9)
+    b = np.random.default_rng(10).standard_normal(40)
+    ref = solve_spd(A, b, shift=0.5)
+    x0 = ref * (1.0 + 1e-6)
+    if start != "short":
+        x0[3] = np.nan if start == "nan" else np.inf
+    x = solve_spd(A, b, shift=0.5, x0=x0)
+    assert len(factor_calls) == 2
+    assert np.array_equal(x, ref)
+
+
+def test_solve_spd_bad_start_or_shift():
+    with pytest.raises(InputError):
+        solve_spd(np.eye(3), np.ones(3), x0=np.ones(4))
+    with pytest.raises(InputError):
+        solve_spd(np.eye(3), np.ones(3), shift=np.nan)
+
+
+def test_solve_spd_shortfall_reports_a_condition_estimate_without_svd(monkeypatch):
+    # Cholesky succeeds on cond ~1e13, but b along the smallest eigenvector
+    # leaves a residual far above 1e-10 that refinement cannot remove
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, 60)))
+    A = (Q * np.geomspace(1.0, 1e-13, 60)) @ Q.T
+    A = 0.5 * (A + A.T)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solve_spd must not run an SVD for its message")
+    for owner in (np.linalg, scipy.linalg):
+        monkeypatch.setattr(owner, "svd", forbidden)
+    monkeypatch.setattr(np.linalg, "cond", forbidden)
+    with pytest.raises(NumericError, match=r"condition estimate \d\.\d+e\+\d+"):
+        solve_spd(A, Q[:, -1] + 1e-3 * Q[:, 0])
 
 
 # ======================================================================
@@ -253,6 +326,34 @@ def test_shifted_cg_non_psd_operator_raises():
 def test_shifted_cg_bad_shifts_or_tol(shifts, tol):
     with pytest.raises(InputError):
         shifted_cg(LinearOperator.from_matrix(np.eye(2)), np.ones(2), shifts, tol=tol)
+
+
+def test_shifted_cg_reorthogonalized_run_on_a_low_rank_gram():
+    # a d=1 curl-free Gram is numerically low rank: plain CG in floating
+    # point revisits its large eigendirections, the reorthogonalized run
+    # needs about as many iterations as there are eigenvalues above the shift
+    A = random_gram(400, 1, seed=12)
+    op = LinearOperator.from_matrix(A)
+    b = np.random.default_rng(13).standard_normal(400)
+    shifts = 400 * np.geomspace(1.0, 1e-6, 4)
+    plain, plain_reps = shifted_cg(op, b, shifts, tol=1e-10, max_iter=800)
+    X, reps = shifted_cg(op, b, shifts, tol=1e-10, max_iter=800, reorthogonalize=True)
+    assert all(rep.converged for rep in reps + plain_reps)
+    assert reps[-1].iterations < plain_reps[-1].iterations / 2
+    for s, x, y in zip(shifts, X, plain):
+        true_rel = np.linalg.norm(A @ x + s * x - b) / np.linalg.norm(b)
+        assert true_rel <= 2e-10
+        assert np.linalg.norm(x - y) <= 1e-6 * np.linalg.norm(y)
+
+
+def test_shifted_cg_reorthogonalized_run_exhausts_the_krylov_space():
+    # n iterations span the whole space: the residual vanishes, no nan
+    A, b = random_spd(12, 14)
+    X, reps = shifted_cg(LinearOperator.from_matrix(A), b, [0.0, 1.0], tol=1e-300,
+                         max_iter=40, reorthogonalize=True)
+    assert np.all(np.isfinite(X))
+    for s, x in zip([0.0, 1.0], X):
+        assert np.allclose((A + s * np.eye(12)) @ x, b, rtol=0, atol=1e-10)
 
 
 def test_shifted_cg_bad_rhs():
