@@ -70,9 +70,6 @@ from .kernels import (
     assemble_gram,
     cross_apply,
     cross_gram,
-    curlfree_matvec,
-    eval_matrix_kernel,
-    gram_matvec,
     h_vector,
     scalar_derivs,
     scalar_gram,

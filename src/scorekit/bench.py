@@ -16,16 +16,19 @@ dense|implicit) with its h and eigensystem, one zeta(Q) table per spec,
 one set of query-side radial tables K(Q, X) per spec for every fit whose
 basis is the sample set, and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
-changes no row. The curl-free Tikhonov grid is different: one shifted CG
-run solves every lam at once and gives each fit a start. Over a dense Gram
-the run keeps its Krylov basis orthogonal and aims 100x below solve_spd's
-1e-10 residual; solve_spd checks each start with one Gram product, returns
-it if it meets 1e-10 and factors the shifted Gram otherwise. Over a
-matrix-free Gram each fit runs its own CG from the start. Either way those
-rows differ from independent solves in their last digits while each still
-meets its residual tolerance. Shared work is timed in the fit_ms or
-predict_ms of the first cell that needs it, so a `.timings.csv` row is not
-the cost of that cell alone.
+changes no row. The curl-free Tikhonov grid and nu-method path are
+different. Over a dense Gram one Lanczos basis of the Krylov space of K
+and h serves both: each Tikhonov fit gets a start that aims 100x below
+solve_spd's 1e-10 residual, and solve_spd checks it with one Gram product,
+returns it if it meets 1e-10 and factors the shifted Gram otherwise; the
+nu-method recursion runs on the basis's tridiagonal matrix. Over a
+matrix-free Gram one shifted CG run solves every lam at once and each fit
+runs its own CG from its start. Those rows differ from independent solves
+and the direct recursion in their last digits (on the conv-1d benchmark
+workload, under 1e-5 relative for tikhonov and 1e-11 for nu_method) while
+each still meets its residual tolerance. Shared work is timed in the
+fit_ms or predict_ms of the first cell that needs it, so a `.timings.csv`
+row is not the cost of that cell alone.
 
 A cell that fails with a contract error (InputError, NumericError or
 MemoryError: a bad lambda, a singular subset, CG running out of iterations)
@@ -76,7 +79,7 @@ from .oracles import (
     score_batch,
     standard_gaussian,
 )
-from .spectral_linalg import SPD_RESIDUAL_TOL, shifted_cg
+from .spectral_linalg import SPD_RESIDUAL_TOL, lanczos, shifted_cg
 from .svgplot import render_line_chart
 
 SCHEMA_VERSION = 1
@@ -99,12 +102,16 @@ DENSE_SYSTEM_LIMIT = 4096
 _TIK_IMPLICIT_TOL = 1e-8
 _TIK_IMPLICIT_MAX_ITER = 800
 
-# The dense grid's shifted run aims 100x below the residual solve_spd checks.
-# At lam = 1e-8 the shifted Gram's condition number is ~3e7, so starts that
-# only just met 1e-10 moved conv-1d benchmark rows by up to 3.7e-4 relative
-# from factored solves; at 1e-12 they move by under 1e-6, for ~3 more
-# iterations of the reorthogonalized run.
+# The dense grid's starts come from a Lanczos basis of the Gram and each
+# aims, by its Lanczos residual estimate, 100x below the residual solve_spd
+# checks. At lam = 1e-8 the shifted Gram's condition number is ~3e7, so
+# starts that only just met 1e-10 moved conv-1d benchmark rows by up to
+# 3.7e-4 relative from factored solves; at 1e-12 they move by under 1e-5,
+# for a few more basis vectors.
 _TIK_DENSE_START_TOL = SPD_RESIDUAL_TOL / 100
+
+# a dense Gram's Krylov space counts as invariant once beta_k <= this * ||K||_1
+_KRYLOV_INVARIANT_REL = 1e-14
 
 # the errors a cell may fail with (errors.py); anything else is a bug and
 # aborts the sweep
@@ -430,6 +437,7 @@ class _Problem:
         self.Q = sample(self.dist, cfg.eval_size,
                         np.random.SeedSequence(seed, spawn_key=(2, d, M)))
         self.truth = score_batch(self.dist, self.Q)
+        self.entries = cfg.estimators
         self._shared = {}
 
     def _once(self, key, build):
@@ -458,25 +466,88 @@ class _Problem:
         return self._once(("nystrom", spec, idx.tobytes()),
                           lambda: _subset_building_blocks(self.X, idx, spec))
 
+    def krylov(self, spec: MatrixKernelSpec):
+        """(V, T, dims, spans_nu): one Lanczos basis of the dense Gram of spec.
 
-def _shifted_starts(gram, grid) -> list:
+        It serves the curl-free tikhonov and nu_method entries of spec and
+        stops at invariance, at _TIK_IMPLICIT_MAX_ITER vectors, or once it
+        spans the nu-method iterates (t_max - 1 vectors) and every shift
+        M lam has met _TIK_DENSE_START_TOL; dims[i] is the size at which
+        shift i did (0: never). Each reader takes the leading part it
+        needs, so its rows do not depend on the other entry. None if the
+        run fails.
+        """
+        def build():
+            gram, shifts, t_max = self.gram(spec, dense=True), np.zeros(0), 1
+            for e in self.entries:
+                if e.kind == "curl_free" and e.id == "tikhonov" and self.spec(e) == spec:
+                    shifts = self.M * np.array([p["lam"] for _, p in e.grid])
+                if e.kind == "curl_free" and e.id == "nu_method" and self.spec(e) == spec:
+                    t_max = max(p["t"] for _, p in e.grid)
+            K = gram.matrix  # ||K||_1 in row blocks, to keep the peak down
+            tol = _KRYLOV_INVARIANT_REL * max(
+                float(np.abs(K[i:i + 16]).sum(axis=1).max()) for i in range(0, len(K), 16))
+            stop, dims = _shift_targets(shifts, t_max - 1)
+            try:
+                V, T, beta = lanczos(gram, gram.divergence(), _TIK_IMPLICIT_MAX_ITER, tol,
+                                     stop=stop)
+            except _CONTRACT_ERRORS:
+                return None
+            return V, T, dims, beta <= tol or len(V) >= min(t_max - 1, len(K))
+        return self._once(("krylov", spec), build)
+
+
+def _shift_targets(shifts, min_dim):
+    """A lanczos stop rule: min_dim vectors, and every (K + s I) y = h has
+    met _TIK_DENSE_START_TOL by its Lanczos residual estimate
+    beta_k |e_k^T (T_k + s I)^-1 e_1| = beta_k beta_1..beta_{k-1} / (p_1..p_k),
+    p_k = alpha_k + s - beta_{k-1}^2 / p_{k-1} the pivots of T_k + s I.
+    Returns (stop, dims), dims[i] set to the step at which shift i did.
+    """
+    piv, last = np.ones(len(shifts)), np.ones(len(shifts))
+    dims = np.zeros(len(shifts), dtype=np.int64)
+
+    def stop(alpha, beta):
+        b = beta[-2] if len(beta) > 1 else 0.0
+        piv[:] = alpha[-1] + shifts - b * b / piv
+        last[:] = last * (b if len(beta) > 1 else 1.0) / np.abs(piv)
+        dims[(dims == 0) & (beta[-1] * last <= _TIK_DENSE_START_TOL)] = len(beta)
+        return len(beta) >= min_dim and bool(dims.all())
+    return stop, dims
+
+
+def _shifted_starts(problem: _Problem, spec, gram, grid) -> list:
     """Start vectors for the curl-free Tikhonov lam grid, dense or matrix-free.
 
-    (K + M lam I) y = h for every lam comes from one shifted CG run, and
-    c = y / lam solves the fit's system (K + M lam I) c = h / lam. For a
-    dense Gram the run is reorthogonalized and aims below solve_spd's
-    residual, which accepts a start that meets it and factors otherwise;
-    for a matrix-free one it aims at the CG tolerance, and each fit
-    iterates on from a start that falls short. If the shifted run fails,
-    every fit solves without a start and meets its own error.
+    c = y / lam solves the fit's system (K + M lam I) c = h / lam when
+    (K + M lam I) y = h. Over a dense Gram y = ||h|| V^T (T + M lam I)^-1 e_1
+    from the problem's Lanczos basis, cut where it met a target below
+    solve_spd's residual; solve_spd accepts a start that meets its residual
+    and factors otherwise. Over a matrix-free Gram one shifted CG run gives
+    every y at the CG tolerance, and each fit iterates on from a start that
+    falls short. If the basis or the run fails, every fit solves without a
+    start and meets its own error.
     """
     M = gram.samples.shape[0]
     lams = np.array([params["lam"] for _, params in grid])
-    dense = isinstance(gram, DenseGram)
+    if isinstance(gram, DenseGram):
+        basis = problem.krylov(spec)
+        if basis is None:
+            return [None] * len(lams)
+        V, T, dims, _ = basis
+        nh = np.linalg.norm(gram.divergence())
+        starts = []
+        for lam, k in zip(lams, dims):
+            k = k or len(V)
+            try:
+                z = np.linalg.solve(T[:k, :k] + M * lam * np.eye(k), np.eye(1, k)[0])
+            except np.linalg.LinAlgError:
+                z = None
+            starts.append(None if z is None else (nh / lam) * (z @ V[:k]))
+        return starts
     try:
-        Y, _ = shifted_cg(gram, gram.divergence(), M * lams,
-                          tol=_TIK_DENSE_START_TOL if dense else _TIK_IMPLICIT_TOL,
-                          max_iter=_TIK_IMPLICIT_MAX_ITER, reorthogonalize=dense)
+        Y, _ = shifted_cg(gram, gram.divergence(), M * lams, tol=_TIK_IMPLICIT_TOL,
+                          max_iter=_TIK_IMPLICIT_MAX_ITER)
     except _CONTRACT_ERRORS:
         return [None] * len(lams)
     return [y / lam for y, lam in zip(Y, lams)]
@@ -508,7 +579,7 @@ def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec)
                     # the Gram's form picks the direct solve or CG
                     gram = problem.gram(spec, dense)
                     if starts is None:
-                        starts = _shifted_starts(gram, entry.grid)
+                        starts = _shifted_starts(problem, spec, gram, entry.grid)
                     est = fit_tikhonov(X, spec, lam, gram=gram,
                                        cg_tol=_TIK_IMPLICIT_TOL,
                                        cg_max_iter=_TIK_IMPLICIT_MAX_ITER,
@@ -557,7 +628,9 @@ def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec)
                 eta = entry.eta if entry.eta > 0 else None
                 path = landweber_path(X, spec, uniq, eta=eta, gram=gram)
             else:
-                path = nu_method_path(X, spec, uniq, nu=entry.nu, gram=gram)
+                basis = problem.krylov(spec) if dense else None
+                path = nu_method_path(X, spec, uniq, nu=entry.nu, gram=gram,
+                                      _krylov=basis[:2] if basis and basis[3] else None)
         except _CONTRACT_ERRORS as exc:
             ms = _now_ms() - t0
             for i in range(n):

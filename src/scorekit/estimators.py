@@ -504,13 +504,18 @@ def fit_landweber(samples, spec: MatrixKernelSpec, eta: float = None, t: int = N
 # ======================================================================
 
 def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0,
-                   mode: str = "dense", gram=None):
+                   mode: str = "dense", gram=None, _krylov=None):
     """Snapshots of the nu-method recursion at each iteration count in ts.
 
     a_0 = 0, a_1 = -omega_1, c_0 = c_1 = 0, then for t >= 2:
         c_t = (1+u_t) c_{t-1} - (omega_t/M)(a_{t-1} h + K c_{t-1}) - u_t c_{t-2}
         a_t = (1+u_t) a_{t-1} - u_t a_{t-2} - omega_t
     Only Gram matvecs are needed, so the implicit mode works at any size.
+    _krylov, when given, is (V, T) of spectral_linalg.lanczos(gram, h, ...)
+    and spans every snapshot: c_t lies in the Krylov space K_{t-1}(K, h),
+    so the basis must be invariant or hold at least max(ts) - 1 vectors.
+    The recursion then runs on (T, ||h|| e_1) over its first max(ts) - 1
+    vectors, and V lifts each snapshot.
     """
     if not np.isfinite(nu) or nu < 1:
         raise InputError(f"nu must be >= 1, got {nu!r}")
@@ -520,23 +525,28 @@ def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0,
     if not ts or ts[0] < 1:
         raise InputError("iteration counts must be integers >= 1")
     gram = _resolve_gram(spec, X, mode, gram)
-    h = gram.divergence()
+    h, matvec, lift = gram.divergence(), gram.matvec, lambda c: c
+    if _krylov is not None:
+        k = min(len(_krylov[0]), ts[-1] - 1)
+        V, T = _krylov[0][:k], _krylov[1][:k, :k]
+        h = np.linalg.norm(h) * np.eye(1, k)[0]
+        matvec, lift = (lambda y: T @ y), (lambda y: y @ V)
 
     _, w1 = nu_coefficients(1, nu)
     a_prev, a_cur = 0.0, -w1          # a_0, a_1
-    c_prev = np.zeros(M * d)          # c_0
-    c_cur = np.zeros(M * d)           # c_1
+    c_prev = np.zeros(h.size)         # c_0
+    c_cur = np.zeros(h.size)          # c_1
     out = []
 
     def snapshot(tau, a, c):
         out.append(FittedScoreEstimator(
-            spec, X, c.reshape(M, d).copy(), a, NuMethod(nu, tau)))
+            spec, X, lift(c).reshape(M, d).copy(), a, NuMethod(nu, tau)))
 
     if 1 in ts:
         snapshot(1, a_cur, c_cur)
     for tau in range(2, ts[-1] + 1):
         u, w = nu_coefficients(tau, nu)
-        c_next = (1.0 + u) * c_cur - (w / M) * (a_cur * h + gram.matvec(c_cur)) - u * c_prev
+        c_next = (1.0 + u) * c_cur - (w / M) * (a_cur * h + matvec(c_cur)) - u * c_prev
         a_next = (1.0 + u) * a_cur - u * a_prev - w
         if not (np.isfinite(a_next) and np.all(np.isfinite(c_next))):
             raise NumericError(f"nu-method recursion diverged at iteration {tau}")
@@ -597,6 +607,8 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
 
     scheme TruncatedTikhonov(lam): closed form (no matrix square roots)
         c_Z = -(K_ZX K_XZ / M + lam K_ZZ)^{-1} h_Z
+    where a system too singular to solve gets K_ZZ's diagonal raised by up
+    to 1e-8 max(1, mean diagonal); meta["jitter"] records it (0.0 if none)
     scheme SpectralCutoff(lam) or a callable g: general spectral form
         c_Z = -K_ZZ^{-1/2} g(L) K_ZZ^{-1/2} h_Z,
         L = K_ZZ^{-1/2} (K_ZX K_XZ / M) K_ZZ^{-1/2}
@@ -628,7 +640,7 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
                 last_err = exc
         if c is None:
             raise FitError(f"subset Gram is numerically singular: {last_err}")
-        meta = {"subset_size": idx.size}
+        meta = {"subset_size": idx.size, "jitter": shift}
         return FittedScoreEstimator(spec, X, c, 0.0, scheme,
                                     subset_indices=idx, meta=meta)
 

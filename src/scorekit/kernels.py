@@ -177,45 +177,6 @@ def scalar_gram(kernel: ScalarRadialKernel, X: np.ndarray, Y: np.ndarray = None)
 
 
 # ======================================================================
-# pointwise matrix-kernel evaluation
-# ======================================================================
-
-def eval_matrix_kernel(spec: MatrixKernelSpec, x, y) -> np.ndarray:
-    """Evaluate the d x d kernel block K(x, y)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64)
-    d = x.shape[0]
-    y = _as_vector(y, d, "y")
-    x = _as_vector(x, d, "x")
-    r = x - y
-    u = float(r @ r)
-    if spec.kind == "diagonal":
-        return float(spec.scalar.phi(u)) * np.eye(d)
-    p1 = float(spec.scalar.dphi(u))
-    p2 = float(spec.scalar.d2phi(u))
-    return -4.0 * p2 * np.outer(r, r) - 2.0 * p1 * np.eye(d)
-
-
-def curlfree_matvec(spec: MatrixKernelSpec, x, y, a) -> np.ndarray:
-    """K_cf(x, y) @ a in O(d), without forming the d x d block.
-
-    K_cf(x,y) a = -4 phi''(u) (r . a) r - 2 phi'(u) a, with r = x - y.
-    """
-    if spec.kind != "curl_free":
-        raise InputError("curlfree_matvec requires a curl_free kernel spec")
-    x = np.asarray(x, dtype=np.float64).ravel()
-    d = x.shape[0]
-    x = _as_vector(x, d, "x")
-    y = _as_vector(y, d, "y")
-    a = _as_vector(a, d, "a")
-    r = x - y
-    u = float(r @ r)
-    p1 = float(spec.scalar.dphi(u))
-    p2 = float(spec.scalar.d2phi(u))
-    return -4.0 * p2 * float(r @ a) * r - 2.0 * p1 * a
-
-
-# ======================================================================
 # divergence field zeta
 # ======================================================================
 
@@ -402,11 +363,6 @@ def assemble_gram(spec: MatrixKernelSpec, samples, mode: str = "dense"):
         need = (M * d) ** 2 * 8
         raise MemoryError(f"dense Gram for M={M}, d={d} needs ~{need} bytes") from exc
     return DenseGram(spec, X, K)
-
-
-def gram_matvec(gram, b: np.ndarray) -> np.ndarray:
-    """K @ b for either Gram form."""
-    return gram.matvec(b)
 
 
 def query_tables(spec: MatrixKernelSpec, queries, basis) -> tuple:

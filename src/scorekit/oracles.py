@@ -240,27 +240,3 @@ def load_samples_csv(path) -> np.ndarray:
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return as_samples(np.asarray(rows))
-
-
-# ======================================================================
-# heuristic out-of-sample extension (cross-check harness only)
-# ======================================================================
-
-def stein_heuristic_scores(samples, spec, lam: float, queries) -> np.ndarray:
-    """Score each query by refitting with the query appended to the samples.
-
-    This is the append-and-refit heuristic some gradient estimators use
-    for out-of-sample points. It exists purely as a reference to compare
-    against the principled basis-expansion prediction; it is O(M^3) per
-    query and not part of the estimator API.
-    """
-    from .estimators import fit_truncated_tikhonov
-
-    X = as_samples(samples)
-    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    out = np.zeros_like(Q)
-    for qi, q in enumerate(Q):
-        aug = np.vstack([X, q[None, :]])
-        est = fit_truncated_tikhonov(aug, spec, lam)
-        out[qi] = est.predict(q[None, :])[0]
-    return out

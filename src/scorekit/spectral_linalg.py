@@ -1,5 +1,5 @@
 """Numeric backbone: symmetric eigendecompositions, SPD solves, matrix-free
-conjugate gradient, power iteration, and spectral-filter application.
+conjugate gradient, Lanczos decompositions and power iteration.
 
 All routines are deterministic: the only randomness (the power-iteration
 start vector) uses a fixed internal seed.
@@ -142,17 +142,22 @@ class LinearOperator:
             raise NumericError(f"operator returned shape {out.shape}, expected ({self.dim},)")
         return out
 
-    @staticmethod
-    def from_matrix(A: np.ndarray) -> "LinearOperator":
-        A = np.asarray(A, dtype=np.float64)
-        return LinearOperator(A.shape[0], lambda v: A @ v)
-
 
 @dataclass(frozen=True)
 class CGReport:
     iterations: int
     residual: float  # final relative residual ||Ax - b|| / ||b||
     converged: bool
+
+
+def _rhs(op, b):
+    """b as a finite float vector of op's dimension, and its norm."""
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if b.shape[0] != op.dim:
+        raise InputError(f"vector length {b.shape[0]} != operator dimension {op.dim}")
+    if not np.all(np.isfinite(b)):
+        raise InputError("right-hand side contains non-finite entries")
+    return b, float(np.linalg.norm(b))
 
 
 def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
@@ -165,12 +170,7 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
     """
     if tol <= 0.0:
         raise InputError("tol must be positive")
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.shape[0] != op.dim:
-        raise InputError(f"vector length {b.shape[0]} != operator dimension {op.dim}")
-    if not np.all(np.isfinite(b)):
-        raise InputError("right-hand side contains non-finite entries")
-    nb = float(np.linalg.norm(b))
+    b, nb = _rhs(op, b)
     if nb == 0.0:
         return np.zeros_like(b), CGReport(0, 0.0, True)
     if max_iter is None:
@@ -218,8 +218,7 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
     return x, CGReport(max_iter, rel, False)
 
 
-def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = None,
-               reorthogonalize: bool = False):
+def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = None):
     """Solve (op + s I) x_s = b for every shift s from one Krylov sequence.
 
     Multi-shift CG (CG-M): the shifted systems share the Krylov space of op
@@ -230,14 +229,6 @@ def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = Non
     underflow). The residuals are recurrence values: callers needing a
     guarantee recheck them. Returns (X, reports), X[k] solving shift k,
     reports a tuple of CGReport in the order of the shifts.
-
-    reorthogonalize=True keeps every normalized seed residual and projects
-    each new one off them (Gram-Schmidt, twice). In floating point, plain
-    CG loses that orthogonality and revisits converged eigendirections, so
-    a spectrum with a few large eigenvalues far above the smallest shift
-    costs many times the exact-arithmetic count of iterations (548 against
-    52 on a d=1 curl-free Gram at M=4096). The kept basis takes one vector
-    per iteration, so it suits operators small enough to hold as matrices.
     """
     if not tol > 0.0:
         raise InputError("tol must be positive")
@@ -246,14 +237,9 @@ def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = Non
         raise InputError("shifts must be a non-empty 1-D sequence")
     if not np.all(np.isfinite(shifts)) or np.any(shifts < 0.0):
         raise InputError("shifts must be finite and nonnegative")
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if b.shape[0] != op.dim:
-        raise InputError(f"vector length {b.shape[0]} != operator dimension {op.dim}")
-    if not np.all(np.isfinite(b)):
-        raise InputError("right-hand side contains non-finite entries")
+    b, nb = _rhs(op, b)
     S = shifts.size
     X = np.zeros((S, b.shape[0]))
-    nb = float(np.linalg.norm(b))
     if nb == 0.0:
         return X, tuple(CGReport(0, 0.0, True) for _ in range(S))
     if max_iter is None:
@@ -266,12 +252,6 @@ def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = Non
     p = b.copy()
     rs = float(r @ r)
     P = np.repeat(b[None, :], S, axis=0)
-    if reorthogonalize:
-        # rows are written one per iteration; untouched rows of np.empty
-        # take no memory
-        V = np.empty((min(max_iter, b.shape[0]) + 1, b.shape[0]))
-        V[0] = b / nb
-        k = 1
     zeta = np.ones(S)           # zeta_k
     zeta_prev = np.ones(S)      # zeta_{k-1}
     alpha_prev, beta_prev = 1.0, 0.0
@@ -291,13 +271,7 @@ def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = Non
             raise NumericError("non-positive curvature encountered; operator is not PSD")
         alpha = rs / pAp
         r -= alpha * Ap
-        if reorthogonalize:
-            for _ in range(2):
-                r -= V[:k].T @ (V[:k] @ r)
         rs_new = float(r @ r)
-        if reorthogonalize and rs_new > 0.0 and k < V.shape[0]:
-            V[k] = r / np.sqrt(rs_new)
-            k += 1
         beta = rs_new / rs
         act = np.flatnonzero(active)
         z, zp = zeta[act], zeta_prev[act]
@@ -317,25 +291,48 @@ def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = Non
                     for k in range(S))
 
 
-def apply_spectral_filter(eig: EigenSystem, g, v: np.ndarray) -> np.ndarray:
-    """Spectral calculus: sum_j g(sigma_j) (u_j . v) u_j.
+def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None):
+    """Lanczos decomposition of a symmetric op started at b.
 
-    g is applied to the full eigenvalue array handed in; callers that want
-    to skip (numerically) zero eigenvalues restrict the EigenSystem or make
-    g vanish there.
+    Builds orthonormal rows V, v_1 = b / ||b||, and the tridiagonal T with
+    op V^T = V^T T + beta v_{k+1} e_k^T, so that f(op) b is ||b|| V^T f(T) e_1
+    once the space is invariant (beta = 0) or, for a polynomial f, once k
+    exceeds its degree. Each new vector is projected off all kept ones
+    twice; without that, floating point revisits converged directions. The
+    run ends at the first step k with beta_k <= tol (scale tol by a norm of
+    op), k = max_dim or stop(alpha, beta) true, called once per step with
+    T's diagonal and off-diagonal so far (beta_k last). Returns
+    (V, T, beta_k), V of shape (k, n); a zero b gives k = 0.
     """
-    v = np.asarray(v, dtype=np.float64).ravel()
-    if v.shape[0] != eig.dim:
-        raise InputError(f"vector length {v.shape[0]} != eigensystem dimension {eig.dim}")
-    try:
-        gv = np.asarray(g(eig.values), dtype=np.float64)
-        if gv.shape != eig.values.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        gv = np.array([float(g(float(s))) for s in eig.values])
-    if not np.all(np.isfinite(gv)):
-        raise NumericError("spectral filter returned non-finite values")
-    return eig.vectors @ (gv * (eig.vectors.T @ v))
+    if isinstance(max_dim, bool) or not isinstance(max_dim, (int, np.integer)) \
+            or max_dim < 1:
+        raise InputError(f"max_dim must be an integer >= 1, got {max_dim!r}")
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise InputError(f"tol must be positive and finite, got {tol!r}")
+    b, nb = _rhs(op, b)
+    n = b.shape[0]
+    if nb == 0.0:
+        return np.zeros((0, n)), np.zeros((0, 0)), 0.0
+    # rows are written one per step; untouched rows of np.empty take no memory
+    V = np.empty((min(int(max_dim), n), n))
+    alpha, beta = np.zeros(V.shape[0]), np.zeros(V.shape[0])
+    V[0] = b / nb
+    k = 0
+    while True:
+        w = op.matvec(V[k])
+        if not np.all(np.isfinite(w)):
+            raise NumericError(f"non-finite operator output at Lanczos step {k + 1}")
+        alpha[k] = V[k] @ w
+        for _ in range(2):
+            w = w - V[:k + 1].T @ (V[:k + 1] @ w)
+        beta[k] = np.linalg.norm(w)
+        k += 1
+        if beta[k - 1] <= tol or k == V.shape[0] \
+                or (stop is not None and stop(alpha[:k], beta[:k])):
+            break
+        V[k] = w / beta[k - 1]
+    T = np.diag(alpha[:k]) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
+    return V[:k], T, float(beta[k - 1])
 
 
 def power_iteration(op, iters: int = 50, rel_tol: float = 1e-4) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from fd_oracles import fd_gradient, fd_jacobian, fd_mixed_partial
+from helpers import eval_matrix_kernel
 from test_estimators import ssge_reference_coeffs
 
 from scorekit.bench import (
@@ -46,7 +47,6 @@ from scorekit.kernels import (
     MatrixKernelSpec,
     ScalarRadialKernel,
     assemble_gram,
-    eval_matrix_kernel,
     h_vector,
     zeta_batch,
 )

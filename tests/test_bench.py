@@ -544,9 +544,18 @@ class TestMatrixFreeTikhonov:
         assert all(self.true_residual(est) <= 1e-8 for est in fits)
 
 
+def never(*args, **kwargs):
+    raise AssertionError("unexpected call")
+
+
+def no_basis(*args, **kwargs):
+    # a failed basis: Tikhonov cells factor, the nu-method recursion runs on K
+    raise NumericError("injected")
+
+
 class TestDenseTikhonov:
-    """The sweep's curl-free Tikhonov grid up to the dense limit: one shifted
-    CG run gives every cell a start that solve_spd checks before factoring."""
+    """The sweep's curl-free Tikhonov grid up to the dense limit: one Lanczos
+    basis gives every cell a start that solve_spd checks before factoring."""
 
     SIZES, SEEDS = (64, 128), (0, 1)
 
@@ -597,43 +606,138 @@ class TestDenseTikhonov:
             assert est.meta["mode"] == "dense"
             assert self.true_residual(est) <= 1e-10
 
-    def test_one_shifted_run_per_problem_and_no_factorization(self, monkeypatch):
+    def test_one_basis_per_problem_and_no_factorization(self, monkeypatch):
         runs = []
-        orig = bench.shifted_cg
+        orig = bench.lanczos
 
-        def counted(op, b, shifts, **kwargs):
-            runs.append((op.dim, shifts, kwargs))
-            return orig(op, b, shifts, **kwargs)
-        monkeypatch.setattr(bench, "shifted_cg", counted)
+        def counted(op, b, max_dim, tol, stop=None):
+            runs.append((op.dim, max_dim, tol / np.linalg.norm(op.matrix, 1), stop))
+            return orig(op, b, max_dim, tol, stop=stop)
+        monkeypatch.setattr(bench, "lanczos", counted)
+        monkeypatch.setattr(bench, "shifted_cg", never)  # a dense Gram never calls it
         _, calls = self.run(monkeypatch)
-        assert sorted(dim for dim, _, _ in runs) == sorted(
+        assert sorted(dim for dim, *_ in runs) == sorted(
             2 * M for M in self.SIZES for _ in self.SEEDS)
-        for dim, shifts, kwargs in runs:
-            assert np.array_equal(shifts, dim // 2 * np.asarray(LAMBDA_GRID))
-            assert kwargs["tol"] < spectral_linalg.SPD_RESIDUAL_TOL
-            assert kwargs["reorthogonalize"] is True
+        for _, max_dim, rel_tol, stop in runs:
+            assert max_dim == bench._TIK_IMPLICIT_MAX_ITER
+            assert rel_tol == pytest.approx(1e-14) and stop is not None
+        assert bench._TIK_DENSE_START_TOL < spectral_linalg.SPD_RESIDUAL_TOL
         assert calls["solve_spd"] == self.n_cells
         assert calls["cho_factor"] == 0
 
     @pytest.mark.parametrize("how", ["perturbed", "failed"])
     def test_rejected_starts_factor_to_the_rows_without_starts(self, monkeypatch, how):
         monkeypatch.setattr(bench, "_shifted_starts",
-                            lambda gram, grid: [None] * len(grid))
+                            lambda problem, spec, gram, grid: [None] * len(grid))
         cold, cold_calls = self.run(monkeypatch)
         monkeypatch.undo()
-        orig = bench.shifted_cg
+        orig = bench.lanczos
 
         def perturbed(*args, **kwargs):
-            Y, reps = orig(*args, **kwargs)
-            return Y * (1.0 + 1e-4), reps
+            V, T, beta = orig(*args, **kwargs)
+            return V * (1.0 + 1e-4), T, beta
 
         def failed(*args, **kwargs):
             raise NumericError("injected")
-        monkeypatch.setattr(bench, "shifted_cg", perturbed if how == "perturbed" else failed)
+        monkeypatch.setattr(bench, "lanczos", perturbed if how == "perturbed" else failed)
         rows, calls = self.run(monkeypatch)
         assert cold_calls["cho_factor"] == calls["cho_factor"] == self.n_cells
         assert all(reason == "" for _, reason in rows)
         assert repr(rows) == repr(cold)
+
+
+class TestKrylovBasis:
+    """One Lanczos basis per dense curl-free Gram serves the Tikhonov starts
+    and every nu-method snapshot."""
+
+    TIK = {"id": "tikhonov", "kind": "curl_free"}
+    # t_max - 1 = 199 vectors: more than the Tikhonov starts need (under 170
+    # at d=2, M <= 128), so the nu-method entry lengthens the basis
+    NU = {"id": "nu_method", "kind": "curl_free", "iterations": [1, 3, 10, 31, 100, 200]}
+
+    @staticmethod
+    def config(entries, d=2, sizes=(64, 128)):
+        return parse_experiment_config(base_config(
+            dimensions=[d], sample_sizes=list(sizes), seeds=[0, 1], eval_size=32,
+            estimators=entries))
+
+    @staticmethod
+    def recorded(monkeypatch):
+        runs, products = [], [0]
+        orig, orig_matvec = bench.lanczos, kernels.DenseGram.matvec
+
+        def counted(*args, **kwargs):
+            out = orig(*args, **kwargs)
+            runs.append((args[0].dim, args[3]) + out)
+            return out
+
+        def matvec(self, b):
+            products[0] += 1
+            return orig_matvec(self, b)
+        monkeypatch.setattr(bench, "lanczos", counted)
+        monkeypatch.setattr(kernels.DenseGram, "matvec", matvec)
+        return runs, products
+
+    def test_one_basis_serves_both_entries_and_each_reads_its_own_part(self, monkeypatch):
+        stable_fields = TestGridExperiment.stable_fields
+        alone = []
+        for entry in (self.TIK, self.NU):
+            alone += stable_fields(run_grid_rows(self.config([entry])))
+        runs, _ = self.recorded(monkeypatch)
+        both = stable_fields(run_grid_rows(self.config([self.TIK, self.NU])))
+        assert len(runs) == 4  # (M, seed) problems
+        assert all(reason == "" for *_, reason in both)
+        assert both == alone
+
+    def test_nu_method_rows_match_the_direct_recursion(self, monkeypatch):
+        # a d=1 Gram is numerically low rank: its Krylov space becomes
+        # invariant well before t_max - 1 vectors
+        cfg = self.config([self.NU], d=1)
+        runs, _ = self.recorded(monkeypatch)
+        rows = run_grid_rows(cfg)
+        assert len(runs) == 4
+        for _, tol, V, _, beta in runs:
+            assert beta <= tol and len(V) < max(self.NU["iterations"]) - 1
+        monkeypatch.setattr(bench, "lanczos", no_basis)  # the direct recursion
+        direct = run_grid_rows(cfg)
+        for r, ref in zip(rows, direct):
+            assert r.reason == ref.reason == ""
+            assert abs(r.error - ref.error) <= 1e-9 * abs(ref.error)
+
+    def test_a_basis_cut_short_leaves_the_nu_method_on_k(self, monkeypatch):
+        # capped below t_max - 1 vectors and not invariant, the basis cannot
+        # span the late iterates: the recursion runs on K, row for row
+        cfg = self.config([self.NU], d=8, sizes=(64,))
+        monkeypatch.setattr(bench, "_TIK_IMPLICIT_MAX_ITER", 20)
+        runs, _ = self.recorded(monkeypatch)
+        rows = TestGridExperiment.stable_fields(run_grid_rows(cfg))
+        assert [len(V) for _, _, V, _, _ in runs] == [20, 20]
+        assert all(beta > tol for _, tol, _, _, beta in runs)
+        monkeypatch.setattr(bench, "lanczos", no_basis)
+        assert rows == TestGridExperiment.stable_fields(run_grid_rows(cfg))
+
+    def test_non_invariant_basis(self, monkeypatch):
+        # a full-rank d=8 Gram: the basis stops at the Tikhonov targets or
+        # at t_max - 1 vectors, never at invariance
+        cfg = self.config([self.TIK, self.NU], d=8, sizes=(64,))
+        tik_only = self.config([self.TIK], d=8, sizes=(64,))
+        t_max = max(self.NU["iterations"])
+        runs, products = self.recorded(monkeypatch)
+        rows = run_grid_rows(cfg)
+        assert len(runs) == 2
+        for dim, tol, V, _, beta in runs:
+            assert t_max - 1 <= len(V) < dim and beta > tol
+        basis_products = products[0]
+        run_grid_rows(tik_only)
+        # no more Gram products than a Tikhonov-only basis plus a direct
+        # recursion to t_max on each problem
+        assert basis_products <= products[0] - basis_products + 2 * (t_max - 1)
+        monkeypatch.setattr(bench, "lanczos", no_basis)
+        direct = run_grid_rows(cfg)
+        for r, ref in zip(rows, direct):
+            assert r.reason == ref.reason == ""
+            tol = 1e-9 if r.estimator == "nu_method" else 1e-4
+            assert abs(r.error - ref.error) <= tol * abs(ref.error)
 
 
 class TestSummarize:

@@ -35,7 +35,6 @@ from scorekit.kernels import (
     MatrixKernelSpec,
     ScalarRadialKernel,
     assemble_gram,
-    eval_matrix_kernel,
     h_vector,
     query_tables,
     zeta_batch,
@@ -43,6 +42,7 @@ from scorekit.kernels import (
 
 from estimator_files import CORRUPT, pack
 from fd_oracles import fd_gradient, fd_jacobian
+from helpers import eval_matrix_kernel
 
 
 def cf(family="imq", bw=1.0):
@@ -568,6 +568,26 @@ class TestNuMethod:
             assert np.array_equal(est.coeffs, solo.coeffs)
             assert est.offset == solo.offset
 
+    @pytest.mark.parametrize("dim", ["t_max - 1", "full"])
+    def test_krylov_basis_reproduces_the_path(self, dim):
+        # c_t lies in K_{t-1}(K, h): t_max - 1 Lanczos vectors suffice for
+        # every snapshot up to t_max, and so does the invariant full space
+        # a narrow bandwidth flattens the spectrum, so every Krylov direction
+        # carries weight and a basis one vector short is visibly wrong
+        rng = np.random.default_rng(55)
+        X, spec = random_instance(rng, M=20, d=3, kind="curl_free", bw=0.3)
+        gram = assemble_gram(spec, X)
+        ts = [1, 2, 5, 17]
+        k = 16 if dim == "t_max - 1" else 60
+        V, T, beta = spectral_linalg.lanczos(gram, gram.divergence(), k, 1e-300)
+        assert len(V) == k
+        direct = nu_method_path(X, spec, ts, nu=1.5, gram=gram)
+        lifted = nu_method_path(X, spec, ts, nu=1.5, gram=gram, _krylov=(V, T))
+        for a, b in zip(direct, lifted):
+            assert a.scheme == b.scheme and a.offset == b.offset
+            assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-10 * max(
+                np.linalg.norm(a.coeffs), 1e-300)
+
     def test_lam_maps_to_iteration_count(self):
         assert nu_method_iterations(0.01) == 10
         assert nu_method_iterations(0.25) == 2
@@ -584,6 +604,18 @@ class TestNuMethod:
 # ======================================================================
 
 class TestNystrom:
+    def test_jitter_is_recorded(self):
+        rng = np.random.default_rng(62)
+        X = rng.normal(size=(10, 2))
+        spec = MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", 1.0))
+        est = fit_nystrom(X, np.arange(10), spec, TruncatedTikhonov(0.01))
+        assert est.meta["jitter"] == 0.0
+        # a near-duplicate pair makes K_ZZ numerically singular
+        X[1] = X[0] + 1e-10
+        est = fit_nystrom(X, np.arange(10), spec, TruncatedTikhonov(0.01))
+        assert 0.0 < est.meta["jitter"] <= 1e-8
+        assert np.all(np.isfinite(est.coeffs))
+
     def test_full_subset_reproduces_truncated_tikhonov(self):
         rng = np.random.default_rng(60)
         for kind in ("diagonal", "curl_free"):

@@ -10,9 +10,6 @@ from scorekit import (
     ScalarRadialKernel,
     assemble_gram,
     cross_apply,
-    curlfree_matvec,
-    eval_matrix_kernel,
-    gram_matvec,
     h_vector,
     scalar_derivs,
     scalar_gram,
@@ -21,6 +18,7 @@ from scorekit import (
 )
 
 from fd_oracles import fd_first_arg_divergence, fd_mixed_partial, fd_scalar
+from helpers import curlfree_matvec, eval_matrix_kernel, gram_matvec
 
 
 def imq(bw=1.0):

@@ -22,9 +22,10 @@ from scorekit.oracles import (
     save_samples_csv,
     score_batch,
     standard_gaussian,
-    stein_heuristic_scores,
     true_score,
 )
+
+from helpers import stein_heuristic_scores
 
 
 # ======================================================================

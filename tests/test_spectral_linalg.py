@@ -3,20 +3,21 @@ import pytest
 import scipy.linalg
 
 from scorekit import InputError, NumericError, MatrixKernelSpec, ScalarRadialKernel, assemble_gram
-from scorekit import spectral_linalg
+from scorekit import estimators, spectral_linalg
 from scorekit.spectral_linalg import (
     SPD_RESIDUAL_TOL,
     CGReport,
     EigenSystem,
-    LinearOperator,
-    apply_spectral_filter,
     conjugate_gradient,
+    lanczos,
     numeric_rank_mask,
     power_iteration,
     shifted_cg,
     solve_spd,
     sym_eig,
 )
+
+from helpers import LinearOperator, apply_spectral_filter
 
 
 def random_gram(m, d, seed, kind="curl_free"):
@@ -328,40 +329,148 @@ def test_shifted_cg_bad_shifts_or_tol(shifts, tol):
         shifted_cg(LinearOperator.from_matrix(np.eye(2)), np.ones(2), shifts, tol=tol)
 
 
-def test_shifted_cg_reorthogonalized_run_on_a_low_rank_gram():
-    # a d=1 curl-free Gram is numerically low rank: plain CG in floating
-    # point revisits its large eigendirections, the reorthogonalized run
-    # needs about as many iterations as there are eigenvalues above the shift
-    A = random_gram(400, 1, seed=12)
-    op = LinearOperator.from_matrix(A)
-    b = np.random.default_rng(13).standard_normal(400)
-    shifts = 400 * np.geomspace(1.0, 1e-6, 4)
-    plain, plain_reps = shifted_cg(op, b, shifts, tol=1e-10, max_iter=800)
-    X, reps = shifted_cg(op, b, shifts, tol=1e-10, max_iter=800, reorthogonalize=True)
-    assert all(rep.converged for rep in reps + plain_reps)
-    assert reps[-1].iterations < plain_reps[-1].iterations / 2
-    for s, x, y in zip(shifts, X, plain):
-        true_rel = np.linalg.norm(A @ x + s * x - b) / np.linalg.norm(b)
-        assert true_rel <= 2e-10
-        assert np.linalg.norm(x - y) <= 1e-6 * np.linalg.norm(y)
-
-
-def test_shifted_cg_reorthogonalized_run_exhausts_the_krylov_space():
-    # n iterations span the whole space: the residual vanishes, no nan
-    A, b = random_spd(12, 14)
-    X, reps = shifted_cg(LinearOperator.from_matrix(A), b, [0.0, 1.0], tol=1e-300,
-                         max_iter=40, reorthogonalize=True)
-    assert np.all(np.isfinite(X))
-    for s, x in zip([0.0, 1.0], X):
-        assert np.allclose((A + s * np.eye(12)) @ x, b, rtol=0, atol=1e-10)
-
-
 def test_shifted_cg_bad_rhs():
     op = LinearOperator.from_matrix(np.eye(2))
     with pytest.raises(InputError):
         shifted_cg(op, np.ones(3), [1.0])
     with pytest.raises(InputError):
         shifted_cg(op, np.array([1.0, np.nan]), [1.0])
+
+
+# ======================================================================
+# Lanczos
+# ======================================================================
+
+def lanczos_solve(V, T, b_norm, shift):
+    """||b|| V^T (T + shift I)^{-1} e_1: the Lanczos solution of (A + shift I) x = b."""
+    k = T.shape[0]
+    return b_norm * (np.linalg.solve(T + shift * np.eye(k), np.eye(1, k)[0]) @ V)
+
+
+def tridiagonal(alpha, beta):
+    return np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+
+
+def nu_filter(sig, t, nu, M):
+    """The nu-method iterate c_t = g(K) h as a function g of the eigenvalue."""
+    _, w1 = estimators.nu_coefficients(1, nu)
+    a_prev, a_cur = 0.0, -w1
+    g_prev, g_cur = np.zeros_like(sig), np.zeros_like(sig)
+    for tau in range(2, t + 1):
+        u, w = estimators.nu_coefficients(tau, nu)
+        g_next = (1.0 + u) * g_cur - (w / M) * (a_cur + sig * g_cur) - u * g_prev
+        a_prev, a_cur = a_cur, (1.0 + u) * a_cur - u * a_prev - w
+        g_prev, g_cur = g_cur, g_next
+    return g_cur
+
+
+def test_lanczos_solves_shifted_systems_on_a_low_rank_gram():
+    # a d=1 curl-free Gram is numerically low rank: plain CG in floating
+    # point revisits its large eigendirections, while the reorthogonalized
+    # basis needs about as many vectors as there are eigenvalues above the
+    # shift
+    A = random_gram(400, 1, seed=12)
+    op = LinearOperator.from_matrix(A)
+    b = np.random.default_rng(13).standard_normal(400)
+    shifts = 400 * np.geomspace(1.0, 1e-6, 4)
+    plain, plain_reps = shifted_cg(op, b, shifts, tol=1e-10, max_iter=800)
+
+    def solved(alpha, beta):
+        T, k = tridiagonal(alpha, beta[:-1]), len(alpha)
+        return all(beta[-1] * abs(np.linalg.solve(T + s * np.eye(k), np.eye(1, k)[0])[-1])
+                   <= 1e-10 for s in shifts)
+    V, T, _ = lanczos(op, b, 800, 1e-14 * np.linalg.norm(A, 1), stop=solved)
+    assert all(rep.converged for rep in plain_reps)
+    assert len(V) <= plain_reps[-1].iterations / 2
+    assert np.abs(V @ V.T - np.eye(len(V))).max() <= 1e-12
+    for s, y in zip(shifts, plain):
+        x = lanczos_solve(V, T, np.linalg.norm(b), s)
+        true_rel = np.linalg.norm(A @ x + s * x - b) / np.linalg.norm(b)
+        assert true_rel <= 2e-10
+        assert np.linalg.norm(x - y) <= 1e-6 * np.linalg.norm(y)
+
+
+def test_lanczos_exhausts_the_krylov_space():
+    # n steps span the whole space: the decomposition is exact, no nan
+    A, b = random_spd(12, 14)
+    V, T, beta = lanczos(LinearOperator.from_matrix(A), b, 40, 1e-300)
+    assert V.shape == (12, 12) and T.shape == (12, 12)
+    assert np.all(np.isfinite(V)) and np.isfinite(beta)
+    assert np.abs(V @ V.T - np.eye(12)).max() <= 1e-12
+    for s in (0.0, 1.0):
+        x = lanczos_solve(V, T, np.linalg.norm(b), s)
+        assert np.allclose((A + s * np.eye(12)) @ x, b, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_lanczos_matrix_functions_match_the_eigensystem(seed):
+    A, b = random_spd(40, seed)
+    eig = sym_eig(A)
+    nb = np.linalg.norm(b)
+    op = LinearOperator.from_matrix(A)
+    # the resolvent needs the whole (invariant) space
+    V, T, _ = lanczos(op, b, 40, 1e-300)
+    for s in (1e-3, 0.5, 10.0):
+        ref = apply_spectral_filter(eig, lambda sig: 1.0 / (sig + s), b)
+        out = nb * (apply_spectral_filter(sym_eig(T), lambda sig: 1.0 / (sig + s),
+                                          np.eye(1, len(T))[0]) @ V)
+        assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+    # the nu-method iterate c_t is a polynomial of degree t - 2 in A: t - 1
+    # vectors suffice although the space is far from invariant
+    t, nu, M = 12, 1.5, 40
+    V, T, beta = lanczos(op, b, t - 1, 1e-300)
+    assert len(V) == t - 1 and beta > 1e-3
+    ref = apply_spectral_filter(eig, lambda sig: nu_filter(sig, t, nu, M), b)
+    out = nb * (apply_spectral_filter(sym_eig(T), lambda sig: nu_filter(sig, t, nu, M),
+                                      np.eye(1, len(T))[0]) @ V)
+    assert np.linalg.norm(out - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("rank", [1, 3, 7])
+def test_lanczos_stops_on_a_low_rank_matrix(rank):
+    # well separated eigenvalues: a near-breakdown (a tiny beta before the
+    # last step) would leave rounding above the tolerance
+    rng = np.random.default_rng(rank)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, rank)))
+    A = (Q * np.geomspace(1.0, 100.0, rank)) @ Q.T
+    b = rng.standard_normal(60)
+    V, T, beta = lanczos(LinearOperator.from_matrix(A), b, 60, 1e-12 * np.linalg.norm(A, 1))
+    # K_k(A, b) = span(b) + range(A) once k = rank + 1
+    assert len(V) <= rank + 1
+    assert beta <= 1e-12 * np.linalg.norm(A, 1)
+    assert np.abs(V @ V.T - np.eye(len(V))).max() <= 1e-12
+    assert np.allclose(V @ A @ V.T, T, rtol=0, atol=1e-10 * np.linalg.norm(A, 1))
+
+
+def test_lanczos_zero_rhs():
+    calls = []
+    op = LinearOperator(3, lambda v: calls.append(v) or v)
+    V, T, beta = lanczos(op, np.zeros(3), 3, 1e-12)
+    assert V.shape == (0, 3) and T.shape == (0, 0) and beta == 0.0
+    assert not calls
+
+
+def test_lanczos_non_finite_operator_output_raises():
+    nan_op = LinearOperator(2, lambda v: np.array([np.nan, 0.0]))
+    with pytest.raises(NumericError, match="Lanczos"):
+        lanczos(nan_op, np.ones(2), 2, 1e-12)
+
+
+@pytest.mark.parametrize("max_dim, tol", [
+    (0, 1e-12), (-1, 1e-12), (1.5, 1e-12), (True, 1e-12), (None, 1e-12),
+    (2, 0.0), (2, -1e-3), (2, np.nan), (2, np.inf),
+])
+def test_lanczos_bad_max_dim_or_tol(max_dim, tol):
+    with pytest.raises(InputError):
+        lanczos(LinearOperator.from_matrix(np.eye(2)), np.ones(2), max_dim, tol)
+
+
+def test_lanczos_bad_rhs():
+    op = LinearOperator.from_matrix(np.eye(2))
+    with pytest.raises(InputError):
+        lanczos(op, np.ones(3), 2, 1e-12)
+    with pytest.raises(InputError):
+        lanczos(op, np.array([1.0, np.nan]), 2, 1e-12)
 
 
 # ======================================================================
