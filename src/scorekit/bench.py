@@ -12,9 +12,9 @@ The sweep runs one problem (d, M, seed) at a time; `threads` > 1 runs that
 many problems at once. Work that depends on neither lam nor the scheme is
 done once per problem and dropped when the problem ends: the draws X and
 Q, the true scores at Q, the median bandwidth, one Gram per (kernel spec,
-dense|implicit) with its h and eigensystem, one zeta(Q) table per spec,
-one set of query-side radial tables K(Q, X) per spec for every fit whose
-basis is the sample set, and the lam-independent Nystrom blocks. These
+dense|implicit) with its h and eigensystem, zeta(Q) and the radial tables
+K(Q, X) from one sq_dists per spec for every fit whose basis is the
+sample set, and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
 changes no row. The curl-free Tikhonov grid and nu-method path are
 different. Over a dense Gram one Lanczos basis of the Krylov space of K
@@ -68,7 +68,6 @@ from .kernels import (
     ScalarRadialKernel,
     assemble_gram,
     query_tables,
-    zeta_batch,
 )
 from .oracles import (
     MixtureDistribution,
@@ -426,7 +425,7 @@ class _Problem:
     """The work one (d, M, seed) problem shares across its estimator entries.
 
     The draws and the truth are made on construction; the bandwidth, Grams,
-    zeta(Q) tables and Nystrom blocks when a cell first needs them, inside
+    query tables and Nystrom blocks when a cell first needs them, inside
     that cell's timing.
     """
 
@@ -456,11 +455,8 @@ class _Problem:
         return self._once(("gram", spec, mode),
                           lambda: assemble_gram(spec, self.X, mode=mode))
 
-    def zeta_q(self, spec: MatrixKernelSpec) -> np.ndarray:
-        return self._once(("zeta", spec), lambda: zeta_batch(spec, self.X, self.Q))
-
     def query_tables(self, spec: MatrixKernelSpec) -> tuple:
-        return self._once(("tables", spec), lambda: query_tables(spec, self.Q, self.X))
+        return self._once(("query", spec), lambda: query_tables(spec, self.Q, self.X))
 
     def subset_blocks(self, spec: MatrixKernelSpec, idx: np.ndarray):
         return self._once(("nystrom", spec, idx.tobytes()),
@@ -681,10 +677,9 @@ def _run_cell_group(problem: _Problem, entry: EstimatorEntry) -> list:
             continue
         t0 = _now_ms()
         try:
-            zeta_q = problem.zeta_q(spec) if est.offset != 0.0 else None
             # a Nystrom fit's basis is a subset, not the samples
-            tables = problem.query_tables(spec) if est.subset_indices is None else None
-            pred = predict(est, problem.Q, _zeta=zeta_q, _tables=tables)
+            shared = problem.query_tables(spec) if est.subset_indices is None else None
+            pred = predict(est, problem.Q, _shared=shared)
             cell.error = _mean_error(problem.truth, pred, problem.d)
         except _CONTRACT_ERRORS as exc:
             cell.reason = _reason(exc)

@@ -34,11 +34,13 @@ from .kernels import (
     ImplicitGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
+    _as_queries,
     as_samples,
     assemble_gram,
     cross_apply,
     cross_gram,
     h_vector,
+    query_tables,
     scalar_gram,
     sq_dists,
     zeta_batch,
@@ -182,18 +184,28 @@ class FittedScoreEstimator:
         return recover_log_density(self, query)
 
 
-def predict(est: FittedScoreEstimator, queries, _zeta=None, _tables=None) -> np.ndarray:
+_PREDICT_CHUNK_ENTRIES = 2 ** 17
+
+
+def predict(est: FittedScoreEstimator, queries, _shared=None) -> np.ndarray:
     """Evaluate the fitted score field at each query row.
 
-    _zeta, when given, is zeta_batch(est.kernel, est.samples, queries), and
-    _tables is query_tables(est.kernel, queries, est.basis): both are
-    computed once by a caller that predicts several fits on one problem.
-    """
-    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    out = cross_apply(est.kernel, Q, est.basis, est.coeffs, _tables=_tables)
-    if est.offset != 0.0:
-        z = zeta_batch(est.kernel, est.samples, Q) if _zeta is None else _zeta
-        out = est.offset * z + out
+    Rows go in chunks of max(1, 2**17 // N), N the columns of U (samples if
+    the offset is nonzero, else the basis), each read from one query_tables
+    call. _shared, when given, is query_tables(est.kernel, queries,
+    est.samples), built once by a caller predicting several fits on one
+    problem; it stands in for the chunks."""
+    Q = _as_queries(np.atleast_2d(np.asarray(queries, dtype=np.float64)), est.dim)
+    with_zeta = est.offset != 0.0
+    X = est.samples if with_zeta else est.basis
+    subset = est.subset_indices if with_zeta else None
+    step = max(1, Q.shape[0] if _shared else _PREDICT_CHUNK_ENTRIES // X.shape[0])
+    out = np.empty_like(Q)
+    for lo in range(0, Q.shape[0], step):
+        q = Q[lo:lo + step]
+        z, tables = _shared or query_tables(est.kernel, q, X, subset, zeta=with_zeta)
+        part = cross_apply(est.kernel, q, est.basis, est.coeffs, _tables=tables)
+        out[lo:lo + step] = est.offset * z + part if with_zeta else part
     if not np.all(np.isfinite(out)):
         raise NumericError("prediction produced non-finite values")
     return out
@@ -608,7 +620,7 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
     scheme TruncatedTikhonov(lam): closed form (no matrix square roots)
         c_Z = -(K_ZX K_XZ / M + lam K_ZZ)^{-1} h_Z
     where a system too singular to solve gets K_ZZ's diagonal raised by up
-    to 1e-8 max(1, mean diagonal); meta["jitter"] records it (0.0 if none)
+    to 1e-8 times its mean; meta["jitter"] records it (0.0 if none)
     scheme SpectralCutoff(lam) or a callable g: general spectral form
         c_Z = -K_ZZ^{-1/2} g(L) K_ZZ^{-1/2} h_Z,
         L = K_ZZ^{-1/2} (K_ZX K_XZ / M) K_ZZ^{-1/2}
@@ -633,7 +645,7 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
         last_err = None
         for jit in (0.0,) + _NYSTROM_JITTERS:
             try:
-                shift = jit * max(1.0, float(np.trace(Kzz)) / Kzz.shape[0])
+                shift = jit * float(np.trace(Kzz)) / Kzz.shape[0]
                 c = -solve_spd(A, h_Z, shift=lam * shift)
                 break
             except NumericError as exc:

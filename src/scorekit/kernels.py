@@ -177,8 +177,41 @@ def scalar_gram(kernel: ScalarRadialKernel, X: np.ndarray, Y: np.ndarray = None)
 
 
 # ======================================================================
-# divergence field zeta
+# query tables and the divergence field zeta
 # ======================================================================
+
+def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
+                 zeta: bool = True, cross: bool = True) -> tuple:
+    """(z, tables) from one U = sq_dists(queries, samples), phi'' shared.
+
+    z is zeta_batch(spec, samples, queries) if zeta; tables, if cross, are
+    what cross_apply reads over the basis samples[subset] (all samples if
+    subset is None): (phi(U),) diagonal, (phi'(U), phi''(U)) curl-free.
+    The arrays are not validated; callers pass checked ones.
+    """
+    M, d = samples.shape
+    k = spec.scalar
+    U = sq_dists(queries, samples)
+    p2 = k.d2phi(U) if spec.kind == "curl_free" else None
+    z = None
+    if zeta:
+        if p2 is None:
+            W = (2.0 / M) * k.dphi(U)
+        else:
+            # in place, freed before the cross tables: at most 4 Q x M arrays live
+            W = 2.0 * U
+            W *= k.d3phi(U)
+            W += (d + 2) * p2
+            W *= -4.0 / M
+        z = W @ samples - W.sum(axis=1)[:, None] * queries
+        del W
+    if not cross:
+        return z, None
+    B = U if subset is None else U[:, subset]
+    if p2 is None:
+        return z, (k.phi(B),)
+    return z, (k.dphi(B), p2 if subset is None else p2[:, subset])
+
 
 def zeta_batch(spec: MatrixKernelSpec, samples, queries) -> np.ndarray:
     """Empirical kernel-divergence field at each query row.
@@ -190,14 +223,7 @@ def zeta_batch(spec: MatrixKernelSpec, samples, queries) -> np.ndarray:
     argument, averaged over the samples; u_m = ||x^m - x||^2.
     """
     X = as_samples(samples)
-    M, d = X.shape
-    Q = _as_queries(queries, d)
-    U = sq_dists(Q, X)  # (Q, M)
-    if spec.kind == "diagonal":
-        W = (2.0 / M) * spec.scalar.dphi(U)
-    else:
-        W = (-4.0 / M) * ((d + 2) * spec.scalar.d2phi(U) + 2.0 * U * spec.scalar.d3phi(U))
-    return W @ X - W.sum(axis=1)[:, None] * Q
+    return query_tables(spec, _as_queries(queries, X.shape[1]), X, cross=False)[0]
 
 
 def zeta(spec: MatrixKernelSpec, samples, query) -> np.ndarray:
@@ -272,21 +298,13 @@ class ImplicitGram(_Gram):
     time instead of touching an Md x Md matrix (O(M^2 d^2) storage dense).
     """
 
-    __slots__ = ("_p1", "_p2", "_k", "_keig")
+    __slots__ = ("_tables", "_keig")
 
     def __init__(self, spec: MatrixKernelSpec, samples):
         X = as_samples(samples)
         super().__init__(spec, X)
         self._keig = None
-        U = sq_dists(X, X)
-        if spec.kind == "diagonal":
-            self._k = spec.scalar.phi(U)
-            self._p1 = None
-            self._p2 = None
-        else:
-            self._k = None
-            self._p1 = spec.scalar.dphi(U)
-            self._p2 = spec.scalar.d2phi(U)
+        self._tables = query_tables(spec, X, X, zeta=False)[1]
 
     def scalar_eigensystem(self):
         """Cached eigendecomposition of the scalar M x M Gram (diagonal kind).
@@ -298,14 +316,14 @@ class ImplicitGram(_Gram):
             raise InputError("scalar_eigensystem is only defined for diagonal kernels")
         if self._keig is None:
             from .spectral_linalg import sym_eig
-            self._keig = sym_eig(0.5 * (self._k + self._k.T))
+            self._keig = sym_eig(0.5 * (self._tables[0] + self._tables[0].T))
         return self._keig
 
     def scalar_matrix(self) -> np.ndarray:
         """The scalar M x M Gram k(X, X) of a diagonal kernel."""
         if self.spec.kind != "diagonal":
             raise InputError("scalar_matrix is only defined for diagonal kernels")
-        return self._k
+        return self._tables[0]
 
     @property
     def dim(self) -> int:
@@ -319,12 +337,13 @@ class ImplicitGram(_Gram):
         M, d = self.samples.shape
         C = b.reshape(M, d)
         if self.spec.kind == "diagonal":
-            return (self._k @ C).ravel()
+            return (self._tables[0] @ C).ravel()
         X = self.samples
+        p1, p2 = self._tables
         S = X @ C.T                               # S[m, l] = x^m . c^l
         t = np.einsum("ij,ij->i", X, C)           # t[l] = x^l . c^l
-        alpha = self._p2 * (S - t[None, :])       # phi''(u_ml) * (r_ml . c^l)
-        out = -4.0 * (alpha.sum(axis=1)[:, None] * X - alpha @ X) - 2.0 * (self._p1 @ C)
+        alpha = p2 * (S - t[None, :])             # phi''(u_ml) * (r_ml . c^l)
+        out = -4.0 * (alpha.sum(axis=1)[:, None] * X - alpha @ X) - 2.0 * (p1 @ C)
         return out.ravel()
 
 
@@ -365,39 +384,26 @@ def assemble_gram(spec: MatrixKernelSpec, samples, mode: str = "dense"):
     return DenseGram(spec, X, K)
 
 
-def query_tables(spec: MatrixKernelSpec, queries, basis) -> tuple:
-    """The radial tables cross_apply reads, from one sq_dists(queries, basis).
-
-    (phi(U),) for a diagonal kernel, (phi'(U), phi''(U)) for a curl-free
-    one, each Q x N. Every fit over one basis predicts through the same
-    tables, so a caller predicting several fits at one query set builds
-    them once and passes them as cross_apply(..., _tables=).
-    """
-    B = as_samples(basis)
-    U = sq_dists(_as_queries(queries, B.shape[1]), B)
-    if spec.kind == "diagonal":
-        return (spec.scalar.phi(U),)
-    return (spec.scalar.dphi(U), spec.scalar.d2phi(U))
-
-
 def cross_apply(spec: MatrixKernelSpec, queries, basis, coeffs: np.ndarray,
                 _tables=None) -> np.ndarray:
     """sum_j K(x_q, b_j) c_j for each query row; coeffs is N x d.
 
     This is the K_{xX} c part of every prediction, evaluated without
     materializing the Q*d x N*d cross Gram. _tables, when given, is
-    query_tables(spec, queries, basis).
+    query_tables(spec, queries, basis)[1] for arrays the caller has
+    validated, and only its shape is checked.
     """
-    B = as_samples(basis)
-    N, d = B.shape
-    Q = _as_queries(queries, d)
-    C = np.asarray(coeffs, dtype=np.float64)
-    if C.shape != (N, d):
-        raise InputError(f"coeffs must have shape ({N}, {d}), got {C.shape}")
+    Q, B, C = queries, basis, coeffs
     if _tables is None:
-        _tables = query_tables(spec, Q, B)
-    elif any(T.shape != (Q.shape[0], N) for T in _tables):
-        raise InputError(f"query tables must have shape ({Q.shape[0]}, {N})")
+        B = as_samples(basis)
+        N, d = B.shape
+        Q = _as_queries(queries, d)
+        C = np.asarray(coeffs, dtype=np.float64)
+        if C.shape != (N, d):
+            raise InputError(f"coeffs must have shape ({N}, {d}), got {C.shape}")
+        _tables = query_tables(spec, Q, B, zeta=False)[1]
+    elif any(T.shape != (Q.shape[0], B.shape[0]) for T in _tables):
+        raise InputError(f"query tables must have shape ({Q.shape[0]}, {B.shape[0]})")
     if spec.kind == "diagonal":
         (k,) = _tables
         return k @ C

@@ -1,9 +1,12 @@
 """Reference helpers that only the tests use.
 
 Pointwise kernel blocks, a matrix-backed operator, spectral calculus
-through a full eigensystem and the append-and-refit score heuristic: slow
-or naive forms that the package's fast paths are checked against.
+through a full eigensystem, the append-and-refit score heuristic and the
+line-by-line CSV reader: slow or naive forms that the package's fast paths
+are checked against.
 """
+
+import csv
 
 import numpy as np
 
@@ -100,3 +103,32 @@ def stein_heuristic_scores(samples, spec, lam: float, queries) -> np.ndarray:
         est = fit_truncated_tikhonov(aug, spec, lam)
         out[qi] = est.predict(q[None, :])[0]
     return out
+
+
+def load_samples_csv_lines(path) -> np.ndarray:
+    """oracles.load_samples_csv as it read every file before np.loadtxt."""
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise InputError(f"{path}: empty file") from None
+        expected = [f"x{i + 1}" for i in range(len(header))]
+        if header != expected:
+            raise InputError(f"{path}: line 1: expected header "
+                             f"{','.join(expected)!r}, got {','.join(header)!r}")
+        d = len(header)
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != d:
+                raise InputError(f"{path}: line {lineno}: expected {d} fields, "
+                                 f"got {len(row)}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise InputError(f"{path}: line {lineno}: {exc}") from None
+    if not rows:
+        raise InputError(f"{path}: no sample rows")
+    return as_samples(np.asarray(rows))

@@ -466,11 +466,11 @@ class TestProblemSharing:
             ]))
         rows = run_grid_rows(cfg)
         assert all(r.reason == "" for r in rows)
-        # per problem: curl-free zeta(Q) and tables, diagonal tables; the
+        # per problem and spec one U feeds zeta(Q) and the tables; the
         # Nystrom fit predicts from its subset basis
-        assert cross == {M: 3 for M in sizes}
-        # zeta(Q) reads phi'' and phi''', the curl-free tables phi' and
-        # phi'', the diagonal table phi
+        assert cross == {M: 2 for M in sizes}
+        # curl-free phi', phi'' (read by both terms) and phi'''; diagonal
+        # phi and phi'
         assert radial == {M: 5 for M in sizes}
 
 

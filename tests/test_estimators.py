@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -616,6 +617,17 @@ class TestNystrom:
         assert 0.0 < est.meta["jitter"] <= 1e-8
         assert np.all(np.isfinite(est.coeffs))
 
+    @pytest.mark.parametrize("bandwidth", [1.0, 100.0, 1000.0])
+    def test_jitter_is_relative_to_the_mean_diagonal(self, bandwidth):
+        rng = np.random.default_rng(63)
+        X = rng.normal(size=(10, 2))
+        X[1] = X[0] + 1e-10
+        spec = cf("imq", bandwidth)
+        est = fit_nystrom(X, np.arange(10), spec, TruncatedTikhonov(0.01))
+        mean_diag = np.trace(kernels.cross_gram(spec, X, X)) / 20
+        ratio = est.meta["jitter"] / mean_diag
+        assert any(ratio == pytest.approx(j, rel=1e-12) for j in (1e-12, 1e-10, 1e-8))
+
     def test_full_subset_reproduces_truncated_tikhonov(self):
         rng = np.random.default_rng(60)
         for kind in ("diagonal", "curl_free"):
@@ -729,22 +741,89 @@ class TestPredict:
         rng = np.random.default_rng(74)
         X, spec = random_instance(rng, M=20, d=3, kind=kind)
         Q = rng.normal(size=(15, 3))
-        tables = query_tables(spec, Q, X)
+        z, tables = query_tables(spec, Q, X)
+        assert np.array_equal(z, zeta_batch(spec, X, Q))
         assert len(tables) == (1 if kind == "diagonal" else 2)
         # tikhonov carries the offset a = -1/lam, truncated tikhonov a = 0
         for est in (fit_tikhonov(X, spec, 0.1), fit_truncated_tikhonov(X, spec, 0.1)):
-            plain = predict(est, Q)
-            assert np.array_equal(predict(est, Q, _tables=tables), plain)
-            assert np.array_equal(
-                predict(est, Q, _zeta=zeta_batch(spec, X, Q), _tables=tables), plain)
+            assert np.array_equal(predict(est, Q, _shared=(z, tables)), predict(est, Q))
 
     def test_query_tables_of_other_queries_rejected(self):
         rng = np.random.default_rng(75)
         X, spec = random_instance(rng, M=6, d=2, kind="curl_free")
         est = fit_tikhonov(X, spec, 0.1)
-        tables = query_tables(spec, rng.normal(size=(4, 2)), X)
+        shared = query_tables(spec, rng.normal(size=(4, 2)), X)
         with pytest.raises(InputError):
-            predict(est, rng.normal(size=(5, 2)), _tables=tables)
+            predict(est, rng.normal(size=(5, 2)), _shared=shared)
+
+    @staticmethod
+    def chunk_sizes(columns):
+        chunk = max(1, estimators._PREDICT_CHUNK_ENTRIES // columns)
+        return (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5)
+
+    @staticmethod
+    def assert_close(pred, ref):
+        assert pred.shape == ref.shape
+        assert np.abs(pred - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("kind", ["diagonal", "curl_free"])
+    @pytest.mark.parametrize("family", ["imq", "gaussian"])
+    def test_chunks_match_unchunked_reference(self, kind, family):
+        rng = np.random.default_rng(76)
+        M, d = 1000, 3
+        X = rng.normal(size=(M, d))
+        spec = MatrixKernelSpec(kind, ScalarRadialKernel(family, 1.3))
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(M, d)), -2.5, Tikhonov(0.4))
+        for n in self.chunk_sizes(M):
+            Q = rng.normal(size=(n, d))
+            ref = est.offset * zeta_batch(spec, X, Q) + kernels.cross_apply(
+                spec, Q, X, est.coeffs)
+            self.assert_close(predict(est, Q), ref)
+
+    @pytest.mark.parametrize("offset", [0.0, -0.7])
+    def test_chunks_over_a_subset_basis(self, offset):
+        # offset 0 is a Nystrom fit; with an offset the basis tables read
+        # their columns of the samples' U
+        rng = np.random.default_rng(77)
+        M, N, d = 900, 300, 2
+        X = rng.normal(size=(M, d))
+        idx = rng.choice(M, size=N, replace=False)
+        spec = cf("gaussian", 0.9)
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(N, d)), offset,
+                                   TruncatedTikhonov(0.1), subset_indices=idx)
+        for n in self.chunk_sizes(M if offset else N):
+            Q = rng.normal(size=(n, d))
+            ref = offset * zeta_batch(spec, X, Q) + kernels.cross_apply(
+                spec, Q, X[idx], est.coeffs)
+            self.assert_close(predict(est, Q), ref)
+
+    @pytest.mark.parametrize("kind", ["diagonal", "curl_free"])
+    def test_chunks_with_zero_coefficients(self, kind):
+        rng = np.random.default_rng(78)
+        M, d = 700, 2
+        X = rng.normal(size=(M, d))
+        spec = MatrixKernelSpec(kind, ScalarRadialKernel("imq", 1.1))
+        est = FittedScoreEstimator(spec, X, np.zeros((M, d)), -0.03, Landweber(0.03, 1))
+        for n in self.chunk_sizes(M):
+            Q = rng.normal(size=(n, d))
+            self.assert_close(predict(est, Q), -0.03 * zeta_batch(spec, X, Q))
+
+    @pytest.mark.parametrize("kind", ["diagonal", "curl_free"])
+    def test_memory_is_chunk_sized(self, kind):
+        # a whole-query pass held Q x M tables: about 617 MB traced here
+        rng = np.random.default_rng(79)
+        M, d = 768, 16
+        X = rng.normal(size=(M, d))
+        Q = rng.normal(size=(20000, d))
+        spec = MatrixKernelSpec(kind, ScalarRadialKernel("imq", 4.0))
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(M, d)), -1000.0, Tikhonov(1e-3))
+        tracemalloc.start()
+        try:
+            predict(est, Q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
     def test_immutable_fitted_state(self):
         rng = np.random.default_rng(73)

@@ -1,10 +1,15 @@
 """Tests for the synthetic ground-truth module: mixtures, analytic scores,
 seeded sampling, bandwidth heuristic, error metric, CSV exchange."""
 
+import csv
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorekit.errors import DegenerateDataError, InputError
 from scorekit.kernels import MatrixKernelSpec, ScalarRadialKernel
@@ -25,7 +30,7 @@ from scorekit.oracles import (
     true_score,
 )
 
-from helpers import stein_heuristic_scores
+from helpers import load_samples_csv_lines, stein_heuristic_scores
 
 
 # ======================================================================
@@ -351,6 +356,85 @@ class TestCsv:
         path.write_text("x1,x2\n")
         with pytest.raises(InputError):
             load_samples_csv(path)
+
+
+# the writer before it formatted one string: csv.writer, row by row
+def csv_writer_reference(X, path):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([f"x{i + 1}" for i in range(X.shape[1])])
+        for row in X:
+            w.writerow([f"{v:.17g}" for v in row])
+
+
+EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0 ** 53, 1.0, -7.0)
+csv_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.integers(-10 ** 6, 10 ** 6).map(float),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def csv_matrices(draw):
+    M, d = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    return np.array(draw(st.lists(csv_values, min_size=M * d, max_size=M * d)),
+                    dtype=np.float64).reshape(M, d)
+
+
+# (name, edit of the row field lists); the header is rows[0]
+CSV_DEFECTS = {
+    "none": lambda rows, i: rows,
+    "header only": lambda rows, i: rows[:1],
+    "extra field": lambda rows, i: rows[:i] + [rows[i] + ["1.5"]] + rows[i + 1:],
+    "missing field": lambda rows, i: rows[:i] + [rows[i][1:]] + rows[i + 1:],
+    "blank line": lambda rows, i: rows[:i] + [[]] + rows[i:],
+    "whitespace line": lambda rows, i: rows[:i] + [[" \t"]] + rows[i:],
+    "hash": lambda rows, i: rows[:i] + [["#" + rows[i][0]] + rows[i][1:]] + rows[i + 1:],
+    "comment line": lambda rows, i: rows[:i] + [["# note"]] + rows[i:],
+    "quoted field": lambda rows, i: rows[:i] + [['"' + rows[i][0] + '"'] + rows[i][1:]]
+    + rows[i + 1:],
+    "quoted header": lambda rows, i: [['"' + f + '"' for f in rows[0]]] + rows[1:],
+}
+
+
+def read_outcome(read, path):
+    try:
+        X = read(path)
+    except InputError as exc:
+        return "error", str(exc)
+    return "array", X.shape, X.tobytes()
+
+
+class TestCsvProperties:
+
+    @settings(max_examples=200, deadline=None)
+    @given(X=csv_matrices())
+    def test_writer_bytes_match_csv_writer(self, X):
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, ref = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
+            save_samples_csv(X, ours)
+            csv_writer_reference(X, ref)
+            with open(ours, "rb") as a, open(ref, "rb") as b:
+                assert a.read() == b.read()
+            assert np.array_equal(load_samples_csv(ours), X)
+
+    @settings(max_examples=400, deadline=None)
+    @given(X=csv_matrices(), defect=st.sampled_from(sorted(CSV_DEFECTS)),
+           at=st.integers(1, 6), newline=st.sampled_from(["\n", "\r\n"]),
+           final_newline=st.booleans())
+    def test_reader_agrees_with_line_reader(self, X, defect, at, newline, final_newline):
+        rows = [[f"x{i + 1}" for i in range(X.shape[1])]]
+        rows += [[f"{v:.17g}" for v in row] for row in X]
+        rows = CSV_DEFECTS[defect](rows, min(at, len(rows) - 1))
+        text = newline.join(",".join(r) for r in rows) + (newline if final_newline else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            with open(path, "w", newline="") as f:
+                f.write(text)
+            expected = read_outcome(load_samples_csv_lines, path)
+            assert read_outcome(load_samples_csv, path) == expected
+            if defect in ("none", "blank line", "quoted field", "quoted header"):
+                assert expected[0] == "array"
 
 
 # ======================================================================
