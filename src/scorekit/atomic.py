@@ -1,7 +1,10 @@
-"""Atomic file output: a reader sees the old file or the whole new one."""
+"""File I/O: atomic output, so a reader sees the old file or the whole new
+one, and one UTF-8 text reader for every input file."""
 
 import contextlib
 import os
+
+from .errors import InputError
 
 
 @contextlib.contextmanager
@@ -25,3 +28,15 @@ def atomic_open(path, mode: str = "w", **kwargs):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def read_text(path) -> str:
+    """The whole file at path decoded as UTF-8, line endings kept as
+    written; a file that is not UTF-8 raises InputError naming the path."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{exc.start}") from None

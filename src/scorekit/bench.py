@@ -30,15 +30,17 @@ each still meets its residual tolerance. Shared work is timed in the
 fit_ms or predict_ms of the first cell that needs it, so a `.timings.csv`
 row is not the cost of that cell alone.
 
-A cell that fails with a contract error (InputError, NumericError or
-MemoryError: a bad lambda, a singular subset, CG running out of iterations)
-is recorded as a row with error = nan and the exception text in the reason
-column. Any other exception is a bug and aborts the sweep. For the
-iterative schemes all snapshot fits of one cell group come from a single
-recursion run, so those rows share the path's fit time.
+Each estimator id has one small single-point fit (_CELL_FITS), and one
+loop (_fit_cells) times them all and records a contract error (InputError,
+NumericError or MemoryError: a bad lambda, a singular subset, CG running
+out of iterations) as a row with error = nan and the exception text in the
+reason column. Any other exception is a bug and aborts the sweep. The
+iterative schemes snapshot every grid point from one recursion run
+(_fit_path), so those rows share the run's fit time or failure.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_text
 from .errors import InputError, NumericError
 from .estimators import (
     TruncatedTikhonov,
@@ -345,13 +347,21 @@ def parse_experiment_config(data, base_dir: str = ".") -> ExperimentConfig:
                             distribution_seed=dseed, mixture=mixture)
 
 
+def _load_json_object(path, what: str) -> dict:
+    """The JSON object in the UTF-8 file at path; what names the file in the
+    error a non-object root raises."""
+    try:
+        data = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: {what} root must be an object")
+    return data
+
+
 def load_experiment_config(path) -> ExperimentConfig:
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from None
-    return parse_experiment_config(data, base_dir=os.path.dirname(str(path)))
+    return parse_experiment_config(_load_json_object(path, "config"),
+                                   base_dir=os.path.dirname(str(path)))
 
 
 _MIXTURE_KEYS = ("means", "weights", "scale")
@@ -359,13 +369,7 @@ _MIXTURE_KEYS = ("means", "weights", "scale")
 
 def load_mixture_file(path) -> MixtureDistribution:
     """JSON mixture description: means (list of rows), weights, scale."""
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: mixture file root must be an object")
+    data = _load_json_object(path, "mixture file")
     _check_keys(data, _MIXTURE_KEYS, str(path))
     if "means" not in data or "weights" not in data:
         raise InputError(f"{path}: mixture file needs 'means' and 'weights'")
@@ -425,8 +429,8 @@ class _Problem:
     """The work one (d, M, seed) problem shares across its estimator entries.
 
     The draws and the truth are made on construction; the bandwidth, Grams,
-    query tables and Nystrom blocks when a cell first needs them, inside
-    that cell's timing.
+    query tables, Tikhonov starts and Nystrom blocks when a cell first
+    needs them, inside that cell's timing.
     """
 
     def __init__(self, cfg: ExperimentConfig, d: int, M: int, seed: int):
@@ -446,9 +450,8 @@ class _Problem:
         return self._shared[key]
 
     def spec(self, entry: EstimatorEntry) -> MatrixKernelSpec:
-        bw = entry.bandwidth if isinstance(entry.bandwidth, float) \
-            else self._once("bandwidth", lambda: median_bandwidth(self.X))
-        return MatrixKernelSpec(entry.kind, ScalarRadialKernel(entry.family, bw))
+        return _kernel_spec(
+            entry, lambda: self._once("bandwidth", lambda: median_bandwidth(self.X)))
 
     def gram(self, spec: MatrixKernelSpec, dense: bool):
         mode = "dense" if dense else "implicit"
@@ -491,6 +494,26 @@ class _Problem:
                 return None
             return V, T, dims, beta <= tol or len(V) >= min(t_max - 1, len(K))
         return self._once(("krylov", spec), build)
+
+
+def _kernel_spec(entry: EstimatorEntry, median) -> MatrixKernelSpec:
+    """The entry's kernel; median() gives the median bandwidth of the
+    samples and is called only if the entry asks for it."""
+    bw = entry.bandwidth if isinstance(entry.bandwidth, float) else median()
+    return MatrixKernelSpec(entry.kind, ScalarRadialKernel(entry.family, bw))
+
+
+def _nystrom_subset(entry: EstimatorEntry, seed: int, M: int, d: int) -> np.ndarray:
+    """The sorted indices of the entry's Nystrom subset of M samples."""
+    size = min(entry.subset_size or max(1, int(round(entry.subset_fraction * M))), M)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, d, M)))
+    return np.sort(rng.choice(M, size=size, replace=False))
+
+
+def _cutoff_rank(fraction: float, M: int, d: int) -> int:
+    """A spectral cut-off fraction of the M sample directions as a rank in
+    the Md spectrum."""
+    return max(1, int(round(fraction * M))) * d
 
 
 def _shift_targets(shifts, min_dim):
@@ -549,113 +572,100 @@ def _shifted_starts(problem: _Problem, spec, gram, grid) -> list:
     return [y / lam for y, lam in zip(Y, lams)]
 
 
+def _fit_tikhonov_cell(problem: _Problem, entry, spec, dense, i):
+    lam = entry.grid[i][1]["lam"]
+    gram = problem.gram(spec, dense)
+    if entry.kind == "diagonal":
+        # the scalar M x M Gram of the shared matrix-free form
+        return fit_tikhonov(problem.X, spec, lam, gram=gram)
+    # the Gram's form picks the direct solve or CG
+    starts = problem._once(("starts", spec),
+                           lambda: _shifted_starts(problem, spec, gram, entry.grid))
+    return fit_tikhonov(problem.X, spec, lam, gram=gram, cg_tol=_TIK_IMPLICIT_TOL,
+                        cg_max_iter=_TIK_IMPLICIT_MAX_ITER, _x0=starts[i])
+
+
+def _fit_tikhonov_cg_cell(problem: _Problem, entry, spec, dense, i):
+    return fit_tikhonov_cg(problem.X, spec, entry.grid[i][1]["lam"], tol=entry.tol,
+                           max_iter=entry.max_iter, gram=problem.gram(spec, dense=False))
+
+
+# the eigen filters: over the dense limit a curl-free kernel's implicit Gram
+# makes the fit refuse cleanly instead of materializing the matrix
+
+def _fit_truncated_tikhonov_cell(problem: _Problem, entry, spec, dense, i):
+    return fit_truncated_tikhonov(problem.X, spec, entry.grid[i][1]["lam"],
+                                  gram=problem.gram(spec, dense))
+
+
+def _fit_spectral_cutoff_cell(problem: _Problem, entry, spec, dense, i):
+    params, gram = entry.grid[i][1], problem.gram(spec, dense)
+    if "lam" in params:
+        return fit_spectral_cutoff(problem.X, spec, lam=params["lam"], gram=gram)
+    rank = _cutoff_rank(params["fraction"], problem.M, problem.d)
+    return fit_spectral_cutoff(problem.X, spec, rank=rank, gram=gram)
+
+
+def _fit_nystrom_cell(problem: _Problem, entry, spec, dense, i):
+    idx = _nystrom_subset(entry, problem.seed, problem.M, problem.d)
+    return fit_nystrom(problem.X, idx, spec, TruncatedTikhonov(entry.grid[i][1]["lam"]),
+                       _blocks=problem.subset_blocks(spec, idx))
+
+
+# the single-point fits: fit(problem, entry, spec, dense, grid index) -> estimator
+_CELL_FITS = {
+    "tikhonov": _fit_tikhonov_cell,
+    "tikhonov_cg": _fit_tikhonov_cg_cell,
+    "truncated_tikhonov": _fit_truncated_tikhonov_cell,
+    "spectral_cutoff": _fit_spectral_cutoff_cell,
+    "nystrom": _fit_nystrom_cell,
+}
+
+
+def _fit_path(entry: EstimatorEntry, problem: _Problem, spec, dense):
+    """One landweber or nu_method recursion run snapshots every t in the
+    grid; its wall time (or failure) is shared by all snapshot rows."""
+    ts = [params["t"] for _, params in entry.grid]
+    uniq = sorted(set(ts))
+    t0, reason = _now_ms(), ""
+    try:
+        gram = problem.gram(spec, dense)
+        if entry.id == "landweber":
+            eta = entry.eta if entry.eta > 0 else None
+            path = landweber_path(problem.X, spec, uniq, eta=eta, gram=gram)
+        else:
+            basis = problem.krylov(spec) if dense else None
+            path = nu_method_path(problem.X, spec, uniq, nu=entry.nu, gram=gram,
+                                  _krylov=basis[:2] if basis and basis[3] else None)
+    except _CONTRACT_ERRORS as exc:
+        path, reason = [None] * len(uniq), _reason(exc)
+    ms = _now_ms() - t0
+    by_t = dict(zip(uniq, path))
+    for i, t in enumerate(ts):
+        yield i, _Cell(reason=reason, fit_ms=ms), by_t[t]
+
+
 def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec):
     """Fit every grid point of one entry on one problem.
 
     Yields (grid index, cell, estimator or None) as each fit completes, so
-    the caller can predict and drop it before the next fit.
+    the caller can predict and drop it before the next fit. Every
+    single-point fit is timed and its contract error caught here; the path
+    schemes snapshot one run (_fit_path).
     """
-    X, d, M = problem.X, problem.d, problem.M
-    n = len(entry.grid)
     # curl-free systems up to the dense limit use the dense Gram; larger ones
     # are matrix-free, and diagonal kernels stay on the scalar M x M tables
-    dense = entry.kind == "curl_free" and M * d <= DENSE_SYSTEM_LIMIT
-
-    if entry.id in ("tikhonov", "tikhonov_cg"):
-        starts = None
-        for i, (_, params) in enumerate(entry.grid):
-            lam = params["lam"]
-            t0 = _now_ms()
-            try:
-                if entry.id == "tikhonov_cg":
-                    est = fit_tikhonov_cg(X, spec, lam, tol=entry.tol,
-                                          max_iter=entry.max_iter,
-                                          gram=problem.gram(spec, dense=False))
-                elif entry.kind == "curl_free":
-                    # the Gram's form picks the direct solve or CG
-                    gram = problem.gram(spec, dense)
-                    if starts is None:
-                        starts = _shifted_starts(problem, spec, gram, entry.grid)
-                    est = fit_tikhonov(X, spec, lam, gram=gram,
-                                       cg_tol=_TIK_IMPLICIT_TOL,
-                                       cg_max_iter=_TIK_IMPLICIT_MAX_ITER,
-                                       _x0=starts[i])
-                else:
-                    # the scalar M x M Gram of the shared matrix-free form
-                    est = fit_tikhonov(X, spec, lam, mode="dense",
-                                       gram=problem.gram(spec, dense))
-            except _CONTRACT_ERRORS as exc:
-                yield i, _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0), None
-                continue
-            yield i, _Cell(fit_ms=_now_ms() - t0), est
-        return
-
-    if entry.id in ("truncated_tikhonov", "spectral_cutoff"):
-        # diagonal kernels go through the scalar M x M eigensystem (cached on
-        # the implicit gram); curl-free ones need the dense Md x Md spectrum,
-        # and over the dense limit the implicit gram makes the fit refuse
-        # cleanly instead of materializing the matrix
-        for i, (_, params) in enumerate(entry.grid):
-            t0 = _now_ms()
-            try:
-                gram = problem.gram(spec, dense)
-                if entry.id == "truncated_tikhonov":
-                    est = fit_truncated_tikhonov(X, spec, params["lam"], gram=gram)
-                elif "lam" in params:
-                    est = fit_spectral_cutoff(X, spec, lam=params["lam"], gram=gram)
-                else:
-                    rank = max(1, int(round(params["fraction"] * M))) * d
-                    est = fit_spectral_cutoff(X, spec, rank=rank, gram=gram)
-            except _CONTRACT_ERRORS as exc:
-                yield i, _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0), None
-                continue
-            yield i, _Cell(fit_ms=_now_ms() - t0), est
-        return
-
+    dense = entry.kind == "curl_free" and problem.M * problem.d <= DENSE_SYSTEM_LIMIT
     if entry.id in ("landweber", "nu_method"):
-        # one recursion run snapshots every t in the grid; its wall time is
-        # shared by all snapshot rows
-        ts = [params["t"] for _, params in entry.grid]
-        uniq = sorted(set(ts))
-        t0 = _now_ms()
+        yield from _fit_path(entry, problem, spec, dense)
+        return
+    for i in range(len(entry.grid)):
+        t0, est, reason = _now_ms(), None, ""
         try:
-            gram = problem.gram(spec, dense)
-            if entry.id == "landweber":
-                eta = entry.eta if entry.eta > 0 else None
-                path = landweber_path(X, spec, uniq, eta=eta, gram=gram)
-            else:
-                basis = problem.krylov(spec) if dense else None
-                path = nu_method_path(X, spec, uniq, nu=entry.nu, gram=gram,
-                                      _krylov=basis[:2] if basis and basis[3] else None)
+            est = _CELL_FITS[entry.id](problem, entry, spec, dense, i)
         except _CONTRACT_ERRORS as exc:
-            ms = _now_ms() - t0
-            for i in range(n):
-                yield i, _Cell(reason=_reason(exc), fit_ms=ms), None
-            return
-        ms = _now_ms() - t0
-        by_t = dict(zip(uniq, path))
-        for i, t in enumerate(ts):
-            yield i, _Cell(fit_ms=ms), by_t[t]
-        return
-
-    if entry.id == "nystrom":
-        size = entry.subset_size or max(1, int(round(entry.subset_fraction * M)))
-        size = min(size, M)
-        rng = np.random.default_rng(
-            np.random.SeedSequence(problem.seed, spawn_key=(3, d, M)))
-        idx = np.sort(rng.choice(M, size=size, replace=False))
-        for i, (_, params) in enumerate(entry.grid):
-            t0 = _now_ms()
-            try:
-                est = fit_nystrom(X, idx, spec, TruncatedTikhonov(params["lam"]),
-                                  _blocks=problem.subset_blocks(spec, idx))
-            except _CONTRACT_ERRORS as exc:
-                yield i, _Cell(reason=_reason(exc), fit_ms=_now_ms() - t0), None
-                continue
-            yield i, _Cell(fit_ms=_now_ms() - t0), est
-        return
-
-    raise InputError(f"unknown estimator id {entry.id!r}")
+            reason = _reason(exc)
+        yield i, _Cell(reason=reason, fit_ms=_now_ms() - t0), est
 
 
 def _run_cell_group(problem: _Problem, entry: EstimatorEntry) -> list:
@@ -889,27 +899,26 @@ def run_convergence_experiment(config, out_path, threads: int = 1) -> list:
 # ======================================================================
 
 def read_summary_csv(path) -> list:
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        header = tuple(next(reader))
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    if header != SUMMARY_HEADER:
+        raise InputError(f"{path}: line 1: expected header "
+                         f"{','.join(SUMMARY_HEADER)!r}")
+    out = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(SUMMARY_HEADER):
+            raise InputError(f"{path}: line {lineno}: expected "
+                             f"{len(SUMMARY_HEADER)} fields, got {len(row)}")
         try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise InputError(f"{path}: empty file") from None
-        if header != SUMMARY_HEADER:
-            raise InputError(f"{path}: line 1: expected header "
-                             f"{','.join(SUMMARY_HEADER)!r}")
-        out = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(SUMMARY_HEADER):
-                raise InputError(f"{path}: line {lineno}: expected "
-                                 f"{len(SUMMARY_HEADER)} fields, got {len(row)}")
-            try:
-                out.append(SummaryRow(row[0], row[1], int(row[2]), int(row[3]),
-                                      row[4], float(row[5]), int(row[6])))
-            except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
+            out.append(SummaryRow(row[0], row[1], int(row[2]), int(row[3]),
+                                  row[4], float(row[5]), int(row[6])))
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from None
     return out
 
 

@@ -7,17 +7,18 @@ Exit codes: 0 success, 1 input error (bad flags, bad config, bad files),
 """
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
-
-import numpy as np
 
 from .atomic import atomic_open
 from .bench import (
     DENSE_SYSTEM_LIMIT,
     _check_keys,
+    _cutoff_rank,
+    _kernel_spec,
+    _load_json_object,
+    _nystrom_subset,
     _parse_estimator,
     emit_plot,
     load_experiment_config,
@@ -38,7 +39,6 @@ from .estimators import (
     predict,
     save_estimator,
 )
-from .kernels import MatrixKernelSpec, ScalarRadialKernel
 from .oracles import load_samples_csv, median_bandwidth, save_samples_csv
 
 
@@ -49,21 +49,19 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _load_json(path):
-    with open(path) as f:
-        try:
-            data = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: config root must be an object")
-    return data
+def _command_config(args, keys):
+    """The subcommand's JSON config, of schema 1 and no key beyond keys, and
+    path(key): the file named under key, relative to the config's folder."""
+    data = _load_json_object(args.config, "config")
+    _check_keys(data, ("schema_version",) + keys, "config")
+    if data.get("schema_version") != 1:
+        raise InputError("config: 'schema_version' must be 1")
 
-
-def _resolve(base_dir, value, where):
-    if not isinstance(value, str) or not value:
-        raise InputError(f"{where}: expected a file path string")
-    return os.path.join(base_dir, value)
+    def path(key):
+        if not isinstance(data[key], str) or not data[key]:
+            raise InputError(f"config.{key}: expected a file path string")
+        return os.path.join(os.path.dirname(args.config), data[key])
+    return data, path
 
 
 # ======================================================================
@@ -77,14 +75,12 @@ def _fit_single(entry, X, seed: int):
         raise InputError("fit config must pin exactly one hyperparameter "
                          f"point, got a grid of {len(entry.grid)}")
     M, d = X.shape
-    bw = entry.bandwidth if isinstance(entry.bandwidth, float) \
-        else median_bandwidth(X)
-    spec = MatrixKernelSpec(entry.kind, ScalarRadialKernel(entry.family, bw))
+    spec = _kernel_spec(entry, lambda: median_bandwidth(X))
     params = entry.grid[0][1]
-
+    # curl-free systems over the sweep's dense limit are fitted matrix-free
+    mode = "implicit" if entry.kind == "curl_free" and M * d > DENSE_SYSTEM_LIMIT \
+        else "dense"
     if entry.id == "tikhonov":
-        mode = "implicit" if entry.kind == "curl_free" \
-            and M * d > DENSE_SYSTEM_LIMIT else "dense"
         return fit_tikhonov(X, spec, params["lam"], mode=mode)
     if entry.id == "tikhonov_cg":
         return fit_tikhonov_cg(X, spec, params["lam"], tol=entry.tol,
@@ -94,35 +90,22 @@ def _fit_single(entry, X, seed: int):
     if entry.id == "spectral_cutoff":
         if "lam" in params:
             return fit_spectral_cutoff(X, spec, lam=params["lam"])
-        rank = max(1, int(round(params["fraction"] * M))) * d
-        return fit_spectral_cutoff(X, spec, rank=rank)
+        return fit_spectral_cutoff(X, spec, rank=_cutoff_rank(params["fraction"], M, d))
     if entry.id == "landweber":
         eta = entry.eta if entry.eta > 0 else None
-        mode = "dense" if entry.kind == "diagonal" \
-            or M * d <= DENSE_SYSTEM_LIMIT else "implicit"
         return fit_landweber(X, spec, eta=eta, t=params["t"], mode=mode)
     if entry.id == "nu_method":
-        mode = "dense" if entry.kind == "diagonal" \
-            or M * d <= DENSE_SYSTEM_LIMIT else "implicit"
         return fit_nu_method(X, spec, nu=entry.nu, t=params["t"], mode=mode)
-    if entry.id == "nystrom":
-        size = entry.subset_size or max(1, int(round(entry.subset_fraction * M)))
-        size = min(size, M)
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, d, M)))
-        idx = np.sort(rng.choice(M, size=size, replace=False))
-        return fit_nystrom(X, idx, spec, TruncatedTikhonov(params["lam"]))
-    raise InputError(f"unknown estimator id {entry.id!r}")
+    # nystrom, the only id left
+    return fit_nystrom(X, _nystrom_subset(entry, seed, M, d), spec,
+                       TruncatedTikhonov(params["lam"]))
 
 
 def _cmd_fit(args) -> int:
-    data = _load_json(args.config)
-    base = os.path.dirname(args.config)
-    _check_keys(data, ("schema_version", "samples", "estimator"), "config")
-    if data.get("schema_version") != 1:
-        raise InputError("config: 'schema_version' must be 1")
+    data, path = _command_config(args, ("samples", "estimator"))
     if "samples" not in data or "estimator" not in data:
         raise InputError("config: fit needs 'samples' and 'estimator'")
-    X = load_samples_csv(_resolve(base, data["samples"], "config.samples"))
+    X = load_samples_csv(path("samples"))
     entry = _parse_estimator(data["estimator"], "config.estimator")
     est = _fit_single(entry, X, args.seed)
     save_estimator(est, args.out)
@@ -134,15 +117,11 @@ def _cmd_fit(args) -> int:
 # ======================================================================
 
 def _cmd_predict(args) -> int:
-    data = _load_json(args.config)
-    base = os.path.dirname(args.config)
-    _check_keys(data, ("schema_version", "estimator", "queries"), "config")
-    if data.get("schema_version") != 1:
-        raise InputError("config: 'schema_version' must be 1")
+    data, path = _command_config(args, ("estimator", "queries"))
     if "estimator" not in data or "queries" not in data:
         raise InputError("config: predict needs 'estimator' and 'queries'")
-    est = load_estimator(_resolve(base, data["estimator"], "config.estimator"))
-    Q = load_samples_csv(_resolve(base, data["queries"], "config.queries"))
+    est = load_estimator(path("estimator"))
+    Q = load_samples_csv(path("queries"))
     scores = predict(est, Q)
     save_samples_csv(scores, args.out)
     return 0
@@ -171,18 +150,13 @@ def _cmd_conv_exp(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    data = _load_json(args.config)
-    base = os.path.dirname(args.config)
-    _check_keys(data, ("schema_version", "input", "x", "log_x", "log_y",
-                       "title"), "config")
-    if data.get("schema_version") != 1:
-        raise InputError("config: 'schema_version' must be 1")
+    data, path = _command_config(args, ("input", "x", "log_x", "log_y", "title"))
     if "input" not in data:
         raise InputError("config: plot needs 'input' (a summary CSV path)")
     for key in ("log_x", "log_y"):
         if key in data and not isinstance(data[key], bool):
             raise InputError(f"config.{key}: expected true or false")
-    svg = emit_plot(_resolve(base, data["input"], "config.input"),
+    svg = emit_plot(path("input"),
                     x_field=data.get("x", "M"),
                     log_x=bool(data.get("log_x", False)),
                     log_y=bool(data.get("log_y", False)),

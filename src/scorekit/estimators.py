@@ -225,19 +225,12 @@ def _resolve_gram(spec, X, mode, gram):
     return assemble_gram(spec, X, mode)
 
 
-def _divergence(spec, X, gram):
-    # h does not depend on lam or the scheme: a given Gram computes it once
-    if gram is None:
-        return h_vector(spec, X)
-    return _resolve_gram(spec, X, None, gram).divergence()
-
-
 def _eigen_gram(spec, X, gram, what):
     """The Gram whose cached spectrum the eigen-filter fits read.
 
-    Diagonal kernels only need the scalar M x M spectrum (the Md one is it
-    with multiplicity d), which a matrix-free Gram carries; curl-free ones
-    need the dense Md x Md Gram, and a matrix-free one is refused.
+    Diagonal kernels only need the scalar M x M spectrum, which a
+    matrix-free Gram carries; curl-free ones need the dense Md x Md Gram,
+    and a matrix-free one is refused.
     """
     if gram is not None:
         _resolve_gram(spec, X, None, gram)  # validates a given Gram
@@ -250,11 +243,23 @@ def _eigen_gram(spec, X, gram, what):
     return _resolve_gram(spec, X, "dense", gram)
 
 
-def _tikhonov_system_solve_cg(gram, h, lam, tol, max_iter, x0=None):
-    M = gram.samples.shape[0]
-    shift = M * lam
-    op = LinearOperator(gram.dim, lambda v: gram.matvec(v) + shift * v)
-    return conjugate_gradient(op, h / lam, tol=tol, max_iter=max_iter, x0=x0)
+def _spectrum(gram):
+    """(s, U, H, m): the eigenvalues s of K/M (descending), their
+    eigenvectors U, h reshaped to U's rows as H, and the multiplicity m of
+    each s_j in the Md spectrum; an eigen filter w gives C = -U w(s) U^T H.
+
+    A diagonal kernel's Md spectrum is its scalar M x M one with
+    multiplicity d (H = h.reshape(M, d), m = d); a curl-free kernel has the
+    dense Md x Md spectrum (H = h.reshape(Md, 1), m = 1).
+    """
+    M, d = gram.samples.shape
+    if gram.spec.kind == "diagonal":
+        eig, m = gram.scalar_eigensystem(), d
+    else:
+        eig, m = gram.eigensystem(), 1
+    # eigendecompose before building h: the other order left the heap more
+    # fragmented and raised the sweep's peak RSS (854 -> 860 MB at Md=4096)
+    return eig.values / M, eig.vectors, gram.divergence().reshape(-1, m), m
 
 
 # ======================================================================
@@ -268,10 +273,10 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense
 
     mode 'dense' solves the shifted Gram directly with solve_spd (diagonal
     kernels reduce to an M x M system with d right-hand sides); mode
-    'implicit' runs CG on the matrix-free Gram to the same 1e-10 residual
-    contract and raises FitError if that cannot be reached. A given
-    curl-free Gram decides the mode by its form; a diagonal one of either
-    form serves both modes, the direct solve reading its scalar M x M Gram.
+    'implicit' is fit_tikhonov_cg run to the same 1e-10 residual contract
+    (cg_tol), raising FitError if that cannot be reached. A given curl-free
+    Gram decides the mode by its form; a diagonal one of either form serves
+    both modes, the direct solve reading the scalar M x M Gram.
     _x0, when given, is a start for c: the direct solve returns it if it
     already meets the solve_spd residual and factors otherwise, CG iterates
     from it.
@@ -283,42 +288,37 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense
     M, d = X.shape
     if gram is not None and spec.kind == "curl_free":
         mode = "implicit" if isinstance(gram, ImplicitGram) else "dense"
-    meta = {"mode": mode}
-
-    if mode == "dense":
-        h = _divergence(spec, X, gram)  # validates a given Gram
-        if spec.kind == "diagonal":
-            # K = k(X,X) (x) I_d, so the Md system splits into d copies of
-            # (k + M lam I) C = H / lam over the scalar Gram.
-            if gram is None:
-                A = scalar_gram(spec.scalar, X)
-            elif isinstance(gram, ImplicitGram):
-                A = gram.scalar_matrix()
-            else:
-                A = gram.matrix[::d, ::d]
-            b = h.reshape(M, d) / lam
-        else:
-            A = _resolve_gram(spec, X, "dense", gram).matrix
-            b = h / lam
-        x0 = None if _x0 is None else np.reshape(_x0, b.shape)
-        try:
-            C = solve_spd(A, b, shift=M * lam, x0=x0).reshape(M, d)
-        except NumericError as exc:
-            raise FitError(f"tikhonov solve failed: {exc}") from exc
-    else:
-        gram = _resolve_gram(spec, X, "implicit", gram)
-        h = gram.divergence()
+    if mode == "implicit":
         if cg_max_iter is None:
             cg_max_iter = max(1000, 4 * M)
-        c, rep = _tikhonov_system_solve_cg(gram, h, lam, cg_tol, cg_max_iter, x0=_x0)
-        meta.update(cg_iterations=rep.iterations, cg_residual=rep.residual)
-        if not rep.converged:
+        est = fit_tikhonov_cg(X, spec, lam, tol=cg_tol, max_iter=cg_max_iter, gram=gram,
+                              x0=_x0)
+        if not est.meta["cg_converged"]:
             raise FitError(
-                f"tikhonov CG stopped at relative residual {rep.residual:.3e} "
-                f"after {rep.iterations} iterations (target {cg_tol:.1e}); "
+                f"tikhonov CG stopped at relative residual {est.meta['cg_residual']:.3e} "
+                f"after {est.meta['cg_iterations']} iterations (target {cg_tol:.1e}); "
                 f"the shifted system K + {M * lam:.3e} I is too ill-conditioned")
-        C = c.reshape(M, d)
-    return FittedScoreEstimator(spec, X, C, -1.0 / lam, scheme, meta=meta)
+        return est
+
+    # h does not depend on lam or the scheme: a given Gram (validated here)
+    # computes it once
+    h = h_vector(spec, X) if gram is None else _resolve_gram(spec, X, None, gram).divergence()
+    if spec.kind == "diagonal":
+        # K = k(X,X) (x) I_d, so the Md system splits into d copies of
+        # (k + M lam I) C = H / lam over the scalar Gram, which a matrix-free
+        # Gram holds and is built from X otherwise
+        A = gram.scalar_matrix() if isinstance(gram, ImplicitGram) \
+            else scalar_gram(spec.scalar, X)
+        b = h.reshape(M, d) / lam
+    else:
+        A = _resolve_gram(spec, X, "dense", gram).matrix
+        b = h / lam
+    x0 = None if _x0 is None else np.reshape(_x0, b.shape)
+    try:
+        C = solve_spd(A, b, shift=M * lam, x0=x0).reshape(M, d)
+    except NumericError as exc:
+        raise FitError(f"tikhonov solve failed: {exc}") from exc
+    return FittedScoreEstimator(spec, X, C, -1.0 / lam, scheme, meta={"mode": "dense"})
 
 
 def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e-4,
@@ -332,8 +332,10 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
     X = as_samples(samples)
     M, d = X.shape
     gram = _resolve_gram(spec, X, "implicit", gram)
-    h = gram.divergence()
-    c, rep = _tikhonov_system_solve_cg(gram, h, lam, tol, max_iter, x0=x0)
+    shift = M * lam
+    op = LinearOperator(gram.dim, lambda v: gram.matvec(v) + shift * v)
+    c, rep = conjugate_gradient(op, gram.divergence() / lam, tol=tol, max_iter=max_iter,
+                                x0=x0)
     meta = {"mode": "implicit", "cg_iterations": rep.iterations,
             "cg_residual": rep.residual, "cg_converged": rep.converged}
     if not rep.converged:
@@ -349,42 +351,18 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
 
 def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
                          require_nonzero, meta=None):
-    """Coefficients c = -sum_j w(s_j) u_j u_j^T h over the Gram spectrum.
-
-    Diagonal kernels run on the scalar M x M spectrum (identical math, the
-    Md spectrum is the scalar one with multiplicity d); curl-free kernels
-    need the dense Md x Md eigendecomposition.
-    """
+    """Coefficients c = -sum_j w(s_j) u_j u_j^T h over the Gram spectrum."""
     X = as_samples(samples)
     M, d = X.shape
-    meta = dict(meta or {})
-    gram = _eigen_gram(spec, X, gram, type(scheme).__name__)
-    # eigendecompose before building h: the other order left the heap more
-    # fragmented and raised the sweep's peak RSS (854 -> 860 MB at Md=4096)
-    if spec.kind == "diagonal":
-        eig = gram.scalar_eigensystem()
-        h = gram.divergence()
-        sig = eig.values / M
-        mask = numeric_rank_mask(sig)
-        if require_nonzero and not mask.any():
-            raise FitError("kernel Gram is numerically rank zero; cannot filter "
-                           "on its nonzero spectrum")
-        w = np.zeros_like(sig)
-        w[mask] = weight_of_sig(sig[mask])
-        H = h.reshape(M, d)
-        C = -(eig.vectors @ (w[:, None] * (eig.vectors.T @ H)))
-    else:
-        eig = gram.eigensystem()
-        h = gram.divergence()
-        sig = eig.values / M
-        mask = numeric_rank_mask(sig)
-        if require_nonzero and not mask.any():
-            raise FitError("kernel Gram is numerically rank zero; cannot filter "
-                           "on its nonzero spectrum")
-        w = np.zeros_like(sig)
-        w[mask] = weight_of_sig(sig[mask])
-        C = -(eig.vectors @ (w * (eig.vectors.T @ h))).reshape(M, d)
-    return FittedScoreEstimator(spec, X, C, 0.0, scheme, meta=meta)
+    s, U, H, _ = _spectrum(_eigen_gram(spec, X, gram, type(scheme).__name__))
+    mask = numeric_rank_mask(s)
+    if require_nonzero and not mask.any():
+        raise FitError("kernel Gram is numerically rank zero; cannot filter "
+                       "on its nonzero spectrum")
+    w = np.zeros_like(s)
+    w[mask] = weight_of_sig(s[mask])
+    C = -(U @ (w[:, None] * (U.T @ H)))
+    return FittedScoreEstimator(spec, X, C.reshape(M, d), 0.0, scheme, meta=dict(meta or {}))
 
 
 def fit_truncated_tikhonov(samples, spec: MatrixKernelSpec, lam: float,
@@ -424,14 +402,8 @@ def fit_spectral_cutoff(samples, spec: MatrixKernelSpec, lam: float = None,
             raise InputError(f"rank must be in [1, {M * d}], got {rank}")
         # the filter below reads the same cached spectrum
         gram = _eigen_gram(spec, X, gram, "SpectralCutoff")
-        if spec.kind == "diagonal":
-            eig = gram.scalar_eigensystem()
-            sig_full = np.repeat(eig.values / M, d)
-            n_nonzero = int(numeric_rank_mask(eig.values / M).sum()) * d
-        else:
-            eig = gram.eigensystem()
-            sig_full = eig.values / M
-            n_nonzero = int(numeric_rank_mask(sig_full).sum())
+        sig, _, _, m = _spectrum(gram)
+        n_nonzero = int(numeric_rank_mask(sig).sum()) * m
         if n_nonzero == 0:
             raise FitError("kernel Gram is numerically rank zero")
         eff = min(rank, n_nonzero)
@@ -439,7 +411,7 @@ def fit_spectral_cutoff(samples, spec: MatrixKernelSpec, lam: float = None,
             warnings.warn(f"requested rank {rank} exceeds numeric rank "
                           f"{n_nonzero}; clamped", stacklevel=2)
             meta["rank_clamped_to"] = eff
-        lam = float(sig_full[eff - 1])
+        lam = float(sig[(eff - 1) // m])  # s_J in the Md spectrum
     scheme = SpectralCutoff(lam=lam, rank=rank)
     return _fit_by_eigen_filter(
         samples, spec,
@@ -661,10 +633,8 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
             raise InputError("subset fits need SpectralCutoff with an explicit lam")
         lam = scheme.lam
         g = lambda s: np.where(s >= lam, 1.0 / np.maximum(s, lam), 0.0)  # noqa: E731
-        stored_scheme = scheme
     elif callable(scheme):
         g = scheme
-        stored_scheme = scheme
     else:
         raise InputError(
             "scheme must be TruncatedTikhonov, SpectralCutoff, or a spectral "
@@ -686,7 +656,7 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
     c = -(P @ y)
     meta = {"subset_size": idx.size,
             "subset_rank": int(zmask.sum())}
-    return FittedScoreEstimator(spec, X, c, 0.0, stored_scheme,
+    return FittedScoreEstimator(spec, X, c, 0.0, scheme,
                                 subset_indices=idx, meta=meta)
 
 

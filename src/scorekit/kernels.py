@@ -253,6 +253,10 @@ class _Gram:
         self.samples = samples
         self._h = None
 
+    @property
+    def dim(self) -> int:
+        return self.samples.size  # M * d
+
     def divergence(self) -> np.ndarray:
         """Cached h_vector(spec, samples), read-only; it depends on neither
         lam nor the fit scheme, so every fit over this Gram shares it."""
@@ -273,10 +277,6 @@ class DenseGram(_Gram):
         self.matrix = matrix
         self._eig = None
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
     def matvec(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.shape[0] != self.dim:
@@ -294,8 +294,9 @@ class DenseGram(_Gram):
 class ImplicitGram(_Gram):
     """Matrix-free Gram operator.
 
-    Stores only O(M^2) scalar-derivative tables; a matvec costs O(M^2 d)
-    time instead of touching an Md x Md matrix (O(M^2 d^2) storage dense).
+    Stores only O(M^2) scalar-derivative tables; a matvec is cross_apply
+    evaluated at the samples over those tables, O(M^2 d) time instead of
+    touching an Md x Md matrix (O(M^2 d^2) storage dense).
     """
 
     __slots__ = ("_tables", "_keig")
@@ -325,26 +326,12 @@ class ImplicitGram(_Gram):
             raise InputError("scalar_matrix is only defined for diagonal kernels")
         return self._tables[0]
 
-    @property
-    def dim(self) -> int:
-        M, d = self.samples.shape
-        return M * d
-
     def matvec(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.shape[0] != self.dim:
             raise InputError(f"vector length {b.shape[0]} != Gram dimension {self.dim}")
-        M, d = self.samples.shape
-        C = b.reshape(M, d)
-        if self.spec.kind == "diagonal":
-            return (self._tables[0] @ C).ravel()
         X = self.samples
-        p1, p2 = self._tables
-        S = X @ C.T                               # S[m, l] = x^m . c^l
-        t = np.einsum("ij,ij->i", X, C)           # t[l] = x^l . c^l
-        alpha = p2 * (S - t[None, :])             # phi''(u_ml) * (r_ml . c^l)
-        out = -4.0 * (alpha.sum(axis=1)[:, None] * X - alpha @ X) - 2.0 * (p1 @ C)
-        return out.ravel()
+        return cross_apply(self.spec, X, X, b.reshape(X.shape), _tables=self._tables).ravel()
 
 
 def cross_gram(spec: MatrixKernelSpec, rows, cols) -> np.ndarray:
@@ -408,7 +395,7 @@ def cross_apply(spec: MatrixKernelSpec, queries, basis, coeffs: np.ndarray,
         (k,) = _tables
         return k @ C
     p1, p2 = _tables
-    S = Q @ C.T
-    t = np.einsum("ij,ij->i", B, C)
-    alpha = p2 * (S - t[None, :])
+    S = Q @ C.T                               # S[q, l] = x_q . c^l
+    t = np.einsum("ij,ij->i", B, C)           # t[l] = b^l . c^l
+    alpha = p2 * (S - t[None, :])             # phi''(u_ql) * (r_ql . c^l)
     return -4.0 * (alpha.sum(axis=1)[:, None] * Q - alpha @ B) - 2.0 * (p1 @ C)

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 from scipy.special import logsumexp, softmax
 
-from .atomic import atomic_open
+from .atomic import atomic_open, read_text
 from .errors import DegenerateDataError, InputError
 from .kernels import as_samples
 
@@ -220,8 +220,7 @@ def load_samples_csv(path) -> np.ndarray:
     """Read a sample matrix written by save_samples_csv: np.loadtxt parses
     a file free of quotes, '#' and blank lines, and the line reader every
     other file and any np.loadtxt rejects, wording every error."""
-    with open(path, newline="") as f:
-        text = f.read()
+    text = read_text(path)
     head, _, body = text.partition("\n")
     d = head.count(",") + 1
     if (head.removesuffix("\r") == ",".join(f"x{i + 1}" for i in range(d))

@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from scorekit import bench
+from scorekit.bench import SummaryRow, parse_experiment_config, write_summary_csv
 from scorekit.cli import main
 from scorekit.estimators import load_estimator
 from scorekit.oracles import (
@@ -238,3 +240,104 @@ class TestExperimentCommands:
             "schema_version": 1, "input": "missing.csv", "x": "q"})
         assert main(["plot", "--config", pcfg,
                      "--out", str(tmp_path / "p.svg")]) == 1
+
+
+class TestNonUtf8Input:
+    """Every text file a subcommand reads is decoded as UTF-8; a file that
+    is not is an input error naming it, not a UnicodeDecodeError."""
+
+    @staticmethod
+    def inputs(tmp_path):
+        """Valid inputs of each subcommand: {command: (argv, {file: path})}."""
+        save_samples_csv(sample(standard_gaussian(2), 12, 0), tmp_path / "samples.csv")
+        save_samples_csv(np.zeros((2, 2)), tmp_path / "q.csv")
+        (tmp_path / "est.bin").write_bytes(pack())
+        (tmp_path / "mixture.json").write_text(json.dumps(
+            {"means": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]}))
+        write_summary_csv([SummaryRow("tikhonov", "curl_free", 2, 16, "lam=0.1", 0.5, 2)],
+                          tmp_path / "rows.summary.csv")
+        configs = {
+            "fit": {"samples": "samples.csv",
+                    "estimator": {"id": "tikhonov", "kind": "curl_free",
+                                  "lambdas": [0.01]}},
+            "predict": {"estimator": "est.bin", "queries": "q.csv"},
+            "grid-exp": {"distribution": "mixture", "mixture_file": "mixture.json",
+                         "dimensions": [2], "sample_sizes": [8], "seeds": [0],
+                         "eval_size": 8, "estimators": [{"id": "oracle"}]},
+            "plot": {"input": "rows.summary.csv"},
+        }
+        out = {}
+        for cmd, data in configs.items():
+            cfg = write_json(tmp_path / f"{cmd}.json", dict(schema_version=1, **data))
+            argv = [cmd, "--config", cfg, "--out", str(tmp_path / f"{cmd}.out")]
+            files = {"config": cfg}
+            files.update((key, str(tmp_path / data[key])) for key in
+                         ("samples", "queries", "mixture_file", "input") if key in data)
+            out[cmd] = argv, files
+        return out
+
+    def test_valid_inputs_succeed(self, tmp_path):
+        for argv, _ in self.inputs(tmp_path).values():
+            assert main(argv) == 0, argv
+
+    @pytest.mark.parametrize("command, file", [
+        ("fit", "config"), ("fit", "samples"),
+        ("predict", "config"), ("predict", "queries"),
+        ("grid-exp", "config"), ("grid-exp", "mixture_file"),
+        ("plot", "config"), ("plot", "input"),
+    ])
+    def test_a_non_utf8_byte_is_exit_1_naming_the_file(self, tmp_path, capsys,
+                                                        command, file):
+        argv, files = self.inputs(tmp_path)[command]
+        path = files[file]
+        with open(path, "rb") as f:
+            raw = f.read()
+        with open(path, "wb") as f:
+            f.write(raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2:])
+        assert main(argv) == 1
+        assert f"{path}: not UTF-8 text" in capsys.readouterr().err
+
+
+class TestCliMatchesSweep:
+    """Where `scorekit fit` and the sweep take the same path, the CLI's saved
+    fit equals the sweep's one-point fit bit for bit. Not covered, because
+    the two take different paths on purpose:
+    - curl-free tikhonov: the sweep starts each fit from a shared Lanczos or
+      shifted-CG solve and runs matrix-free CG to 1e-8, not 1e-10;
+    - curl-free nu_method: the sweep runs the recursion on a Lanczos basis;
+    - diagonal landweber and nu_method: the CLI builds the Md x Md
+      Kronecker Gram, the sweep the scalar M x M one.
+    """
+
+    CASES = [("diagonal", {"id": "tikhonov", "lambdas": [0.01]})] + [
+        (kind, entry) for kind in ("diagonal", "curl_free") for entry in (
+            {"id": "tikhonov_cg", "lambdas": [0.01]},
+            {"id": "truncated_tikhonov", "lambdas": [0.01]},
+            {"id": "spectral_cutoff", "fractions": [0.5]},
+            {"id": "spectral_cutoff", "lambdas": [0.01]},
+            {"id": "nystrom", "lambdas": [0.01], "subset_fraction": 0.5},
+        )] + [("curl_free", {"id": "landweber", "iterations": [10]})]
+
+    @pytest.mark.parametrize("kind, entry", CASES, ids=[
+        f"{kind}-{entry['id']}-{next(k for k in entry if k != 'id')}" for kind, entry in CASES])
+    def test_cli_fit_equals_the_sweep_fit(self, tmp_path, kind, entry):
+        d, M, seed = 2, 24, 3
+        entry = dict(entry, kind=kind)
+        cfg = parse_experiment_config({
+            "schema_version": 1, "distribution": "grid", "dimensions": [d],
+            "sample_sizes": [M], "seeds": [seed], "eval_size": 8,
+            "estimators": [entry]})
+        problem = bench._Problem(cfg, d, M, seed)
+        parsed = cfg.estimators[0]
+        [(_, cell, swept)] = bench._fit_cells(parsed, problem, problem.spec(parsed))
+        assert cell.reason == ""
+        save_samples_csv(problem.X, tmp_path / "samples.csv")
+        fcfg = write_json(tmp_path / "fit.json", {
+            "schema_version": 1, "samples": "samples.csv", "estimator": entry})
+        out = tmp_path / "est.bin"
+        assert main(["fit", "--config", fcfg, "--out", str(out), "--seed", str(seed)]) == 0
+        fitted = load_estimator(out)
+        assert fitted.scheme == swept.scheme
+        assert fitted.offset == swept.offset
+        assert np.array_equal(fitted.coeffs, swept.coeffs)
+        assert np.array_equal(fitted.basis, swept.basis)
