@@ -17,15 +17,15 @@ K(Q, X) from one sq_dists per spec for every fit whose basis is the
 sample set, and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
 changes no row. The curl-free Tikhonov grid and nu-method path are
-different. Over a dense Gram one Lanczos basis of the Krylov space of K
-and h serves both: each Tikhonov fit gets a start that aims 100x below
-solve_spd's 1e-10 residual, and solve_spd checks it with one Gram product,
-returns it if it meets 1e-10 and factors the shifted Gram otherwise; the
-nu-method recursion runs on the basis's tridiagonal matrix. Over a
-matrix-free Gram one shifted CG run solves every lam at once and each fit
-runs its own CG from its start. Those rows differ from independent solves
-and the direct recursion in their last digits (on the conv-1d benchmark
-workload, under 1e-5 relative for tikhonov and 1e-11 for nu_method) while
+different. One Lanczos basis of the Krylov space of K and h, over the Gram
+of either form, serves both: each Tikhonov fit gets a start that aims 100x
+below the residual its fit checks, and the nu-method recursion runs on the
+basis's tridiagonal matrix. Over a dense Gram solve_spd checks the start
+with one Gram product, returns it if it meets 1e-10 and factors the
+shifted Gram otherwise; over a matrix-free Gram CG checks it against 1e-8
+and iterates on if it falls short. Those rows differ from independent
+solves and the direct recursion in their last digits (on the benchmark
+workloads, under 1e-5 relative for tikhonov and 1e-11 for nu_method) while
 each still meets its residual tolerance. Shared work is timed in the
 fit_ms or predict_ms of the first cell that needs it, so a `.timings.csv`
 row is not the cost of that cell alone.
@@ -65,7 +65,6 @@ from .estimators import (
     predict,
 )
 from .kernels import (
-    DenseGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
     assemble_gram,
@@ -80,7 +79,7 @@ from .oracles import (
     score_batch,
     standard_gaussian,
 )
-from .spectral_linalg import SPD_RESIDUAL_TOL, lanczos, shifted_cg
+from .spectral_linalg import SPD_RESIDUAL_TOL, lanczos
 from .svgplot import render_line_chart
 
 SCHEMA_VERSION = 1
@@ -103,15 +102,15 @@ DENSE_SYSTEM_LIMIT = 4096
 _TIK_IMPLICIT_TOL = 1e-8
 _TIK_IMPLICIT_MAX_ITER = 800
 
-# The dense grid's starts come from a Lanczos basis of the Gram and each
-# aims, by its Lanczos residual estimate, 100x below the residual solve_spd
-# checks. At lam = 1e-8 the shifted Gram's condition number is ~3e7, so
-# starts that only just met 1e-10 moved conv-1d benchmark rows by up to
-# 3.7e-4 relative from factored solves; at 1e-12 they move by under 1e-5,
-# for a few more basis vectors.
-_TIK_DENSE_START_TOL = SPD_RESIDUAL_TOL / 100
+# The Tikhonov starts come from a Lanczos basis of the Gram and each aims,
+# by its Lanczos residual estimate, 100x below the residual its fit checks
+# (solve_spd's 1e-10 dense, _TIK_IMPLICIT_TOL matrix-free). At lam = 1e-8
+# the shifted Gram's condition number is ~3e7, so starts that only just met
+# 1e-10 moved conv-1d benchmark rows by up to 3.7e-4 relative from factored
+# solves; at 1e-12 they move by under 1e-5, for a few more basis vectors.
+_KRYLOV_START_MARGIN = 100
 
-# a dense Gram's Krylov space counts as invariant once beta_k <= this * ||K||_1
+# the Krylov space counts as invariant once beta_k <= this * a norm of K
 _KRYLOV_INVARIANT_REL = 1e-14
 
 # the errors a cell may fail with (errors.py); anything else is a bug and
@@ -310,6 +309,8 @@ def parse_experiment_config(data, base_dir: str = ".") -> ExperimentConfig:
     if dist == "mixture":
         if "mixture_file" not in data:
             raise InputError("config: distribution 'mixture' requires 'mixture_file'")
+        if not isinstance(data["mixture_file"], str) or not data["mixture_file"]:
+            raise InputError("config.mixture_file: expected a file path string")
         mixture = load_mixture_file(os.path.join(base_dir, data["mixture_file"]))
     elif "mixture_file" in data:
         raise InputError("config: 'mixture_file' is only valid with "
@@ -373,9 +374,12 @@ def load_mixture_file(path) -> MixtureDistribution:
     _check_keys(data, _MIXTURE_KEYS, str(path))
     if "means" not in data or "weights" not in data:
         raise InputError(f"{path}: mixture file needs 'means' and 'weights'")
-    return MixtureDistribution(np.asarray(data["means"], dtype=np.float64),
-                               np.asarray(data["weights"], dtype=np.float64),
-                               scale=float(data.get("scale", 1.0)))
+    try:
+        return MixtureDistribution(np.asarray(data["means"], dtype=np.float64),
+                                   np.asarray(data["weights"], dtype=np.float64),
+                                   scale=_scalar_float(data.get("scale", 1.0), "scale"))
+    except (InputError, TypeError, ValueError) as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def build_distribution(cfg: ExperimentConfig, d: int) -> MixtureDistribution:
@@ -465,35 +469,43 @@ class _Problem:
         return self._once(("nystrom", spec, idx.tobytes()),
                           lambda: _subset_building_blocks(self.X, idx, spec))
 
-    def krylov(self, spec: MatrixKernelSpec):
-        """(V, T, dims, spans_nu): one Lanczos basis of the dense Gram of spec.
+    def krylov(self, spec: MatrixKernelSpec, dense: bool):
+        """(V, T, dims, spans_nu): one Lanczos basis of the Gram of spec in
+        the given form, started at h.
 
         It serves the curl-free tikhonov and nu_method entries of spec and
-        stops at invariance, at _TIK_IMPLICIT_MAX_ITER vectors, or once it
-        spans the nu-method iterates (t_max - 1 vectors) and every shift
-        M lam has met _TIK_DENSE_START_TOL; dims[i] is the size at which
-        shift i did (0: never). Each reader takes the leading part it
+        stops at invariance, at its cap, or once it spans the nu-method
+        iterates (t_max - 1 vectors) and every shift M lam has met its start
+        target, _KRYLOV_START_MARGIN below the residual its fit checks;
+        dims[i] is the size at which shift i did (0: never). The cap is
+        _TIK_IMPLICIT_MAX_ITER vectors and no more bytes than the largest
+        dense Gram the sweep accepts. Each reader takes the leading part it
         needs, so its rows do not depend on the other entry. None if the
         run fails.
         """
         def build():
-            gram, shifts, t_max = self.gram(spec, dense=True), np.zeros(0), 1
+            gram, shifts, t_max = self.gram(spec, dense), np.zeros(0), 1
             for e in self.entries:
                 if e.kind == "curl_free" and e.id == "tikhonov" and self.spec(e) == spec:
                     shifts = self.M * np.array([p["lam"] for _, p in e.grid])
                 if e.kind == "curl_free" and e.id == "nu_method" and self.spec(e) == spec:
                     t_max = max(p["t"] for _, p in e.grid)
-            K = gram.matrix  # ||K||_1 in row blocks, to keep the peak down
-            tol = _KRYLOV_INVARIANT_REL * max(
-                float(np.abs(K[i:i + 16]).sum(axis=1).max()) for i in range(0, len(K), 16))
-            stop, dims = _shift_targets(shifts, t_max - 1)
+            if dense:  # ||K||_1 in row blocks, to keep the peak down
+                K, fit_tol = gram.matrix, SPD_RESIDUAL_TOL
+                norm = max(float(np.abs(K[i:i + 16]).sum(axis=1).max())
+                           for i in range(0, len(K), 16))
+            else:  # tr K >= ||K||_2 for PSD K; each diagonal block is -2 phi'(0) I_d
+                fit_tol = _TIK_IMPLICIT_TOL
+                norm = gram.dim * -2.0 * float(spec.scalar.dphi(0.0))
+            tol = _KRYLOV_INVARIANT_REL * norm
+            stop, dims = _shift_targets(shifts, t_max - 1, fit_tol / _KRYLOV_START_MARGIN)
+            max_dim = min(_TIK_IMPLICIT_MAX_ITER, DENSE_SYSTEM_LIMIT ** 2 // gram.dim)
             try:
-                V, T, beta = lanczos(gram, gram.divergence(), _TIK_IMPLICIT_MAX_ITER, tol,
-                                     stop=stop)
+                V, T, beta = lanczos(gram, gram.divergence(), max_dim, tol, stop=stop)
             except _CONTRACT_ERRORS:
                 return None
-            return V, T, dims, beta <= tol or len(V) >= min(t_max - 1, len(K))
-        return self._once(("krylov", spec), build)
+            return V, T, dims, beta <= tol or len(V) >= min(t_max - 1, gram.dim)
+        return self._once(("krylov", spec, dense), build)
 
 
 def _kernel_spec(entry: EstimatorEntry, median) -> MatrixKernelSpec:
@@ -516,9 +528,9 @@ def _cutoff_rank(fraction: float, M: int, d: int) -> int:
     return max(1, int(round(fraction * M))) * d
 
 
-def _shift_targets(shifts, min_dim):
+def _shift_targets(shifts, min_dim, target):
     """A lanczos stop rule: min_dim vectors, and every (K + s I) y = h has
-    met _TIK_DENSE_START_TOL by its Lanczos residual estimate
+    met the relative residual target by its Lanczos residual estimate
     beta_k |e_k^T (T_k + s I)^-1 e_1| = beta_k beta_1..beta_{k-1} / (p_1..p_k),
     p_k = alpha_k + s - beta_{k-1}^2 / p_{k-1} the pivots of T_k + s I.
     Returns (stop, dims), dims[i] set to the step at which shift i did.
@@ -530,46 +542,36 @@ def _shift_targets(shifts, min_dim):
         b = beta[-2] if len(beta) > 1 else 0.0
         piv[:] = alpha[-1] + shifts - b * b / piv
         last[:] = last * (b if len(beta) > 1 else 1.0) / np.abs(piv)
-        dims[(dims == 0) & (beta[-1] * last <= _TIK_DENSE_START_TOL)] = len(beta)
+        dims[(dims == 0) & (beta[-1] * last <= target)] = len(beta)
         return len(beta) >= min_dim and bool(dims.all())
     return stop, dims
 
 
-def _shifted_starts(problem: _Problem, spec, gram, grid) -> list:
-    """Start vectors for the curl-free Tikhonov lam grid, dense or matrix-free.
+def _shifted_starts(problem: _Problem, spec, dense, grid) -> list:
+    """Start vectors for the curl-free Tikhonov lam grid.
 
     c = y / lam solves the fit's system (K + M lam I) c = h / lam when
-    (K + M lam I) y = h. Over a dense Gram y = ||h|| V^T (T + M lam I)^-1 e_1
-    from the problem's Lanczos basis, cut where it met a target below
-    solve_spd's residual; solve_spd accepts a start that meets its residual
-    and factors otherwise. Over a matrix-free Gram one shifted CG run gives
-    every y at the CG tolerance, and each fit iterates on from a start that
-    falls short. If the basis or the run fails, every fit solves without a
-    start and meets its own error.
+    (K + M lam I) y = h, and y = ||h|| V^T (T + M lam I)^-1 e_1 from the
+    problem's Lanczos basis, cut where it met its target. The fit checks
+    each start: solve_spd returns one that meets its residual and factors
+    otherwise, CG iterates on from one that falls short. If the basis
+    fails, every fit solves without a start and meets its own error.
     """
-    M = gram.samples.shape[0]
     lams = np.array([params["lam"] for _, params in grid])
-    if isinstance(gram, DenseGram):
-        basis = problem.krylov(spec)
-        if basis is None:
-            return [None] * len(lams)
-        V, T, dims, _ = basis
-        nh = np.linalg.norm(gram.divergence())
-        starts = []
-        for lam, k in zip(lams, dims):
-            k = k or len(V)
-            try:
-                z = np.linalg.solve(T[:k, :k] + M * lam * np.eye(k), np.eye(1, k)[0])
-            except np.linalg.LinAlgError:
-                z = None
-            starts.append(None if z is None else (nh / lam) * (z @ V[:k]))
-        return starts
-    try:
-        Y, _ = shifted_cg(gram, gram.divergence(), M * lams, tol=_TIK_IMPLICIT_TOL,
-                          max_iter=_TIK_IMPLICIT_MAX_ITER)
-    except _CONTRACT_ERRORS:
+    basis = problem.krylov(spec, dense)
+    if basis is None:
         return [None] * len(lams)
-    return [y / lam for y, lam in zip(Y, lams)]
+    V, T, dims, _ = basis
+    nh = np.linalg.norm(problem.gram(spec, dense).divergence())
+    starts = []
+    for lam, k in zip(lams, dims):
+        k = k or len(V)
+        try:
+            z = np.linalg.solve(T[:k, :k] + problem.M * lam * np.eye(k), np.eye(1, k)[0])
+        except np.linalg.LinAlgError:
+            z = None
+        starts.append(None if z is None else (nh / lam) * (z @ V[:k]))
+    return starts
 
 
 def _fit_tikhonov_cell(problem: _Problem, entry, spec, dense, i):
@@ -580,7 +582,7 @@ def _fit_tikhonov_cell(problem: _Problem, entry, spec, dense, i):
         return fit_tikhonov(problem.X, spec, lam, gram=gram)
     # the Gram's form picks the direct solve or CG
     starts = problem._once(("starts", spec),
-                           lambda: _shifted_starts(problem, spec, gram, entry.grid))
+                           lambda: _shifted_starts(problem, spec, dense, entry.grid))
     return fit_tikhonov(problem.X, spec, lam, gram=gram, cg_tol=_TIK_IMPLICIT_TOL,
                         cg_max_iter=_TIK_IMPLICIT_MAX_ITER, _x0=starts[i])
 
@@ -634,7 +636,7 @@ def _fit_path(entry: EstimatorEntry, problem: _Problem, spec, dense):
             eta = entry.eta if entry.eta > 0 else None
             path = landweber_path(problem.X, spec, uniq, eta=eta, gram=gram)
         else:
-            basis = problem.krylov(spec) if dense else None
+            basis = problem.krylov(spec, dense) if entry.kind == "curl_free" else None
             path = nu_method_path(problem.X, spec, uniq, nu=entry.nu, gram=gram,
                                   _krylov=basis[:2] if basis and basis[3] else None)
     except _CONTRACT_ERRORS as exc:

@@ -794,9 +794,17 @@ def save_estimator(est: FittedScoreEstimator, path) -> None:
 
 
 def load_estimator(path) -> FittedScoreEstimator:
-    """Read back an estimator written by save_estimator."""
+    """Read back an estimator written by save_estimator; every InputError
+    names the file."""
     with open(path, "rb") as f:
         raw = f.read()
+    try:
+        return _decode_estimator(raw)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
+def _decode_estimator(raw: bytes) -> FittedScoreEstimator:
     view = memoryview(raw)
 
     def take(n):

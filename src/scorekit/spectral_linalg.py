@@ -218,79 +218,6 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
     return x, CGReport(max_iter, rel, False)
 
 
-def shifted_cg(op, b: np.ndarray, shifts, tol: float = 1e-8, max_iter: int = None):
-    """Solve (op + s I) x_s = b for every shift s from one Krylov sequence.
-
-    Multi-shift CG (CG-M): the shifted systems share the Krylov space of op
-    and b, so a single CG run on the seed system (the smallest shift) yields
-    every x_s through scalar recurrences, for one matvec per iteration in
-    all. The residual of shift s is zeta_s times the seed residual; a shift
-    is frozen once |zeta_s| ||r|| <= tol ||b|| (its zeta would otherwise
-    underflow). The residuals are recurrence values: callers needing a
-    guarantee recheck them. Returns (X, reports), X[k] solving shift k,
-    reports a tuple of CGReport in the order of the shifts.
-    """
-    if not tol > 0.0:
-        raise InputError("tol must be positive")
-    shifts = np.asarray(shifts, dtype=np.float64)
-    if shifts.ndim != 1 or shifts.size == 0:
-        raise InputError("shifts must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(shifts)) or np.any(shifts < 0.0):
-        raise InputError("shifts must be finite and nonnegative")
-    b, nb = _rhs(op, b)
-    S = shifts.size
-    X = np.zeros((S, b.shape[0]))
-    if nb == 0.0:
-        return X, tuple(CGReport(0, 0.0, True) for _ in range(S))
-    if max_iter is None:
-        max_iter = 10 * op.dim
-
-    seed = float(shifts.min())
-    delta = shifts - seed
-    # seed system: plain CG on op + seed I; shifted directions P follow it
-    r = b.copy()
-    p = b.copy()
-    rs = float(r @ r)
-    P = np.repeat(b[None, :], S, axis=0)
-    zeta = np.ones(S)           # zeta_k
-    zeta_prev = np.ones(S)      # zeta_{k-1}
-    alpha_prev, beta_prev = 1.0, 0.0
-    iters = np.zeros(S, dtype=np.int64)
-    rel = np.ones(S)
-    active = rel > tol
-    it = 0
-    while it < max_iter and active.any():
-        it += 1
-        Ap = op.matvec(p)
-        if not np.all(np.isfinite(Ap)):
-            raise NumericError(f"non-finite operator output at shifted CG iteration {it}")
-        if seed != 0.0:
-            Ap = Ap + seed * p
-        pAp = float(p @ Ap)
-        if pAp <= 0.0:
-            raise NumericError("non-positive curvature encountered; operator is not PSD")
-        alpha = rs / pAp
-        r -= alpha * Ap
-        rs_new = float(r @ r)
-        beta = rs_new / rs
-        act = np.flatnonzero(active)
-        z, zp = zeta[act], zeta_prev[act]
-        z_next = (z * zp * alpha_prev) / (
-            alpha_prev * zp * (1.0 + alpha * delta[act]) + alpha * beta_prev * (zp - z))
-        X[act] += (alpha * z_next / z)[:, None] * P[act]
-        P[act] = z_next[:, None] * r + (beta * np.square(z_next / z))[:, None] * P[act]
-        zeta_prev[act], zeta[act] = z, z_next
-        rel[act] = np.abs(z_next) * np.sqrt(rs_new) / nb
-        iters[act] = it
-        active[act] = rel[act] > tol
-        p = r + beta * p
-        alpha_prev, beta_prev, rs = alpha, beta, rs_new
-    if not np.all(np.isfinite(X)):
-        raise NumericError("shifted CG produced non-finite solutions")
-    return X, tuple(CGReport(int(iters[k]), float(rel[k]), bool(rel[k] <= tol))
-                    for k in range(S))
-
-
 def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None):
     """Lanczos decomposition of a symmetric op started at b.
 

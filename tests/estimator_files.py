@@ -24,6 +24,9 @@ def pack(fam=0, kind=1, bw=1.0, code=1, params=(0.1,), offset=-10.0, M=3, d=2,
 
 # (name, file bytes): each must be refused with InputError
 CORRUPT = [
+    ("truncated file", pack()[:7]),
+    ("bad magic", b"XKESTv1" + pack()[7:]),
+    ("trailing bytes", pack() + b"\0"),
     ("unknown scheme code", pack(code=9)),
     ("code 1 with two params", pack(code=1, params=(0.1, 2.0))),
     ("code 4 with one param", pack(code=4, params=(0.1,))),

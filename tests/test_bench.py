@@ -510,26 +510,34 @@ class TestMatrixFreeTikhonov:
             assert self.true_residual(est) <= 1e-8
 
     def test_one_shifted_run_serves_the_grid(self, monkeypatch):
-        calls = []
-        orig = bench.shifted_cg
+        # one Lanczos run per matrix-free problem gives every lam its start
+        runs, targets = [], []
+        orig, orig_targets = bench.lanczos, bench._shift_targets
 
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return orig(*args, **kwargs)
-        monkeypatch.setattr(bench, "shifted_cg", counted)
+        def counted(op, *args, **kwargs):
+            runs.append(op)
+            return orig(op, *args, **kwargs)
+
+        def recorded(shifts, min_dim, target):
+            targets.append((shifts, target))
+            return orig_targets(shifts, min_dim, target)
+        monkeypatch.setattr(bench, "lanczos", counted)
+        monkeypatch.setattr(bench, "_shift_targets", recorded)
         _, fits = self.run(monkeypatch)
-        assert len(calls) == 1
-        assert np.array_equal(calls[0], 256 * np.asarray(LAMBDA_GRID))
-        # the shifted solutions meet the tolerance; no fit iterates further
+        assert len(runs) == 1 and isinstance(runs[0], kernels.ImplicitGram)
+        [(shifts, target)] = targets
+        assert np.array_equal(shifts, 256 * np.asarray(LAMBDA_GRID))
+        assert target == bench._TIK_IMPLICIT_TOL / 100
+        # the starts meet the CG tolerance; no fit iterates further
         assert all(est.meta["cg_iterations"] == 0 for est in fits)
 
     def test_drifted_starts_are_iterated_to_the_contract(self, monkeypatch):
-        orig = bench.shifted_cg
+        orig = bench.lanczos
 
         def drifted(*args, **kwargs):
-            Y, reps = orig(*args, **kwargs)
-            return Y * (1.0 + 1e-4), reps
-        monkeypatch.setattr(bench, "shifted_cg", drifted)
+            V, T, beta = orig(*args, **kwargs)
+            return V * (1.0 + 1e-4), T, beta
+        monkeypatch.setattr(bench, "lanczos", drifted)
         rows, fits = self.run(monkeypatch, lambdas=[1.0, 1e-3])
         assert all(r.reason == "" for r in rows)
         assert all(est.meta["cg_iterations"] > 0 for est in fits)
@@ -538,14 +546,11 @@ class TestMatrixFreeTikhonov:
     def test_failed_shifted_run_falls_back_to_cold_starts(self, monkeypatch):
         def broken(*args, **kwargs):
             raise NumericError("injected")
-        monkeypatch.setattr(bench, "shifted_cg", broken)
+        monkeypatch.setattr(bench, "lanczos", broken)
         rows, fits = self.run(monkeypatch, lambdas=[1.0, 1e-3])
         assert all(r.reason == "" for r in rows)
+        assert all(est.meta["cg_iterations"] > 0 for est in fits)
         assert all(self.true_residual(est) <= 1e-8 for est in fits)
-
-
-def never(*args, **kwargs):
-    raise AssertionError("unexpected call")
 
 
 def no_basis(*args, **kwargs):
@@ -607,21 +612,26 @@ class TestDenseTikhonov:
             assert self.true_residual(est) <= 1e-10
 
     def test_one_basis_per_problem_and_no_factorization(self, monkeypatch):
-        runs = []
-        orig = bench.lanczos
+        runs, targets = [], []
+        orig, orig_targets = bench.lanczos, bench._shift_targets
 
         def counted(op, b, max_dim, tol, stop=None):
             runs.append((op.dim, max_dim, tol / np.linalg.norm(op.matrix, 1), stop))
             return orig(op, b, max_dim, tol, stop=stop)
+
+        def recorded(shifts, min_dim, target):
+            targets.append(target)
+            return orig_targets(shifts, min_dim, target)
         monkeypatch.setattr(bench, "lanczos", counted)
-        monkeypatch.setattr(bench, "shifted_cg", never)  # a dense Gram never calls it
+        monkeypatch.setattr(bench, "_shift_targets", recorded)
         _, calls = self.run(monkeypatch)
         assert sorted(dim for dim, *_ in runs) == sorted(
             2 * M for M in self.SIZES for _ in self.SEEDS)
         for _, max_dim, rel_tol, stop in runs:
             assert max_dim == bench._TIK_IMPLICIT_MAX_ITER
             assert rel_tol == pytest.approx(1e-14) and stop is not None
-        assert bench._TIK_DENSE_START_TOL < spectral_linalg.SPD_RESIDUAL_TOL
+        # each start aims 100x below the residual solve_spd checks
+        assert targets == [spectral_linalg.SPD_RESIDUAL_TOL / 100] * len(runs)
         assert calls["solve_spd"] == self.n_cells
         assert calls["cho_factor"] == 0
 
@@ -738,6 +748,98 @@ class TestKrylovBasis:
             assert r.reason == ref.reason == ""
             tol = 1e-9 if r.estimator == "nu_method" else 1e-4
             assert abs(r.error - ref.error) <= tol * abs(ref.error)
+
+
+class TestSharedKrylovEngine:
+    """The dense and the matrix-free Gram run the same Krylov engine: one
+    Lanczos basis per problem, capped at the bytes of the largest dense Gram
+    the sweep accepts."""
+
+    TIK = {"id": "tikhonov", "kind": "curl_free"}
+    NU = {"id": "nu_method", "kind": "curl_free", "iterations": [1, 3, 10, 31, 100]}
+
+    @staticmethod
+    def problem(entries, d=2, M=64):
+        cfg = parse_experiment_config(base_config(
+            dimensions=[d], sample_sizes=[M], seeds=[0], eval_size=16, estimators=entries))
+        return bench._Problem(cfg, d, M, 0), cfg.estimators
+
+    @pytest.mark.parametrize("d, M", [(1, 256), (2, 128), (8, 64)])
+    def test_both_forms_give_the_same_starts_and_snapshots(self, monkeypatch, d, M):
+        # the forms' start targets differ (solve_spd checks 1e-10, CG 1e-8);
+        # at one target the two bases agree
+        monkeypatch.setattr(bench, "_TIK_IMPLICIT_TOL", spectral_linalg.SPD_RESIDUAL_TOL)
+        problem, (tik, nu) = self.problem([self.TIK, self.NU], d=d, M=M)
+        spec = problem.spec(tik)
+        assert isinstance(problem.gram(spec, False), kernels.ImplicitGram)
+        dense, free = (bench._shifted_starts(problem, spec, form, tik.grid)
+                       for form in (True, False))
+        for a, b in zip(dense, free):
+            assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
+        for form in (True, False):
+            assert problem.krylov(spec, form)[3]  # spans every snapshot
+        dense, free = ([est for *_, est in bench._fit_path(nu, problem, spec, form)]
+                       for form in (True, False))
+        for a, b in zip(dense, free):
+            assert a.offset == b.offset
+            assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-9 * np.linalg.norm(a.coeffs)
+
+    def test_the_basis_is_capped_at_the_dense_gram_bytes(self, monkeypatch):
+        # Md = 128 over a limit of 64: matrix-free, and a basis of at most
+        # 64^2 // 128 = 32 vectors, too few for the small lams' targets
+        monkeypatch.setattr(bench, "DENSE_SYSTEM_LIMIT", 64)
+        runs, fits = [], []
+        orig_lanczos, orig_fit = bench.lanczos, bench.fit_tikhonov
+
+        def counted(*args, **kwargs):
+            out = orig_lanczos(*args, **kwargs)
+            runs.append(out)
+            return out
+
+        def recorded(*args, **kwargs):
+            fits.append(orig_fit(*args, **kwargs))
+            return fits[-1]
+        monkeypatch.setattr(bench, "lanczos", counted)
+        monkeypatch.setattr(bench, "fit_tikhonov", recorded)
+        cfg = parse_experiment_config(base_config(
+            dimensions=[2], sample_sizes=[64], seeds=[0, 1], eval_size=16,
+            estimators=[dict(self.TIK, lambdas=[1.0, 1e-2, 1e-4])]))
+        rows = run_grid_rows(cfg)
+        assert all(r.reason == "" for r in rows)
+        assert len(runs) == 2 and all(len(V) == 64 ** 2 // 128 for V, _, _ in runs)
+        assert any(est.meta["cg_iterations"] > 0 for est in fits)
+        for est in fits:
+            assert est.meta["mode"] == "implicit"
+            assert TestMatrixFreeTikhonov.true_residual(est) <= 1e-8
+
+    def test_diagonal_nu_method_reads_no_basis(self, monkeypatch):
+        monkeypatch.setattr(bench, "DENSE_SYSTEM_LIMIT", 64)  # curl-free: matrix-free
+        diag = {"id": "nu_method", "kind": "diagonal", "iterations": [3, 10]}
+        bases, orig = [], bench.nu_method_path
+
+        def recorded(*args, **kwargs):
+            bases.append(kwargs["_krylov"])
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(bench, "nu_method_path", recorded)
+        stable_fields = TestGridExperiment.stable_fields
+        tik = dict(self.TIK, lambdas=[1.0, 1e-2])
+        alone = stable_fields(run_grid_rows(TestKrylovBasis.config([diag])))
+        both = stable_fields(run_grid_rows(TestKrylovBasis.config([tik, diag])))
+        assert both[-len(alone):] == alone
+        assert all(reason == "" for *_, reason in both)
+        assert bases == [None] * 8  # 4 problems, run alone and with tikhonov
+
+    @pytest.mark.parametrize("limit", [4096, 127], ids=["dense", "matrix-free"])
+    def test_extreme_shifts_give_finite_starts(self, monkeypatch, limit):
+        monkeypatch.setattr(bench, "DENSE_SYSTEM_LIMIT", limit)
+        lams = [1e4, 1e2, 1.0, 1e-2, 1e-4, 1e-6, 1e-8]
+        problem, (tik,) = self.problem([dict(self.TIK, lambdas=lams)])
+        spec, dense = problem.spec(tik), problem.M * problem.d <= limit
+        starts = bench._shifted_starts(problem, spec, dense, tik.grid)
+        assert len(starts) == len(lams)
+        assert all(y is not None and np.all(np.isfinite(y)) for y in starts)
+        cells = list(bench._fit_cells(tik, problem, spec))
+        assert all(cell.reason == "" and est is not None for _, cell, est in cells)
 
 
 class TestSummarize:

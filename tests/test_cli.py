@@ -147,7 +147,8 @@ class TestExitCodes:
         pcfg = write_json(tmp_path / "p.json", {
             "schema_version": 1, "estimator": "est.bin", "queries": "q.csv"})
         assert main(["predict", "--config", pcfg, "--out", str(tmp_path / "s.csv")]) == 1
-        assert "error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(
+            f"scorekit: error: {tmp_path / 'est.bin'}: ")
 
     def test_predict_on_valid_hand_built_estimator(self, tmp_path):
         # the corrupt cases above differ from this file in one field each
@@ -235,6 +236,28 @@ class TestExperimentCommands:
         assert svg.startswith("<svg")
         assert "demo" in svg
 
+    @pytest.mark.parametrize("mixture", [
+        {"means": "ab", "weights": [1.0]},
+        {"means": [[0.0, 0.0], [1.0]], "weights": [0.5, 0.5]},
+        {"means": [[0.0, 0.0]], "weights": "w"},
+        {"means": [[0.0, 0.0]], "weights": [1.0], "scale": "x"},
+        {"means": [[0.0, 0.0]], "weights": [1.0], "scale": 0},
+        {"means": [[0.0, 0.0]], "weights": [0.5, 0.5]},
+    ], ids=["string means", "ragged means", "string weights", "string scale",
+            "zero scale", "weight count"])
+    def test_malformed_mixture_file_is_exit_1_naming_it(self, tmp_path, capsys, mixture):
+        path = tmp_path / "mix.json"
+        write_json(path, mixture)
+        cfg = self.exp_config(tmp_path, distribution="mixture", mixture_file="mix.json")
+        assert main(["grid-exp", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"scorekit: error: {path}: ")
+
+    @pytest.mark.parametrize("name", [5, "", None, ["mix.json"]])
+    def test_mixture_file_must_be_a_path_string(self, tmp_path, capsys, name):
+        cfg = self.exp_config(tmp_path, distribution="mixture", mixture_file=name)
+        assert main(["grid-exp", "--config", cfg, "--out", str(tmp_path / "r.csv")]) == 1
+        assert "config.mixture_file: expected a file path string" in capsys.readouterr().err
+
     def test_plot_bad_x(self, tmp_path, capsys):
         pcfg = write_json(tmp_path / "plot.json", {
             "schema_version": 1, "input": "missing.csv", "x": "q"})
@@ -302,8 +325,8 @@ class TestCliMatchesSweep:
     """Where `scorekit fit` and the sweep take the same path, the CLI's saved
     fit equals the sweep's one-point fit bit for bit. Not covered, because
     the two take different paths on purpose:
-    - curl-free tikhonov: the sweep starts each fit from a shared Lanczos or
-      shifted-CG solve and runs matrix-free CG to 1e-8, not 1e-10;
+    - curl-free tikhonov: the sweep starts each fit from a shared Lanczos
+      basis and runs matrix-free CG to 1e-8, not 1e-10;
     - curl-free nu_method: the sweep runs the recursion on a Lanczos basis;
     - diagonal landweber and nu_method: the CLI builds the Md x Md
       Kronecker Gram, the sweep the scalar M x M one.

@@ -6,13 +6,11 @@ from scorekit import InputError, NumericError, MatrixKernelSpec, ScalarRadialKer
 from scorekit import estimators, spectral_linalg
 from scorekit.spectral_linalg import (
     SPD_RESIDUAL_TOL,
-    CGReport,
     EigenSystem,
     conjugate_gradient,
     lanczos,
     numeric_rank_mask,
     power_iteration,
-    shifted_cg,
     solve_spd,
     sym_eig,
 )
@@ -248,7 +246,7 @@ def test_cg_warm_start():
 
 
 # ======================================================================
-# shifted (multi-shift) conjugate gradient
+# Lanczos
 # ======================================================================
 
 def random_spd(n, seed, floor=1e-3):
@@ -256,90 +254,6 @@ def random_spd(n, seed, floor=1e-3):
     G = rng.standard_normal((n, n))
     return G @ G.T / n + floor * np.eye(n), rng.standard_normal(n)
 
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_shifted_cg_matches_per_shift_cg(seed):
-    A, b = random_spd(80, seed)
-    op = LinearOperator.from_matrix(A)
-    shifts = [0.5, 0.0, 1e-2, 3.0, 1e-2, 40.0]
-    X, reps = shifted_cg(op, b, shifts, tol=1e-10, max_iter=2000)
-    assert X.shape == (len(shifts), 80)
-    for s, x, rep in zip(shifts, X, reps):
-        shifted = LinearOperator.from_matrix(A + s * np.eye(80))
-        ref, ref_rep = conjugate_gradient(shifted, b, tol=1e-10, max_iter=2000)
-        assert rep.converged and ref_rep.converged
-        # larger shifts are better conditioned and freeze no later
-        assert rep.iterations <= reps[1].iterations
-        true_rel = np.linalg.norm((A + s * np.eye(80)) @ x - b) / np.linalg.norm(b)
-        assert true_rel <= 1e-9
-        assert np.linalg.norm(x - ref) <= 1e-7 * np.linalg.norm(ref)
-
-
-def test_shifted_cg_unconverged_shift_is_reported():
-    # the seed shift is hopeless in 5 iterations; the large shift is not
-    rng = np.random.default_rng(3)
-    A = np.diag(np.geomspace(1e-6, 1.0, 60))
-    b = rng.standard_normal(60)
-    X, reps = shifted_cg(LinearOperator.from_matrix(A), b, [1e-8, 1e4],
-                         tol=1e-12, max_iter=5)
-    assert not reps[0].converged and reps[0].iterations == 5
-    assert reps[0].residual > 1e-12
-    ref, ref_rep = conjugate_gradient(LinearOperator.from_matrix(A + 1e-8 * np.eye(60)),
-                                      b, tol=1e-12, max_iter=5)
-    assert not ref_rep.converged
-    assert np.linalg.norm(X[0] - ref) <= 1e-8 * np.linalg.norm(ref)
-    assert reps[1].converged and reps[1].iterations < 5
-    assert np.linalg.norm((A + 1e4 * np.eye(60)) @ X[1] - b) <= 1e-11 * np.linalg.norm(b)
-
-
-def test_shifted_cg_freezes_far_shifts_without_nan():
-    # a shift of 1e12 converges at once; left running, its zeta underflows
-    A, b = random_spd(50, 4)
-    shifts = [1e-4, 1e12]
-    X, reps = shifted_cg(LinearOperator.from_matrix(A), b, shifts, tol=1e-12,
-                         max_iter=1000)
-    assert np.all(np.isfinite(X))
-    assert all(rep.converged for rep in reps)
-    for s, x in zip(shifts, X):
-        ref = np.linalg.solve(A + s * np.eye(50), b)
-        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
-
-
-def test_shifted_cg_zero_rhs():
-    X, reps = shifted_cg(LinearOperator.from_matrix(np.eye(3)), np.zeros(3), [0.0, 1.0])
-    assert np.array_equal(X, np.zeros((2, 3)))
-    assert reps == (CGReport(0, 0.0, True), CGReport(0, 0.0, True))
-
-
-def test_shifted_cg_non_psd_operator_raises():
-    op = LinearOperator.from_matrix(np.diag([1.0, -5.0]))
-    with pytest.raises(NumericError, match="curvature"):
-        shifted_cg(op, np.ones(2), [0.0, 1.0])
-    nan_op = LinearOperator(2, lambda v: np.array([np.nan, 0.0]))
-    with pytest.raises(NumericError):
-        shifted_cg(nan_op, np.ones(2), [1.0])
-
-
-@pytest.mark.parametrize("shifts, tol", [
-    ([], 1e-8), ([[0.1, 1.0]], 1e-8), ([-1.0, 1.0], 1e-8), ([np.nan], 1e-8),
-    ([np.inf], 1e-8), ([1.0], 0.0), ([1.0], -1e-3), ([1.0], np.nan),
-])
-def test_shifted_cg_bad_shifts_or_tol(shifts, tol):
-    with pytest.raises(InputError):
-        shifted_cg(LinearOperator.from_matrix(np.eye(2)), np.ones(2), shifts, tol=tol)
-
-
-def test_shifted_cg_bad_rhs():
-    op = LinearOperator.from_matrix(np.eye(2))
-    with pytest.raises(InputError):
-        shifted_cg(op, np.ones(3), [1.0])
-    with pytest.raises(InputError):
-        shifted_cg(op, np.array([1.0, np.nan]), [1.0])
-
-
-# ======================================================================
-# Lanczos
-# ======================================================================
 
 def lanczos_solve(V, T, b_norm, shift):
     """||b|| V^T (T + shift I)^{-1} e_1: the Lanczos solution of (A + shift I) x = b."""
@@ -373,7 +287,9 @@ def test_lanczos_solves_shifted_systems_on_a_low_rank_gram():
     op = LinearOperator.from_matrix(A)
     b = np.random.default_rng(13).standard_normal(400)
     shifts = 400 * np.geomspace(1.0, 1e-6, 4)
-    plain, plain_reps = shifted_cg(op, b, shifts, tol=1e-10, max_iter=800)
+    plain, plain_reps = zip(*(
+        conjugate_gradient(LinearOperator.from_matrix(A + s * np.eye(400)), b, tol=1e-10,
+                           max_iter=800) for s in shifts))
 
     def solved(alpha, beta):
         T, k = tridiagonal(alpha, beta[:-1]), len(alpha)
