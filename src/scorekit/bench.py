@@ -374,10 +374,13 @@ def load_mixture_file(path) -> MixtureDistribution:
     _check_keys(data, _MIXTURE_KEYS, str(path))
     if "means" not in data or "weights" not in data:
         raise InputError(f"{path}: mixture file needs 'means' and 'weights'")
+    means = data["means"]
+    rows = means if isinstance(means, list) and means and isinstance(means[0], list) else [means]
     try:
-        return MixtureDistribution(np.asarray(data["means"], dtype=np.float64),
-                                   np.asarray(data["weights"], dtype=np.float64),
-                                   scale=_scalar_float(data.get("scale", 1.0), "scale"))
+        return MixtureDistribution(
+            np.asarray([_float_list(r, "means", low=-math.inf, open_low=False) for r in rows]),
+            np.asarray(_float_list(data["weights"], "weights", open_low=False)),
+            scale=_scalar_float(data.get("scale", 1.0), "scale"))
     except (InputError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
 

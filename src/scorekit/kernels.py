@@ -234,9 +234,13 @@ def zeta(spec: MatrixKernelSpec, samples, query) -> np.ndarray:
 
 
 def h_vector(spec: MatrixKernelSpec, samples) -> np.ndarray:
-    """zeta stacked at the samples themselves: (zeta(x^1), ..., zeta(x^M))."""
+    """zeta stacked at the samples: (zeta(x^1), ..., zeta(x^M)), in chunks of
+    ~2**17 // M rows, a multiple of the 8 rows BLAS groups, so at d = 1 and
+    M % 8 == 0 the bits equal one whole zeta_batch(X, X)."""
     X = as_samples(samples)
-    return zeta_batch(spec, X, X).ravel()
+    step = max(8, 2 ** 17 // X.shape[0] // 8 * 8)
+    return np.concatenate([zeta_batch(spec, X, X[lo:lo + step])
+                           for lo in range(0, X.shape[0], step)]).ravel()
 
 
 # ======================================================================
@@ -284,10 +288,10 @@ class DenseGram(_Gram):
         return self.matrix @ b
 
     def eigensystem(self):
-        """Cached full eigendecomposition (values descending)."""
+        """Cached full eigendecomposition (values descending); no copy."""
         if self._eig is None:
             from .spectral_linalg import sym_eig
-            self._eig = sym_eig(0.5 * (self.matrix + self.matrix.T))
+            self._eig = sym_eig(self.matrix)
         return self._eig
 
 
@@ -335,27 +339,33 @@ class ImplicitGram(_Gram):
 
 
 def cross_gram(spec: MatrixKernelSpec, rows, cols) -> np.ndarray:
-    """Dense block matrix of K(r_p, c_q); shape (P*d, Q*d), d x d blocks."""
+    """Dense block matrix of K(r_p, c_q); shape (P*d, Q*d), d x d blocks.
+    A curl-free one is filled in row blocks of ~2**20 entries."""
     A = as_samples(rows)
     P, d = A.shape
     B = _as_queries(cols, d)
     Q = B.shape[0]
     if spec.kind == "diagonal":
         return np.kron(scalar_gram(spec.scalar, A, B), np.eye(d))
-    R = A[:, None, :] - B[None, :, :]              # (P, Q, d)
-    U = np.einsum("pqk,pqk->pq", R, R)
-    P1 = spec.scalar.dphi(U)
-    P2 = spec.scalar.d2phi(U)
-    K4 = np.einsum("pq,pqi,pqj->piqj", -4.0 * P2, R, R)
-    for i in range(d):
-        K4[:, i, :, i] -= 2.0 * P1
-    return np.ascontiguousarray(K4.reshape(P * d, Q * d))
+    out = np.empty((P, d, Q, d))
+    step = max(1, 2 ** 20 // max(1, Q * d * d))
+    for lo in range(0, P, step):
+        R = A[lo:lo + step, None, :] - B[None, :, :]    # (rows, Q, d)
+        U = np.einsum("pqk,pqk->pq", R, R)
+        P1 = spec.scalar.dphi(U)
+        P2 = spec.scalar.d2phi(U)
+        K4 = np.einsum("pq,pqi,pqj->piqj", -4.0 * P2, R, R, out=out[lo:lo + step])
+        for i in range(d):
+            K4[:, i, :, i] -= 2.0 * P1
+    return out.reshape(P * d, Q * d)
 
 
 def assemble_gram(spec: MatrixKernelSpec, samples, mode: str = "dense"):
     """Build the Md x Md Gram over the samples, dense or implicit.
 
     Mode is an explicit caller choice; there is no size-based auto switch.
+    A dense curl-free Gram at d > 1 is made exactly symmetric in place, in
+    row blocks, bit for bit 0.5 * (K + K.T); others are symmetric as built.
     """
     if mode == "implicit":
         return ImplicitGram(spec, samples)
@@ -368,6 +378,11 @@ def assemble_gram(spec: MatrixKernelSpec, samples, mode: str = "dense"):
     except MemoryError as exc:
         need = (M * d) ** 2 * 8
         raise MemoryError(f"dense Gram for M={M}, d={d} needs ~{need} bytes") from exc
+    if spec.kind == "curl_free" and d > 1:
+        step = max(1, 2 ** 20 // (M * d))
+        for lo in range(0, M * d, step):
+            S = 0.5 * (K[lo:lo + step, lo:] + K[lo:, lo:lo + step].T)
+            K[lo:lo + step, lo:], K[lo:, lo:lo + step] = S, S.T
     return DenseGram(spec, X, K)
 
 

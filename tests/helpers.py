@@ -1,12 +1,14 @@
 """Reference helpers that only the tests use.
 
-Pointwise kernel blocks, a matrix-backed operator, spectral calculus
-through a full eigensystem, the append-and-refit score heuristic and the
-line-by-line CSV reader: slow or naive forms that the package's fast paths
-are checked against.
+Pointwise kernel blocks, the whole-array curl-free cross Gram, a
+matrix-backed operator, spectral calculus through a full eigensystem, the
+append-and-refit score heuristic and the line-by-line CSV reader: slow or
+naive forms that the package's fast paths are checked against. peak_bytes
+measures what a call allocates.
 """
 
 import csv
+import tracemalloc
 
 import numpy as np
 
@@ -49,6 +51,40 @@ def curlfree_matvec(spec: MatrixKernelSpec, x, y, a) -> np.ndarray:
     p1 = float(spec.scalar.dphi(u))
     p2 = float(spec.scalar.d2phi(u))
     return -4.0 * p2 * float(r @ a) * r - 2.0 * p1 * a
+
+
+def cross_gram_full(spec: MatrixKernelSpec, rows, cols) -> np.ndarray:
+    """kernels.cross_gram of a curl-free kernel as one whole-array pass."""
+    A = as_samples(rows)
+    B = as_samples(cols)
+    (P, d), Q = A.shape, B.shape[0]
+    R = A[:, None, :] - B[None, :, :]              # (P, Q, d)
+    U = np.einsum("pqk,pqk->pq", R, R)
+    P1 = spec.scalar.dphi(U)
+    P2 = spec.scalar.d2phi(U)
+    K4 = np.einsum("pq,pqi,pqj->piqj", -4.0 * P2, R, R)
+    for i in range(d):
+        K4[:, i, :, i] -= 2.0 * P1
+    return np.ascontiguousarray(K4.reshape(P * d, Q * d))
+
+
+def peak_bytes(fn) -> int:
+    """Peak bytes traced while fn() runs, above what was live before it.
+
+    numpy reports its array buffers to tracemalloc; BLAS and LAPACK
+    workspaces are not seen.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def gram_matvec(gram, b: np.ndarray) -> np.ndarray:

@@ -243,8 +243,13 @@ class TestExperimentCommands:
         {"means": [[0.0, 0.0]], "weights": [1.0], "scale": "x"},
         {"means": [[0.0, 0.0]], "weights": [1.0], "scale": 0},
         {"means": [[0.0, 0.0]], "weights": [0.5, 0.5]},
+        {"means": [["0", "1"]], "weights": [1.0]},
+        {"means": [[0.0, 1.0]], "weights": ["1"]},
+        {"means": [[True, False]], "weights": [1.0]},
+        {"means": [[0.0, 1.0]], "weights": [True]},
     ], ids=["string means", "ragged means", "string weights", "string scale",
-            "zero scale", "weight count"])
+            "zero scale", "weight count", "string mean entries", "string weight entry",
+            "boolean mean entries", "boolean weight entry"])
     def test_malformed_mixture_file_is_exit_1_naming_it(self, tmp_path, capsys, mixture):
         path = tmp_path / "mix.json"
         write_json(path, mixture)

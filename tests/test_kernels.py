@@ -10,15 +10,17 @@ from scorekit import (
     ScalarRadialKernel,
     assemble_gram,
     cross_apply,
+    cross_gram,
     h_vector,
     scalar_derivs,
     scalar_gram,
+    spectral_linalg,
     zeta,
     zeta_batch,
 )
 
 from fd_oracles import fd_first_arg_divergence, fd_mixed_partial, fd_scalar
-from helpers import curlfree_matvec, eval_matrix_kernel, gram_matvec
+from helpers import cross_gram_full, curlfree_matvec, eval_matrix_kernel, gram_matvec
 
 
 def imq(bw=1.0):
@@ -348,6 +350,82 @@ def test_h_vector_diagonal_matches_scalar_gradient_sum():
                 r = X[l] - X[m]
                 total += 2.0 * float(k.dphi(r @ r)) * r[i]
             assert abs(h[m * d + i] - total / M) <= 1e-12 * max(1.0, abs(total))
+
+
+# ======================================================================
+# the dense path: row blocks, chunked h, one symmetric matrix
+# ======================================================================
+
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+@pytest.mark.parametrize("P, Q, d", [
+    (2048, 2048, 1),   # 4 row blocks of 512
+    (64, 64, 8),
+    (37, 37, 3),
+    (1500, 1000, 1),   # 2 blocks, the last one partial
+    (300, 129, 8),     # 3 blocks of 127, the last one partial
+])
+def test_cross_gram_row_blocks_equal_whole_array_bits(family, P, Q, d):
+    rng = np.random.default_rng(P + Q + d)
+    A, B = rng.standard_normal((P, d)), rng.standard_normal((Q, d))
+    sp = spec("curl_free", ScalarRadialKernel(family, 1.3))
+    got = cross_gram(sp, A, B)
+    assert got.shape == (P * d, Q * d)
+    assert np.array_equal(got, cross_gram_full(sp, A, B))
+
+
+def test_cross_gram_curlfree_with_no_columns():
+    X = np.random.default_rng(3).standard_normal((5, 3))
+    assert cross_gram(spec("curl_free", imq()), X, np.empty((0, 3))).shape == (15, 0)
+
+
+@pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
+@pytest.mark.parametrize("M", [2048, 3000, 2040])   # 2040: the last chunk has 56 of 64 rows
+def test_h_vector_chunks_equal_one_zeta_batch_bits(kind, M):
+    X = np.random.default_rng(M).standard_normal((M, 1))
+    sp = spec(kind, gauss(0.9))
+    assert np.array_equal(h_vector(sp, X), zeta_batch(sp, X, X).ravel())
+
+
+@pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
+def test_h_vector_chunks_where_blas_regroups_rows(kind):
+    """At d > 1 or M % 8 != 0 a chunk's products may round differently."""
+    for M, d in ((1001, 1), (1000, 3)):
+        X = np.random.default_rng(M).standard_normal((M, d))
+        sp = spec(kind, imq(1.1))
+        whole = zeta_batch(sp, X, X).ravel()
+        h = h_vector(sp, X)
+        assert np.abs(h - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+@pytest.mark.parametrize("M, d", [(512, 8), (700, 3), (37, 3)])
+def test_dense_curlfree_gram_is_symmetrized_in_place(family, M, d):
+    X = np.random.default_rng(M * d).standard_normal((M, d))
+    sp = spec("curl_free", ScalarRadialKernel(family, 1.7))
+    K = assemble_gram(sp, X).matrix
+    K0 = cross_gram(sp, X, X)
+    assert np.array_equal(K, K.T)
+    assert np.array_equal(K, 0.5 * (K0 + K0.T))
+    assert not np.array_equal(K0, K0.T)
+
+
+@pytest.mark.parametrize("kind, d", [("diagonal", 3), ("diagonal", 1), ("curl_free", 1)])
+def test_kron_and_scalar_curlfree_grams_are_symmetric_as_built(kind, d):
+    X = np.random.default_rng(d).standard_normal((300, d))
+    sp = spec(kind, gauss(1.2))
+    K0 = cross_gram(sp, X, X)
+    assert np.array_equal(K0, K0.T)
+    assert np.array_equal(assemble_gram(sp, X).matrix, K0)
+
+
+@pytest.mark.parametrize("kind, d", [("curl_free", 3), ("curl_free", 1), ("diagonal", 2)])
+def test_eigensystem_decomposes_the_gram_matrix_itself(monkeypatch, kind, d):
+    seen = []
+    real = spectral_linalg.sym_eig
+    monkeypatch.setattr(spectral_linalg, "sym_eig", lambda K: seen.append(K) or real(K))
+    gram = assemble_gram(spec(kind, imq()), np.random.default_rng(5).standard_normal((20, d)))
+    gram.eigensystem()
+    assert len(seen) == 1 and seen[0] is gram.matrix
 
 
 # ======================================================================

@@ -1,0 +1,45 @@
+"""Peak memory of the dense path, measured with tracemalloc.
+
+Each bound sits between the whole-array code these functions replaced and
+what they allocate now, so a return to full-size temporaries fails here.
+"""
+
+import numpy as np
+import pytest
+
+from scorekit import MatrixKernelSpec, ScalarRadialKernel, assemble_gram, h_vector
+
+from helpers import peak_bytes
+
+MB = 2 ** 20
+
+
+def curl_free(family):
+    return MatrixKernelSpec("curl_free", ScalarRadialKernel(family, 1.0))
+
+
+def samples(M, d):
+    return np.random.default_rng(M + d).normal(size=(M, d))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+def test_dense_gram_peaks_near_its_output(family):
+    """The whole-array assembly peaked at its 32 MB output plus 160 MB."""
+    X = samples(2048, 1)
+    out = (2048 * 8) * 2048
+    assert peak_bytes(lambda: assemble_gram(curl_free(family), X)) <= out + 64 * MB
+
+
+@pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
+def test_h_vector_peaks_far_below_an_m_by_m_table(kind):
+    """One whole zeta_batch(X, X) peaked at 160 MB for this 16 KB vector."""
+    X = samples(2048, 1)
+    spec = MatrixKernelSpec(kind, ScalarRadialKernel("gaussian", 1.0))
+    assert peak_bytes(lambda: h_vector(spec, X)) < 16 * MB
+
+
+@pytest.mark.parametrize("M, d", [(2048, 1), (256, 8)])
+def test_eigensystem_peak_is_the_decomposition_and_one_copy(M, d):
+    """Symmetrizing a copy first took 3.0x the matrix; eigh needs 2x."""
+    gram = assemble_gram(curl_free("imq"), samples(M, d))
+    assert peak_bytes(gram.eigensystem) <= 2.25 * gram.matrix.nbytes
