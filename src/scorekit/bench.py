@@ -11,10 +11,10 @@ error per (estimator, d, M), which is what the plotter consumes.
 The sweep runs one problem (d, M, seed) at a time; `threads` > 1 runs that
 many problems at once. Work that depends on neither lam nor the scheme is
 done once per problem and dropped when the problem ends: the draws X and
-Q, the true scores at Q, the median bandwidth, one Gram per (kernel spec,
-dense|implicit) with its h and eigensystem, zeta(Q) and the radial tables
-K(Q, X) from one sq_dists per spec for every fit whose basis is the
-sample set, and the lam-independent Nystrom blocks. These
+Q, the true scores at Q, the median bandwidth, one Gram per kernel spec
+(in the form assemble_gram picks) with its h and eigensystem, zeta(Q) and
+the radial tables K(Q, X) from one sq_dists per spec for every fit whose
+basis is the sample set, and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
 changes no row. The curl-free Tikhonov grid and nu-method path are
 different. One Lanczos basis of the Krylov space of K and h, over the Gram
@@ -65,6 +65,8 @@ from .estimators import (
     predict,
 )
 from .kernels import (
+    DENSE_SYSTEM_LIMIT,
+    DenseGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
     assemble_gram,
@@ -92,10 +94,6 @@ FRACTION_GRID = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 ESTIMATOR_IDS = ("tikhonov", "tikhonov_cg", "truncated_tikhonov",
                  "spectral_cutoff", "landweber", "nu_method", "nystrom",
                  "oracle")
-
-# curl-free systems up to this size use the dense Gram; above it the
-# matrix-free path (diagonal kernels always go through the scalar MxM path)
-DENSE_SYSTEM_LIMIT = 4096
 
 # the "exact" Tikhonov fit on large matrix-free systems: tight tolerance,
 # capped budget; cells whose lambda is too small to converge report failure
@@ -460,10 +458,8 @@ class _Problem:
         return _kernel_spec(
             entry, lambda: self._once("bandwidth", lambda: median_bandwidth(self.X)))
 
-    def gram(self, spec: MatrixKernelSpec, dense: bool):
-        mode = "dense" if dense else "implicit"
-        return self._once(("gram", spec, mode),
-                          lambda: assemble_gram(spec, self.X, mode=mode))
+    def gram(self, spec: MatrixKernelSpec):
+        return self._once(("gram", spec), lambda: assemble_gram(spec, self.X))
 
     def query_tables(self, spec: MatrixKernelSpec) -> tuple:
         return self._once(("query", spec), lambda: query_tables(spec, self.Q, self.X))
@@ -472,9 +468,9 @@ class _Problem:
         return self._once(("nystrom", spec, idx.tobytes()),
                           lambda: _subset_building_blocks(self.X, idx, spec))
 
-    def krylov(self, spec: MatrixKernelSpec, dense: bool):
-        """(V, T, dims, spans_nu): one Lanczos basis of the Gram of spec in
-        the given form, started at h.
+    def krylov(self, spec: MatrixKernelSpec):
+        """(V, T, dims, spans_nu): one Lanczos basis of the Gram of spec,
+        of either form, started at h.
 
         It serves the curl-free tikhonov and nu_method entries of spec and
         stops at invariance, at its cap, or once it spans the nu-method
@@ -487,13 +483,13 @@ class _Problem:
         run fails.
         """
         def build():
-            gram, shifts, t_max = self.gram(spec, dense), np.zeros(0), 1
+            gram, shifts, t_max = self.gram(spec), np.zeros(0), 1
             for e in self.entries:
                 if e.kind == "curl_free" and e.id == "tikhonov" and self.spec(e) == spec:
                     shifts = self.M * np.array([p["lam"] for _, p in e.grid])
                 if e.kind == "curl_free" and e.id == "nu_method" and self.spec(e) == spec:
                     t_max = max(p["t"] for _, p in e.grid)
-            if dense:  # ||K||_1 in row blocks, to keep the peak down
+            if isinstance(gram, DenseGram):  # ||K||_1 in row blocks, to keep the peak down
                 K, fit_tol = gram.matrix, SPD_RESIDUAL_TOL
                 norm = max(float(np.abs(K[i:i + 16]).sum(axis=1).max())
                            for i in range(0, len(K), 16))
@@ -508,7 +504,7 @@ class _Problem:
             except _CONTRACT_ERRORS:
                 return None
             return V, T, dims, beta <= tol or len(V) >= min(t_max - 1, gram.dim)
-        return self._once(("krylov", spec, dense), build)
+        return self._once(("krylov", spec), build)
 
 
 def _kernel_spec(entry: EstimatorEntry, median) -> MatrixKernelSpec:
@@ -550,7 +546,7 @@ def _shift_targets(shifts, min_dim, target):
     return stop, dims
 
 
-def _shifted_starts(problem: _Problem, spec, dense, grid) -> list:
+def _shifted_starts(problem: _Problem, spec, grid) -> list:
     """Start vectors for the curl-free Tikhonov lam grid.
 
     c = y / lam solves the fit's system (K + M lam I) c = h / lam when
@@ -561,11 +557,11 @@ def _shifted_starts(problem: _Problem, spec, dense, grid) -> list:
     fails, every fit solves without a start and meets its own error.
     """
     lams = np.array([params["lam"] for _, params in grid])
-    basis = problem.krylov(spec, dense)
+    basis = problem.krylov(spec)
     if basis is None:
         return [None] * len(lams)
     V, T, dims, _ = basis
-    nh = np.linalg.norm(problem.gram(spec, dense).divergence())
+    nh = np.linalg.norm(problem.gram(spec).divergence())
     starts = []
     for lam, k in zip(lams, dims):
         k = k or len(V)
@@ -577,47 +573,46 @@ def _shifted_starts(problem: _Problem, spec, dense, grid) -> list:
     return starts
 
 
-def _fit_tikhonov_cell(problem: _Problem, entry, spec, dense, i):
+def _fit_tikhonov_cell(problem: _Problem, entry, spec, i):
     lam = entry.grid[i][1]["lam"]
-    gram = problem.gram(spec, dense)
+    gram = problem.gram(spec)
     if entry.kind == "diagonal":
-        # the scalar M x M Gram of the shared matrix-free form
         return fit_tikhonov(problem.X, spec, lam, gram=gram)
     # the Gram's form picks the direct solve or CG
     starts = problem._once(("starts", spec),
-                           lambda: _shifted_starts(problem, spec, dense, entry.grid))
+                           lambda: _shifted_starts(problem, spec, entry.grid))
     return fit_tikhonov(problem.X, spec, lam, gram=gram, cg_tol=_TIK_IMPLICIT_TOL,
                         cg_max_iter=_TIK_IMPLICIT_MAX_ITER, _x0=starts[i])
 
 
-def _fit_tikhonov_cg_cell(problem: _Problem, entry, spec, dense, i):
+def _fit_tikhonov_cg_cell(problem: _Problem, entry, spec, i):
     return fit_tikhonov_cg(problem.X, spec, entry.grid[i][1]["lam"], tol=entry.tol,
-                           max_iter=entry.max_iter, gram=problem.gram(spec, dense=False))
+                           max_iter=entry.max_iter, gram=problem.gram(spec))
 
 
-# the eigen filters: over the dense limit a curl-free kernel's implicit Gram
-# makes the fit refuse cleanly instead of materializing the matrix
+# the eigen filters: over the dense limit a curl-free kernel's matrix-free
+# Gram makes the fit refuse cleanly instead of materializing the matrix
 
-def _fit_truncated_tikhonov_cell(problem: _Problem, entry, spec, dense, i):
+def _fit_truncated_tikhonov_cell(problem: _Problem, entry, spec, i):
     return fit_truncated_tikhonov(problem.X, spec, entry.grid[i][1]["lam"],
-                                  gram=problem.gram(spec, dense))
+                                  gram=problem.gram(spec))
 
 
-def _fit_spectral_cutoff_cell(problem: _Problem, entry, spec, dense, i):
-    params, gram = entry.grid[i][1], problem.gram(spec, dense)
+def _fit_spectral_cutoff_cell(problem: _Problem, entry, spec, i):
+    params, gram = entry.grid[i][1], problem.gram(spec)
     if "lam" in params:
         return fit_spectral_cutoff(problem.X, spec, lam=params["lam"], gram=gram)
     rank = _cutoff_rank(params["fraction"], problem.M, problem.d)
     return fit_spectral_cutoff(problem.X, spec, rank=rank, gram=gram)
 
 
-def _fit_nystrom_cell(problem: _Problem, entry, spec, dense, i):
+def _fit_nystrom_cell(problem: _Problem, entry, spec, i):
     idx = _nystrom_subset(entry, problem.seed, problem.M, problem.d)
     return fit_nystrom(problem.X, idx, spec, TruncatedTikhonov(entry.grid[i][1]["lam"]),
                        _blocks=problem.subset_blocks(spec, idx))
 
 
-# the single-point fits: fit(problem, entry, spec, dense, grid index) -> estimator
+# the single-point fits: fit(problem, entry, spec, grid index) -> estimator
 _CELL_FITS = {
     "tikhonov": _fit_tikhonov_cell,
     "tikhonov_cg": _fit_tikhonov_cg_cell,
@@ -627,19 +622,19 @@ _CELL_FITS = {
 }
 
 
-def _fit_path(entry: EstimatorEntry, problem: _Problem, spec, dense):
+def _fit_path(entry: EstimatorEntry, problem: _Problem, spec):
     """One landweber or nu_method recursion run snapshots every t in the
     grid; its wall time (or failure) is shared by all snapshot rows."""
     ts = [params["t"] for _, params in entry.grid]
     uniq = sorted(set(ts))
     t0, reason = _now_ms(), ""
     try:
-        gram = problem.gram(spec, dense)
+        gram = problem.gram(spec)
         if entry.id == "landweber":
             eta = entry.eta if entry.eta > 0 else None
             path = landweber_path(problem.X, spec, uniq, eta=eta, gram=gram)
         else:
-            basis = problem.krylov(spec, dense) if entry.kind == "curl_free" else None
+            basis = problem.krylov(spec) if entry.kind == "curl_free" else None
             path = nu_method_path(problem.X, spec, uniq, nu=entry.nu, gram=gram,
                                   _krylov=basis[:2] if basis and basis[3] else None)
     except _CONTRACT_ERRORS as exc:
@@ -658,16 +653,13 @@ def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec)
     single-point fit is timed and its contract error caught here; the path
     schemes snapshot one run (_fit_path).
     """
-    # curl-free systems up to the dense limit use the dense Gram; larger ones
-    # are matrix-free, and diagonal kernels stay on the scalar M x M tables
-    dense = entry.kind == "curl_free" and problem.M * problem.d <= DENSE_SYSTEM_LIMIT
     if entry.id in ("landweber", "nu_method"):
-        yield from _fit_path(entry, problem, spec, dense)
+        yield from _fit_path(entry, problem, spec)
         return
     for i in range(len(entry.grid)):
         t0, est, reason = _now_ms(), None, ""
         try:
-            est = _CELL_FITS[entry.id](problem, entry, spec, dense, i)
+            est = _CELL_FITS[entry.id](problem, entry, spec, i)
         except _CONTRACT_ERRORS as exc:
             reason = _reason(exc)
         yield i, _Cell(reason=reason, fit_ms=_now_ms() - t0), est

@@ -13,7 +13,6 @@ from dataclasses import replace
 
 from .atomic import atomic_open
 from .bench import (
-    DENSE_SYSTEM_LIMIT,
     _check_keys,
     _cutoff_rank,
     _kernel_spec,
@@ -77,11 +76,8 @@ def _fit_single(entry, X, seed: int):
     M, d = X.shape
     spec = _kernel_spec(entry, lambda: median_bandwidth(X))
     params = entry.grid[0][1]
-    # curl-free systems over the sweep's dense limit are fitted matrix-free
-    mode = "implicit" if entry.kind == "curl_free" and M * d > DENSE_SYSTEM_LIMIT \
-        else "dense"
     if entry.id == "tikhonov":
-        return fit_tikhonov(X, spec, params["lam"], mode=mode)
+        return fit_tikhonov(X, spec, params["lam"])
     if entry.id == "tikhonov_cg":
         return fit_tikhonov_cg(X, spec, params["lam"], tol=entry.tol,
                                max_iter=entry.max_iter)
@@ -93,9 +89,9 @@ def _fit_single(entry, X, seed: int):
         return fit_spectral_cutoff(X, spec, rank=_cutoff_rank(params["fraction"], M, d))
     if entry.id == "landweber":
         eta = entry.eta if entry.eta > 0 else None
-        return fit_landweber(X, spec, eta=eta, t=params["t"], mode=mode)
+        return fit_landweber(X, spec, eta=eta, t=params["t"])
     if entry.id == "nu_method":
-        return fit_nu_method(X, spec, nu=entry.nu, t=params["t"], mode=mode)
+        return fit_nu_method(X, spec, nu=entry.nu, t=params["t"])
     # nystrom, the only id left
     return fit_nystrom(X, _nystrom_subset(entry, seed, M, d), spec,
                        TruncatedTikhonov(params["lam"]))

@@ -30,7 +30,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import FitError, InputError, NumericError
 from .kernels import (
-    DenseGram,
+    DENSE_SYSTEM_LIMIT,
     ImplicitGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
@@ -39,9 +39,8 @@ from .kernels import (
     assemble_gram,
     cross_apply,
     cross_gram,
-    h_vector,
+    h_vector,  # noqa: F401  (the benchmark's self-test traces it through this name)
     query_tables,
-    scalar_gram,
     sq_dists,
     zeta_batch,
 )
@@ -215,80 +214,65 @@ def predict(est: FittedScoreEstimator, queries, _shared=None) -> np.ndarray:
 # shared fit plumbing
 # ======================================================================
 
-def _resolve_gram(spec, X, mode, gram):
-    if gram is not None:
-        if gram.spec != spec:
-            raise InputError("provided Gram was built for a different kernel spec")
-        if gram.samples.shape != X.shape or not np.array_equal(gram.samples, X):
-            raise InputError("provided Gram was built for different samples")
-        return gram
-    return assemble_gram(spec, X, mode)
+def _resolve_gram(spec, X, gram):
+    """A given Gram, checked against spec and X, or assemble_gram's."""
+    if gram is None:
+        return assemble_gram(spec, X)
+    if gram.spec != spec:
+        raise InputError("provided Gram was built for a different kernel spec")
+    if gram.samples.shape != X.shape or not np.array_equal(gram.samples, X):
+        raise InputError("provided Gram was built for different samples")
+    return gram
 
 
 def _eigen_gram(spec, X, gram, what):
-    """The Gram whose cached spectrum the eigen-filter fits read.
-
-    Diagonal kernels only need the scalar M x M spectrum, which a
-    matrix-free Gram carries; curl-free ones need the dense Md x Md Gram,
-    and a matrix-free one is refused.
-    """
-    if gram is not None:
-        _resolve_gram(spec, X, None, gram)  # validates a given Gram
-    if spec.kind == "diagonal":
-        return gram if isinstance(gram, ImplicitGram) else ImplicitGram(spec, X)
+    """The dense Gram whose cached spectrum the eigen-filter fits read; a
+    matrix-free one is refused with the bytes the dense one would need."""
+    gram = _resolve_gram(spec, X, gram)
     if isinstance(gram, ImplicitGram):
         raise InputError(
-            f"{what} needs a dense eigendecomposition; the implicit Gram mode "
-            "is only supported by the iterative and CG-based fits")
-    return _resolve_gram(spec, X, "dense", gram)
+            f"{what} needs the dense Md x Md Gram, {gram.dim ** 2 * 8} bytes at "
+            f"Md = {gram.dim}; only the iterative and CG-based fits run matrix-free")
+    return gram
 
 
 def _spectrum(gram):
-    """(s, U, H, m): the eigenvalues s of K/M (descending), their
-    eigenvectors U, h reshaped to U's rows as H, and the multiplicity m of
-    each s_j in the Md spectrum; an eigen filter w gives C = -U w(s) U^T H.
-
-    A diagonal kernel's Md spectrum is its scalar M x M one with
-    multiplicity d (H = h.reshape(M, d), m = d); a curl-free kernel has the
-    dense Md x Md spectrum (H = h.reshape(Md, 1), m = 1).
+    """(s, U, H, m) of a dense Gram G, K = G (x) I_m: the eigenvalues s of
+    G/M (descending), their eigenvectors U, h reshaped to G's rows as H, and
+    m = dim // len(G), the multiplicity of each s_j in the Md spectrum (d
+    for a diagonal kernel's scalar factor, 1 for a curl-free Gram). An eigen
+    filter w gives C = -U w(s) U^T H.
     """
-    M, d = gram.samples.shape
-    if gram.spec.kind == "diagonal":
-        eig, m = gram.scalar_eigensystem(), d
-    else:
-        eig, m = gram.eigensystem(), 1
     # eigendecompose before building h: the other order left the heap more
     # fragmented and raised the sweep's peak RSS (854 -> 860 MB at Md=4096)
-    return eig.values / M, eig.vectors, gram.divergence().reshape(-1, m), m
+    eig, m = gram.eigensystem(), gram.dim // len(gram.matrix)
+    return eig.values / gram.samples.shape[0], eig.vectors, gram.divergence().reshape(-1, m), m
 
 
 # ======================================================================
 # Tikhonov
 # ======================================================================
 
-def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense",
-                 gram=None, cg_tol: float = 1e-10, cg_max_iter: int = None,
+def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
+                 cg_tol: float = 1e-10, cg_max_iter: int = None,
                  _x0=None) -> FittedScoreEstimator:
     """Solve (K + M lam I) c = h / lam; predictions carry a = -1/lam.
 
-    mode 'dense' solves the shifted Gram directly with solve_spd (diagonal
-    kernels reduce to an M x M system with d right-hand sides); mode
-    'implicit' is fit_tikhonov_cg run to the same 1e-10 residual contract
-    (cg_tol), raising FitError if that cannot be reached. A given curl-free
-    Gram decides the mode by its form; a diagonal one of either form serves
-    both modes, the direct solve reading the scalar M x M Gram.
+    The Gram's form (assemble_gram's unless gram is given) picks the solver.
+    Over a dense Gram G, K = G (x) I_m, solve_spd solves (G + M lam I) C =
+    H / lam with H = h.reshape(len(G), -1), so a diagonal kernel solves its
+    M x M system with d right-hand sides. Over a matrix-free Gram the fit is
+    fit_tikhonov_cg run to the same 1e-10 residual contract (cg_tol),
+    raising FitError if that cannot be reached.
     _x0, when given, is a start for c: the direct solve returns it if it
     already meets the solve_spd residual and factors otherwise, CG iterates
     from it.
     """
     scheme = Tikhonov(lam)
-    if mode not in ("dense", "implicit"):
-        raise InputError(f"unknown mode {mode!r}; expected 'dense' or 'implicit'")
     X = as_samples(samples)
     M, d = X.shape
-    if gram is not None and spec.kind == "curl_free":
-        mode = "implicit" if isinstance(gram, ImplicitGram) else "dense"
-    if mode == "implicit":
+    gram = _resolve_gram(spec, X, gram)
+    if isinstance(gram, ImplicitGram):
         if cg_max_iter is None:
             cg_max_iter = max(1000, 4 * M)
         est = fit_tikhonov_cg(X, spec, lam, tol=cg_tol, max_iter=cg_max_iter, gram=gram,
@@ -299,23 +283,11 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense
                 f"after {est.meta['cg_iterations']} iterations (target {cg_tol:.1e}); "
                 f"the shifted system K + {M * lam:.3e} I is too ill-conditioned")
         return est
-
-    # h does not depend on lam or the scheme: a given Gram (validated here)
-    # computes it once
-    h = h_vector(spec, X) if gram is None else _resolve_gram(spec, X, None, gram).divergence()
-    if spec.kind == "diagonal":
-        # K = k(X,X) (x) I_d, so the Md system splits into d copies of
-        # (k + M lam I) C = H / lam over the scalar Gram, which a matrix-free
-        # Gram holds and is built from X otherwise
-        A = gram.scalar_matrix() if isinstance(gram, ImplicitGram) \
-            else scalar_gram(spec.scalar, X)
-        b = h.reshape(M, d) / lam
-    else:
-        A = _resolve_gram(spec, X, "dense", gram).matrix
-        b = h / lam
+    G = gram.matrix
+    b = gram.divergence().reshape(len(G), -1) / lam
     x0 = None if _x0 is None else np.reshape(_x0, b.shape)
     try:
-        C = solve_spd(A, b, shift=M * lam, x0=x0).reshape(M, d)
+        C = solve_spd(G, b, shift=M * lam, x0=x0).reshape(M, d)
     except NumericError as exc:
         raise FitError(f"tikhonov solve failed: {exc}") from exc
     return FittedScoreEstimator(spec, X, C, -1.0 / lam, scheme, meta={"mode": "dense"})
@@ -323,20 +295,23 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, mode: str = "dense
 
 def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e-4,
                     max_iter: int = 40, gram=None, x0=None) -> FittedScoreEstimator:
-    """Tikhonov fit by matrix-free conjugate gradient with loose defaults.
+    """Tikhonov fit by conjugate gradient on Gram matvecs, loose defaults.
 
-    Unlike fit_tikhonov(mode='implicit') a non-converged run is not an
-    error; the CG report lands in estimator.meta so callers can inspect it.
+    It reads the Gram in whichever form it has (assemble_gram's unless gram
+    is given) and meta["mode"] names it. Unlike fit_tikhonov over a
+    matrix-free Gram a non-converged run is not an error; the CG report
+    lands in estimator.meta so callers can inspect it.
     """
     scheme = Tikhonov(lam)
     X = as_samples(samples)
     M, d = X.shape
-    gram = _resolve_gram(spec, X, "implicit", gram)
+    gram = _resolve_gram(spec, X, gram)
     shift = M * lam
     op = LinearOperator(gram.dim, lambda v: gram.matvec(v) + shift * v)
     c, rep = conjugate_gradient(op, gram.divergence() / lam, tol=tol, max_iter=max_iter,
                                 x0=x0)
-    meta = {"mode": "implicit", "cg_iterations": rep.iterations,
+    meta = {"mode": "implicit" if isinstance(gram, ImplicitGram) else "dense",
+            "cg_iterations": rep.iterations,
             "cg_residual": rep.residual, "cg_converged": rep.converged}
     if not rep.converged:
         meta["warnings"] = [
@@ -429,8 +404,7 @@ def _estimate_sigma_max(gram) -> float:
     return power_iteration(op, iters=50)
 
 
-def landweber_path(samples, spec: MatrixKernelSpec, ts, eta: float = None,
-                   mode: str = "dense", gram=None):
+def landweber_path(samples, spec: MatrixKernelSpec, ts, eta: float = None, gram=None):
     """Snapshots of the Landweber recursion at each iteration count in ts.
 
     Assembling s_t = s_{t-1} - eta (zeta + L s_{t-1}) in coefficient form
@@ -447,7 +421,7 @@ def landweber_path(samples, spec: MatrixKernelSpec, ts, eta: float = None,
     ts = sorted({int(t) for t in ts})
     if not ts or ts[0] < 1:
         raise InputError("iteration counts must be integers >= 1")
-    gram = _resolve_gram(spec, X, mode, gram)
+    gram = _resolve_gram(spec, X, gram)
     sig_max = _estimate_sigma_max(gram)
     if sig_max <= 0.0:
         raise FitError("sigma_max estimate is zero; Gram appears degenerate")
@@ -474,27 +448,27 @@ def landweber_path(samples, spec: MatrixKernelSpec, ts, eta: float = None,
 
 
 def fit_landweber(samples, spec: MatrixKernelSpec, eta: float = None, t: int = None,
-                  lam: float = None, mode: str = "dense", gram=None) -> FittedScoreEstimator:
+                  lam: float = None, gram=None) -> FittedScoreEstimator:
     """Landweber fit at one iteration count (or lam, via t = floor(1/lam))."""
     if (t is None) == (lam is None):
         raise InputError("give exactly one of t or lam")
     if t is None:
         t = landweber_iterations(lam)
-    return landweber_path(samples, spec, [t], eta=eta, mode=mode, gram=gram)[0]
+    return landweber_path(samples, spec, [t], eta=eta, gram=gram)[0]
 
 
 # ======================================================================
 # nu-method (accelerated semi-iterative regularization)
 # ======================================================================
 
-def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0,
-                   mode: str = "dense", gram=None, _krylov=None):
+def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0, gram=None,
+                   _krylov=None):
     """Snapshots of the nu-method recursion at each iteration count in ts.
 
     a_0 = 0, a_1 = -omega_1, c_0 = c_1 = 0, then for t >= 2:
         c_t = (1+u_t) c_{t-1} - (omega_t/M)(a_{t-1} h + K c_{t-1}) - u_t c_{t-2}
         a_t = (1+u_t) a_{t-1} - u_t a_{t-2} - omega_t
-    Only Gram matvecs are needed, so the implicit mode works at any size.
+    Only Gram matvecs are needed, so a matrix-free Gram serves at any size.
     _krylov, when given, is (V, T) of spectral_linalg.lanczos(gram, h, ...)
     and spans every snapshot: c_t lies in the Krylov space K_{t-1}(K, h),
     so the basis must be invariant or hold at least max(ts) - 1 vectors.
@@ -508,7 +482,7 @@ def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0,
     ts = sorted({int(t) for t in ts})
     if not ts or ts[0] < 1:
         raise InputError("iteration counts must be integers >= 1")
-    gram = _resolve_gram(spec, X, mode, gram)
+    gram = _resolve_gram(spec, X, gram)
     h, matvec, lift = gram.divergence(), gram.matvec, lambda c: c
     if _krylov is not None:
         k = min(len(_krylov[0]), ts[-1] - 1)
@@ -542,13 +516,13 @@ def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0,
 
 
 def fit_nu_method(samples, spec: MatrixKernelSpec, nu: float = 1.0, t: int = None,
-                  lam: float = None, mode: str = "dense", gram=None) -> FittedScoreEstimator:
+                  lam: float = None, gram=None) -> FittedScoreEstimator:
     """nu-method fit at one iteration count (or lam, via t = floor(lam^-1/2))."""
     if (t is None) == (lam is None):
         raise InputError("give exactly one of t or lam")
     if t is None:
         t = nu_method_iterations(lam)
-    return nu_method_path(samples, spec, [t], nu=nu, mode=mode, gram=gram)[0]
+    return nu_method_path(samples, spec, [t], nu=nu, gram=gram)[0]
 
 
 # ======================================================================
@@ -570,18 +544,24 @@ def _subset_building_blocks(samples, subset_indices, spec):
         raise InputError("subset indices contain duplicates")
     Z = np.ascontiguousarray(X[idx])
     N = idx.size
+    if spec.kind == "curl_free" and N * d > DENSE_SYSTEM_LIMIT:
+        raise InputError(
+            f"a curl-free subset of N={N} at d={d} needs two dense Nd x Nd blocks of "
+            f"{(N * d) ** 2 * 8} bytes each; Nd may not exceed {DENSE_SYSTEM_LIMIT}")
+    # cross_gram blocks: N x N for a diagonal kernel (its scalar factor), Nd x Nd
+    # for a curl-free one; h_Z is reshaped to their rows
     Kzz = cross_gram(spec, Z, Z)
     Kzz = 0.5 * (Kzz + Kzz.T)
-    # G = K_ZX K_XZ accumulated in row chunks of X so the Md x Nd cross
-    # Gram is never materialized at once.
-    nd = N * d
-    G = np.zeros((nd, nd))
-    chunk = max(1, int(8e6 // max(1, nd * d)))
+    # G = K_ZX K_XZ accumulated in row chunks of X so the cross Gram of all
+    # M samples is never materialized at once
+    n, rows = len(Kzz), len(Kzz) // N
+    G = np.zeros((n, n))
+    chunk = max(1, int(8e6 // (n * rows)))
     for lo in range(0, M, chunk):
         B = cross_gram(spec, X[lo:lo + chunk], Z)
         G += B.T @ B
     G = 0.5 * (G + G.T)
-    h_Z = zeta_batch(spec, X, Z).ravel()
+    h_Z = zeta_batch(spec, X, Z).reshape(n, -1)
     return X, Z, idx, Kzz, G, h_Z
 
 
@@ -652,10 +632,10 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
     gv = np.asarray(g(tau), dtype=np.float64)
     if not np.all(np.isfinite(gv)):
         raise NumericError("spectral filter returned non-finite values")
-    y = leig.vectors @ (gv * (leig.vectors.T @ (P.T @ h_Z)))
+    y = leig.vectors @ (gv[:, None] * (leig.vectors.T @ (P.T @ h_Z)))
     c = -(P @ y)
     meta = {"subset_size": idx.size,
-            "subset_rank": int(zmask.sum())}
+            "subset_rank": int(zmask.sum()) * h_Z.shape[1]}
     return FittedScoreEstimator(spec, X, c, 0.0, scheme,
                                 subset_indices=idx, meta=meta)
 

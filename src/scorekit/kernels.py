@@ -25,6 +25,10 @@ from .errors import InputError
 FAMILIES = ("imq", "gaussian")
 KINDS = ("diagonal", "curl_free")
 
+# a curl-free Gram of more than this many rows (Md) is matrix-free: dense it
+# would take (Md)^2 * 8 bytes, 128 MB at the limit
+DENSE_SYSTEM_LIMIT = 4096
+
 
 # ======================================================================
 # scalar radial kernels
@@ -272,7 +276,9 @@ class _Gram:
 
 
 class DenseGram(_Gram):
-    """Materialized Md x Md Gram matrix over a sample set."""
+    """A Gram held as a matrix G with K = G (x) I_m: the scalar M x M
+    factor k of a diagonal kernel (m = d), the whole Md x Md matrix of a
+    curl-free one (m = 1)."""
 
     __slots__ = ("matrix", "_eig")
 
@@ -285,10 +291,10 @@ class DenseGram(_Gram):
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.shape[0] != self.dim:
             raise InputError(f"vector length {b.shape[0]} != Gram dimension {self.dim}")
-        return self.matrix @ b
+        return (self.matrix @ b.reshape(len(self.matrix), -1)).ravel()
 
     def eigensystem(self):
-        """Cached full eigendecomposition (values descending); no copy."""
+        """Cached full eigendecomposition of G (values descending); no copy."""
         if self._eig is None:
             from .spectral_linalg import sym_eig
             self._eig = sym_eig(self.matrix)
@@ -303,32 +309,12 @@ class ImplicitGram(_Gram):
     touching an Md x Md matrix (O(M^2 d^2) storage dense).
     """
 
-    __slots__ = ("_tables", "_keig")
+    __slots__ = ("_tables",)
 
     def __init__(self, spec: MatrixKernelSpec, samples):
         X = as_samples(samples)
         super().__init__(spec, X)
-        self._keig = None
         self._tables = query_tables(spec, X, X, zeta=False)[1]
-
-    def scalar_eigensystem(self):
-        """Cached eigendecomposition of the scalar M x M Gram (diagonal kind).
-
-        For a diagonal kernel the Md x Md spectrum is exactly the scalar
-        spectrum with multiplicity d, so this is the full eigen content.
-        """
-        if self.spec.kind != "diagonal":
-            raise InputError("scalar_eigensystem is only defined for diagonal kernels")
-        if self._keig is None:
-            from .spectral_linalg import sym_eig
-            self._keig = sym_eig(0.5 * (self._tables[0] + self._tables[0].T))
-        return self._keig
-
-    def scalar_matrix(self) -> np.ndarray:
-        """The scalar M x M Gram k(X, X) of a diagonal kernel."""
-        if self.spec.kind != "diagonal":
-            raise InputError("scalar_matrix is only defined for diagonal kernels")
-        return self._tables[0]
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64).ravel()
@@ -339,14 +325,18 @@ class ImplicitGram(_Gram):
 
 
 def cross_gram(spec: MatrixKernelSpec, rows, cols) -> np.ndarray:
-    """Dense block matrix of K(r_p, c_q); shape (P*d, Q*d), d x d blocks.
-    A curl-free one is filled in row blocks of ~2**20 entries."""
+    """Dense matrix of the kernel between two point sets.
+
+    A diagonal kernel K = k I_d gives its scalar factor k(r_p, c_q), P x Q.
+    A curl-free one gives the (P*d, Q*d) matrix of d x d blocks K(r_p, c_q),
+    filled in row blocks of ~2**20 entries.
+    """
     A = as_samples(rows)
     P, d = A.shape
     B = _as_queries(cols, d)
     Q = B.shape[0]
     if spec.kind == "diagonal":
-        return np.kron(scalar_gram(spec.scalar, A, B), np.eye(d))
+        return scalar_gram(spec.scalar, A, B)
     out = np.empty((P, d, Q, d))
     step = max(1, 2 ** 20 // max(1, Q * d * d))
     for lo in range(0, P, step):
@@ -360,24 +350,25 @@ def cross_gram(spec: MatrixKernelSpec, rows, cols) -> np.ndarray:
     return out.reshape(P * d, Q * d)
 
 
-def assemble_gram(spec: MatrixKernelSpec, samples, mode: str = "dense"):
-    """Build the Md x Md Gram over the samples, dense or implicit.
+def assemble_gram(spec: MatrixKernelSpec, samples):
+    """The Gram of spec over the samples, in the one form its size affords.
 
-    Mode is an explicit caller choice; there is no size-based auto switch.
-    A dense curl-free Gram at d > 1 is made exactly symmetric in place, in
-    row blocks, bit for bit 0.5 * (K + K.T); others are symmetric as built.
+    A diagonal kernel K = k I_d gets a DenseGram of its scalar M x M factor
+    k. A curl-free one gets the dense Md x Md Gram while Md <=
+    DENSE_SYSTEM_LIMIT and an ImplicitGram beyond; a caller who wants the
+    matrix-free form at any size builds ImplicitGram(spec, X). A dense
+    curl-free Gram at d > 1 is made exactly symmetric in place, in row
+    blocks, bit for bit 0.5 * (K + K.T); the others are symmetric as built.
     """
-    if mode == "implicit":
-        return ImplicitGram(spec, samples)
-    if mode != "dense":
-        raise InputError(f"unknown gram mode {mode!r}; expected 'dense' or 'implicit'")
     X = as_samples(samples)
     M, d = X.shape
+    if spec.kind == "curl_free" and M * d > DENSE_SYSTEM_LIMIT:
+        return ImplicitGram(spec, X)
+    n = M * d if spec.kind == "curl_free" else M
     try:
         K = cross_gram(spec, X, X)
     except MemoryError as exc:
-        need = (M * d) ** 2 * 8
-        raise MemoryError(f"dense Gram for M={M}, d={d} needs ~{need} bytes") from exc
+        raise MemoryError(f"dense Gram for M={M}, d={d} needs ~{n * n * 8} bytes") from exc
     if spec.kind == "curl_free" and d > 1:
         step = max(1, 2 ** 20 // (M * d))
         for lo in range(0, M * d, step):

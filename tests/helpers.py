@@ -2,8 +2,9 @@
 
 Pointwise kernel blocks, the whole-array curl-free cross Gram, a
 matrix-backed operator, spectral calculus through a full eigensystem, the
-append-and-refit score heuristic and the line-by-line CSV reader: slow or
-naive forms that the package's fast paths are checked against. peak_bytes
+append-and-refit score heuristic, the line-by-line CSV reader and a
+diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks: slow or naive
+forms that the package's fast paths are checked against. peak_bytes
 measures what a call allocates.
 """
 
@@ -12,10 +13,17 @@ import tracemalloc
 
 import numpy as np
 
-from scorekit import spectral_linalg
+from scorekit import estimators, kernels, spectral_linalg
 from scorekit.errors import InputError, NumericError
 from scorekit.estimators import fit_truncated_tikhonov
-from scorekit.kernels import MatrixKernelSpec, _as_vector, as_samples
+from scorekit.kernels import (
+    MatrixKernelSpec,
+    _as_vector,
+    as_samples,
+    assemble_gram,
+    scalar_gram,
+    zeta_batch,
+)
 
 
 def eval_matrix_kernel(spec: MatrixKernelSpec, x, y) -> np.ndarray:
@@ -66,6 +74,42 @@ def cross_gram_full(spec: MatrixKernelSpec, rows, cols) -> np.ndarray:
     for i in range(d):
         K4[:, i, :, i] -= 2.0 * P1
     return np.ascontiguousarray(K4.reshape(P * d, Q * d))
+
+
+def full_gram(spec: MatrixKernelSpec, X) -> np.ndarray:
+    """The Md x Md Gram matrix of either kind. A diagonal kernel's dense
+    Gram holds only its scalar factor k; this is its Kronecker form
+    np.kron(k, I_d)."""
+    K = assemble_gram(spec, X).matrix
+    return np.kron(K, np.eye(np.shape(X)[1])) if spec.kind == "diagonal" else K
+
+
+def nystrom_blocks_kron(samples, subset_indices, spec: MatrixKernelSpec):
+    """estimators._subset_building_blocks of a diagonal kernel as Nd x Nd
+    Kronecker blocks: K_ZZ = np.kron(k(Z, Z), I_d), G = K_ZX K_XZ from the
+    whole Md x Nd np.kron(k(X, Z), I_d), and h_Z as one Nd column."""
+    X = as_samples(samples)
+    idx = np.asarray(subset_indices, dtype=np.int64)
+    Z = X[idx]
+    eye = np.eye(X.shape[1])
+    Kzz = np.kron(scalar_gram(spec.scalar, Z), eye)
+    B = np.kron(scalar_gram(spec.scalar, X, Z), eye)
+    G = B.T @ B
+    return X, Z, idx, Kzz, 0.5 * (G + G.T), zeta_batch(spec, X, Z).reshape(-1, 1)
+
+
+def forbid_big_cross_grams(monkeypatch):
+    """Make cross_gram fail on any Md x Md or Nd x Nd Gram over the dense
+    limit, before it allocates one."""
+    orig = kernels.cross_gram
+
+    def guarded(spec, rows, cols):
+        d = np.shape(rows)[1]
+        if min(len(rows), len(cols)) * d > kernels.DENSE_SYSTEM_LIMIT:
+            raise AssertionError(f"cross_gram of {len(rows)} x {len(cols)} points at d={d}")
+        return orig(spec, rows, cols)
+    monkeypatch.setattr(kernels, "cross_gram", guarded)
+    monkeypatch.setattr(estimators, "cross_gram", guarded)
 
 
 def peak_bytes(fn) -> int:

@@ -405,21 +405,27 @@ class TestProblemSharing:
         problems = 4
         # one dense eigensystem per problem across both eigen-filter fits
         assert calls["sym_eig"] == problems
-        # one h per Gram: the dense one and the implicit one of tikhonov_cg
-        assert calls["h_vector"] == 2 * problems
+        # one Gram and one h per problem: tikhonov_cg reads the same Gram
+        assert calls["h_vector"] == problems
         assert calls["score_batch"] == problems
         assert calls["_subset_building_blocks"] == problems
 
 
     def test_diagonal_tikhonov_shares_the_scalar_gram_and_h(self, monkeypatch):
-        calls = {}
+        calls, shapes = {}, []
         for module, name in ((kernels, "h_vector"), (estimators, "h_vector"),
-                             (kernels, "scalar_gram"), (estimators, "scalar_gram"),
-                             (kernels, "cross_gram"), (bench, "assemble_gram")):
+                             (bench, "assemble_gram")):
             def counted(*args, _orig=getattr(module, name), _name=name, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _orig(*args, **kwargs)
             monkeypatch.setattr(module, name, counted)
+        orig_cross = kernels.cross_gram
+
+        def cross_gram(spec, rows, cols):
+            out = orig_cross(spec, rows, cols)
+            shapes.append(((len(rows), len(cols)), out.shape))
+            return out
+        monkeypatch.setattr(kernels, "cross_gram", cross_gram)
         cfg = self.config([
             {"id": "tikhonov", "kind": "diagonal"},
             {"id": "spectral_cutoff", "kind": "diagonal", "fractions": [0.5, 0.9]},
@@ -427,8 +433,10 @@ class TestProblemSharing:
         rows = run_grid_rows(cfg)
         assert all(r.reason == "" for r in rows)
         problems = 4
-        # one matrix-free Gram and one h per problem; no Md x Md matrix
+        # one Gram and one h per problem, and the Gram is the scalar M x M
+        # factor: no Md x Md matrix
         assert calls == {"assemble_gram": problems, "h_vector": problems}
+        assert len(shapes) == problems and all(pts == shape for pts, shape in shapes)
         monkeypatch.undo()
         assert TestGridExperiment.stable_fields(run_grid_rows(cfg)) == \
             TestGridExperiment.stable_fields(rows)
@@ -494,7 +502,7 @@ class TestMatrixFreeTikhonov:
 
     @staticmethod
     def true_residual(est):
-        gram = kernels.assemble_gram(est.kernel, est.samples, mode="implicit")
+        gram = kernels.ImplicitGram(est.kernel, est.samples)
         M = est.samples.shape[0]
         lam = est.scheme.lam
         c = est.coeffs.ravel()
@@ -553,6 +561,12 @@ class TestMatrixFreeTikhonov:
         assert all(self.true_residual(est) <= 1e-8 for est in fits)
 
 
+def set_dense_limit(monkeypatch, limit):
+    """Move the dense limit for assemble_gram's policy and the Krylov cap."""
+    monkeypatch.setattr(kernels, "DENSE_SYSTEM_LIMIT", limit)
+    monkeypatch.setattr(bench, "DENSE_SYSTEM_LIMIT", limit)
+
+
 def no_basis(*args, **kwargs):
     # a failed basis: Tikhonov cells factor, the nu-method recursion runs on K
     raise NumericError("injected")
@@ -596,7 +610,7 @@ class TestDenseTikhonov:
 
     @staticmethod
     def true_residual(est):
-        gram = kernels.assemble_gram(est.kernel, est.samples, mode="dense")
+        gram = kernels.assemble_gram(est.kernel, est.samples)
         M = est.samples.shape[0]
         lam = est.scheme.lam
         c = est.coeffs.ravel()
@@ -638,7 +652,7 @@ class TestDenseTikhonov:
     @pytest.mark.parametrize("how", ["perturbed", "failed"])
     def test_rejected_starts_factor_to_the_rows_without_starts(self, monkeypatch, how):
         monkeypatch.setattr(bench, "_shifted_starts",
-                            lambda problem, spec, gram, grid: [None] * len(grid))
+                            lambda problem, spec, grid: [None] * len(grid))
         cold, cold_calls = self.run(monkeypatch)
         monkeypatch.undo()
         orig = bench.lanczos
@@ -769,25 +783,25 @@ class TestSharedKrylovEngine:
         # the forms' start targets differ (solve_spd checks 1e-10, CG 1e-8);
         # at one target the two bases agree
         monkeypatch.setattr(bench, "_TIK_IMPLICIT_TOL", spectral_linalg.SPD_RESIDUAL_TOL)
-        problem, (tik, nu) = self.problem([self.TIK, self.NU], d=d, M=M)
-        spec = problem.spec(tik)
-        assert isinstance(problem.gram(spec, False), kernels.ImplicitGram)
-        dense, free = (bench._shifted_starts(problem, spec, form, tik.grid)
-                       for form in (True, False))
-        for a, b in zip(dense, free):
+        starts, paths = [], []
+        for limit, form in ((M * d, kernels.DenseGram), (M * d - 1, kernels.ImplicitGram)):
+            set_dense_limit(monkeypatch, limit)
+            problem, (tik, nu) = self.problem([self.TIK, self.NU], d=d, M=M)
+            spec = problem.spec(tik)
+            assert isinstance(problem.gram(spec), form)
+            starts.append(bench._shifted_starts(problem, spec, tik.grid))
+            assert problem.krylov(spec)[3]  # spans every snapshot
+            paths.append([est for *_, est in bench._fit_path(nu, problem, spec)])
+        for a, b in zip(*starts):
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
-        for form in (True, False):
-            assert problem.krylov(spec, form)[3]  # spans every snapshot
-        dense, free = ([est for *_, est in bench._fit_path(nu, problem, spec, form)]
-                       for form in (True, False))
-        for a, b in zip(dense, free):
+        for a, b in zip(*paths):
             assert a.offset == b.offset
             assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-9 * np.linalg.norm(a.coeffs)
 
     def test_the_basis_is_capped_at_the_dense_gram_bytes(self, monkeypatch):
         # Md = 128 over a limit of 64: matrix-free, and a basis of at most
         # 64^2 // 128 = 32 vectors, too few for the small lams' targets
-        monkeypatch.setattr(bench, "DENSE_SYSTEM_LIMIT", 64)
+        set_dense_limit(monkeypatch, 64)
         runs, fits = [], []
         orig_lanczos, orig_fit = bench.lanczos, bench.fit_tikhonov
 
@@ -813,7 +827,7 @@ class TestSharedKrylovEngine:
             assert TestMatrixFreeTikhonov.true_residual(est) <= 1e-8
 
     def test_diagonal_nu_method_reads_no_basis(self, monkeypatch):
-        monkeypatch.setattr(bench, "DENSE_SYSTEM_LIMIT", 64)  # curl-free: matrix-free
+        set_dense_limit(monkeypatch, 64)  # curl-free: matrix-free
         diag = {"id": "nu_method", "kind": "diagonal", "iterations": [3, 10]}
         bases, orig = [], bench.nu_method_path
 
@@ -831,11 +845,11 @@ class TestSharedKrylovEngine:
 
     @pytest.mark.parametrize("limit", [4096, 127], ids=["dense", "matrix-free"])
     def test_extreme_shifts_give_finite_starts(self, monkeypatch, limit):
-        monkeypatch.setattr(bench, "DENSE_SYSTEM_LIMIT", limit)
+        set_dense_limit(monkeypatch, limit)
         lams = [1e4, 1e2, 1.0, 1e-2, 1e-4, 1e-6, 1e-8]
         problem, (tik,) = self.problem([dict(self.TIK, lambdas=lams)])
-        spec, dense = problem.spec(tik), problem.M * problem.d <= limit
-        starts = bench._shifted_starts(problem, spec, dense, tik.grid)
+        spec = problem.spec(tik)
+        starts = bench._shifted_starts(problem, spec, tik.grid)
         assert len(starts) == len(lams)
         assert all(y is not None and np.all(np.isfinite(y)) for y in starts)
         cells = list(bench._fit_cells(tik, problem, spec))

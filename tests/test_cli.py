@@ -18,6 +18,13 @@ from scorekit.oracles import (
 )
 
 from estimator_files import CORRUPT, pack
+from helpers import forbid_big_cross_grams
+
+
+def write_fit_config(tmp_path, X, entry):
+    save_samples_csv(X, tmp_path / "samples.csv")
+    return write_json(tmp_path / "fit.json", {
+        "schema_version": 1, "samples": "samples.csv", "estimator": entry})
 
 
 def write_json(path, data):
@@ -332,9 +339,7 @@ class TestCliMatchesSweep:
     the two take different paths on purpose:
     - curl-free tikhonov: the sweep starts each fit from a shared Lanczos
       basis and runs matrix-free CG to 1e-8, not 1e-10;
-    - curl-free nu_method: the sweep runs the recursion on a Lanczos basis;
-    - diagonal landweber and nu_method: the CLI builds the Md x Md
-      Kronecker Gram, the sweep the scalar M x M one.
+    - curl-free nu_method: the sweep runs the recursion on a Lanczos basis.
     """
 
     CASES = [("diagonal", {"id": "tikhonov", "lambdas": [0.01]})] + [
@@ -344,7 +349,9 @@ class TestCliMatchesSweep:
             {"id": "spectral_cutoff", "fractions": [0.5]},
             {"id": "spectral_cutoff", "lambdas": [0.01]},
             {"id": "nystrom", "lambdas": [0.01], "subset_fraction": 0.5},
-        )] + [("curl_free", {"id": "landweber", "iterations": [10]})]
+        )] + [(kind, {"id": "landweber", "iterations": [10]})
+              for kind in ("diagonal", "curl_free")] + [
+        ("diagonal", {"id": "nu_method", "iterations": [10]})]
 
     @pytest.mark.parametrize("kind, entry", CASES, ids=[
         f"{kind}-{entry['id']}-{next(k for k in entry if k != 'id')}" for kind, entry in CASES])
@@ -359,9 +366,7 @@ class TestCliMatchesSweep:
         parsed = cfg.estimators[0]
         [(_, cell, swept)] = bench._fit_cells(parsed, problem, problem.spec(parsed))
         assert cell.reason == ""
-        save_samples_csv(problem.X, tmp_path / "samples.csv")
-        fcfg = write_json(tmp_path / "fit.json", {
-            "schema_version": 1, "samples": "samples.csv", "estimator": entry})
+        fcfg = write_fit_config(tmp_path, problem.X, entry)
         out = tmp_path / "est.bin"
         assert main(["fit", "--config", fcfg, "--out", str(out), "--seed", str(seed)]) == 0
         fitted = load_estimator(out)
@@ -369,3 +374,21 @@ class TestCliMatchesSweep:
         assert fitted.offset == swept.offset
         assert np.array_equal(fitted.coeffs, swept.coeffs)
         assert np.array_equal(fitted.basis, swept.basis)
+
+
+class TestSizeRefusal:
+    """`scorekit fit` of a curl-free system over the dense limit (Md = 4160)
+    that needs it dense exits 1 and names the bytes, allocating nothing."""
+
+    @pytest.mark.parametrize("entry, n", [
+        ({"id": "truncated_tikhonov", "lambdas": [0.1]}, 260),
+        ({"id": "spectral_cutoff", "fractions": [0.5]}, 260),
+        ({"id": "nystrom", "lambdas": [0.1], "subset_size": 257}, 257),
+    ], ids=["truncated_tikhonov", "spectral_cutoff", "nystrom"])
+    def test_fit_exits_1_with_the_bytes(self, tmp_path, capsys, monkeypatch, entry, n):
+        forbid_big_cross_grams(monkeypatch)
+        X = np.random.default_rng(7).normal(size=(260, 16))
+        fcfg = write_fit_config(tmp_path, X, dict(entry, kind="curl_free"))
+        assert main(["fit", "--config", fcfg, "--out", str(tmp_path / "est.bin")]) == 1
+        assert f"{(n * 16) ** 2 * 8} bytes" in capsys.readouterr().err
+        assert not (tmp_path / "est.bin").exists()

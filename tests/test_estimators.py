@@ -33,6 +33,7 @@ from scorekit.estimators import (
     save_estimator,
 )
 from scorekit.kernels import (
+    ImplicitGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
     assemble_gram,
@@ -43,7 +44,13 @@ from scorekit.kernels import (
 
 from estimator_files import CORRUPT, pack
 from fd_oracles import fd_gradient, fd_jacobian
-from helpers import eval_matrix_kernel
+from helpers import (
+    eval_matrix_kernel,
+    forbid_big_cross_grams,
+    full_gram,
+    nystrom_blocks_kron,
+    peak_bytes,
+)
 
 
 def cf(family="imq", bw=1.0):
@@ -91,7 +98,7 @@ class TestTikhonov:
             M = X.shape[0]
             est = fit_tikhonov(X, spec, lam)
             S = est.predict(X).ravel()
-            K = assemble_gram(spec, X).matrix
+            K = full_gram(spec, X)
             h = h_vector(spec, X)
             resid = (K / M + lam * np.eye(K.shape[0])) @ S + h
             assert np.abs(resid).max() < 1e-10 * max(1.0, np.abs(h).max())
@@ -112,8 +119,9 @@ class TestTikhonov:
         rng = np.random.default_rng(5)
         X, spec = random_instance(rng, M=12, d=3, kind="curl_free")
         lam = 0.08
-        a = fit_tikhonov(X, spec, lam, mode="dense")
-        b = fit_tikhonov(X, spec, lam, mode="implicit")
+        a = fit_tikhonov(X, spec, lam)
+        b = fit_tikhonov(X, spec, lam, gram=ImplicitGram(spec, X))
+        assert (a.meta["mode"], b.meta["mode"]) == ("dense", "implicit")
         Q = rng.normal(size=(7, 3))
         assert np.abs(a.predict(Q) - b.predict(Q)).max() < 1e-8
 
@@ -125,15 +133,24 @@ class TestTikhonov:
         b = fit_tikhonov(X, spec, 0.1, gram=gram)
         assert np.array_equal(a.coeffs, b.coeffs)
 
-    def test_diagonal_direct_solve_reads_a_matrix_free_gram(self):
-        # the scalar M x M Gram of the matrix-free form, never an Md x Md one
+    def test_diagonal_direct_solve_reads_the_scalar_gram(self, monkeypatch):
+        # the scalar M x M Gram, never an Md x Md one; the coefficients solve
+        # the Kronecker system (kron(k, I_d) + M lam I) c = h / lam
         rng = np.random.default_rng(9)
         X, spec = random_instance(rng, M=10, d=4, kind="diagonal")
-        gram = assemble_gram(spec, X, mode="implicit")
-        a = fit_tikhonov(X, spec, 0.05)
-        b = fit_tikhonov(X, spec, 0.05, mode="dense", gram=gram)
-        assert np.array_equal(a.coeffs, b.coeffs)
-        assert b.meta["mode"] == "dense"
+        shapes, orig = [], kernels.cross_gram
+
+        def cross_gram(*args):
+            out = orig(*args)
+            shapes.append(out.shape)
+            return out
+        monkeypatch.setattr(kernels, "cross_gram", cross_gram)
+        est = fit_tikhonov(X, spec, 0.05)
+        assert shapes == [(10, 10)] and est.meta["mode"] == "dense"
+        b = h_vector(spec, X) / 0.05
+        K = full_gram(spec, X)
+        r = (K + 10 * 0.05 * np.eye(40)) @ est.coeffs.ravel() - b
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(b)
 
     def test_gram_for_other_samples_rejected(self):
         rng = np.random.default_rng(7)
@@ -142,14 +159,12 @@ class TestTikhonov:
         with pytest.raises(InputError):
             fit_tikhonov(X, spec, 0.1, gram=gram)
 
-    def test_bad_lam_and_mode_rejected(self):
+    def test_bad_lam_rejected(self):
         X = np.zeros((2, 1))
         with pytest.raises(InputError):
             fit_tikhonov(X, diag(), 0.0)
         with pytest.raises(InputError):
             fit_tikhonov(X, diag(), -1.0)
-        with pytest.raises(InputError):
-            fit_tikhonov(X, diag(), 0.1, mode="sparse")
 
     def test_prediction_norm_non_increasing_in_lam(self):
         # at the training samples S(lam) = -(K/M + lam I)^{-1} h, whose
@@ -173,7 +188,7 @@ class TestTikhonov:
         spec = MatrixKernelSpec(kind, ScalarRadialKernel(family, bw))
         est = fit_tikhonov(X, spec, lam)
         S = est.predict(X).ravel()
-        K = assemble_gram(spec, X).matrix
+        K = full_gram(spec, X)
         h = h_vector(spec, X)
         resid = (K / M + lam * np.eye(K.shape[0])) @ S + h
         assert np.abs(resid).max() < 1e-8 * max(1.0, np.abs(h).max())
@@ -225,7 +240,7 @@ class TestTikhonovCG:
         rng = np.random.default_rng(15)
         X, spec = random_instance(rng, M=30, d=2, kind="curl_free")
         with pytest.raises(FitError):
-            fit_tikhonov(X, spec, 1e-7, mode="implicit", cg_max_iter=2)
+            fit_tikhonov(X, spec, 1e-7, gram=ImplicitGram(spec, X), cg_max_iter=2)
 
 
 # ======================================================================
@@ -240,7 +255,7 @@ class TestTruncatedTikhonov:
             lam = float(rng.uniform(0.01, 0.3))
             M = X.shape[0]
             est = fit_truncated_tikhonov(X, spec, lam)
-            K = assemble_gram(spec, X).matrix
+            K = full_gram(spec, X)
             h = h_vector(spec, X)
             S_ref = -np.linalg.solve(K / M + lam * np.eye(K.shape[0]), h)
             assert np.abs(est.predict(X).ravel() - S_ref).max() < 1e-8
@@ -261,23 +276,29 @@ class TestTruncatedTikhonov:
     def test_curl_free_refuses_implicit_gram(self):
         X = np.random.default_rng(22).normal(size=(6, 2))
         spec = cf()
-        gram = assemble_gram(spec, X, mode="implicit")
+        gram = ImplicitGram(spec, X)
         with pytest.raises(InputError):
             fit_truncated_tikhonov(X, spec, 0.1, gram=gram)
 
-    def test_diagonal_accepts_implicit_gram_via_scalar_spectrum(self):
+    def test_diagonal_reads_the_scalar_spectrum(self):
+        # the dense form of a diagonal Gram is its scalar M x M factor; a
+        # matrix-free one is refused like a curl-free one
         X = np.random.default_rng(23).normal(size=(7, 2))
         spec = diag("imq")
-        gram = assemble_gram(spec, X, mode="implicit")
+        gram = assemble_gram(spec, X)
+        assert gram.matrix.shape == (7, 7)
         a = fit_truncated_tikhonov(X, spec, 0.1, gram=gram)
         b = fit_truncated_tikhonov(X, spec, 0.1)
-        assert np.abs(a.coeffs - b.coeffs).max() < 1e-12
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert gram.eigensystem().dim == 7
+        with pytest.raises(InputError):
+            fit_truncated_tikhonov(X, spec, 0.1, gram=ImplicitGram(spec, X))
 
     def test_diagonal_rejects_gram_for_other_samples(self):
         # the fit reads h from the Gram, so the Gram must match the samples
         rng = np.random.default_rng(24)
         X, spec = rng.normal(size=(7, 2)), diag("imq")
-        gram = assemble_gram(spec, rng.normal(size=(7, 2)), mode="implicit")
+        gram = assemble_gram(spec, rng.normal(size=(7, 2)))
         with pytest.raises(InputError):
             fit_truncated_tikhonov(X, spec, 0.1, gram=gram)
 
@@ -369,15 +390,20 @@ class TestSpectralCutoff:
         X = rng.normal(size=(40, 3))
         spec = MatrixKernelSpec(kind, ScalarRadialKernel("imq", 1.5))
         calls = {"cross_gram": 0, "sym_eig": 0}
+        shapes = []
         for module, name in ((kernels, "cross_gram"), (spectral_linalg, "sym_eig"),
                              (estimators, "sym_eig")):
             def counted(*args, _orig=getattr(module, name), _name=name, **kwargs):
                 calls[_name] += 1
-                return _orig(*args, **kwargs)
+                out = _orig(*args, **kwargs)
+                shapes.append(np.shape(out if _name == "cross_gram" else args[0]))
+                return out
             monkeypatch.setattr(module, name, counted)
         est = fit_spectral_cutoff(X, spec, rank=30)
-        # a diagonal kernel decomposes the scalar M x M Gram, no cross_gram
-        assert calls == {"cross_gram": int(kind == "curl_free"), "sym_eig": 1}
+        assert calls == {"cross_gram": 1, "sym_eig": 1}
+        # the Gram built and decomposed: a diagonal kernel's is the scalar M x M one
+        n = 40 if kind == "diagonal" else 120
+        assert shapes == [(n, n), (n, n)]
         monkeypatch.undo()
         # the rank's threshold, refitted from scratch, as a second pass would
         two_pass = fit_spectral_cutoff(X, spec, lam=est.scheme.lam)
@@ -393,6 +419,35 @@ class TestSpectralCutoff:
             fit_spectral_cutoff(X, diag(), rank=0)
         with pytest.raises(InputError):
             fit_spectral_cutoff(X, diag(), rank=3)
+
+
+# ======================================================================
+# sizes refused up front
+# ======================================================================
+
+class TestSizeRefusal:
+    """A curl-free system over the dense limit (Md = 4160 here) is refused
+    by the fits that need it dense, with the bytes, before any allocation."""
+
+    M, D = 260, 16
+    NEED = f"{(260 * 16) ** 2 * 8} bytes"
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, spec: fit_truncated_tikhonov(X, spec, 0.1),
+        lambda X, spec: fit_spectral_cutoff(X, spec, lam=0.1),
+        lambda X, spec: fit_spectral_cutoff(X, spec, rank=100),
+    ], ids=["truncated_tikhonov", "spectral_cutoff-lam", "spectral_cutoff-rank"])
+    def test_eigen_filters_refuse_with_the_bytes(self, monkeypatch, fit):
+        forbid_big_cross_grams(monkeypatch)
+        X = np.random.default_rng(90).normal(size=(self.M, self.D))
+        with pytest.raises(InputError, match=self.NEED):
+            fit(X, cf("imq", 4.0))
+
+    def test_nystrom_refuses_a_subset_over_the_limit(self, monkeypatch):
+        forbid_big_cross_grams(monkeypatch)
+        X = np.random.default_rng(91).normal(size=(self.M, self.D))
+        with pytest.raises(InputError, match=f"{(257 * 16) ** 2 * 8} bytes"):
+            fit_nystrom(X, np.arange(257), cf("imq", 4.0), TruncatedTikhonov(0.1))
 
 
 # ======================================================================
@@ -440,7 +495,7 @@ class TestLandweber:
             M = X.shape[0]
             eta, t = float(rng.uniform(0.01, 0.05)), int(rng.integers(2, 12))
             est = fit_landweber(X, spec, eta=eta, t=t)
-            eig = assemble_gram(spec, X).eigensystem()
+            eig = spectral_linalg.sym_eig(full_gram(spec, X))
             h = h_vector(spec, X)
             c_ref = spectral_coeffs(eig, h, M, eta, t)
             assert np.abs(est.coeffs.ravel() - c_ref).max() < 1e-8
@@ -478,8 +533,8 @@ class TestLandweber:
     def test_implicit_mode_matches_dense(self):
         rng = np.random.default_rng(46)
         X, spec = random_instance(rng, M=8, d=3, kind="curl_free")
-        a = fit_landweber(X, spec, eta=0.03, t=6, mode="dense")
-        b = fit_landweber(X, spec, eta=0.03, t=6, mode="implicit")
+        a = fit_landweber(X, spec, eta=0.03, t=6)
+        b = fit_landweber(X, spec, eta=0.03, t=6, gram=ImplicitGram(spec, X))
         assert np.abs(a.coeffs - b.coeffs).max() < 1e-12
 
     def test_lam_maps_to_iteration_count(self):
@@ -504,7 +559,7 @@ def direct_nu_field_iteration(X, spec, t, nu):
     Returns the stacked in-sample field after t steps.
     """
     M = X.shape[0]
-    K = assemble_gram(spec, X).matrix
+    K = full_gram(spec, X)
     h = h_vector(spec, X)
     _, w1 = nu_coefficients(1, nu)
     S_prev = np.zeros_like(h)
@@ -556,8 +611,8 @@ class TestNuMethod:
     def test_implicit_mode_matches_dense(self):
         rng = np.random.default_rng(53)
         X, spec = random_instance(rng, M=9, d=3, kind="curl_free")
-        a = fit_nu_method(X, spec, t=7, mode="dense")
-        b = fit_nu_method(X, spec, t=7, mode="implicit")
+        a = fit_nu_method(X, spec, t=7)
+        b = fit_nu_method(X, spec, t=7, gram=ImplicitGram(spec, X))
         assert np.abs(a.coeffs - b.coeffs).max() < 1e-12
         assert a.offset == b.offset
 
@@ -647,6 +702,29 @@ class TestNystrom:
         ref = fit_spectral_cutoff(X, spec, lam=lam)
         Q = rng.normal(size=(6, 2))
         assert np.abs(sub.predict(Q) - ref.predict(Q)).max() < 1e-6
+
+    @pytest.mark.parametrize("scheme", [TruncatedTikhonov(0.01), SpectralCutoff(lam=0.01)],
+                             ids=["truncated_tikhonov", "spectral_cutoff"])
+    def test_diagonal_compact_blocks_match_the_kronecker_blocks(self, scheme):
+        # a diagonal kernel's blocks are its N x N scalar factors; the fit
+        # over them equals the one over the Nd x Nd Kronecker blocks
+        rng = np.random.default_rng(64)
+        X, spec = rng.normal(size=(40, 3)), diag("imq", 1.3)
+        idx = np.sort(rng.choice(40, size=12, replace=False))
+        blocks = estimators._subset_building_blocks(X, idx, spec)
+        assert blocks[3].shape == blocks[4].shape == (12, 12)
+        est = fit_nystrom(X, idx, spec, scheme)
+        ref = fit_nystrom(X, idx, spec, scheme, _blocks=nystrom_blocks_kron(X, idx, spec))
+        assert np.linalg.norm(est.coeffs - ref.coeffs) <= 1e-10 * np.linalg.norm(ref.coeffs)
+        assert est.meta == ref.meta
+
+    def test_diagonal_blocks_stay_n_by_n_in_memory(self):
+        # Kronecker blocks at N = 128, d = 32 would take 134 MB each
+        rng = np.random.default_rng(65)
+        X, spec = rng.normal(size=(256, 32)), diag("imq", 6.0)
+        idx = np.arange(0, 256, 2)
+        assert peak_bytes(lambda: fit_nystrom(X, idx, spec, TruncatedTikhonov(0.01))) \
+            < 8 * 2 ** 20
 
     def test_closed_form_equals_square_root_form(self):
         # the no-square-root solve and the explicit K_ZZ^{-1/2} spectral

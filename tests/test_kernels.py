@@ -235,12 +235,17 @@ def test_zeta_dimension_mismatch():
 # ======================================================================
 
 def test_gram_diagonal_is_kron():
+    # the dense form holds only the scalar factor k, M x M, and acts as
+    # kron(k, I_d)
     rng = np.random.default_rng(29)
     X = rng.standard_normal((5, 3))
     sp = spec("diagonal", imq(1.1))
-    K = assemble_gram(sp, X).matrix
-    expect = np.kron(scalar_gram(sp.scalar, X), np.eye(3))
-    assert np.allclose(K, expect, atol=1e-14)
+    gram = assemble_gram(sp, X)
+    k = scalar_gram(sp.scalar, X)
+    assert gram.matrix.shape == (5, 5) and np.array_equal(gram.matrix, k)
+    for _ in range(3):
+        b = rng.standard_normal(15)
+        assert np.allclose(gram.matvec(b), np.kron(k, np.eye(3)) @ b, rtol=0, atol=1e-14)
 
 
 def test_gram_curlfree_blocks_match_eval():
@@ -284,8 +289,8 @@ def test_gram_matvec_zero_and_basis_column():
     rng = np.random.default_rng(41)
     X = rng.standard_normal((6, 2))
     sp = spec("curl_free", imq(1.2))
-    dense = assemble_gram(sp, X, mode="dense")
-    imp = assemble_gram(sp, X, mode="implicit")
+    dense = assemble_gram(sp, X)
+    imp = ImplicitGram(sp, X)
     n = 12
     assert np.array_equal(gram_matvec(imp, np.zeros(n)), np.zeros(n))
     e1 = np.zeros(n)
@@ -298,8 +303,8 @@ def test_gram_matvec_implicit_matches_dense():
     for kind in ("diagonal", "curl_free"):
         X = rng.standard_normal((40, 7))
         sp = spec(kind, imq(1.6))
-        dense = assemble_gram(sp, X, mode="dense")
-        imp = assemble_gram(sp, X, mode="implicit")
+        dense = assemble_gram(sp, X)
+        imp = ImplicitGram(sp, X)
         for _ in range(5):
             b = rng.standard_normal(40 * 7)
             ref = gram_matvec(dense, b)
@@ -309,14 +314,10 @@ def test_gram_matvec_implicit_matches_dense():
 
 def test_gram_matvec_length_mismatch():
     X = np.zeros((3, 2)) + np.arange(6).reshape(3, 2)
-    imp = assemble_gram(spec("diagonal", imq()), X, mode="implicit")
-    with pytest.raises(InputError):
-        gram_matvec(imp, np.zeros(5))
-
-
-def test_gram_unknown_mode():
-    with pytest.raises(InputError):
-        assemble_gram(spec("diagonal", imq()), np.zeros((2, 2)), mode="sparse")
+    sp = spec("diagonal", imq())
+    for gram in (ImplicitGram(sp, X), assemble_gram(sp, X)):
+        with pytest.raises(InputError):
+            gram_matvec(gram, np.zeros(5))
 
 
 # ======================================================================

@@ -4,10 +4,21 @@ Each bound sits between the whole-array code these functions replaced and
 what they allocate now, so a return to full-size temporaries fails here.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from scorekit import MatrixKernelSpec, ScalarRadialKernel, assemble_gram, h_vector
+from scorekit import (
+    MatrixKernelSpec,
+    ScalarRadialKernel,
+    assemble_gram,
+    fit_landweber,
+    fit_nu_method,
+    h_vector,
+    save_samples_csv,
+)
+from scorekit.cli import main
 
 from helpers import peak_bytes
 
@@ -43,3 +54,24 @@ def test_eigensystem_peak_is_the_decomposition_and_one_copy(M, d):
     """Symmetrizing a copy first took 3.0x the matrix; eigh needs 2x."""
     gram = assemble_gram(curl_free("imq"), samples(M, d))
     assert peak_bytes(gram.eigensystem) <= 2.25 * gram.matrix.nbytes
+
+
+@pytest.mark.parametrize("fit", ["landweber", "nu_method"])
+@pytest.mark.parametrize("via", ["function", "cli"])
+def test_diagonal_iterative_fits_stay_m_by_m(tmp_path, fit, via):
+    """A diagonal fit reads the scalar M x M Gram (72 KB here); its Md x Md
+    Kronecker form would take 302 MB at M = 96, d = 64."""
+    M, d = 96, 64
+    X = samples(M, d)
+    spec = MatrixKernelSpec("diagonal", ScalarRadialKernel("imq", 8.0))
+    if via == "function":
+        run = {"landweber": lambda: fit_landweber(X, spec, t=20),
+               "nu_method": lambda: fit_nu_method(X, spec, t=20)}[fit]
+    else:
+        save_samples_csv(X, tmp_path / "samples.csv")
+        (tmp_path / "fit.json").write_text(json.dumps({
+            "schema_version": 1, "samples": "samples.csv",
+            "estimator": {"id": fit, "kind": "diagonal", "iterations": [20]}}))
+        argv = ["fit", "--config", str(tmp_path / "fit.json"), "--out", str(tmp_path / "e.bin")]
+        run = lambda: main(argv)  # noqa: E731
+    assert peak_bytes(run) <= 32 * M * M * 8  # 5 to 12 M x M tables measured

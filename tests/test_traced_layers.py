@@ -5,7 +5,9 @@ requires each workload to reach the layers in HEAVY; a traced run fails if
 one records no call. This reads both (without changing them) and checks
 that each layer name, through tracer.RENAME, is a public scorekit function
 the tracer wraps or a method it patches, so a refactor that drops or renames
-one fails here instead of in the traced benchmark run.
+one fails here instead of in the traced benchmark run. The cli-serve fit and
+predict pair also runs traced at a small shape, and must reach every layer
+its workload requires.
 """
 
 import importlib
@@ -56,3 +58,16 @@ def test_layer_is_a_traced_scorekit_callable(layer):
             assert callable(getattr(module, cls_name).__dict__.get(meth)), \
                 f"{name} is not defined on its class"
 
+
+def test_cli_serve_reaches_every_required_layer(tmp_path):
+    # M d = 4800 is over the dense limit, as at the workload's own shape: the
+    # curl-free fit is matrix-free and the diagonal one reads its dense
+    # M x M Gram
+    serve = workloads.CliServe()
+    serve.M, serve.QUERIES, serve.BATCHES = 300, 256, 2
+    serve.prepare(str(tmp_path), 0)
+    with tracer.Tracer() as traced:
+        obs = serve.run(str(tmp_path), 0)
+    assert set(obs["rc"].values()) == {0}
+    assert [layer for layer in workloads.HEAVY["cli-serve"]
+            if traced.stat(layer).calls == 0] == []
