@@ -30,13 +30,16 @@ each still meets its residual tolerance. Shared work is timed in the
 fit_ms or predict_ms of the first cell that needs it, so a `.timings.csv`
 row is not the cost of that cell alone.
 
-Each estimator id has one small single-point fit (_CELL_FITS), and one
-loop (_fit_cells) times them all and records a contract error (InputError,
+Each estimator id is one REGISTRY entry: its config keys, its one-point
+fit over a _Problem's shared Gram and Nystrom blocks, and for landweber
+and nu_method the snapshot path the sweep runs. `scorekit fit` calls the
+one-point fit without the sweep's opts (the starts and CG budget above),
+so it returns what the public fit returns. One loop (_fit_cells) times
+every fit of the sweep and records a contract error (InputError,
 NumericError or MemoryError: a bad lambda, a singular subset, CG running
 out of iterations) as a row with error = nan and the exception text in the
-reason column. Any other exception is a bug and aborts the sweep. The
-iterative schemes snapshot every grid point from one recursion run
-(_fit_path), so those rows share the run's fit time or failure.
+reason column; any other exception is a bug and aborts the sweep. Snapshot
+rows share their run's fit time or failure.
 """
 
 import csv
@@ -55,6 +58,8 @@ from .errors import InputError, NumericError
 from .estimators import (
     TruncatedTikhonov,
     _subset_building_blocks,
+    fit_landweber,
+    fit_nu_method,
     fit_nystrom,
     fit_spectral_cutoff,
     fit_tikhonov,
@@ -90,10 +95,6 @@ SCHEMA_VERSION = 1
 LAMBDA_GRID = tuple(10.0 ** -k for k in range(0, 9))
 ITERATION_GRID = tuple(range(20, 101, 10))
 FRACTION_GRID = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
-
-ESTIMATOR_IDS = ("tikhonov", "tikhonov_cg", "truncated_tikhonov",
-                 "spectral_cutoff", "landweber", "nu_method", "nystrom",
-                 "oracle")
 
 # the "exact" Tikhonov fit on large matrix-free systems: tight tolerance,
 # capped budget; cells whose lambda is too small to converge report failure
@@ -191,35 +192,25 @@ class EstimatorEntry:
     tol: float = 1e-4
     max_iter: int = 40
     nu: float = 1.0
-    eta: float = 0.0               # 0 means auto step size
-    subset_size: int = 0
-    subset_fraction: float = 0.0
+    eta: float = None              # None: the automatic step size
+    subset: object = 0.5           # Nystrom subset: a size (int) or a fraction of M
 
 
 _COMMON_KEYS = ("id", "kind", "family", "bandwidth")
-_ENTRY_KEYS = {
-    "tikhonov": _COMMON_KEYS + ("lambdas",),
-    "tikhonov_cg": _COMMON_KEYS + ("lambdas", "tol", "max_iter"),
-    "truncated_tikhonov": _COMMON_KEYS + ("lambdas",),
-    "spectral_cutoff": _COMMON_KEYS + ("fractions", "lambdas"),
-    "landweber": _COMMON_KEYS + ("iterations", "eta"),
-    "nu_method": _COMMON_KEYS + ("iterations", "nu"),
-    "nystrom": _COMMON_KEYS + ("lambdas", "subset_size", "subset_fraction"),
-    "oracle": ("id",),
-}
 
 
 def _parse_estimator(obj, where: str) -> EstimatorEntry:
     if not isinstance(obj, dict):
         raise InputError(f"{where}: estimator entries must be objects")
     eid = obj.get("id")
-    if eid not in ESTIMATOR_IDS:
-        raise InputError(f"{where}: 'id' must be one of {', '.join(ESTIMATOR_IDS)}, "
+    if eid not in REGISTRY:
+        raise InputError(f"{where}: 'id' must be one of {', '.join(REGISTRY)}, "
                          f"got {eid!r}")
-    _check_keys(obj, _ENTRY_KEYS[eid], where)
-
-    if eid == "oracle":
+    how = REGISTRY[eid]
+    if how.fit is None:  # the oracle: the true score, no kernel
+        _check_keys(obj, ("id",), where)
         return EstimatorEntry(id=eid, kind="-", grid=(("-", {}),))
+    _check_keys(obj, _COMMON_KEYS + how.keys, where)
 
     kind = obj.get("kind")
     if kind not in ("diagonal", "curl_free"):
@@ -232,45 +223,41 @@ def _parse_estimator(obj, where: str) -> EstimatorEntry:
     if bandwidth != "median":
         bandwidth = _scalar_float(bandwidth, f"{where}.bandwidth")
 
-    kw = dict(id=eid, kind=kind, family=family, bandwidth=bandwidth)
+    kw, key_of = {}, {}
+    for key in (k for k in how.keys if k in obj):
+        field, parse = _KEY_FIELDS[key]
+        if field in key_of:
+            raise InputError(f"{where}: give either {key_of[field]!r} or {key!r}, not both")
+        key_of[field] = key
+        kw[field] = parse(obj[key], f"{where}.{key}")
+    if "grid" not in kw:
+        key = next(k for k in how.keys if k in _GRID_DEFAULTS)
+        kw["grid"] = _KEY_FIELDS[key][1](list(_GRID_DEFAULTS[key]), f"{where}.{key}")
+    return EstimatorEntry(id=eid, kind=kind, family=family, bandwidth=bandwidth, **kw)
 
-    if eid in ("tikhonov", "tikhonov_cg", "truncated_tikhonov", "nystrom"):
-        lams = _float_list(obj.get("lambdas", list(LAMBDA_GRID)), f"{where}.lambdas")
-        kw["grid"] = tuple((f"lam={_glabel(l)}", {"lam": l}) for l in lams)
-    if eid == "tikhonov_cg":
-        kw["tol"] = _scalar_float(obj.get("tol", 1e-4), f"{where}.tol")
-        kw["max_iter"] = _int_list(obj.get("max_iter", 40), f"{where}.max_iter")[0]
-    if eid == "spectral_cutoff":
-        if "fractions" in obj and "lambdas" in obj:
-            raise InputError(f"{where}: give either 'fractions' or 'lambdas', not both")
-        if "lambdas" in obj:
-            lams = _float_list(obj["lambdas"], f"{where}.lambdas")
-            kw["grid"] = tuple((f"lam={_glabel(l)}", {"lam": l}) for l in lams)
-        else:
-            fracs = _float_list(obj.get("fractions", list(FRACTION_GRID)),
-                                f"{where}.fractions", low=0.0, high=1.0)
-            kw["grid"] = tuple((f"fraction={_glabel(f)}", {"fraction": f})
-                               for f in fracs)
-    if eid in ("landweber", "nu_method"):
-        ts = _int_list(obj.get("iterations", list(ITERATION_GRID)),
-                       f"{where}.iterations")
-        kw["grid"] = tuple((f"t={t}", {"t": t}) for t in ts)
-    if eid == "landweber" and "eta" in obj:
-        kw["eta"] = _scalar_float(obj["eta"], f"{where}.eta")
-    if eid == "nu_method":
-        kw["nu"] = _scalar_float(obj.get("nu", 1.0), f"{where}.nu", low=1.0,
-                                 open_low=False)
-    if eid == "nystrom":
-        if "subset_size" in obj and "subset_fraction" in obj:
-            raise InputError(f"{where}: give either 'subset_size' or "
-                             f"'subset_fraction', not both")
-        if "subset_size" in obj:
-            kw["subset_size"] = _int_list(obj["subset_size"], f"{where}.subset_size")[0]
-        else:
-            kw["subset_fraction"] = _float_list(
-                obj.get("subset_fraction", 0.5), f"{where}.subset_fraction",
-                low=0.0, high=1.0)[0]
-    return EstimatorEntry(**kw)
+
+def _grid(name, values) -> tuple:
+    return tuple((f"{name}={_glabel(v)}", {name: v}) for v in values)
+
+
+# Each key an estimator block may hold beside id, kind, family and bandwidth:
+# the EstimatorEntry field it sets and its parse(value, where). Two keys of
+# one field are alternatives. A block without a grid key gets its id's first
+# one at _GRID_DEFAULTS; any other key left out keeps its field's default.
+_KEY_FIELDS = {
+    "lambdas": ("grid", lambda v, w: _grid("lam", _float_list(v, w))),
+    "fractions": ("grid", lambda v, w: _grid(
+        "fraction", _float_list(v, w, low=0.0, high=1.0))),
+    "iterations": ("grid", lambda v, w: _grid("t", _int_list(v, w))),
+    "tol": ("tol", _scalar_float),
+    "max_iter": ("max_iter", lambda v, w: _int_list(v, w)[0]),
+    "eta": ("eta", _scalar_float),
+    "nu": ("nu", lambda v, w: _scalar_float(v, w, low=1.0, open_low=False)),
+    "subset_size": ("subset", lambda v, w: _int_list(v, w)[0]),
+    "subset_fraction": ("subset", lambda v, w: _float_list(v, w, low=0.0, high=1.0)[0]),
+}
+_GRID_DEFAULTS = {"lambdas": LAMBDA_GRID, "fractions": FRACTION_GRID,
+                  "iterations": ITERATION_GRID}
 
 
 @dataclass(frozen=True)
@@ -431,21 +418,16 @@ def _mean_error(truth: np.ndarray, pred: np.ndarray, d: int) -> float:
 
 
 class _Problem:
-    """The work one (d, M, seed) problem shares across its estimator entries.
-
-    The draws and the truth are made on construction; the bandwidth, Grams,
-    query tables, Tikhonov starts and Nystrom blocks when a cell first
-    needs them, inside that cell's timing.
+    """The work the fits of samples X share across the estimator entries:
+    a (d, M, seed) problem of the sweep, or the one entry of `scorekit fit`.
+    seed draws the Nystrom subsets. The bandwidth, Grams, query tables,
+    Tikhonov starts and Nystrom blocks are built when a cell first needs
+    them, inside that cell's timing.
     """
 
-    def __init__(self, cfg: ExperimentConfig, d: int, M: int, seed: int):
-        self.d, self.M, self.seed = d, M, seed
-        self.dist = build_distribution(cfg, d)
-        self.X = sample(self.dist, M, np.random.SeedSequence(seed, spawn_key=(1, d, M)))
-        self.Q = sample(self.dist, cfg.eval_size,
-                        np.random.SeedSequence(seed, spawn_key=(2, d, M)))
-        self.truth = score_batch(self.dist, self.Q)
-        self.entries = cfg.estimators
+    def __init__(self, X: np.ndarray, entries, seed: int):
+        self.X, self.entries, self.seed = X, entries, seed
+        self.M, self.d = X.shape
         self._shared = {}
 
     def _once(self, key, build):
@@ -455,18 +437,13 @@ class _Problem:
         return self._shared[key]
 
     def spec(self, entry: EstimatorEntry) -> MatrixKernelSpec:
-        return _kernel_spec(
-            entry, lambda: self._once("bandwidth", lambda: median_bandwidth(self.X)))
+        bw = entry.bandwidth
+        if bw == "median":
+            bw = self._once("bandwidth", lambda: median_bandwidth(self.X))
+        return MatrixKernelSpec(entry.kind, ScalarRadialKernel(entry.family, bw))
 
     def gram(self, spec: MatrixKernelSpec):
         return self._once(("gram", spec), lambda: assemble_gram(spec, self.X))
-
-    def query_tables(self, spec: MatrixKernelSpec) -> tuple:
-        return self._once(("query", spec), lambda: query_tables(spec, self.Q, self.X))
-
-    def subset_blocks(self, spec: MatrixKernelSpec, idx: np.ndarray):
-        return self._once(("nystrom", spec, idx.tobytes()),
-                          lambda: _subset_building_blocks(self.X, idx, spec))
 
     def krylov(self, spec: MatrixKernelSpec):
         """(V, T, dims, spans_nu): one Lanczos basis of the Gram of spec,
@@ -505,26 +482,6 @@ class _Problem:
                 return None
             return V, T, dims, beta <= tol or len(V) >= min(t_max - 1, gram.dim)
         return self._once(("krylov", spec), build)
-
-
-def _kernel_spec(entry: EstimatorEntry, median) -> MatrixKernelSpec:
-    """The entry's kernel; median() gives the median bandwidth of the
-    samples and is called only if the entry asks for it."""
-    bw = entry.bandwidth if isinstance(entry.bandwidth, float) else median()
-    return MatrixKernelSpec(entry.kind, ScalarRadialKernel(entry.family, bw))
-
-
-def _nystrom_subset(entry: EstimatorEntry, seed: int, M: int, d: int) -> np.ndarray:
-    """The sorted indices of the entry's Nystrom subset of M samples."""
-    size = min(entry.subset_size or max(1, int(round(entry.subset_fraction * M))), M)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(3, d, M)))
-    return np.sort(rng.choice(M, size=size, replace=False))
-
-
-def _cutoff_rank(fraction: float, M: int, d: int) -> int:
-    """A spectral cut-off fraction of the M sample directions as a rank in
-    the Md spectrum."""
-    return max(1, int(round(fraction * M))) * d
 
 
 def _shift_targets(shifts, min_dim, target):
@@ -573,70 +530,116 @@ def _shifted_starts(problem: _Problem, spec, grid) -> list:
     return starts
 
 
-def _fit_tikhonov_cell(problem: _Problem, entry, spec, i):
-    lam = entry.grid[i][1]["lam"]
-    gram = problem.gram(spec)
+# ======================================================================
+# the estimator registry
+# ======================================================================
+
+@dataclass(frozen=True)
+class EstimatorDef:
+    """What one estimator id means. Its callables call the public fits by
+    their module-global names, so a tracer or test that swaps one sees it."""
+
+    keys: tuple                # its config keys beside _COMMON_KEYS, of _KEY_FIELDS
+    fit: object                # (problem, entry, spec, i, **opts) -> fit at grid point i
+    path: object = None        # (problem, entry, spec, ts) -> fits at each t, from one run
+    sweep_opts: object = None  # (problem, entry, spec, i) -> opts the sweep gives fit
+
+
+def _tikhonov_sweep_opts(problem, entry, spec, i):
     if entry.kind == "diagonal":
-        return fit_tikhonov(problem.X, spec, lam, gram=gram)
-    # the Gram's form picks the direct solve or CG
+        return {}
     starts = problem._once(("starts", spec),
                            lambda: _shifted_starts(problem, spec, entry.grid))
-    return fit_tikhonov(problem.X, spec, lam, gram=gram, cg_tol=_TIK_IMPLICIT_TOL,
-                        cg_max_iter=_TIK_IMPLICIT_MAX_ITER, _x0=starts[i])
+    return dict(cg_tol=_TIK_IMPLICIT_TOL, cg_max_iter=_TIK_IMPLICIT_MAX_ITER, _x0=starts[i])
 
 
-def _fit_tikhonov_cg_cell(problem: _Problem, entry, spec, i):
-    return fit_tikhonov_cg(problem.X, spec, entry.grid[i][1]["lam"], tol=entry.tol,
-                           max_iter=entry.max_iter, gram=problem.gram(spec))
-
-
-# the eigen filters: over the dense limit a curl-free kernel's matrix-free
-# Gram makes the fit refuse cleanly instead of materializing the matrix
-
-def _fit_truncated_tikhonov_cell(problem: _Problem, entry, spec, i):
-    return fit_truncated_tikhonov(problem.X, spec, entry.grid[i][1]["lam"],
-                                  gram=problem.gram(spec))
-
-
-def _fit_spectral_cutoff_cell(problem: _Problem, entry, spec, i):
+def _fit_spectral_cutoff(problem, entry, spec, i):
     params, gram = entry.grid[i][1], problem.gram(spec)
     if "lam" in params:
         return fit_spectral_cutoff(problem.X, spec, lam=params["lam"], gram=gram)
-    rank = _cutoff_rank(params["fraction"], problem.M, problem.d)
+    # a fraction of the M sample directions, as a rank in the Md spectrum
+    rank = max(1, int(round(params["fraction"] * problem.M))) * problem.d
     return fit_spectral_cutoff(problem.X, spec, rank=rank, gram=gram)
 
 
-def _fit_nystrom_cell(problem: _Problem, entry, spec, i):
-    idx = _nystrom_subset(entry, problem.seed, problem.M, problem.d)
+def _nu_method_path(problem, entry, spec, ts):
+    basis = problem.krylov(spec) if entry.kind == "curl_free" else None
+    return nu_method_path(problem.X, spec, ts, nu=entry.nu, gram=problem.gram(spec),
+                          _krylov=basis[:2] if basis and basis[3] else None)
+
+
+def _fit_nystrom(problem, entry, spec, i):
+    M, d, subset = problem.M, problem.d, entry.subset
+    size = min(subset if isinstance(subset, int) else max(1, int(round(subset * M))), M)
+    rng = np.random.default_rng(np.random.SeedSequence(problem.seed, spawn_key=(3, d, M)))
+    idx = np.sort(rng.choice(M, size=size, replace=False))
+    blocks = problem._once(("nystrom", spec, idx.tobytes()),
+                           lambda: _subset_building_blocks(problem.X, idx, spec))
     return fit_nystrom(problem.X, idx, spec, TruncatedTikhonov(entry.grid[i][1]["lam"]),
-                       _blocks=problem.subset_blocks(spec, idx))
+                       _blocks=blocks)
 
 
-# the single-point fits: fit(problem, entry, spec, grid index) -> estimator
-_CELL_FITS = {
-    "tikhonov": _fit_tikhonov_cell,
-    "tikhonov_cg": _fit_tikhonov_cg_cell,
-    "truncated_tikhonov": _fit_truncated_tikhonov_cell,
-    "spectral_cutoff": _fit_spectral_cutoff_cell,
-    "nystrom": _fit_nystrom_cell,
+REGISTRY = {
+    "tikhonov": EstimatorDef(
+        ("lambdas",),
+        lambda p, e, spec, i, **opts: fit_tikhonov(
+            p.X, spec, e.grid[i][1]["lam"], gram=p.gram(spec), **opts),
+        sweep_opts=_tikhonov_sweep_opts),
+    "tikhonov_cg": EstimatorDef(
+        ("lambdas", "tol", "max_iter"),
+        lambda p, e, spec, i: fit_tikhonov_cg(
+            p.X, spec, e.grid[i][1]["lam"], tol=e.tol, max_iter=e.max_iter,
+            gram=p.gram(spec))),
+    "truncated_tikhonov": EstimatorDef(
+        ("lambdas",),
+        lambda p, e, spec, i: fit_truncated_tikhonov(
+            p.X, spec, e.grid[i][1]["lam"], gram=p.gram(spec))),
+    "spectral_cutoff": EstimatorDef(
+        ("fractions", "lambdas"), _fit_spectral_cutoff),
+    "landweber": EstimatorDef(
+        ("iterations", "eta"),
+        lambda p, e, spec, i: fit_landweber(
+            p.X, spec, eta=e.eta, t=e.grid[i][1]["t"], gram=p.gram(spec)),
+        path=lambda p, e, spec, ts: landweber_path(
+            p.X, spec, ts, eta=e.eta, gram=p.gram(spec))),
+    "nu_method": EstimatorDef(
+        ("iterations", "nu"),
+        lambda p, e, spec, i: fit_nu_method(
+            p.X, spec, nu=e.nu, t=e.grid[i][1]["t"], gram=p.gram(spec)),
+        path=_nu_method_path),
+    "nystrom": EstimatorDef(
+        ("lambdas", "subset_size", "subset_fraction"), _fit_nystrom),
+    "oracle": EstimatorDef((), None),
 }
 
 
-def _fit_path(entry: EstimatorEntry, problem: _Problem, spec):
-    """One landweber or nu_method recursion run snapshots every t in the
-    grid; its wall time (or failure) is shared by all snapshot rows."""
+# ======================================================================
+# the sweep
+# ======================================================================
+
+def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec):
+    """Fit every grid point of one entry on one problem.
+
+    Yields (grid index, cell, estimator or None) as each fit completes, so
+    the caller can predict and drop it before the next fit. A path scheme
+    snapshots every t of its grid from one run.
+    """
+    how = REGISTRY[entry.id]
+    if how.path is None:
+        for i in range(len(entry.grid)):
+            t0, est, reason = _now_ms(), None, ""
+            try:
+                opts = how.sweep_opts(problem, entry, spec, i) if how.sweep_opts else {}
+                est = how.fit(problem, entry, spec, i, **opts)
+            except _CONTRACT_ERRORS as exc:
+                reason = _reason(exc)
+            yield i, _Cell(reason=reason, fit_ms=_now_ms() - t0), est
+        return
     ts = [params["t"] for _, params in entry.grid]
     uniq = sorted(set(ts))
     t0, reason = _now_ms(), ""
     try:
-        gram = problem.gram(spec)
-        if entry.id == "landweber":
-            eta = entry.eta if entry.eta > 0 else None
-            path = landweber_path(problem.X, spec, uniq, eta=eta, gram=gram)
-        else:
-            basis = problem.krylov(spec) if entry.kind == "curl_free" else None
-            path = nu_method_path(problem.X, spec, uniq, nu=entry.nu, gram=gram,
-                                  _krylov=basis[:2] if basis and basis[3] else None)
+        path = how.path(problem, entry, spec, uniq)
     except _CONTRACT_ERRORS as exc:
         path, reason = [None] * len(uniq), _reason(exc)
     ms = _now_ms() - t0
@@ -645,32 +648,11 @@ def _fit_path(entry: EstimatorEntry, problem: _Problem, spec):
         yield i, _Cell(reason=reason, fit_ms=ms), by_t[t]
 
 
-def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec):
-    """Fit every grid point of one entry on one problem.
-
-    Yields (grid index, cell, estimator or None) as each fit completes, so
-    the caller can predict and drop it before the next fit. Every
-    single-point fit is timed and its contract error caught here; the path
-    schemes snapshot one run (_fit_path).
-    """
-    if entry.id in ("landweber", "nu_method"):
-        yield from _fit_path(entry, problem, spec)
-        return
-    for i in range(len(entry.grid)):
-        t0, est, reason = _now_ms(), None, ""
-        try:
-            est = _CELL_FITS[entry.id](problem, entry, spec, i)
-        except _CONTRACT_ERRORS as exc:
-            reason = _reason(exc)
-        yield i, _Cell(reason=reason, fit_ms=_now_ms() - t0), est
-
-
-def _run_cell_group(problem: _Problem, entry: EstimatorEntry) -> list:
+def _run_cell_group(problem: _Problem, entry: EstimatorEntry, dist, Q, truth) -> list:
     if entry.id == "oracle":
         t0 = _now_ms()
-        pred = OracleScore(problem.dist).predict(problem.Q)
-        return [_Cell(error=_mean_error(problem.truth, pred, problem.d),
-                      predict_ms=_now_ms() - t0)]
+        pred = OracleScore(dist).predict(Q)
+        return [_Cell(error=_mean_error(truth, pred, problem.d), predict_ms=_now_ms() - t0)]
 
     try:
         spec = problem.spec(entry)
@@ -685,9 +667,10 @@ def _run_cell_group(problem: _Problem, entry: EstimatorEntry) -> list:
         t0 = _now_ms()
         try:
             # a Nystrom fit's basis is a subset, not the samples
-            shared = problem.query_tables(spec) if est.subset_indices is None else None
-            pred = predict(est, problem.Q, _shared=shared)
-            cell.error = _mean_error(problem.truth, pred, problem.d)
+            shared = None if est.subset_indices is not None else problem._once(
+                ("query", spec), lambda: query_tables(spec, Q, problem.X))
+            pred = predict(est, Q, _shared=shared)
+            cell.error = _mean_error(truth, pred, problem.d)
         except _CONTRACT_ERRORS as exc:
             cell.reason = _reason(exc)
         cell.predict_ms = _now_ms() - t0
@@ -697,11 +680,15 @@ def _run_cell_group(problem: _Problem, entry: EstimatorEntry) -> list:
 def _run_problem(cfg: ExperimentConfig, d: int, M: int, seed: int) -> dict:
     """Cells of every estimator entry on one (d, M, seed) problem, by id."""
     try:
-        problem = _Problem(cfg, d, M, seed)
+        dist = build_distribution(cfg, d)
+        X = sample(dist, M, np.random.SeedSequence(seed, spawn_key=(1, d, M)))
+        Q = sample(dist, cfg.eval_size, np.random.SeedSequence(seed, spawn_key=(2, d, M)))
+        truth = score_batch(dist, Q)
     except _CONTRACT_ERRORS as exc:
         return {e.id: [_Cell(reason=_reason(exc)) for _ in e.grid]
                 for e in cfg.estimators}
-    return {e.id: _run_cell_group(problem, e) for e in cfg.estimators}
+    problem = _Problem(X, cfg.estimators, seed)
+    return {e.id: _run_cell_group(problem, e, dist, Q, truth) for e in cfg.estimators}
 
 
 def run_grid_rows(cfg: ExperimentConfig, threads: int = 1) -> list:
@@ -881,12 +868,7 @@ def run_convergence_experiment(config, out_path, threads: int = 1) -> list:
         raise InputError("convergence experiment needs >= 3 distinct sample "
                          "sizes spanning at least one decade, got "
                          f"{list(cfg.sample_sizes)}")
-    rows = run_grid_rows(cfg, threads=threads)
-    summary = summarize(rows)
-    slopes = fit_convergence_slopes(summary)
-    write_rows_csv(rows, out_path)
-    write_timings_csv(rows, _sidecar(out_path, "timings"))
-    write_summary_csv(summary, _sidecar(out_path, "summary"))
+    slopes = fit_convergence_slopes(summarize(run_grid_experiment(cfg, out_path, threads)))
     write_slopes_csv(slopes, _sidecar(out_path, "slopes"))
     return slopes
 

@@ -13,32 +13,19 @@ from dataclasses import replace
 
 from .atomic import atomic_open
 from .bench import (
+    REGISTRY,
     _check_keys,
-    _cutoff_rank,
-    _kernel_spec,
     _load_json_object,
-    _nystrom_subset,
     _parse_estimator,
+    _Problem,
     emit_plot,
     load_experiment_config,
     run_convergence_experiment,
     run_grid_experiment,
 )
 from .errors import InputError, NumericError
-from .estimators import (
-    TruncatedTikhonov,
-    fit_landweber,
-    fit_nu_method,
-    fit_nystrom,
-    fit_spectral_cutoff,
-    fit_tikhonov,
-    fit_tikhonov_cg,
-    fit_truncated_tikhonov,
-    load_estimator,
-    predict,
-    save_estimator,
-)
-from .oracles import load_samples_csv, median_bandwidth, save_samples_csv
+from .estimators import load_estimator, predict, save_estimator
+from .oracles import load_samples_csv, save_samples_csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,43 +54,21 @@ def _command_config(args, keys):
 # fit
 # ======================================================================
 
-def _fit_single(entry, X, seed: int):
-    if entry.id == "oracle":
-        raise InputError("the oracle is not a fittable estimator")
-    if len(entry.grid) != 1:
-        raise InputError("fit config must pin exactly one hyperparameter "
-                         f"point, got a grid of {len(entry.grid)}")
-    M, d = X.shape
-    spec = _kernel_spec(entry, lambda: median_bandwidth(X))
-    params = entry.grid[0][1]
-    if entry.id == "tikhonov":
-        return fit_tikhonov(X, spec, params["lam"])
-    if entry.id == "tikhonov_cg":
-        return fit_tikhonov_cg(X, spec, params["lam"], tol=entry.tol,
-                               max_iter=entry.max_iter)
-    if entry.id == "truncated_tikhonov":
-        return fit_truncated_tikhonov(X, spec, params["lam"])
-    if entry.id == "spectral_cutoff":
-        if "lam" in params:
-            return fit_spectral_cutoff(X, spec, lam=params["lam"])
-        return fit_spectral_cutoff(X, spec, rank=_cutoff_rank(params["fraction"], M, d))
-    if entry.id == "landweber":
-        eta = entry.eta if entry.eta > 0 else None
-        return fit_landweber(X, spec, eta=eta, t=params["t"])
-    if entry.id == "nu_method":
-        return fit_nu_method(X, spec, nu=entry.nu, t=params["t"])
-    # nystrom, the only id left
-    return fit_nystrom(X, _nystrom_subset(entry, seed, M, d), spec,
-                       TruncatedTikhonov(params["lam"]))
-
-
 def _cmd_fit(args) -> int:
     data, path = _command_config(args, ("samples", "estimator"))
     if "samples" not in data or "estimator" not in data:
         raise InputError("config: fit needs 'samples' and 'estimator'")
     X = load_samples_csv(path("samples"))
     entry = _parse_estimator(data["estimator"], "config.estimator")
-    est = _fit_single(entry, X, args.seed)
+    fit = REGISTRY[entry.id].fit
+    if fit is None:
+        raise InputError("the oracle is not a fittable estimator")
+    if len(entry.grid) != 1:
+        raise InputError("fit config must pin exactly one hyperparameter "
+                         f"point, got a grid of {len(entry.grid)}")
+    problem = _Problem(X, (entry,), 0 if args.seed is None else args.seed)
+    est = fit(problem, entry, problem.spec(entry), 0)
+    del problem  # its Gram must not outlive the fit
     save_estimator(est, args.out)
     return 0
 
@@ -199,8 +164,6 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("scorekit: error: a subcommand is required", file=sys.stderr)
             return 1
-        if args.command == "fit" and args.seed is None:
-            args.seed = 0
         if args.threads < 1:
             raise InputError("--threads must be >= 1")
         return args.fn(args)

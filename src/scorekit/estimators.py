@@ -23,7 +23,7 @@ wherever a scheme filters on the nonzero spectrum.
 import io
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,6 +31,8 @@ from .atomic import atomic_open
 from .errors import FitError, InputError, NumericError
 from .kernels import (
     DENSE_SYSTEM_LIMIT,
+    FAMILIES,
+    KINDS,
     ImplicitGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
@@ -684,27 +686,20 @@ def _potential_at(est, pts: np.ndarray) -> np.ndarray:
 # ======================================================================
 
 _MAGIC = b"SKESTv1\n"
-_FAMILY_CODE = {"imq": 0, "gaussian": 1}
-_KIND_CODE = {"diagonal": 0, "curl_free": 1}
-_FAMILY_NAME = {v: k for k, v in _FAMILY_CODE.items()}
-_KIND_NAME = {v: k for k, v in _KIND_CODE.items()}
+
+# a kernel's family and kind codes are their indices in FAMILIES and KINDS;
+# scheme code k is _SCHEMES[k - 1], its parameters the scheme's fields in
+# order, SpectralCutoff's rank None as -1
+_SCHEMES = (Tikhonov, TruncatedTikhonov, SpectralCutoff, Landweber, NuMethod)
 
 
 def _scheme_code(scheme):
-    if isinstance(scheme, Tikhonov):
-        return 1, [scheme.lam]
-    if isinstance(scheme, TruncatedTikhonov):
-        return 2, [scheme.lam]
-    if isinstance(scheme, SpectralCutoff):
-        return 3, [scheme.lam, -1.0 if scheme.rank is None else float(scheme.rank)]
-    if isinstance(scheme, Landweber):
-        return 4, [scheme.eta, float(scheme.t)]
-    if isinstance(scheme, NuMethod):
-        return 5, [scheme.nu, float(scheme.t)]
-    raise InputError(f"scheme {scheme!r} is not serializable")
-
-
-_N_PARAMS = {1: 1, 2: 1, 3: 2, 4: 2, 5: 2}
+    if type(scheme) not in _SCHEMES:
+        raise InputError(f"scheme {scheme!r} is not serializable")
+    params = [getattr(scheme, f.name) for f in fields(scheme)]
+    if isinstance(scheme, SpectralCutoff) and scheme.rank is None:
+        params[1] = -1.0
+    return _SCHEMES.index(type(scheme)) + 1, params
 
 
 def _count(v, what) -> int:
@@ -714,21 +709,19 @@ def _count(v, what) -> int:
 
 
 def _scheme_from_code(code, params):
-    if code not in _N_PARAMS:
+    if not 1 <= code <= len(_SCHEMES):
         raise InputError(f"unknown scheme code {code} in serialized estimator")
-    if len(params) != _N_PARAMS[code]:
-        raise InputError(f"scheme code {code} takes {_N_PARAMS[code]} parameter(s), "
+    cls = _SCHEMES[code - 1]
+    names = [f.name for f in fields(cls)]
+    if len(params) != len(names):
+        raise InputError(f"scheme code {code} takes {len(names)} parameter(s), "
                          f"got {len(params)}")
-    if code == 1:
-        return Tikhonov(params[0])
-    if code == 2:
-        return TruncatedTikhonov(params[0])
-    if code == 3:
-        rank = None if params[1] < 0 else _count(params[1], "rank")
-        return SpectralCutoff(lam=params[0], rank=rank)
-    if code == 4:
-        return Landweber(params[0], _count(params[1], "iteration count"))
-    return NuMethod(params[0], _count(params[1], "iteration count"))
+    kw = dict(zip(names, params))
+    if "rank" in kw:
+        kw["rank"] = None if kw["rank"] < 0 else _count(kw["rank"], "rank")
+    if "t" in kw:
+        kw["t"] = _count(kw["t"], "iteration count")
+    return cls(**kw)
 
 
 def _scheme_offset(scheme) -> float:
@@ -760,8 +753,8 @@ def save_estimator(est: FittedScoreEstimator, path) -> None:
     flags = 0 if est.subset_indices is None else 1
     buf = io.BytesIO()
     buf.write(_MAGIC)
-    buf.write(struct.pack("<BBd", _FAMILY_CODE[est.kernel.scalar.family],
-                          _KIND_CODE[est.kernel.kind], est.kernel.scalar.bandwidth))
+    buf.write(struct.pack("<BBd", FAMILIES.index(est.kernel.scalar.family),
+                          KINDS.index(est.kernel.kind), est.kernel.scalar.bandwidth))
     buf.write(struct.pack("<BB", code, len(params)))
     buf.write(np.asarray(params, dtype="<f8").tobytes())
     buf.write(struct.pack("<dIIIQ", est.offset, M, d, N, flags))
@@ -797,7 +790,7 @@ def _decode_estimator(raw: bytes) -> FittedScoreEstimator:
     if bytes(take(len(_MAGIC))) != _MAGIC:
         raise InputError("not a serialized estimator (bad magic/version)")
     fam, kind, bw = struct.unpack("<BBd", take(10))
-    if fam not in _FAMILY_NAME or kind not in _KIND_NAME:
+    if fam >= len(FAMILIES) or kind >= len(KINDS):
         raise InputError("unknown kernel family/kind code")
     code, n_params = struct.unpack("<BB", take(2))
     params = np.frombuffer(take(8 * n_params), dtype="<f8").tolist()
@@ -821,7 +814,7 @@ def _decode_estimator(raw: bytes) -> FittedScoreEstimator:
             and np.all(np.isfinite(samples)) and np.all(np.isfinite(coeffs))):
         raise InputError("estimator file holds non-finite parameters, offset, "
                          "samples or coefficients")
-    spec = MatrixKernelSpec(_KIND_NAME[kind], ScalarRadialKernel(_FAMILY_NAME[fam], bw))
+    spec = MatrixKernelSpec(KINDS[kind], ScalarRadialKernel(FAMILIES[fam], bw))
     scheme = _scheme_from_code(code, params)
     # the recursion that produced a saved nu-method a_t drifts from the closed
     # form by up to 1e-9 relative at t = 2e5

@@ -306,21 +306,24 @@ class ImplicitGram(_Gram):
 
     Stores only O(M^2) scalar-derivative tables; a matvec is cross_apply
     evaluated at the samples over those tables, O(M^2 d) time instead of
-    touching an Md x Md matrix (O(M^2 d^2) storage dense).
+    touching an Md x Md matrix (O(M^2 d^2) storage dense). The tables are
+    built by the first matvec, so a fit that refuses this form allocates
+    nothing.
     """
 
     __slots__ = ("_tables",)
 
     def __init__(self, spec: MatrixKernelSpec, samples):
-        X = as_samples(samples)
-        super().__init__(spec, X)
-        self._tables = query_tables(spec, X, X, zeta=False)[1]
+        super().__init__(spec, as_samples(samples))
+        self._tables = None
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.shape[0] != self.dim:
             raise InputError(f"vector length {b.shape[0]} != Gram dimension {self.dim}")
         X = self.samples
+        if self._tables is None:
+            self._tables = query_tables(self.spec, X, X, zeta=False)[1]
         return cross_apply(self.spec, X, X, b.reshape(X.shape), _tables=self._tables).ravel()
 
 

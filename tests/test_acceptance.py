@@ -16,13 +16,12 @@
 
 import json
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from fd_oracles import fd_gradient, fd_jacobian, fd_mixed_partial
-from helpers import eval_matrix_kernel, full_gram
+from helpers import eval_matrix_kernel, full_gram, peak_bytes
 from test_estimators import ssge_reference_coeffs
 
 from scorekit.bench import (
@@ -67,20 +66,19 @@ def test_criterion_1_implicit_matvec_accuracy_and_memory():
     spec = cf("imq", 1.5)
     V = rng.standard_normal((M * d, n_vec))
 
-    tracemalloc.start()
-    K = assemble_gram(spec, X).matrix
-    dense_out = K @ V
-    peak_dense = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
-    del K
+    out = {}
 
-    tracemalloc.start()
-    gram = ImplicitGram(spec, X)
-    impl_out = np.empty((M * d, n_vec))
-    for j in range(n_vec):
-        impl_out[:, j] = gram.matvec(V[:, j])
-    peak_impl = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+    def dense():
+        out["dense"] = assemble_gram(spec, X).matrix @ V
+
+    def implicit():
+        gram = ImplicitGram(spec, X)
+        out["implicit"] = np.empty((M * d, n_vec))
+        for j in range(n_vec):
+            out["implicit"][:, j] = gram.matvec(V[:, j])
+    peak_dense = peak_bytes(dense)
+    peak_impl = peak_bytes(implicit)
+    dense_out, impl_out = out["dense"], out["implicit"]
 
     rel = (np.linalg.norm(impl_out - dense_out, axis=0)
            / np.linalg.norm(dense_out, axis=0)).max()

@@ -28,7 +28,7 @@ from scorekit.bench import (
     write_rows_csv,
 )
 from scorekit.errors import InputError, NumericError
-from scorekit.oracles import make_grid_distribution
+from scorekit.oracles import make_grid_distribution, sample
 from scorekit.svgplot import render_line_chart
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
@@ -776,7 +776,8 @@ class TestSharedKrylovEngine:
     def problem(entries, d=2, M=64):
         cfg = parse_experiment_config(base_config(
             dimensions=[d], sample_sizes=[M], seeds=[0], eval_size=16, estimators=entries))
-        return bench._Problem(cfg, d, M, 0), cfg.estimators
+        X = sample(build_distribution(cfg, d), M, np.random.SeedSequence(0, spawn_key=(1, d, M)))
+        return bench._Problem(X, cfg.estimators, 0), cfg.estimators
 
     @pytest.mark.parametrize("d, M", [(1, 256), (2, 128), (8, 64)])
     def test_both_forms_give_the_same_starts_and_snapshots(self, monkeypatch, d, M):
@@ -791,7 +792,7 @@ class TestSharedKrylovEngine:
             assert isinstance(problem.gram(spec), form)
             starts.append(bench._shifted_starts(problem, spec, tik.grid))
             assert problem.krylov(spec)[3]  # spans every snapshot
-            paths.append([est for *_, est in bench._fit_path(nu, problem, spec)])
+            paths.append([est for *_, est in bench._fit_cells(nu, problem, spec)])
         for a, b in zip(*starts):
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
         for a, b in zip(*paths):

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from scorekit import bench
-from scorekit.bench import SummaryRow, parse_experiment_config, write_summary_csv
+from scorekit.bench import SummaryRow, write_summary_csv
 from scorekit.cli import main
-from scorekit.estimators import load_estimator
+from scorekit.estimators import fit_nu_method, fit_tikhonov, load_estimator
+from scorekit.kernels import MatrixKernelSpec, ScalarRadialKernel
 from scorekit.oracles import (
     load_samples_csv,
+    make_grid_distribution,
+    median_bandwidth,
     sample,
     save_samples_csv,
     standard_gaussian,
@@ -335,11 +338,12 @@ class TestNonUtf8Input:
 
 class TestCliMatchesSweep:
     """Where `scorekit fit` and the sweep take the same path, the CLI's saved
-    fit equals the sweep's one-point fit bit for bit. Not covered, because
-    the two take different paths on purpose:
+    fit equals the sweep's one-point fit bit for bit. Not covered here,
+    because the sweep passes these fits its own opts on purpose:
     - curl-free tikhonov: the sweep starts each fit from a shared Lanczos
       basis and runs matrix-free CG to 1e-8, not 1e-10;
     - curl-free nu_method: the sweep runs the recursion on a Lanczos basis.
+    For those the CLI must return the public fit itself (test below).
     """
 
     CASES = [("diagonal", {"id": "tikhonov", "lambdas": [0.01]})] + [
@@ -353,27 +357,49 @@ class TestCliMatchesSweep:
               for kind in ("diagonal", "curl_free")] + [
         ("diagonal", {"id": "nu_method", "iterations": [10]})]
 
+    @staticmethod
+    def fit_by_cli(tmp_path, X, entry, seed=0):
+        fcfg = write_fit_config(tmp_path, X, entry)
+        out = tmp_path / "est.bin"
+        assert main(["fit", "--config", fcfg, "--out", str(out), "--seed", str(seed)]) == 0
+        return load_estimator(out)
+
+    @staticmethod
+    def assert_same_fit(fitted, ref):
+        assert fitted.scheme == ref.scheme
+        assert fitted.offset == ref.offset
+        assert np.array_equal(fitted.coeffs, ref.coeffs)
+        assert np.array_equal(fitted.basis, ref.basis)
+
     @pytest.mark.parametrize("kind, entry", CASES, ids=[
         f"{kind}-{entry['id']}-{next(k for k in entry if k != 'id')}" for kind, entry in CASES])
     def test_cli_fit_equals_the_sweep_fit(self, tmp_path, kind, entry):
         d, M, seed = 2, 24, 3
         entry = dict(entry, kind=kind)
-        cfg = parse_experiment_config({
-            "schema_version": 1, "distribution": "grid", "dimensions": [d],
-            "sample_sizes": [M], "seeds": [seed], "eval_size": 8,
-            "estimators": [entry]})
-        problem = bench._Problem(cfg, d, M, seed)
-        parsed = cfg.estimators[0]
+        X = sample(make_grid_distribution(d, 0), M,
+                   np.random.SeedSequence(seed, spawn_key=(1, d, M)))
+        parsed = bench._parse_estimator(entry, "estimator")
+        problem = bench._Problem(X, (parsed,), seed)
         [(_, cell, swept)] = bench._fit_cells(parsed, problem, problem.spec(parsed))
         assert cell.reason == ""
-        fcfg = write_fit_config(tmp_path, problem.X, entry)
-        out = tmp_path / "est.bin"
-        assert main(["fit", "--config", fcfg, "--out", str(out), "--seed", str(seed)]) == 0
-        fitted = load_estimator(out)
-        assert fitted.scheme == swept.scheme
-        assert fitted.offset == swept.offset
-        assert np.array_equal(fitted.coeffs, swept.coeffs)
-        assert np.array_equal(fitted.basis, swept.basis)
+        self.assert_same_fit(self.fit_by_cli(tmp_path, X, entry, seed), swept)
+
+    # Md = 4160 is over the dense limit: the matrix-free CG fit
+    @pytest.mark.parametrize("entry, M, d, fit, mode", [
+        ({"id": "tikhonov", "lambdas": [0.01]}, 24, 2,
+         lambda X, spec: fit_tikhonov(X, spec, 0.01), "dense"),
+        ({"id": "tikhonov", "lambdas": [0.01]}, 130, 32,
+         lambda X, spec: fit_tikhonov(X, spec, 0.01), "implicit"),
+        ({"id": "nu_method", "iterations": [10]}, 24, 2,
+         lambda X, spec: fit_nu_method(X, spec, 1.0, 10), None),
+    ], ids=["tikhonov-dense", "tikhonov-matrix-free", "nu_method"])
+    def test_curl_free_cli_fit_equals_the_public_fit(self, tmp_path, entry, M, d, fit, mode):
+        X = np.random.default_rng(M + d).normal(size=(M, d))
+        fitted = self.fit_by_cli(tmp_path, X, dict(entry, kind="curl_free"))
+        spec = MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", median_bandwidth(X)))
+        ref = fit(X, spec)
+        assert ref.meta.get("mode") == mode
+        self.assert_same_fit(fitted, ref)
 
 
 class TestSizeRefusal:

@@ -1017,6 +1017,28 @@ class TestSerialization:
         assert np.array_equal(back.subset_indices, [1, 3, 4])
         assert np.array_equal(back.basis, est.basis)
 
+    @pytest.mark.parametrize("scheme, code, params", [
+        (Tikhonov(0.1), 1, (0.1,)),
+        (TruncatedTikhonov(0.1), 2, (0.1,)),
+        (SpectralCutoff(lam=0.05), 3, (0.05, -1.0)),
+        (SpectralCutoff(lam=0.05, rank=4), 3, (0.05, 4.0)),
+        (Landweber(0.5, 3), 4, (0.5, 3.0)),
+        (NuMethod(1.0, 3), 5, (1.0, 3.0)),
+    ], ids=["tikhonov", "truncated_tikhonov", "spectral_cutoff-lam",
+            "spectral_cutoff-rank", "landweber", "nu_method"])
+    @pytest.mark.parametrize("idx", [None, [2, 0]], ids=["samples", "subset"])
+    def test_save_writes_the_documented_layout(self, tmp_path, scheme, code, params, idx):
+        M, d = 3, 2
+        N = M if idx is None else len(idx)
+        X = np.arange(M * d, dtype=float).reshape(M, d) / 7
+        C = np.linspace(-1.0, 1.0, N * d)
+        spec = MatrixKernelSpec("curl_free", ScalarRadialKernel("gaussian", 2.5))
+        save_estimator(FittedScoreEstimator(spec, X, C, -1.5, scheme, subset_indices=idx),
+                       tmp_path / "est.bin")
+        assert (tmp_path / "est.bin").read_bytes() == pack(
+            fam=1, kind=1, bw=2.5, code=code, params=params, offset=-1.5, M=M, d=d,
+            N=N, flags=int(idx is not None), samples=X, idx=idx, coeffs=C)
+
     def test_callable_filter_fit_is_not_serializable(self, tmp_path):
         rng = np.random.default_rng(92)
         X, spec = random_instance(rng, M=6, d=2, kind="curl_free")

@@ -15,10 +15,12 @@ from scorekit import (
     assemble_gram,
     fit_landweber,
     fit_nu_method,
+    fit_truncated_tikhonov,
     h_vector,
     save_samples_csv,
 )
 from scorekit.cli import main
+from scorekit.errors import InputError
 
 from helpers import peak_bytes
 
@@ -75,3 +77,27 @@ def test_diagonal_iterative_fits_stay_m_by_m(tmp_path, fit, via):
         argv = ["fit", "--config", str(tmp_path / "fit.json"), "--out", str(tmp_path / "e.bin")]
         run = lambda: main(argv)  # noqa: E731
     assert peak_bytes(run) <= 32 * M * M * 8  # 5 to 12 M x M tables measured
+
+
+@pytest.mark.parametrize("via", ["function", "cli"])
+def test_an_eigen_filter_refuses_the_matrix_free_gram_before_it_allocates(tmp_path, via):
+    """Md = 4200 is over the dense limit; building the matrix-free Gram's
+    M x M tables before the refusal took 134.6 MB here."""
+    M, d = 2100, 2
+    X = samples(M, d)
+    spec = MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", 1.0))
+    if via == "function":
+        def run():
+            with pytest.raises(InputError, match=f"{(M * d) ** 2 * 8} bytes"):
+                fit_truncated_tikhonov(X, spec, 0.1)
+    else:
+        save_samples_csv(X, tmp_path / "samples.csv")
+        (tmp_path / "fit.json").write_text(json.dumps({
+            "schema_version": 1, "samples": "samples.csv",
+            "estimator": {"id": "truncated_tikhonov", "kind": "curl_free",
+                          "bandwidth": 1.0, "lambdas": [0.1]}}))
+        argv = ["fit", "--config", str(tmp_path / "fit.json"), "--out", str(tmp_path / "e.bin")]
+
+        def run():
+            assert main(argv) == 1
+    assert peak_bytes(run) < MB

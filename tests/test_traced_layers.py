@@ -5,14 +5,14 @@ requires each workload to reach the layers in HEAVY; a traced run fails if
 one records no call. This reads both (without changing them) and checks
 that each layer name, through tracer.RENAME, is a public scorekit function
 the tracer wraps or a method it patches, so a refactor that drops or renames
-one fails here instead of in the traced benchmark run. The cli-serve fit and
-predict pair also runs traced at a small shape, and must reach every layer
-its workload requires.
+one fails here instead of in the traced benchmark run. Each workload also
+runs traced at a small shape, and must reach every layer it requires.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 
 import pytest
@@ -70,4 +70,25 @@ def test_cli_serve_reaches_every_required_layer(tmp_path):
         obs = serve.run(str(tmp_path), 0)
     assert set(obs["rc"].values()) == {0}
     assert [layer for layer in workloads.HEAVY["cli-serve"]
+            if traced.stat(layer).calls == 0] == []
+
+
+# the sweep workloads' configs at small shapes; highdim-sweep keeps Md = 4608
+# over the dense limit, so its curl-free fits stay matrix-free
+SMALL_SWEEPS = {
+    "conv-1d": {"sample_sizes": [16, 48, 160], "eval_size": 32},
+    "highdim-sweep": {"dimensions": [64], "sample_sizes": [72], "eval_size": 32},
+    "dense-eigen": {"sample_sizes": [64], "eval_size": 32},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_SWEEPS))
+def test_sweep_reaches_every_required_layer(tmp_path, name):
+    sweep = workloads.WORKLOADS[name]
+    config = dict(sweep.config(0), **SMALL_SWEEPS[name])
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    with tracer.Tracer() as traced:
+        obs = sweep.run(str(tmp_path), 0)
+    assert obs["rc"] == 0
+    assert [layer for layer in workloads.HEAVY[name]
             if traced.stat(layer).calls == 0] == []
