@@ -89,6 +89,8 @@ class SpectralCutoff:
             raise InputError(f"SpectralCutoff requires lam > 0, got {self.lam!r}")
         if self.rank is not None and self.rank < 1:
             raise InputError(f"SpectralCutoff rank must be >= 1, got {self.rank!r}")
+        if self.lam is None and self.rank is None:
+            raise InputError("SpectralCutoff needs lam or rank")
 
 
 @dataclass(frozen=True)
@@ -689,16 +691,15 @@ _MAGIC = b"SKESTv1\n"
 
 # a kernel's family and kind codes are their indices in FAMILIES and KINDS;
 # scheme code k is _SCHEMES[k - 1], its parameters the scheme's fields in
-# order, SpectralCutoff's rank None as -1
+# order, a SpectralCutoff's missing lam or rank as -1
 _SCHEMES = (Tikhonov, TruncatedTikhonov, SpectralCutoff, Landweber, NuMethod)
 
 
 def _scheme_code(scheme):
     if type(scheme) not in _SCHEMES:
         raise InputError(f"scheme {scheme!r} is not serializable")
-    params = [getattr(scheme, f.name) for f in fields(scheme)]
-    if isinstance(scheme, SpectralCutoff) and scheme.rank is None:
-        params[1] = -1.0
+    values = (getattr(scheme, f.name) for f in fields(scheme))
+    params = [-1.0 if v is None else v for v in values]
     return _SCHEMES.index(type(scheme)) + 1, params
 
 
@@ -717,7 +718,8 @@ def _scheme_from_code(code, params):
         raise InputError(f"scheme code {code} takes {len(names)} parameter(s), "
                          f"got {len(params)}")
     kw = dict(zip(names, params))
-    if "rank" in kw:
+    if cls is SpectralCutoff:
+        kw["lam"] = None if kw["lam"] < 0 else kw["lam"]
         kw["rank"] = None if kw["rank"] < 0 else _count(kw["rank"], "rank")
     if "t" in kw:
         kw["t"] = _count(kw["t"], "iteration count")

@@ -190,7 +190,9 @@ def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
 
     z is zeta_batch(spec, samples, queries) if zeta; tables, if cross, are
     what cross_apply reads over the basis samples[subset] (all samples if
-    subset is None): (phi(U),) diagonal, (phi'(U), phi''(U)) curl-free.
+    subset is None): (phi(U),) diagonal, (phi'(U), phi''(U)) curl-free at
+    d > 1 and, at d = 1, where the curl-free kernel is the scalar
+    -2 phi'(u) - 4 phi''(u) u, the one table (-2 phi'(U) - 4 phi''(U) U,).
     The arrays are not validated; callers pass checked ones.
     """
     M, d = samples.shape
@@ -214,7 +216,16 @@ def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
     B = U if subset is None else U[:, subset]
     if p2 is None:
         return z, (k.phi(B),)
-    return z, (k.dphi(B), p2 if subset is None else p2[:, subset])
+    P2 = p2 if subset is None else p2[:, subset]
+    if d > 1:
+        return z, (k.dphi(B), P2)
+    # in place over phi'', which zeta has read: no more Q x M arrays than d > 1
+    P2 *= B
+    P2 *= -4.0
+    P1 = k.dphi(B)
+    P1 *= 2.0
+    P2 -= P1
+    return z, (P2,)
 
 
 def zeta_batch(spec: MatrixKernelSpec, samples, queries) -> np.ndarray:
@@ -304,8 +315,9 @@ class DenseGram(_Gram):
 class ImplicitGram(_Gram):
     """Matrix-free Gram operator.
 
-    Stores only O(M^2) scalar-derivative tables; a matvec is cross_apply
-    evaluated at the samples over those tables, O(M^2 d) time instead of
+    Stores only M x M tables, query_tables(spec, X, X)'s: phi'(U) and
+    phi''(U) at d > 1, the scalar kernel itself at d = 1. A matvec is
+    cross_apply evaluated at the samples over them, O(M^2 d) time instead of
     touching an Md x Md matrix (O(M^2 d^2) storage dense). The tables are
     built by the first matvec, so a fit that refuses this form allocates
     nothing.
@@ -387,7 +399,9 @@ def cross_apply(spec: MatrixKernelSpec, queries, basis, coeffs: np.ndarray,
     This is the K_{xX} c part of every prediction, evaluated without
     materializing the Q*d x N*d cross Gram. _tables, when given, is
     query_tables(spec, queries, basis)[1] for arrays the caller has
-    validated, and only its shape is checked.
+    validated, and only its shape is checked. One table (a diagonal
+    kernel's phi, a curl-free one's whole scalar kernel at d = 1) is the
+    scalar cross Gram k, applied as k @ coeffs.
     """
     Q, B, C = queries, basis, coeffs
     if _tables is None:
@@ -400,7 +414,7 @@ def cross_apply(spec: MatrixKernelSpec, queries, basis, coeffs: np.ndarray,
         _tables = query_tables(spec, Q, B, zeta=False)[1]
     elif any(T.shape != (Q.shape[0], B.shape[0]) for T in _tables):
         raise InputError(f"query tables must have shape ({Q.shape[0]}, {B.shape[0]})")
-    if spec.kind == "diagonal":
+    if len(_tables) == 1:
         (k,) = _tables
         return k @ C
     p1, p2 = _tables

@@ -31,6 +31,8 @@ CORRUPT = [
     ("code 1 with two params", pack(code=1, params=(0.1, 2.0))),
     ("code 4 with one param", pack(code=4, params=(0.1,))),
     ("non-integer iteration count", pack(code=5, params=(1.0, 2.5))),
+    # -1 stands for a spectral cut-off's missing lam or rank, not for both
+    ("spectral cut-off without lam or rank", pack(code=3, params=(-1.0, -1.0), offset=0.0)),
     ("N > M with subset", pack(M=3, N=4, flags=1, idx=[0, 1, 2, 3])),
     ("N > M without subset", pack(M=3, N=4)),
     ("N != M without subset", pack(M=3, N=2)),

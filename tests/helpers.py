@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use.
 
-Pointwise kernel blocks, the whole-array curl-free cross Gram, a
+Pointwise kernel blocks, the whole-array curl-free cross Gram, the
+curl-free cross product from the two tables phi'(U) and phi''(U), a
 matrix-backed operator, spectral calculus through a full eigensystem, the
 append-and-refit score heuristic, the line-by-line CSV reader and a
 diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks: slow or naive
@@ -22,6 +23,7 @@ from scorekit.kernels import (
     as_samples,
     assemble_gram,
     scalar_gram,
+    sq_dists,
     zeta_batch,
 )
 
@@ -74,6 +76,20 @@ def cross_gram_full(spec: MatrixKernelSpec, rows, cols) -> np.ndarray:
     for i in range(d):
         K4[:, i, :, i] -= 2.0 * P1
     return np.ascontiguousarray(K4.reshape(P * d, Q * d))
+
+
+def cross_apply_two_tables(spec: MatrixKernelSpec, queries, basis, coeffs) -> np.ndarray:
+    """kernels.cross_apply of a curl-free kernel from phi'(U) and phi''(U),
+    the two tables it reads at d > 1, at any d (d = 1 included)."""
+    B = as_samples(basis)
+    Q = np.asarray(queries, dtype=np.float64)
+    C = np.asarray(coeffs, dtype=np.float64)
+    U = sq_dists(Q, B)
+    p1, p2 = spec.scalar.dphi(U), spec.scalar.d2phi(U)
+    S = Q @ C.T                               # S[q, l] = x_q . c^l
+    t = np.einsum("ij,ij->i", B, C)           # t[l] = b^l . c^l
+    alpha = p2 * (S - t[None, :])             # phi''(u_ql) * (r_ql . c^l)
+    return -4.0 * (alpha.sum(axis=1)[:, None] * Q - alpha @ B) - 2.0 * (p1 @ C)
 
 
 def full_gram(spec: MatrixKernelSpec, X) -> np.ndarray:

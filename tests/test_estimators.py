@@ -1,5 +1,4 @@
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +44,7 @@ from scorekit.kernels import (
 from estimator_files import CORRUPT, pack
 from fd_oracles import fd_gradient, fd_jacobian
 from helpers import (
+    cross_apply_two_tables,
     eval_matrix_kernel,
     forbid_big_cross_grams,
     full_gram,
@@ -886,22 +886,52 @@ class TestPredict:
             Q = rng.normal(size=(n, d))
             self.assert_close(predict(est, Q), -0.03 * zeta_batch(spec, X, Q))
 
-    @pytest.mark.parametrize("kind", ["diagonal", "curl_free"])
-    def test_memory_is_chunk_sized(self, kind):
+    @pytest.mark.parametrize("offset", [0.0, -2.5])
+    @pytest.mark.parametrize("family", ["imq", "gaussian"])
+    def test_d1_scalar_table_matches_two_table_path(self, family, offset):
+        # at d = 1 one table -2 phi'(U) - 4 phi''(U) U stands for the two
+        rng = np.random.default_rng(80)
+        M = 1000
+        X = rng.normal(size=(M, 1))
+        spec = MatrixKernelSpec("curl_free", ScalarRadialKernel(family, 0.6))
+        scheme = Tikhonov(0.4) if offset else TruncatedTikhonov(0.4)
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(M, 1)), offset, scheme)
+        for n in self.chunk_sizes(M):
+            Q = rng.normal(size=(n, 1))
+            ref = offset * zeta_batch(spec, X, Q) + cross_apply_two_tables(
+                spec, Q, X, est.coeffs)
+            self.assert_close(predict(est, Q), ref)
+            # the sweep's one whole-Q table per problem and spec
+            self.assert_close(predict(est, Q, _shared=query_tables(spec, Q, X)), ref)
+
+    @pytest.mark.parametrize("offset", [0.0, -0.7])
+    def test_d1_scalar_table_over_a_subset_basis(self, offset):
+        rng = np.random.default_rng(81)
+        M, N = 900, 300
+        X = rng.normal(size=(M, 1))
+        idx = rng.choice(M, size=N, replace=False)
+        spec = cf("gaussian", 0.5)
+        # offset 0 is a Nystrom fit; with an offset the basis table is
+        # columns of the samples' one
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(N, 1)), offset,
+                                   TruncatedTikhonov(0.1), subset_indices=idx)
+        for n in self.chunk_sizes(M if offset else N):
+            Q = rng.normal(size=(n, 1))
+            ref = offset * zeta_batch(spec, X, Q) + cross_apply_two_tables(
+                spec, Q, X[idx], est.coeffs)
+            self.assert_close(predict(est, Q), ref)
+
+    @pytest.mark.parametrize("kind, d", [("diagonal", 16), ("curl_free", 16), ("curl_free", 1)],
+                             ids=["diagonal", "curl_free", "curl_free-d1"])
+    def test_memory_is_chunk_sized(self, kind, d):
         # a whole-query pass held Q x M tables: about 617 MB traced here
         rng = np.random.default_rng(79)
-        M, d = 768, 16
+        M = 768
         X = rng.normal(size=(M, d))
         Q = rng.normal(size=(20000, d))
         spec = MatrixKernelSpec(kind, ScalarRadialKernel("imq", 4.0))
         est = FittedScoreEstimator(spec, X, rng.normal(size=(M, d)), -1000.0, Tikhonov(1e-3))
-        tracemalloc.start()
-        try:
-            predict(est, Q)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 40e6
+        assert peak_bytes(lambda: predict(est, Q)) < 40e6
 
     def test_immutable_fitted_state(self):
         rng = np.random.default_rng(73)
@@ -1008,6 +1038,17 @@ class TestSerialization:
             assert np.array_equal(est.predict(Q), back.predict(Q))
             assert type(back.scheme) is type(est.scheme)
             assert back.offset == est.offset
+
+    @pytest.mark.parametrize("scheme", [SpectralCutoff(rank=2), SpectralCutoff(lam=0.1)],
+                             ids=["rank", "lam"])
+    def test_roundtrip_of_a_spectral_cutoff_missing_a_field(self, tmp_path, scheme):
+        # a missing lam or rank is stored as -1, not as NaN
+        rng = np.random.default_rng(94)
+        X = rng.normal(size=(5, 2))
+        est = FittedScoreEstimator(cf(), X, rng.normal(size=(5, 2)), 0.0, scheme)
+        back = self.roundtrip(est, tmp_path)
+        assert back.scheme == scheme
+        assert np.array_equal(back.coeffs, est.coeffs) and back.offset == 0.0
 
     def test_roundtrip_preserves_subset_indices(self, tmp_path):
         rng = np.random.default_rng(91)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from scorekit import (
+    ImplicitGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
     assemble_gram,
@@ -101,3 +102,24 @@ def test_an_eigen_filter_refuses_the_matrix_free_gram_before_it_allocates(tmp_pa
         def run():
             assert main(argv) == 1
     assert peak_bytes(run) < MB
+
+
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+def test_d1_implicit_gram_holds_one_table(family):
+    """At d = 1 the matrix-free Gram keeps the scalar kernel, one M x M
+    table, where phi'(U) and phi''(U) took two. One build peaks at four
+    tables (U, phi'' and phi'(U)'s two temporaries), so two Grams built
+    in turn peak at 1 + 4 tables, 2 + 4 with two tables each."""
+    M = 2048
+    X = samples(M, 1)
+    spec = curl_free(family)
+    b = np.random.default_rng(5).normal(size=M)
+    grams = []
+
+    def build_two():
+        for _ in range(2):
+            grams.append(ImplicitGram(spec, X))
+            grams[-1].matvec(b)
+    assert peak_bytes(build_two) < 5.5 * (M * 8) * M
+    ref = assemble_gram(spec, X).matvec(b)
+    assert np.abs(grams[0].matvec(b) - ref).max() <= 1e-12 * np.abs(ref).max()
