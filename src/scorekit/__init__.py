@@ -71,7 +71,6 @@ from .kernels import (
     cross_apply,
     cross_gram,
     h_vector,
-    scalar_derivs,
     scalar_gram,
     sq_dists,
     zeta,

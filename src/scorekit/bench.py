@@ -301,18 +301,14 @@ def parse_experiment_config(data, base_dir: str = ".") -> ExperimentConfig:
         raise InputError("config: 'mixture_file' is only valid with "
                          "distribution 'mixture'")
 
-    dims = _int_list(data.get("dimensions"), "config.dimensions") \
-        if "dimensions" in data else None
-    if dims is None:
-        raise InputError("config: missing required key 'dimensions'")
+    for key in ("dimensions", "sample_sizes", "seeds"):
+        if key not in data:
+            raise InputError(f"config: missing required key {key!r}")
+    dims = _int_list(data["dimensions"], "config.dimensions")
     if mixture is not None and any(d != mixture.dim for d in dims):
         raise InputError(f"config.dimensions: mixture file has d={mixture.dim}; "
                          f"all dimensions must equal it")
-    if "sample_sizes" not in data:
-        raise InputError("config: missing required key 'sample_sizes'")
     sizes = _int_list(data["sample_sizes"], "config.sample_sizes")
-    if "seeds" not in data:
-        raise InputError("config: missing required key 'seeds'")
     seeds = _int_list(data["seeds"], "config.seeds", minimum=0)
 
     raw_ests = data.get("estimators")

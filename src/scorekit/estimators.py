@@ -37,6 +37,7 @@ from .kernels import (
     MatrixKernelSpec,
     ScalarRadialKernel,
     _as_queries,
+    _as_vector,
     as_samples,
     assemble_gram,
     cross_apply,
@@ -659,10 +660,7 @@ def recover_log_density(est: FittedScoreEstimator, query) -> float:
     """
     if est.kernel.kind != "curl_free":
         raise InputError("log-density recovery requires a curl_free kernel")
-    d = est.dim
-    x = np.asarray(query, dtype=np.float64).ravel()
-    if x.shape != (d,):
-        raise InputError(f"query must have shape ({d},), got {x.shape}")
+    x = _as_vector(np.ravel(query), est.dim)
     pts = np.vstack([x, est.samples[0]])
     vals = _potential_at(est, pts)
     return float(vals[0] - vals[1])

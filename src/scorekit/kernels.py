@@ -9,6 +9,12 @@ Two scalar families, both normalized so phi(0) = 1:
     imq:      phi(u) = (1 + u/sigma^2)^(-1/2)
     gaussian: phi(u) = exp(-u / (2 sigma^2))
 
+One formula per family gives the n-th u-derivative:
+
+    imq:      phi^(n)(u) = c_n sigma^(-2n) (1 + u/sigma^2)^(-1/2 - n),
+              c_n = (-1/2)(-3/2)...(1/2 - n), c_0 = 1
+    gaussian: phi^(n)(u) = (-1/2)^n sigma^(-2n) exp(-u / (2 sigma^2))
+
 Two matrix-valued kernels on top of a scalar phi:
 
     diagonal:  K(x, y) = phi(u) * I_d
@@ -17,6 +23,9 @@ Two matrix-valued kernels on top of a scalar phi:
 The curl-free kernel equals the mixed second derivatives d/dx_i d/dy_j of
 the scalar kernel, so every field in its span is a gradient field.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,100 +43,63 @@ DENSE_SYSTEM_LIMIT = 4096
 # scalar radial kernels
 # ======================================================================
 
+@dataclass(frozen=True)
 class ScalarRadialKernel:
     """A radial kernel family phi(u) with derivatives up to third order."""
 
-    __slots__ = ("family", "bandwidth")
+    family: str
+    bandwidth: float
 
-    def __init__(self, family: str, bandwidth: float):
-        if family not in FAMILIES:
-            raise InputError(f"unknown kernel family {family!r}; expected one of {FAMILIES}")
-        bandwidth = float(bandwidth)
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise InputError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
+        bandwidth = float(self.bandwidth)
         if not np.isfinite(bandwidth) or bandwidth <= 0.0:
             raise InputError(f"bandwidth must be a positive finite real, got {bandwidth!r}")
-        object.__setattr__(self, "family", family)
         object.__setattr__(self, "bandwidth", bandwidth)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ScalarRadialKernel is immutable")
-
-    def __repr__(self):
-        return f"ScalarRadialKernel({self.family!r}, bandwidth={self.bandwidth!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, ScalarRadialKernel)
-                and self.family == other.family and self.bandwidth == other.bandwidth)
-
-    def __hash__(self):
-        return hash((self.family, self.bandwidth))
 
     # phi and its u-derivatives, vectorized over u arrays.
 
     def phi(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        s2 = self.bandwidth ** 2
-        if self.family == "imq":
-            return (1.0 + u / s2) ** -0.5
-        return np.exp(-u / (2.0 * s2))
+        return self._derivative(0, u)
 
     def dphi(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        s2 = self.bandwidth ** 2
-        if self.family == "imq":
-            return (-0.5 / s2) * (1.0 + u / s2) ** -1.5
-        return (-0.5 / s2) * np.exp(-u / (2.0 * s2))
+        return self._derivative(1, u)
 
     def d2phi(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        s2 = self.bandwidth ** 2
-        if self.family == "imq":
-            return (0.75 / s2 ** 2) * (1.0 + u / s2) ** -2.5
-        return (0.25 / s2 ** 2) * np.exp(-u / (2.0 * s2))
+        return self._derivative(2, u)
 
     def d3phi(self, u):
+        return self._derivative(3, u)
+
+    def _derivative(self, n: int, u):
+        """phi^(n)(u) by the module docstring's formula."""
         u = np.asarray(u, dtype=np.float64)
         s2 = self.bandwidth ** 2
         if self.family == "imq":
-            return (-1.875 / s2 ** 3) * (1.0 + u / s2) ** -3.5
-        return (-0.125 / s2 ** 3) * np.exp(-u / (2.0 * s2))
+            table = (1.0 + u / s2) ** (-0.5 - n)
+            c = math.prod(-0.5 - k for k in range(n))
+        else:
+            table = np.exp(-u / (2.0 * s2))
+            c = (-0.5) ** n
+        if n:
+            # in place: a product into a new array would allocate a second table
+            table *= c / s2 ** n
+        return table
 
 
-def scalar_derivs(kernel: ScalarRadialKernel, u):
-    """Return (phi, phi', phi'', phi''') at squared distance u >= 0."""
-    arr = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise InputError("u must be finite and nonnegative")
-    out = (kernel.phi(arr), kernel.dphi(arr), kernel.d2phi(arr), kernel.d3phi(arr))
-    if np.isscalar(u) or getattr(u, "ndim", 0) == 0:
-        return tuple(float(v) for v in out)
-    return out
-
-
+@dataclass(frozen=True)
 class MatrixKernelSpec:
     """Diagonal or curl-free matrix-valued kernel over a scalar radial kernel."""
 
-    __slots__ = ("kind", "scalar")
+    kind: str
+    scalar: ScalarRadialKernel
 
-    def __init__(self, kind: str, scalar: ScalarRadialKernel):
-        if kind not in KINDS:
-            raise InputError(f"unknown matrix kernel kind {kind!r}; expected one of {KINDS}")
-        if not isinstance(scalar, ScalarRadialKernel):
+    def __post_init__(self):
+        if self.kind not in KINDS:
+            raise InputError(f"unknown matrix kernel kind {self.kind!r}; expected one of {KINDS}")
+        if not isinstance(self.scalar, ScalarRadialKernel):
             raise InputError("scalar must be a ScalarRadialKernel")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "scalar", scalar)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixKernelSpec is immutable")
-
-    def __repr__(self):
-        return f"MatrixKernelSpec({self.kind!r}, {self.scalar!r})"
-
-    def __eq__(self, other):
-        return (isinstance(other, MatrixKernelSpec)
-                and self.kind == other.kind and self.scalar == other.scalar)
-
-    def __hash__(self):
-        return hash((self.kind, self.scalar))
 
 
 # ======================================================================

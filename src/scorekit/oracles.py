@@ -16,7 +16,7 @@ from scipy.special import logsumexp, softmax
 
 from .atomic import atomic_open, read_text
 from .errors import DegenerateDataError, InputError
-from .kernels import as_samples
+from .kernels import _as_queries, _as_vector, as_samples
 
 
 # ======================================================================
@@ -105,28 +105,20 @@ def _component_logliks(dist: MixtureDistribution, X: np.ndarray) -> np.ndarray:
 
 def log_density(dist: MixtureDistribution, x) -> float:
     """log p(x) of the mixture (normalized)."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape != (dist.dim,):
-        raise InputError(f"x must have shape ({dist.dim},), got {x.shape}")
+    x = _as_vector(np.ravel(x), dist.dim, "x")
     return float(logsumexp(_component_logliks(dist, x[None, :])[0]))
 
 
 def score_batch(dist: MixtureDistribution, X) -> np.ndarray:
     """Analytic grad log p at each row of X; shape (Q, d)."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != dist.dim:
-        raise InputError(f"queries must have {dist.dim} columns, got {X.shape[1]}")
-    if not np.all(np.isfinite(X)):
-        raise InputError("queries must be finite")
+    X = _as_queries(np.atleast_2d(X), dist.dim)
     resp = softmax(_component_logliks(dist, X), axis=1)
     return (resp @ dist.means - X) / dist.scale ** 2
 
 
 def true_score(dist: MixtureDistribution, x) -> np.ndarray:
     """Analytic score s_p(x) = grad log p(x) as a d-vector."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape != (dist.dim,):
-        raise InputError(f"x must have shape ({dist.dim},), got {x.shape}")
+    x = _as_vector(np.ravel(x), dist.dim, "x")
     return score_batch(dist, x[None, :])[0]
 
 

@@ -6,6 +6,7 @@ start vector) uses a fixed internal seed.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -25,26 +26,23 @@ EPS_RANK_REL = 1e-12
 SPD_RESIDUAL_TOL = 1e-10
 
 
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Full spectrum of a symmetric matrix, eigenvalues descending."""
 
-    __slots__ = ("values", "vectors")
-
-    def __init__(self, values: np.ndarray, vectors: np.ndarray):
-        self.values = values
-        self.vectors = vectors
+    values: np.ndarray
+    vectors: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.values.shape[0]
 
 
-def numeric_rank_mask(values: np.ndarray, rel: float = EPS_RANK_REL) -> np.ndarray:
-    """Boolean mask of eigenvalues treated as numerically nonzero."""
+def numeric_rank_mask(values: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues above EPS_RANK_REL times the largest."""
     vmax = float(np.max(values, initial=0.0))
     if vmax <= 0.0:
         return np.zeros(values.shape, dtype=bool)
-    return values > rel * vmax
+    return values > EPS_RANK_REL * vmax
 
 
 def sym_eig(K: np.ndarray) -> EigenSystem:
@@ -108,16 +106,13 @@ def solve_spd(A: np.ndarray, b: np.ndarray, shift: float = 0.0,
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"Cholesky factorization failed: {exc}") from exc
     x = scipy.linalg.cho_solve(cf, b, check_finite=False)
-    for _ in range(2):
+    for step in range(3):  # the solve, then at most two refinements
         r = b - A @ x
         rel = float(np.linalg.norm(r)) / nb
         if rel <= SPD_RESIDUAL_TOL:
             return x
-        x = x + scipy.linalg.cho_solve(cf, r, check_finite=False)
-    r = b - A @ x
-    rel = float(np.linalg.norm(r)) / nb
-    if rel <= SPD_RESIDUAL_TOL:
-        return x
+        if step < 2:
+            x = x + scipy.linalg.cho_solve(cf, r, check_finite=False)
     # cond(A) = cond(L)^2, and the spread of L's diagonal bounds cond(L)
     # from below; a full SVD here would cost many times the factorization
     ldiag = np.abs(np.diag(cf[0]))

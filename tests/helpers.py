@@ -1,6 +1,7 @@
 """Reference helpers that only the tests use.
 
-Pointwise kernel blocks, the whole-array curl-free cross Gram, the
+The four radial derivative bodies as written one per order, phi and its
+derivatives at one u as a tuple, pointwise kernel blocks, the whole-array curl-free cross Gram, the
 curl-free cross product from the two tables phi'(U) and phi''(U), a
 matrix-backed operator, spectral calculus through a full eigensystem, the
 append-and-refit score heuristic, the line-by-line CSV reader and a
@@ -19,6 +20,7 @@ from scorekit.errors import InputError, NumericError
 from scorekit.estimators import fit_truncated_tikhonov
 from scorekit.kernels import (
     MatrixKernelSpec,
+    ScalarRadialKernel,
     _as_vector,
     as_samples,
     assemble_gram,
@@ -26,6 +28,54 @@ from scorekit.kernels import (
     sq_dists,
     zeta_batch,
 )
+
+
+class RadialReference:
+    """ScalarRadialKernel's phi, dphi, d2phi and d3phi as one body per
+    order, each with its constant written out."""
+
+    def __init__(self, kernel: ScalarRadialKernel):
+        self.family = kernel.family
+        self.bandwidth = kernel.bandwidth
+
+    def phi(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        s2 = self.bandwidth ** 2
+        if self.family == "imq":
+            return (1.0 + u / s2) ** -0.5
+        return np.exp(-u / (2.0 * s2))
+
+    def dphi(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        s2 = self.bandwidth ** 2
+        if self.family == "imq":
+            return (-0.5 / s2) * (1.0 + u / s2) ** -1.5
+        return (-0.5 / s2) * np.exp(-u / (2.0 * s2))
+
+    def d2phi(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        s2 = self.bandwidth ** 2
+        if self.family == "imq":
+            return (0.75 / s2 ** 2) * (1.0 + u / s2) ** -2.5
+        return (0.25 / s2 ** 2) * np.exp(-u / (2.0 * s2))
+
+    def d3phi(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        s2 = self.bandwidth ** 2
+        if self.family == "imq":
+            return (-1.875 / s2 ** 3) * (1.0 + u / s2) ** -3.5
+        return (-0.125 / s2 ** 3) * np.exp(-u / (2.0 * s2))
+
+
+def scalar_derivs(kernel: ScalarRadialKernel, u):
+    """Return (phi, phi', phi'', phi''') at squared distance u >= 0."""
+    arr = np.asarray(u, dtype=np.float64)
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+        raise InputError("u must be finite and nonnegative")
+    out = (kernel.phi(arr), kernel.dphi(arr), kernel.d2phi(arr), kernel.d3phi(arr))
+    if np.isscalar(u) or getattr(u, "ndim", 0) == 0:
+        return tuple(float(v) for v in out)
+    return out
 
 
 def eval_matrix_kernel(spec: MatrixKernelSpec, x, y) -> np.ndarray:

@@ -11,16 +11,27 @@ from scorekit import (
     assemble_gram,
     cross_apply,
     cross_gram,
+    fit_tikhonov,
     h_vector,
-    scalar_derivs,
+    log_density,
+    make_grid_distribution,
+    recover_log_density,
     scalar_gram,
     spectral_linalg,
+    true_score,
     zeta,
     zeta_batch,
 )
 
 from fd_oracles import fd_first_arg_divergence, fd_mixed_partial, fd_scalar
-from helpers import cross_gram_full, curlfree_matvec, eval_matrix_kernel, gram_matvec
+from helpers import (
+    RadialReference,
+    cross_gram_full,
+    curlfree_matvec,
+    eval_matrix_kernel,
+    gram_matvec,
+    scalar_derivs,
+)
 
 
 def imq(bw=1.0):
@@ -89,6 +100,59 @@ def test_scalar_derivs_vectorized():
     for i, ui in enumerate(u):
         vals = scalar_derivs(imq(2.0), float(ui))
         assert (p[i], p1[i], p2[i], p3[i]) == vals
+
+
+@pytest.mark.parametrize("family", ["imq", "gaussian"])
+@pytest.mark.parametrize("bw", [1e-3, 0.37, 1.0, 2.0, 1e3])
+def test_radial_body_matches_the_four_written_bodies_bit_for_bit(family, bw):
+    k = ScalarRadialKernel(family, bw)
+    ref = RadialReference(k)
+    rng = np.random.default_rng(11)
+    u = np.concatenate([[0.0, 1e-300, 1e-8, 1.0, 1e4],
+                        rng.exponential(bw * bw, 40), rng.exponential(1.0, 40)])
+    for name in ("phi", "dphi", "d2phi", "d3phi"):
+        got, want = getattr(k, name), getattr(ref, name)
+        assert np.array_equal(got(u), want(u))
+        assert np.array_equal(got(u.reshape(5, 17)), want(u.reshape(5, 17)))
+        for x in (0.0, 0, 0.25, np.float64(3.0), np.array(7.5), u[7]):
+            a, b = got(x), want(x)
+            assert type(a) is type(b) and np.array_equal(a, b)
+
+
+def test_kernel_values_are_frozen_and_compare_by_value():
+    k = ScalarRadialKernel("imq", 2)
+    assert k == ScalarRadialKernel("imq", 2.0)
+    assert hash(k) == hash(ScalarRadialKernel("imq", 2.0))
+    assert type(k.bandwidth) is float
+    assert k != ScalarRadialKernel("gaussian", 2.0) and k != ScalarRadialKernel("imq", 2.5)
+    assert repr(k) == "ScalarRadialKernel(family='imq', bandwidth=2.0)"
+    sp = MatrixKernelSpec("curl_free", k)
+    assert len({sp: 1, MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", 2.0)): 2}) == 1
+    assert sp != MatrixKernelSpec("diagonal", k)
+    for obj, attr, value in ((k, "family", "gaussian"), (k, "bandwidth", 3.0),
+                             (k, "other", 1), (sp, "kind", "diagonal"),
+                             (sp, "scalar", imq())):
+        with pytest.raises(AttributeError):
+            setattr(obj, attr, value)
+    assert (k.family, k.bandwidth, sp.kind, sp.scalar) == ("imq", 2.0, "curl_free", k)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ScalarRadialKernel("laplace", 1.0),
+     "unknown kernel family 'laplace'; expected one of ('imq', 'gaussian')"),
+    (lambda: ScalarRadialKernel("imq", 0), "bandwidth must be a positive finite real, got 0.0"),
+    (lambda: ScalarRadialKernel("gaussian", -1.5),
+     "bandwidth must be a positive finite real, got -1.5"),
+    (lambda: ScalarRadialKernel("imq", np.nan), "bandwidth must be a positive finite real, got nan"),
+    (lambda: ScalarRadialKernel("imq", np.inf), "bandwidth must be a positive finite real, got inf"),
+    (lambda: MatrixKernelSpec("upper", imq()),
+     "unknown matrix kernel kind 'upper'; expected one of ('diagonal', 'curl_free')"),
+    (lambda: MatrixKernelSpec("diagonal", "imq"), "scalar must be a ScalarRadialKernel"),
+])
+def test_kernel_value_checks_keep_their_messages(make, message):
+    with pytest.raises(InputError) as exc:
+        make()
+    assert str(exc.value) == message
 
 
 # ======================================================================
@@ -450,3 +514,45 @@ def test_cross_apply_shape_validation():
     sp = spec("diagonal", imq())
     with pytest.raises(InputError):
         cross_apply(sp, np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+# ======================================================================
+# single-query validation
+# ======================================================================
+
+def _single_query_functions(d):
+    """Each public function of one d-vector query, and whether it ravels
+    the query (accepting any shape of d entries) or takes only (d,)."""
+    dist = make_grid_distribution(d, 1)
+    X = np.random.default_rng(d).standard_normal((12, d))
+    sp = spec("curl_free", imq(1.2))
+    est = fit_tikhonov(X, sp, 0.1)
+    return {"log_density": (lambda x: log_density(dist, x), True),
+            "true_score": (lambda x: true_score(dist, x), True),
+            "recover_log_density": (lambda x: recover_log_density(est, x), True),
+            "est.log_density": (est.log_density, True),
+            "zeta": (lambda x: zeta(sp, X, x), False)}
+
+
+@pytest.mark.parametrize("name", ["log_density", "true_score", "recover_log_density",
+                                  "est.log_density", "zeta"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_single_query_functions_share_one_validator(name, d):
+    fn, ravels = _single_query_functions(d)[name]
+    x = np.linspace(-0.5, 0.7, d)
+    want = fn(x)
+    shapes = [x.tolist()] + ([x[None, :], x[:, None]] if ravels else [])
+    if ravels and d == 1:
+        shapes.append(float(x[0]))
+    for q in shapes:
+        assert np.array_equal(fn(q), want)
+    bad = [np.linspace(0.0, 1.0, d + 1), np.zeros(0)]
+    for value in (np.nan, np.inf, -np.inf):
+        q = x.copy()
+        q[-1] = value
+        bad.append(q)
+    if not ravels:
+        bad.append(x[None, :])
+    for q in bad:
+        with pytest.raises(InputError):
+            fn(q)

@@ -6,7 +6,9 @@ one records no call. This reads both (without changing them) and checks
 that each layer name, through tracer.RENAME, is a public scorekit function
 the tracer wraps or a method it patches, so a refactor that drops or renames
 one fails here instead of in the traced benchmark run. Each workload also
-runs traced at a small shape, and must reach every layer it requires.
+runs traced at a small shape, and must reach every layer it requires, and
+the benchmark's own self-test checks of its tracer and of BENCHMARK.json
+pass.
 """
 
 import importlib
@@ -14,6 +16,7 @@ import importlib.util
 import inspect
 import json
 import os
+import sys
 
 import pytest
 
@@ -92,3 +95,23 @@ def test_sweep_reaches_every_required_layer(tmp_path, name):
     assert obs["rc"] == 0
     assert [layer for layer in workloads.HEAVY[name]
             if traced.stat(layer).calls == 0] == []
+
+
+@pytest.fixture
+def selftest(monkeypatch):
+    """perfbench/selftest.py, which imports its sibling modules by name as
+    it does when run as a script; they leave sys.modules afterwards."""
+    monkeypatch.syspath_prepend(PERFBENCH)
+    siblings = ("run", "tracer", "workloads")
+    saved = {name: sys.modules.pop(name) for name in siblings if name in sys.modules}
+    yield _load("selftest")
+    for name in siblings:
+        sys.modules.pop(name, None)
+    sys.modules.update(saved)
+
+
+# main() is left out: it also runs a sweep that writes under .perfbench-work
+@pytest.mark.parametrize("check", ["check_tracer", "check_benchmark_json"])
+def test_benchmark_selftest_check_passes(selftest, check):
+    getattr(selftest, check)()
+    assert selftest.FAILURES == []
