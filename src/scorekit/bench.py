@@ -16,25 +16,32 @@ Q, the true scores at Q, the median bandwidth, one Gram per kernel spec
 the radial tables K(Q, X) from one sq_dists per spec for every fit whose
 basis is the sample set, and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
-changes no row. The curl-free Tikhonov grid and nu-method path are
-different. One Lanczos basis of the Krylov space of K and h, over the Gram
-of either form, serves both: each Tikhonov fit gets a start that aims 100x
-below the residual its fit checks, and the nu-method recursion runs on the
-basis's tridiagonal matrix. Over a dense Gram solve_spd checks the start
-with one Gram product, returns it if it meets 1e-10 and factors the
-shifted Gram otherwise; over a matrix-free Gram CG checks it against 1e-8
-and iterates on if it falls short. Those rows differ from independent
-solves and the direct recursion in their last digits (on the benchmark
-workloads, under 1e-5 relative for tikhonov and 1e-11 for nu_method) while
-each still meets its residual tolerance. Shared work is timed in the
-fit_ms or predict_ms of the first cell that needs it, so a `.timings.csv`
-row is not the cost of that cell alone.
+changes no row. The curl-free Tikhonov and Tikhonov-CG grids and the
+nu-method path are different. One Lanczos basis of the Krylov space of K
+and h, over the Gram of either form, serves all three: each Tikhonov fit
+gets a start that aims 100x below the residual its fit checks, each
+Tikhonov-CG cell returns the Galerkin iterate at the first step whose
+residual estimate meets its tol and checks it with one Gram product, and
+the nu-method recursion runs on the basis's tridiagonal matrix. Over a
+dense Gram solve_spd checks the start with one Gram product, returns it if
+it meets 1e-10 and factors the shifted Gram otherwise; over a matrix-free
+Gram CG checks it against 1e-8 and iterates on if it falls short. Those
+rows differ from independent solves and the direct recursion in their last
+digits (on the benchmark workloads, under 1e-5 relative for tikhonov and
+1e-11 for nu_method) while each still meets its residual tolerance. The
+Galerkin iterate is CG's iterate in exact arithmetic; in floating point
+the two are different solutions within the loose tol, and where lam is
+small (1e-5 and below on highdim-sweep) their rows differ by up to 1e-2
+relative. A Tikhonov-CG cell runs CG when the basis ends short of its
+tol and max_iter, or its true residual misses the tol that the estimate
+met. Shared work is timed in the fit_ms or predict_ms of the first cell
+that needs it, so a `.timings.csv` row is not the cost of that cell alone.
 
 Each estimator id is one REGISTRY entry: its config keys, its one-point
 fit over a _Problem's shared Gram and Nystrom blocks, and for landweber
 and nu_method the snapshot path the sweep runs. `scorekit fit` calls the
-one-point fit without the sweep's opts (the starts and CG budget above),
-so it returns what the public fit returns. One loop (_fit_cells) times
+one-point fit without the sweep's opts (the starts, CG budget and bases
+above), so it returns what the public fit returns. One loop (_fit_cells) times
 every fit of the sweep and records a contract error (InputError,
 NumericError or MemoryError: a bad lambda, a singular subset, CG running
 out of iterations) as a row with error = nan and the exception text in the
@@ -57,6 +64,8 @@ from .atomic import atomic_open, read_text
 from .errors import InputError, NumericError
 from .estimators import (
     TruncatedTikhonov,
+    _krylov_solution,
+    _shift_targets,
     _subset_building_blocks,
     fit_landweber,
     fit_nu_method,
@@ -111,6 +120,9 @@ _KRYLOV_START_MARGIN = 100
 
 # the Krylov space counts as invariant once beta_k <= this * a norm of K
 _KRYLOV_INVARIANT_REL = 1e-14
+
+# the curl-free entries that read _Problem.krylov
+_KRYLOV_READERS = ("tikhonov", "tikhonov_cg", "nu_method")
 
 # the errors a cell may fail with (errors.py); anything else is a bug and
 # aborts the sweep
@@ -442,26 +454,35 @@ class _Problem:
         return self._once(("gram", spec), lambda: assemble_gram(spec, self.X))
 
     def krylov(self, spec: MatrixKernelSpec):
-        """(V, T, dims, spans_nu): one Lanczos basis of the Gram of spec,
-        of either form, started at h.
+        """(V, T, dims, spans_nu, beta): one Lanczos basis of the Gram of
+        spec, of either form, started at h, with its last beta.
 
-        It serves the curl-free tikhonov and nu_method entries of spec and
-        stops at invariance, at its cap, or once it spans the nu-method
-        iterates (t_max - 1 vectors) and every shift M lam has met its start
-        target, _KRYLOV_START_MARGIN below the residual its fit checks;
-        dims[i] is the size at which shift i did (0: never). The cap is
+        It serves the curl-free tikhonov, tikhonov_cg and nu_method entries
+        of spec and stops at invariance, at its cap, or once it spans the
+        nu-method iterates (t_max - 1 vectors), every tikhonov shift M lam
+        has met its start target, _KRYLOV_START_MARGIN below the residual
+        its fit checks, and every tikhonov_cg shift has met its entry's tol
+        or the basis holds its max_iter vectors; dims[i] is the size at
+        which tikhonov shift i met its target (0: never). The cap is
         _TIK_IMPLICIT_MAX_ITER vectors and no more bytes than the largest
         dense Gram the sweep accepts. Each reader takes the leading part it
-        needs, so its rows do not depend on the other entry. None if the
+        needs, so its rows do not depend on the other entries. None if the
         run fails.
         """
         def build():
-            gram, shifts, t_max = self.gram(spec), np.zeros(0), 1
+            gram, shifts, t_max, rules = self.gram(spec), np.zeros(0), 1, []
             for e in self.entries:
-                if e.kind == "curl_free" and e.id == "tikhonov" and self.spec(e) == spec:
-                    shifts = self.M * np.array([p["lam"] for _, p in e.grid])
-                if e.kind == "curl_free" and e.id == "nu_method" and self.spec(e) == spec:
+                if e.kind != "curl_free" or e.id not in _KRYLOV_READERS \
+                        or self.spec(e) != spec:
+                    continue
+                if e.id == "nu_method":
                     t_max = max(p["t"] for _, p in e.grid)
+                    continue
+                lam_shifts = self.M * np.array([p["lam"] for _, p in e.grid])
+                if e.id == "tikhonov":
+                    shifts = lam_shifts
+                else:
+                    rules.append(_shift_targets(lam_shifts, 1, e.tol, e.max_iter)[0])
             if isinstance(gram, DenseGram):  # ||K||_1 in row blocks, to keep the peak down
                 K, fit_tol = gram.matrix, SPD_RESIDUAL_TOL
                 norm = max(float(np.abs(K[i:i + 16]).sum(axis=1).max())
@@ -471,32 +492,16 @@ class _Problem:
                 norm = gram.dim * -2.0 * float(spec.scalar.dphi(0.0))
             tol = _KRYLOV_INVARIANT_REL * norm
             stop, dims = _shift_targets(shifts, t_max - 1, fit_tol / _KRYLOV_START_MARGIN)
+            rules.append(stop)
             max_dim = min(_TIK_IMPLICIT_MAX_ITER, DENSE_SYSTEM_LIMIT ** 2 // gram.dim)
             try:
-                V, T, beta = lanczos(gram, gram.divergence(), max_dim, tol, stop=stop)
+                # every rule sees every step: each keeps its own pivots
+                V, T, beta = lanczos(gram, gram.divergence(), max_dim, tol,
+                                     stop=lambda a, b: all([rule(a, b) for rule in rules]))
             except _CONTRACT_ERRORS:
                 return None
-            return V, T, dims, beta <= tol or len(V) >= min(t_max - 1, gram.dim)
+            return V, T, dims, beta <= tol or len(V) >= min(t_max - 1, gram.dim), beta
         return self._once(("krylov", spec), build)
-
-
-def _shift_targets(shifts, min_dim, target):
-    """A lanczos stop rule: min_dim vectors, and every (K + s I) y = h has
-    met the relative residual target by its Lanczos residual estimate
-    beta_k |e_k^T (T_k + s I)^-1 e_1| = beta_k beta_1..beta_{k-1} / (p_1..p_k),
-    p_k = alpha_k + s - beta_{k-1}^2 / p_{k-1} the pivots of T_k + s I.
-    Returns (stop, dims), dims[i] set to the step at which shift i did.
-    """
-    piv, last = np.ones(len(shifts)), np.ones(len(shifts))
-    dims = np.zeros(len(shifts), dtype=np.int64)
-
-    def stop(alpha, beta):
-        b = beta[-2] if len(beta) > 1 else 0.0
-        piv[:] = alpha[-1] + shifts - b * b / piv
-        last[:] = last * (b if len(beta) > 1 else 1.0) / np.abs(piv)
-        dims[(dims == 0) & (beta[-1] * last <= target)] = len(beta)
-        return len(beta) >= min_dim and bool(dims.all())
-    return stop, dims
 
 
 def _shifted_starts(problem: _Problem, spec, grid) -> list:
@@ -513,17 +518,10 @@ def _shifted_starts(problem: _Problem, spec, grid) -> list:
     basis = problem.krylov(spec)
     if basis is None:
         return [None] * len(lams)
-    V, T, dims, _ = basis
+    V, T, dims, *_ = basis
     nh = np.linalg.norm(problem.gram(spec).divergence())
-    starts = []
-    for lam, k in zip(lams, dims):
-        k = k or len(V)
-        try:
-            z = np.linalg.solve(T[:k, :k] + problem.M * lam * np.eye(k), np.eye(1, k)[0])
-        except np.linalg.LinAlgError:
-            z = None
-        starts.append(None if z is None else (nh / lam) * (z @ V[:k]))
-    return starts
+    return [_krylov_solution(V, T, k or len(V), problem.M * lam, nh / lam)
+            for lam, k in zip(lams, dims)]
 
 
 # ======================================================================
@@ -547,6 +545,11 @@ def _tikhonov_sweep_opts(problem, entry, spec, i):
     starts = problem._once(("starts", spec),
                            lambda: _shifted_starts(problem, spec, entry.grid))
     return dict(cg_tol=_TIK_IMPLICIT_TOL, cg_max_iter=_TIK_IMPLICIT_MAX_ITER, _x0=starts[i])
+
+
+def _tikhonov_cg_sweep_opts(problem, entry, spec, i):
+    basis = problem.krylov(spec) if entry.kind == "curl_free" else None
+    return {} if basis is None else {"_krylov": (basis[0], basis[1], basis[4])}
 
 
 def _fit_spectral_cutoff(problem, entry, spec, i):
@@ -583,9 +586,10 @@ REGISTRY = {
         sweep_opts=_tikhonov_sweep_opts),
     "tikhonov_cg": EstimatorDef(
         ("lambdas", "tol", "max_iter"),
-        lambda p, e, spec, i: fit_tikhonov_cg(
+        lambda p, e, spec, i, **opts: fit_tikhonov_cg(
             p.X, spec, e.grid[i][1]["lam"], tol=e.tol, max_iter=e.max_iter,
-            gram=p.gram(spec))),
+            gram=p.gram(spec), **opts),
+        sweep_opts=_tikhonov_cg_sweep_opts),
     "truncated_tikhonov": EstimatorDef(
         ("lambdas",),
         lambda p, e, spec, i: fit_truncated_tikhonov(

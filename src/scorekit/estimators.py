@@ -49,6 +49,7 @@ from .kernels import (
 )
 from .spectral_linalg import (
     EPS_RANK_REL,
+    CGReport,
     LinearOperator,
     conjugate_gradient,
     numeric_rank_mask,
@@ -299,22 +300,35 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
 
 
 def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e-4,
-                    max_iter: int = 40, gram=None, x0=None) -> FittedScoreEstimator:
+                    max_iter: int = 40, gram=None, x0=None,
+                    _krylov=None) -> FittedScoreEstimator:
     """Tikhonov fit by conjugate gradient on Gram matvecs, loose defaults.
 
     It reads the Gram in whichever form it has (assemble_gram's unless gram
     is given) and meta["mode"] names it. Unlike fit_tikhonov over a
     matrix-free Gram a non-converged run is not an error; the CG report
     lands in estimator.meta so callers can inspect it.
+    _krylov, when given, is the (V, T, beta) of spectral_linalg.lanczos(gram,
+    h, ...), read as far as it goes. The fit then returns the Galerkin
+    iterate c_k = (||h|| / lam) V_k^T (T_k + M lam I)^-1 e_1, in exact
+    arithmetic CG's k-th iterate from x0 = 0, at the first k <= max_iter
+    whose Lanczos residual estimate meets tol (k = max_iter if none does),
+    and one Gram product gives the residual meta reports. CG runs instead
+    when the basis ends short of both, or when the true residual misses tol
+    although the estimate met it.
     """
     scheme = Tikhonov(lam)
     X = as_samples(samples)
     M, d = X.shape
     gram = _resolve_gram(spec, X, gram)
     shift = M * lam
-    op = LinearOperator(gram.dim, lambda v: gram.matvec(v) + shift * v)
-    c, rep = conjugate_gradient(op, gram.divergence() / lam, tol=tol, max_iter=max_iter,
-                                x0=x0)
+    h = gram.divergence()
+    found = None if _krylov is None else _galerkin_iterate(gram, h, lam, tol, max_iter, _krylov)
+    if found is None:
+        op = LinearOperator(gram.dim, lambda v: gram.matvec(v) + shift * v)
+        c, rep = conjugate_gradient(op, h / lam, tol=tol, max_iter=max_iter, x0=x0)
+    else:
+        c, rep = found
     meta = {"mode": "implicit" if isinstance(gram, ImplicitGram) else "dense",
             "cg_iterations": rep.iterations,
             "cg_residual": rep.residual, "cg_converged": rep.converged}
@@ -323,6 +337,63 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
             f"CG stopped at relative residual {rep.residual:.3e} after "
             f"{rep.iterations} iterations (target {tol:.1e})"]
     return FittedScoreEstimator(spec, X, c.reshape(M, d), -1.0 / lam, scheme, meta=meta)
+
+
+def _galerkin_iterate(gram, h, lam, tol, max_iter, krylov):
+    """(c_k, CGReport) of fit_tikhonov_cg's Galerkin iterate from krylov, or
+    None where CG must run: the basis ends before its estimate meets tol or
+    max_iter is reached, or c_k's true residual misses tol although the
+    estimate met it."""
+    V, T, beta_last = krylov
+    M = gram.samples.shape[0]
+    alpha, beta = np.diag(T), np.append(np.diag(T, 1), beta_last)
+    stop, dims = _shift_targets(np.array([M * lam]), 1, tol)
+    for j in range(1, min(len(V), max_iter) + 1):
+        if stop(alpha[:j], beta[:j]):
+            break
+    k = int(dims[0]) or max_iter
+    if k > len(V):
+        return None
+    c = _krylov_solution(V, T, k, M * lam, np.linalg.norm(h) / lam)
+    if c is None:
+        return None
+    b = h / lam
+    rel = float(np.linalg.norm(b - (gram.matvec(c) + M * lam * c)) / np.linalg.norm(b))
+    if dims[0] and rel > tol:
+        return None
+    return c, CGReport(k, rel, rel <= tol)
+
+
+def _krylov_solution(V, T, k, shift, scale):
+    """scale V_k^T (T_k + shift I)^-1 e_1 from the first k vectors of a
+    Lanczos basis started at b: the Galerkin solution of (K + shift I) y =
+    b / ||b||, times scale. None if T_k + shift I is singular."""
+    try:
+        z = np.linalg.solve(T[:k, :k] + shift * np.eye(k), np.eye(1, k)[0])
+    except np.linalg.LinAlgError:
+        return None
+    return scale * (z @ V[:k])
+
+
+def _shift_targets(shifts, min_dim, target, max_dim=None):
+    """A lanczos stop rule: min_dim vectors, and every (K + s I) y = b has
+    met the relative residual target by its Lanczos residual estimate
+    beta_k |e_k^T (T_k + s I)^-1 e_1| = beta_k beta_1..beta_{k-1} / (p_1..p_k),
+    p_k = alpha_k + s - beta_{k-1}^2 / p_{k-1} the pivots of T_k + s I, or
+    the basis holds max_dim vectors. Returns (stop, dims), dims[i] set to
+    the step at which shift i met the target (0: not yet).
+    """
+    piv, last = np.ones(len(shifts)), np.ones(len(shifts))
+    dims = np.zeros(len(shifts), dtype=np.int64)
+
+    def stop(alpha, beta):
+        b = beta[-2] if len(beta) > 1 else 0.0
+        piv[:] = alpha[-1] + shifts - b * b / piv
+        last[:] = last * (b if len(beta) > 1 else 1.0) / np.abs(piv)
+        dims[(dims == 0) & (beta[-1] * last <= target)] = len(beta)
+        return len(beta) >= min_dim and (bool(dims.all())
+                                         or (max_dim is not None and len(beta) >= max_dim))
+    return stop, dims
 
 
 # ======================================================================

@@ -16,7 +16,7 @@ from scipy.special import logsumexp, softmax
 
 from .atomic import atomic_open, read_text
 from .errors import DegenerateDataError, InputError
-from .kernels import _as_queries, _as_vector, as_samples
+from .kernels import _as_queries, _as_vector, as_samples, sq_dists
 
 
 # ======================================================================
@@ -92,10 +92,11 @@ def make_grid_distribution(d: int, seed: int) -> MixtureDistribution:
 # ======================================================================
 
 def _component_logliks(dist: MixtureDistribution, X: np.ndarray) -> np.ndarray:
-    # (Q, K) matrix of log w_k + log N(x_q; mu_k, s^2 I)
+    # (Q, K) matrix of log w_k + log N(x_q; mu_k, s^2 I); sq_dists takes the
+    # distances from one GEMM, so no (Q, K, d) difference array is formed
     d = dist.dim
     s2 = dist.scale ** 2
-    sq = np.square(X[:, None, :] - dist.means[None, :, :]).sum(-1)
+    sq = sq_dists(X, dist.means)
     const = -0.5 * d * np.log(2.0 * np.pi * s2)
     w = dist.weights
     logw = np.full_like(w, -np.inf)

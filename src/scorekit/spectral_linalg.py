@@ -213,18 +213,29 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
     return x, CGReport(max_iter, rel, False)
 
 
+def _project_out(V, w):
+    """One classical Gram-Schmidt pass: w minus its projection on the rows
+    of V, and the norm of what is left."""
+    w = w - V.T @ (V @ w)
+    return w, float(np.linalg.norm(w))
+
+
 def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None):
     """Lanczos decomposition of a symmetric op started at b.
 
     Builds orthonormal rows V, v_1 = b / ||b||, and the tridiagonal T with
     op V^T = V^T T + beta v_{k+1} e_k^T, so that f(op) b is ||b|| V^T f(T) e_1
     once the space is invariant (beta = 0) or, for a polynomial f, once k
-    exceeds its degree. Each new vector is projected off all kept ones
-    twice; without that, floating point revisits converged directions. The
-    run ends at the first step k with beta_k <= tol (scale tol by a norm of
-    op), k = max_dim or stop(alpha, beta) true, called once per step with
-    T's diagonal and off-diagonal so far (beta_k last). Returns
-    (V, T, beta_k), V of shape (k, n); a zero b gives k = 0.
+    exceeds its degree. Each step subtracts the three-term recurrence
+    alpha_k v_k + beta_{k-1} v_{k-1} and then projects the new vector off all
+    kept ones in one classical Gram-Schmidt pass; without that, floating
+    point revisits converged directions. A second pass runs only when the
+    first left less than 1/sqrt(2) of the norm it found (the DGKS test:
+    twice is enough). The run ends at the first step k with beta_k <= tol
+    (scale tol by a norm of op), k = max_dim or stop(alpha, beta) true,
+    called once per step with T's diagonal and off-diagonal so far (beta_k
+    last). A k-step run gives the first k rows of a longer one, bit for bit.
+    Returns (V, T, beta_k), V of shape (k, n); a zero b gives k = 0.
     """
     if isinstance(max_dim, bool) or not isinstance(max_dim, (int, np.integer)) \
             or max_dim < 1:
@@ -245,9 +256,13 @@ def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None):
         if not np.all(np.isfinite(w)):
             raise NumericError(f"non-finite operator output at Lanczos step {k + 1}")
         alpha[k] = V[k] @ w
-        for _ in range(2):
-            w = w - V[:k + 1].T @ (V[:k + 1] @ w)
-        beta[k] = np.linalg.norm(w)
+        w = w - alpha[k] * V[k]
+        if k:
+            w -= beta[k - 1] * V[k - 1]
+        before = float(np.linalg.norm(w))
+        w, beta[k] = _project_out(V[:k + 1], w)
+        if beta[k] < before / np.sqrt(2.0):
+            w, beta[k] = _project_out(V[:k + 1], w)
         k += 1
         if beta[k - 1] <= tol or k == V.shape[0] \
                 or (stop is not None and stop(alpha[:k], beta[:k])):

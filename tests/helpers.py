@@ -4,10 +4,11 @@ The four radial derivative bodies as written one per order, phi and its
 derivatives at one u as a tuple, pointwise kernel blocks, the whole-array curl-free cross Gram, the
 curl-free cross product from the two tables phi'(U) and phi''(U), a
 matrix-backed operator, spectral calculus through a full eigensystem, the
-append-and-refit score heuristic, the line-by-line CSV reader and a
-diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks: slow or naive
-forms that the package's fast paths are checked against. peak_bytes
-measures what a call allocates.
+append-and-refit score heuristic, the line-by-line CSV reader, a
+diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks and the mixture
+log-likelihoods from a (Q, K, d) difference array: slow or naive forms that
+the package's fast paths are checked against. peak_bytes measures what a
+call allocates.
 """
 
 import csv
@@ -278,3 +279,13 @@ def load_samples_csv_lines(path) -> np.ndarray:
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return as_samples(np.asarray(rows))
+
+
+def component_logliks_broadcast(dist, X) -> np.ndarray:
+    """(Q, K) log w_k + log N(x_q; mu_k, s^2 I), the squared distances
+    summed over a (Q, K, d) array of differences."""
+    s2 = dist.scale ** 2
+    sq = np.square(X[:, None, :] - dist.means[None, :, :]).sum(-1)
+    with np.errstate(divide="ignore"):
+        logw = np.log(dist.weights)
+    return logw[None, :] - sq / (2.0 * s2) - 0.5 * dist.dim * np.log(2.0 * np.pi * s2)

@@ -857,6 +857,112 @@ class TestSharedKrylovEngine:
         assert all(cell.reason == "" and est is not None for _, cell, est in cells)
 
 
+class TestGalerkinCells:
+    """The sweep's curl-free tikhonov_cg cells read the problem's Lanczos
+    basis: each returns the Galerkin iterate where its residual estimate and
+    then its true residual meet tol, and the public CG fit where they do
+    not."""
+
+    # (d, M): Md = 4608 is over the dense limit, as in the small
+    # highdim-sweep shape; Md = 128 is dense
+    SHAPES = {"matrix-free": (64, 72), "dense": (2, 64)}
+    GRAM = {"matrix-free": kernels.ImplicitGram, "dense": kernels.DenseGram}
+    TOL = 1e-4  # the entry's default, as the public fit's
+
+    @classmethod
+    def run(cls, monkeypatch, form, **entry):
+        d, M = cls.SHAPES[form]
+        cfg = parse_experiment_config(base_config(
+            dimensions=[d], sample_sizes=[M], seeds=[0], eval_size=16,
+            estimators=[dict({"id": "tikhonov_cg", "kind": "curl_free"}, **entry)]))
+        fits, orig = [], bench.fit_tikhonov_cg
+
+        def recorded(*args, **kwargs):
+            fits.append(orig(*args, **kwargs))
+            return fits[-1]
+        monkeypatch.setattr(bench, "fit_tikhonov_cg", recorded)
+        rows = run_grid_rows(cfg)
+        assert all(r.reason == "" for r in rows)
+        assert len(fits) == len(rows)
+        return fits
+
+    @staticmethod
+    def public(est):
+        return estimators.fit_tikhonov_cg(est.samples, est.kernel, est.scheme.lam)
+
+    @staticmethod
+    def true_residual(est):
+        gram = kernels.assemble_gram(est.kernel, est.samples)
+        shift = est.samples.shape[0] * est.scheme.lam
+        c, b = est.coeffs.ravel(), gram.divergence() / est.scheme.lam
+        return np.linalg.norm(gram.matvec(c) + shift * c - b) / np.linalg.norm(b)
+
+    @pytest.mark.parametrize("form", sorted(SHAPES))
+    def test_converged_exactly_where_the_true_residual_meets_tol(self, monkeypatch, form):
+        fits = self.run(monkeypatch, form)
+        assert [est.scheme.lam for est in fits] == list(LAMBDA_GRID)
+        for est in fits:
+            rel, public = self.true_residual(est), self.public(est)
+            assert isinstance(kernels.assemble_gram(est.kernel, est.samples), self.GRAM[form])
+            assert est.meta["cg_residual"] == pytest.approx(rel, rel=1e-6)
+            assert est.meta["cg_converged"] == (rel <= self.TOL)
+            assert est.meta["cg_converged"] or not public.meta["cg_converged"]
+            if est.scheme.lam >= 1e-2:
+                assert np.linalg.norm(est.coeffs - public.coeffs) \
+                    <= 1e-8 * np.linalg.norm(public.coeffs)
+
+    @pytest.mark.parametrize("form", sorted(SHAPES))
+    def test_a_cell_costs_one_gram_product_beyond_the_basis(self, monkeypatch, form):
+        bases, products, cg_runs = [], [0], [0]
+        orig_lanczos, orig_cg = bench.lanczos, estimators.conjugate_gradient
+        orig_matvec = self.GRAM[form].matvec
+
+        def counted_lanczos(*args, **kwargs):
+            bases.append(orig_lanczos(*args, **kwargs))
+            return bases[-1]
+
+        def matvec(gram, b):
+            products[0] += 1
+            return orig_matvec(gram, b)
+
+        def cg(*args, **kwargs):
+            cg_runs[0] += 1
+            return orig_cg(*args, **kwargs)
+        monkeypatch.setattr(bench, "lanczos", counted_lanczos)
+        monkeypatch.setattr(self.GRAM[form], "matvec", matvec)
+        monkeypatch.setattr(estimators, "conjugate_gradient", cg)
+        fits = self.run(monkeypatch, form)
+        [(V, _, _)] = bases
+        assert cg_runs[0] == 0
+        assert products[0] <= len(V) + len(fits)
+        assert max(est.meta["cg_iterations"] for est in fits) <= len(V)
+
+    @pytest.mark.parametrize("how", ["short", "failed", "drifted"])
+    @pytest.mark.parametrize("form", sorted(SHAPES))
+    def test_cells_without_a_usable_basis_are_the_public_fit(self, monkeypatch, form, how):
+        orig = bench.lanczos
+
+        def failed(*args, **kwargs):
+            raise NumericError("injected")
+
+        def drifted(*args, **kwargs):
+            # T and beta still vouch for each iterate; the true residual,
+            # about 1e-3, does not
+            V, T, beta = orig(*args, **kwargs)
+            return V * (1.0 + 1e-3), T, beta
+        if how == "short":
+            # two vectors: no cell's estimate meets tol, and max_iter is 40
+            monkeypatch.setattr(bench, "_TIK_IMPLICIT_MAX_ITER", 2)
+        else:
+            monkeypatch.setattr(bench, "lanczos", failed if how == "failed" else drifted)
+        # CG converges at both lams in 3 to 22 iterations
+        fits = self.run(monkeypatch, form, lambdas=[1e-2, 1e-3])
+        for est in fits:
+            public = self.public(est)
+            assert est.meta == public.meta and est.meta["cg_iterations"] > 2
+            assert np.array_equal(est.coeffs, public.coeffs)
+
+
 class TestSummarize:
 
     def test_best_is_grid_minimum(self):

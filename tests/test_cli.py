@@ -9,7 +9,7 @@ import pytest
 from scorekit import bench
 from scorekit.bench import SummaryRow, write_summary_csv
 from scorekit.cli import main
-from scorekit.estimators import fit_nu_method, fit_tikhonov, load_estimator
+from scorekit.estimators import fit_nu_method, fit_tikhonov, fit_tikhonov_cg, load_estimator
 from scorekit.kernels import MatrixKernelSpec, ScalarRadialKernel
 from scorekit.oracles import (
     load_samples_csv,
@@ -342,13 +342,15 @@ class TestCliMatchesSweep:
     because the sweep passes these fits its own opts on purpose:
     - curl-free tikhonov: the sweep starts each fit from a shared Lanczos
       basis and runs matrix-free CG to 1e-8, not 1e-10;
+    - curl-free tikhonov_cg: the sweep returns the Galerkin iterate on a
+      shared Lanczos basis, not CG's iterate;
     - curl-free nu_method: the sweep runs the recursion on a Lanczos basis.
     For those the CLI must return the public fit itself (test below).
     """
 
-    CASES = [("diagonal", {"id": "tikhonov", "lambdas": [0.01]})] + [
+    CASES = [("diagonal", {"id": "tikhonov", "lambdas": [0.01]}),
+             ("diagonal", {"id": "tikhonov_cg", "lambdas": [0.01]})] + [
         (kind, entry) for kind in ("diagonal", "curl_free") for entry in (
-            {"id": "tikhonov_cg", "lambdas": [0.01]},
             {"id": "truncated_tikhonov", "lambdas": [0.01]},
             {"id": "spectral_cutoff", "fractions": [0.5]},
             {"id": "spectral_cutoff", "lambdas": [0.01]},
@@ -390,9 +392,14 @@ class TestCliMatchesSweep:
          lambda X, spec: fit_tikhonov(X, spec, 0.01), "dense"),
         ({"id": "tikhonov", "lambdas": [0.01]}, 130, 32,
          lambda X, spec: fit_tikhonov(X, spec, 0.01), "implicit"),
+        ({"id": "tikhonov_cg", "lambdas": [0.01]}, 24, 2,
+         lambda X, spec: fit_tikhonov_cg(X, spec, 0.01), "dense"),
+        ({"id": "tikhonov_cg", "lambdas": [0.01]}, 130, 32,
+         lambda X, spec: fit_tikhonov_cg(X, spec, 0.01), "implicit"),
         ({"id": "nu_method", "iterations": [10]}, 24, 2,
          lambda X, spec: fit_nu_method(X, spec, 1.0, 10), None),
-    ], ids=["tikhonov-dense", "tikhonov-matrix-free", "nu_method"])
+    ], ids=["tikhonov-dense", "tikhonov-matrix-free", "tikhonov_cg-dense",
+            "tikhonov_cg-matrix-free", "nu_method"])
     def test_curl_free_cli_fit_equals_the_public_fit(self, tmp_path, entry, M, d, fit, mode):
         X = np.random.default_rng(M + d).normal(size=(M, d))
         fitted = self.fit_by_cli(tmp_path, X, dict(entry, kind="curl_free"))

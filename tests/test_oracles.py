@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scorekit import oracles
 from scorekit.errors import DegenerateDataError, InputError
 from scorekit.kernels import MatrixKernelSpec, ScalarRadialKernel
 from scorekit.estimators import fit_truncated_tikhonov
@@ -30,7 +31,12 @@ from scorekit.oracles import (
     true_score,
 )
 
-from helpers import load_samples_csv_lines, stein_heuristic_scores
+from helpers import (
+    component_logliks_broadcast,
+    load_samples_csv_lines,
+    peak_bytes,
+    stein_heuristic_scores,
+)
 
 
 # ======================================================================
@@ -180,6 +186,23 @@ class TestTrueScore:
             true_score(g, np.array([np.nan, 0.0]))
         with pytest.raises(InputError):
             log_density(g, np.array([1.0]))
+
+    @pytest.mark.parametrize("d", [1, 3, 64, 128])
+    def test_logliks_match_the_broadcast_form(self, d):
+        # the distances come from |x|^2 + |mu|^2 - 2 x . mu, clipped at zero;
+        # a query on a mean has distance zero to it
+        dist = make_grid_distribution(d, 5)
+        Q = np.random.default_rng(d).normal(0.5, 1.0, (40, d))
+        Q[0] = dist.means[min(1, d - 1)]
+        out = oracles._component_logliks(dist, Q)
+        ref = component_logliks_broadcast(dist, Q)
+        assert np.all(np.abs(out - ref) <= 1e-13 * np.abs(ref))
+
+    def test_score_batch_allocates_no_query_by_component_by_dim_array(self):
+        # the (Q, K, d) difference array was 134 MB at Q = 1024, K = d = 128
+        dist = make_grid_distribution(128, 0)
+        Q = np.random.default_rng(0).normal(0.5, 1.0, (1024, 128))
+        assert peak_bytes(lambda: score_batch(dist, Q)) < 16 * 2 ** 20
 
     def test_oracle_wrapper_predict(self):
         dist = make_grid_distribution(2, 3)

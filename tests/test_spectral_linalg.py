@@ -389,6 +389,64 @@ def test_lanczos_bad_rhs():
         lanczos(op, np.array([1.0, np.nan]), 2, 1e-12)
 
 
+def count_passes(monkeypatch):
+    """The sizes of the kept sets each Gram-Schmidt pass of lanczos reads."""
+    passes, orig = [], spectral_linalg._project_out
+
+    def counted(V, w):
+        passes.append(len(V))
+        return orig(V, w)
+    monkeypatch.setattr(spectral_linalg, "_project_out", counted)
+    return passes
+
+
+@pytest.mark.parametrize("cut", ["max_dim", "stop"])
+@pytest.mark.parametrize("k", [1, 7, 30])
+def test_a_short_lanczos_run_is_the_prefix_of_a_longer_one(k, cut):
+    # the sweep's readers each take the leading part of one shared basis
+    A = random_gram(40, 2, seed=3)
+    b = np.random.default_rng(5).standard_normal(80)
+    op = LinearOperator.from_matrix(A)
+    V, T, _ = lanczos(op, b, 60, 1e-300)
+    if cut == "max_dim":
+        Vk, Tk, beta = lanczos(op, b, k, 1e-300)
+    else:
+        Vk, Tk, beta = lanczos(op, b, 60, 1e-300, stop=lambda alpha, _: len(alpha) == k)
+    assert len(V) == 60 and len(Vk) == k
+    assert np.array_equal(Vk, V[:k]) and np.array_equal(Tk, T[:k, :k])
+    assert beta == T[k - 1, k]
+
+
+def test_lanczos_stays_orthogonal_over_a_geometric_spectrum(monkeypatch):
+    rng = np.random.default_rng(4)
+    Q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
+    A = (Q * np.geomspace(1.0, 1e-12, 300)) @ Q.T
+    passes = count_passes(monkeypatch)
+    V, _, _ = lanczos(LinearOperator.from_matrix(A), rng.standard_normal(300), 200, 1e-300)
+    assert len(V) == 200
+    assert np.abs(V @ V.T - np.eye(200)).max() <= 1e-13
+    # one pass per step: the recurrence left most of each new vector
+    assert passes == list(range(1, 201))
+
+
+@pytest.mark.parametrize("rank", [1, 5])
+def test_lanczos_makes_a_second_pass_where_the_first_cancels(monkeypatch, rank):
+    # past the invariant space K_{rank+1}(A, b) each new vector is rounding
+    # that lies mostly in the kept span; one pass leaves under 1/sqrt(2) of
+    # its norm, so the DGKS test asks for a second
+    rng = np.random.default_rng(rank)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, rank)))
+    A = (Q * np.geomspace(1.0, 100.0, rank)) @ Q.T
+    passes = count_passes(monkeypatch)
+    V, T, _ = lanczos(LinearOperator.from_matrix(A), rng.standard_normal(60), 20, 1e-300)
+    assert len(V) == 20
+    steps = [n for i, n in enumerate(passes) if i == 0 or passes[i - 1] != n]
+    assert steps == list(range(1, 21)) and len(passes) > len(steps)
+    assert np.abs(V @ V.T - np.eye(20)).max() <= 1e-13
+    assert np.allclose(V[:rank + 1] @ A @ V[:rank + 1].T, T[:rank + 1, :rank + 1],
+                       rtol=0, atol=1e-12 * np.linalg.norm(A, 1))
+
+
 # ======================================================================
 # spectral filter
 # ======================================================================

@@ -20,6 +20,8 @@ import sys
 
 import pytest
 
+from scorekit import bench
+
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
@@ -95,6 +97,30 @@ def test_sweep_reaches_every_required_layer(tmp_path, name):
     assert obs["rc"] == 0
     assert [layer for layer in workloads.HEAVY[name]
             if traced.stat(layer).calls == 0] == []
+
+
+def test_loose_tikhonov_cells_spend_no_cg_iteration(tmp_path, monkeypatch):
+    # the small highdim-sweep shape with its curl-free tikhonov_cg entry
+    # alone: each cell reads the problem's Lanczos basis and makes one Gram
+    # product for its true residual, so CG runs no iteration
+    bases, orig = [], bench.lanczos
+
+    def recorded(*args, **kwargs):
+        bases.append(orig(*args, **kwargs))
+        return bases[-1]
+    monkeypatch.setattr(bench, "lanczos", recorded)
+    sweep = workloads.WORKLOADS["highdim-sweep"]
+    config = dict(sweep.config(0), **SMALL_SWEEPS["highdim-sweep"],
+                  estimators=[{"id": "tikhonov_cg", "kind": "curl_free"}])
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    with tracer.Tracer() as traced:
+        obs = sweep.run(str(tmp_path), 0)
+    assert obs["rc"] == 0
+    cells, basis = len(bench.LAMBDA_GRID), sum(len(V) for V, _, _ in bases)
+    assert traced.stat("estimators.fit_tikhonov_cg").calls == cells
+    assert traced.stat("spectral_linalg.conjugate_gradient").counts.get("iters", 0) == 0
+    assert traced.stat("kernels.ImplicitGram.matvec").calls <= basis + cells
+    assert len(bases) == 1
 
 
 @pytest.fixture
