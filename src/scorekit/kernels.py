@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 
 from .errors import InputError
 
@@ -200,17 +201,24 @@ def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
     return z, (P2,)
 
 
-def zeta_batch(spec: MatrixKernelSpec, samples, queries) -> np.ndarray:
+def zeta_batch(spec: MatrixKernelSpec, samples, queries, _table=None) -> np.ndarray:
     """Empirical kernel-divergence field at each query row.
 
     diagonal:   zeta(x) = (1/M) sum_m 2 phi'(u_m) (x^m - x)
     curl_free:  zeta(x) = -(4/M) sum_m [(d+2) phi''(u_m) + 2 u_m phi'''(u_m)] (x^m - x)
 
     Both are the divergence of the kernel with respect to its sample
-    argument, averaged over the samples; u_m = ||x^m - x||^2.
+    argument, averaged over the samples; u_m = ||x^m - x||^2. _table, a
+    Q x M array for a curl-free kernel at d = 1, receives the scalar kernel
+    K(queries, samples), built from the same U and phi'' as zeta.
     """
     X = as_samples(samples)
-    return query_tables(spec, _as_queries(queries, X.shape[1]), X, cross=False)[0]
+    Q = _as_queries(queries, X.shape[1])
+    if _table is None:
+        return query_tables(spec, Q, X, cross=False)[0]
+    z, (table,) = query_tables(spec, Q, X)
+    _table[...] = table
+    return z
 
 
 def zeta(spec: MatrixKernelSpec, samples, query) -> np.ndarray:
@@ -220,14 +228,21 @@ def zeta(spec: MatrixKernelSpec, samples, query) -> np.ndarray:
     return zeta_batch(spec, X, q[None, :])[0]
 
 
-def h_vector(spec: MatrixKernelSpec, samples) -> np.ndarray:
+def h_vector(spec: MatrixKernelSpec, samples, _gram=None) -> np.ndarray:
     """zeta stacked at the samples: (zeta(x^1), ..., zeta(x^M)), in chunks of
     ~2**17 // M rows, a multiple of the 8 rows BLAS groups, so at d = 1 and
-    M % 8 == 0 the bits equal one whole zeta_batch(X, X)."""
+    M % 8 == 0 the bits equal one whole zeta_batch(X, X).
+
+    _gram, an M x M array for a curl-free kernel at d = 1, receives the
+    dense Gram in the same pass: each chunk's zeta_batch writes the chunk's
+    rows of the kernel.
+    """
     X = as_samples(samples)
-    step = max(8, 2 ** 17 // X.shape[0] // 8 * 8)
-    return np.concatenate([zeta_batch(spec, X, X[lo:lo + step])
-                           for lo in range(0, X.shape[0], step)]).ravel()
+    M = X.shape[0]
+    step = max(8, 2 ** 17 // M // 8 * 8)
+    return np.concatenate([
+        zeta_batch(spec, X, X[lo:lo + step], _table=None if _gram is None else _gram[lo:lo + step])
+        for lo in range(0, M, step)]).ravel()
 
 
 # ======================================================================
@@ -271,10 +286,17 @@ class DenseGram(_Gram):
         self._eig = None
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
+        """K b. A one-column product (m = 1) is BLAS dsymv, which reads one
+        triangle of G; G is exactly symmetric (assemble_gram), and G.T is
+        the Fortran-ordered view dsymv takes without a copy. The m columns
+        of a diagonal kernel's B are one G @ B."""
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.shape[0] != self.dim:
             raise InputError(f"vector length {b.shape[0]} != Gram dimension {self.dim}")
-        return (self.matrix @ b.reshape(len(self.matrix), -1)).ravel()
+        G = self.matrix
+        if b.size == len(G):
+            return dsymv(1.0, G.T, b)
+        return (G @ b.reshape(len(G), -1)).ravel()
 
     def eigensystem(self):
         """Cached full eigendecomposition of G (values descending); no copy."""
@@ -343,17 +365,27 @@ def assemble_gram(spec: MatrixKernelSpec, samples):
     A diagonal kernel K = k I_d gets a DenseGram of its scalar M x M factor
     k. A curl-free one gets the dense Md x Md Gram while Md <=
     DENSE_SYSTEM_LIMIT and an ImplicitGram beyond; a caller who wants the
-    matrix-free form at any size builds ImplicitGram(spec, X). A dense
-    curl-free Gram at d > 1 is made exactly symmetric in place, in row
-    blocks, bit for bit 0.5 * (K + K.T); the others are symmetric as built.
+    matrix-free form at any size builds ImplicitGram(spec, X).
+
+    At d = 1 a curl-free Gram is the scalar kernel -2 phi'(u) - 4 phi''(u) u
+    of query_tables(spec, X, X), built in h_vector's pass, which reads the
+    same U and phi'': the Gram comes back with h cached. Elsewhere it is
+    cross_gram's, and a curl-free one at d > 1 is made exactly symmetric in
+    place, in row blocks, bit for bit 0.5 * (K + K.T). Every dense Gram is
+    exactly symmetric, which DenseGram.matvec relies on.
     """
     X = as_samples(samples)
     M, d = X.shape
     if spec.kind == "curl_free" and M * d > DENSE_SYSTEM_LIMIT:
         return ImplicitGram(spec, X)
     n = M * d if spec.kind == "curl_free" else M
+    h = None
     try:
-        K = cross_gram(spec, X, X)
+        if spec.kind == "curl_free" and d == 1:
+            K = np.empty((M, M))
+            h = h_vector(spec, X, _gram=K)
+        else:
+            K = cross_gram(spec, X, X)
     except MemoryError as exc:
         raise MemoryError(f"dense Gram for M={M}, d={d} needs ~{n * n * 8} bytes") from exc
     if spec.kind == "curl_free" and d > 1:
@@ -361,7 +393,11 @@ def assemble_gram(spec: MatrixKernelSpec, samples):
         for lo in range(0, M * d, step):
             S = 0.5 * (K[lo:lo + step, lo:] + K[lo:, lo:lo + step].T)
             K[lo:lo + step, lo:], K[lo:, lo:lo + step] = S, S.T
-    return DenseGram(spec, X, K)
+    gram = DenseGram(spec, X, K)
+    if h is not None:
+        h.setflags(write=False)
+        gram._h = h
+    return gram
 
 
 def cross_apply(spec: MatrixKernelSpec, queries, basis, coeffs: np.ndarray,
@@ -390,7 +426,12 @@ def cross_apply(spec: MatrixKernelSpec, queries, basis, coeffs: np.ndarray,
         (k,) = _tables
         return k @ C
     p1, p2 = _tables
-    S = Q @ C.T                               # S[q, l] = x_q . c^l
-    t = np.einsum("ij,ij->i", B, C)           # t[l] = b^l . c^l
-    alpha = p2 * (S - t[None, :])             # phi''(u_ql) * (r_ql . c^l)
-    return -4.0 * (alpha.sum(axis=1)[:, None] * Q - alpha @ B) - 2.0 * (p1 @ C)
+    # in place: one Q x N array, alpha[q, l] = phi''(u_ql) * (r_ql . c^l)
+    A = Q @ C.T                               # x_q . c^l
+    A -= np.einsum("ij,ij->i", B, C)          # minus b^l . c^l
+    A *= p2
+    out = A @ B
+    out -= A.sum(axis=1)[:, None] * Q
+    out *= 4.0
+    out -= 2.0 * (p1 @ C)
+    return out

@@ -152,7 +152,8 @@ def median_bandwidth(samples) -> float:
     X = as_samples(samples)
     if X.shape[0] < 2:
         raise InputError("median_bandwidth needs at least 2 samples")
-    med = float(np.median(pdist(X)))
+    # partitions pdist's fresh output in place: no M(M-1)/2 copy
+    med = float(np.median(pdist(X), overwrite_input=True))
     if med <= 0.0:
         raise DegenerateDataError("all samples coincide; bandwidth undefined")
     return med

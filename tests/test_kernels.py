@@ -22,10 +22,13 @@ from scorekit import (
     zeta,
     zeta_batch,
 )
+from scorekit import kernels
+from scorekit.kernels import query_tables
 
 from fd_oracles import fd_first_arg_divergence, fd_mixed_partial, fd_scalar
 from helpers import (
     RadialReference,
+    cross_apply_two_tables,
     cross_gram_full,
     curlfree_matvec,
     eval_matrix_kernel,
@@ -476,11 +479,67 @@ def test_dense_curlfree_gram_is_symmetrized_in_place(family, M, d):
 
 @pytest.mark.parametrize("kind, d", [("diagonal", 3), ("diagonal", 1), ("curl_free", 1)])
 def test_kron_and_scalar_curlfree_grams_are_symmetric_as_built(kind, d):
+    # the d = 1 curl-free Gram is query_tables' scalar kernel table, not
+    # cross_gram's einsum (test_d1_curlfree_gram_is_the_query_table)
     X = np.random.default_rng(d).standard_normal((300, d))
     sp = spec(kind, gauss(1.2))
-    K0 = cross_gram(sp, X, X)
+    K0 = query_tables(sp, X, X)[1][0] if kind == "curl_free" else cross_gram(sp, X, X)
     assert np.array_equal(K0, K0.T)
     assert np.array_equal(assemble_gram(sp, X).matrix, K0)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+@pytest.mark.parametrize("kind, d", [("curl_free", 1), ("curl_free", 3), ("curl_free", 8),
+                                     ("diagonal", 1), ("diagonal", 3)])
+def test_every_dense_gram_is_exactly_symmetric(family, kind, d):
+    # DenseGram.matvec reads one triangle
+    X = np.random.default_rng(7 * d).standard_normal((1001 // d, d))
+    K = assemble_gram(spec(kind, ScalarRadialKernel(family, 0.8)), X).matrix
+    assert np.array_equal(K, K.T)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+@pytest.mark.parametrize("M", [256, 1000, 1001])
+def test_d1_curlfree_gram_is_the_query_table(family, M):
+    X = np.random.default_rng(M).standard_normal((M, 1))
+    sp = spec("curl_free", ScalarRadialKernel(family, 0.7))
+    K = assemble_gram(sp, X).matrix
+    assert np.array_equal(K, query_tables(sp, X, X)[1][0])
+    K0 = cross_gram(sp, X, X)
+    assert np.abs(K - K0).max() <= 1e-13 * np.abs(K0).max()
+
+
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+@pytest.mark.parametrize("M", [2048, 2040, 48])
+def test_d1_curlfree_gram_comes_with_h_cached(monkeypatch, family, M):
+    X = np.random.default_rng(M).standard_normal((M, 1))
+    sp = spec("curl_free", ScalarRadialKernel(family, 0.9))
+    gram = assemble_gram(sp, X)
+    # built in the Gram's own pass: no second h_vector
+    monkeypatch.setattr(kernels, "h_vector", None)
+    h = gram.divergence()
+    assert not h.flags.writeable
+    assert np.array_equal(h, zeta_batch(sp, X, X).ravel())
+
+
+@pytest.mark.parametrize("kind, d", [("curl_free", 1), ("curl_free", 3), ("diagonal", 1)])
+def test_one_column_matvec_reads_one_triangle(kind, d):
+    X = np.random.default_rng(d).standard_normal((400, d))
+    gram = assemble_gram(spec(kind, imq(1.3)), X)
+    G, b = gram.matrix, np.random.default_rng(1).standard_normal(len(gram.matrix))
+    ref = G @ b
+    # dsymv's result differs from G @ b only in rounding
+    assert np.abs(gram.matvec(b) - ref).max() <= 1e-13 * np.abs(ref).max()
+    # strictly upper entries are never read: G's upper triangle is G.T's lower one
+    G[np.triu_indices(len(G), 1)] = np.nan
+    assert np.all(np.isfinite(gram.matvec(b)))
+
+
+def test_diagonal_gram_product_of_d_columns_is_one_matrix_product():
+    X = np.random.default_rng(2).standard_normal((300, 3))
+    gram = assemble_gram(spec("diagonal", imq(1.3)), X)
+    B = np.random.default_rng(3).standard_normal((300, 3))
+    assert np.array_equal(gram.matvec(B.ravel()), (gram.matrix @ B).ravel())
 
 
 @pytest.mark.parametrize("kind, d", [("curl_free", 3), ("curl_free", 1), ("diagonal", 2)])
@@ -508,6 +567,14 @@ def test_cross_apply_matches_blockwise_sum():
         for q in range(4):
             ref = sum(eval_matrix_kernel(sp, Q[q], X[j]) @ C[j] for j in range(6))
             assert np.allclose(out[q], ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 8, 64])
+def test_curlfree_cross_apply_in_place_keeps_its_bits(d):
+    rng = np.random.default_rng(d)
+    X, Q, C = (rng.standard_normal((n, d)) for n in (90, 70, 90))
+    sp = spec("curl_free", imq(0.5 * np.sqrt(d)))
+    assert np.array_equal(cross_apply(sp, Q, X, C), cross_apply_two_tables(sp, Q, X, C))
 
 
 def test_cross_apply_shape_validation():

@@ -14,14 +14,17 @@ from scorekit import (
     MatrixKernelSpec,
     ScalarRadialKernel,
     assemble_gram,
+    cross_apply,
     fit_landweber,
     fit_nu_method,
     fit_truncated_tikhonov,
     h_vector,
+    median_bandwidth,
     save_samples_csv,
 )
 from scorekit.cli import main
 from scorekit.errors import InputError
+from scorekit.kernels import query_tables
 
 from helpers import peak_bytes
 
@@ -38,10 +41,29 @@ def samples(M, d):
 
 @pytest.mark.parametrize("family", ["gaussian", "imq"])
 def test_dense_gram_peaks_near_its_output(family):
-    """The whole-array assembly peaked at its 32 MB output plus 160 MB."""
+    """The whole-array assembly peaked at its 32 MB output plus 160 MB, and
+    cross_gram's row blocks at 48 MB over it; the one pass of h_vector's
+    chunks, which also yields h, holds about 5 MB."""
     X = samples(2048, 1)
     out = (2048 * 8) * 2048
-    assert peak_bytes(lambda: assemble_gram(curl_free(family), X)) <= out + 64 * MB
+    assert peak_bytes(lambda: assemble_gram(curl_free(family), X)) <= out + 8 * MB
+
+
+def test_curlfree_cross_apply_holds_one_query_by_basis_array():
+    """Out of place it held three Q x N arrays at once (9 MB here)."""
+    Q, N, d = 1024, 512, 64
+    rng = np.random.default_rng(0)
+    queries, basis, coeffs = (rng.normal(size=(n, d)) for n in (Q, N, N))
+    spec = MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", 8.0))
+    tables = query_tables(spec, queries, basis, zeta=False)[1]
+    peak = peak_bytes(lambda: cross_apply(spec, queries, basis, coeffs, _tables=tables))
+    assert peak <= 1.5 * (Q * 8) * N
+
+
+def test_median_bandwidth_holds_no_copy_of_the_distances():
+    """np.median without overwrite_input copied pdist's output: 2x it."""
+    M = 2048
+    assert peak_bytes(lambda: median_bandwidth(samples(M, 3))) <= 1.25 * (M * (M - 1) // 2) * 8
 
 
 @pytest.mark.parametrize("kind", ["curl_free", "diagonal"])

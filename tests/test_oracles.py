@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import pdist
 
 from scorekit import oracles
 from scorekit.errors import DegenerateDataError, InputError
@@ -264,6 +265,12 @@ class TestMedianBandwidth:
                 dists.append(math.sqrt(sum((X[i, k] - X[j, k]) ** 2
                                            for k in range(16))))
         assert median_bandwidth(X) == float(np.median(np.asarray(dists)))
+
+    @pytest.mark.parametrize("M", [2, 3, 64, 301])
+    def test_equals_the_median_of_a_copy_bit_for_bit(self, M):
+        # it partitions pdist's output in place
+        X = sample(standard_gaussian(5), M, M)
+        assert median_bandwidth(X) == float(np.median(pdist(X)))
 
     def test_identical_samples_degenerate(self):
         with pytest.raises(DegenerateDataError):

@@ -99,6 +99,22 @@ def test_sweep_reaches_every_required_layer(tmp_path, name):
             if traced.stat(layer).calls == 0] == []
 
 
+def test_conv_1d_builds_each_table_once(tmp_path):
+    # each size's Gram and h come from one pass of three M x M tables
+    # (phi'', phi''' and phi'), its predictions from three eval x M tables;
+    # cross_gram and a second h pass added 28,160 elements here
+    sweep = workloads.WORKLOADS["conv-1d"]
+    config = dict(sweep.config(0), **SMALL_SWEEPS["conv-1d"])
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    with tracer.Tracer() as traced:
+        obs = sweep.run(str(tmp_path), 0)
+    assert obs["rc"] == 0
+    assert traced.stat("kernels.cross_gram").calls == 0
+    sizes, queries = config["sample_sizes"], config["eval_size"]
+    bound = 3 * sum(M * M for M in sizes) + 3 * queries * sum(sizes)
+    assert traced.stat("kernels.radial").counts["elems"] <= bound
+
+
 def test_loose_tikhonov_cells_spend_no_cg_iteration(tmp_path, monkeypatch):
     # the small highdim-sweep shape with its curl-free tikhonov_cg entry
     # alone: each cell reads the problem's Lanczos basis and makes one Gram
