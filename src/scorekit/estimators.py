@@ -243,16 +243,16 @@ def _eigen_gram(spec, X, gram, what):
 
 
 def _spectrum(gram):
-    """(s, U, H, m) of a dense Gram G, K = G (x) I_m: the eigenvalues s of
-    G/M (descending), their eigenvectors U, h reshaped to G's rows as H, and
-    m = dim // len(G), the multiplicity of each s_j in the Md spectrum (d
-    for a diagonal kernel's scalar factor, 1 for a curl-free Gram). An eigen
-    filter w gives C = -U w(s) U^T H.
+    """(s, eig, Y, m) of a dense Gram G, K = G (x) I_m: the eigenvalues s of
+    G/M (descending), G's cached eigensystem (DenseGram.eigensystem), the
+    coordinates Y = U^T H of h reshaped to G's rows (cached on the Gram, so
+    computed once per Gram, not once per fit), and m = dim // len(G), the
+    multiplicity of each s_j in the Md spectrum (d for a diagonal kernel's
+    scalar factor, 1 for a curl-free Gram). An eigen filter w gives C =
+    -eig.lift(w(s)[:, None] * Y).
     """
-    # eigendecompose before building h: the other order left the heap more
-    # fragmented and raised the sweep's peak RSS (854 -> 860 MB at Md=4096)
     eig, m = gram.eigensystem(), gram.dim // len(gram.matrix)
-    return eig.values / gram.samples.shape[0], eig.vectors, gram.divergence().reshape(-1, m), m
+    return eig.values / gram.samples.shape[0], eig, gram.divergence_coords(), m
 
 
 # ======================================================================
@@ -405,14 +405,14 @@ def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
     """Coefficients c = -sum_j w(s_j) u_j u_j^T h over the Gram spectrum."""
     X = as_samples(samples)
     M, d = X.shape
-    s, U, H, _ = _spectrum(_eigen_gram(spec, X, gram, type(scheme).__name__))
+    s, eig, Y, _ = _spectrum(_eigen_gram(spec, X, gram, type(scheme).__name__))
     mask = numeric_rank_mask(s)
     if require_nonzero and not mask.any():
         raise FitError("kernel Gram is numerically rank zero; cannot filter "
                        "on its nonzero spectrum")
     w = np.zeros_like(s)
     w[mask] = weight_of_sig(s[mask])
-    C = -(U @ (w[:, None] * (U.T @ H)))
+    C = -eig.lift(w[:, None] * Y)
     return FittedScoreEstimator(spec, X, C.reshape(M, d), 0.0, scheme, meta=dict(meta or {}))
 
 

@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg.blas import dsymv
 
 from .errors import InputError
+from .spectral_linalg import check_symmetric
 
 FAMILIES = ("imq", "gaussian")
 KINDS = ("diagonal", "curl_free")
@@ -276,20 +277,36 @@ class _Gram:
 class DenseGram(_Gram):
     """A Gram held as a matrix G with K = G (x) I_m: the scalar M x M
     factor k of a diagonal kernel (m = d), the whole Md x Md matrix of a
-    curl-free one (m = 1)."""
+    curl-free one (m = 1).
 
-    __slots__ = ("matrix", "_eig")
+    A hand-built one is checked: G must have that shape and be exactly
+    symmetric (check_symmetric, which also refuses a non-finite entry), or
+    InputError is raised. assemble_gram's Grams are exactly symmetric by
+    construction and skip the check (_symmetric=True).
+    """
 
-    def __init__(self, spec, samples, matrix):
-        super().__init__(spec, samples)
+    __slots__ = ("matrix", "_eig", "_coords")
+
+    def __init__(self, spec, samples, matrix, _symmetric: bool = False):
+        X = as_samples(samples)
+        n = X.size if spec.kind == "curl_free" else X.shape[0]
+        if not _symmetric:
+            matrix = np.asarray(matrix, dtype=np.float64)
+            if matrix.shape != (n, n):
+                raise InputError(f"a {spec.kind} Gram over {X.shape[0]} samples in "
+                                 f"{X.shape[1]} dimensions is {n} x {n}, got shape "
+                                 f"{matrix.shape}")
+            check_symmetric(matrix, 0.0, "Gram matrix")
+        super().__init__(spec, X)
         self.matrix = matrix
         self._eig = None
+        self._coords = None
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
         """K b. A one-column product (m = 1) is BLAS dsymv, which reads one
-        triangle of G; G is exactly symmetric (assemble_gram), and G.T is
-        the Fortran-ordered view dsymv takes without a copy. The m columns
-        of a diagonal kernel's B are one G @ B."""
+        triangle of G; G is exactly symmetric, and G.T is the
+        Fortran-ordered view dsymv takes without a copy. The m columns of a
+        diagonal kernel's B are one G @ B."""
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.shape[0] != self.dim:
             raise InputError(f"vector length {b.shape[0]} != Gram dimension {self.dim}")
@@ -299,11 +316,28 @@ class DenseGram(_Gram):
         return (G @ b.reshape(len(G), -1)).ravel()
 
     def eigensystem(self):
-        """Cached full eigendecomposition of G (values descending); no copy."""
+        """Cached spectrum of G, values descending, from sym_eig on G itself
+        (no copy of the caller's). Where each filter lifts one column (m =
+        1: every curl-free Gram, a diagonal one at d = 1) it is sym_eig's
+        TridiagonalEigen, which never forms the n x n eigenvector matrix;
+        a diagonal kernel's m = d columns per lift keep eigh's EigenSystem,
+        whose explicit vectors lift a block faster. Both offer values,
+        coords and lift."""
         if self._eig is None:
             from .spectral_linalg import sym_eig
-            self._eig = sym_eig(self.matrix)
+            self._eig = sym_eig(self.matrix, _reduced=self.dim == len(self.matrix))
         return self._eig
+
+    def divergence_coords(self) -> np.ndarray:
+        """Cached eigensystem().coords(H), H = h reshaped to G's rows, read
+        only: the one product with h every eigen filter over this Gram
+        shares."""
+        if self._coords is None:
+            eig = self.eigensystem()
+            Y = eig.coords(self.divergence().reshape(len(self.matrix), -1))
+            Y.setflags(write=False)
+            self._coords = Y
+        return self._coords
 
 
 class ImplicitGram(_Gram):
@@ -372,7 +406,8 @@ def assemble_gram(spec: MatrixKernelSpec, samples):
     same U and phi'': the Gram comes back with h cached. Elsewhere it is
     cross_gram's, and a curl-free one at d > 1 is made exactly symmetric in
     place, in row blocks, bit for bit 0.5 * (K + K.T). Every dense Gram is
-    exactly symmetric, which DenseGram.matvec relies on.
+    exactly symmetric, which DenseGram.matvec relies on, so it skips
+    DenseGram's own check.
     """
     X = as_samples(samples)
     M, d = X.shape
@@ -393,7 +428,7 @@ def assemble_gram(spec: MatrixKernelSpec, samples):
         for lo in range(0, M * d, step):
             S = 0.5 * (K[lo:lo + step, lo:] + K[lo:, lo:lo + step].T)
             K[lo:lo + step, lo:], K[lo:, lo:lo + step] = S, S.T
-    gram = DenseGram(spec, X, K)
+    gram = DenseGram(spec, X, K, _symmetric=True)
     if h is not None:
         h.setflags(write=False)
         gram._h = h

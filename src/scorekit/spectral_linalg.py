@@ -10,6 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 
 from .errors import InputError, NumericError
 
@@ -27,7 +28,12 @@ SPD_RESIDUAL_TOL = 1e-10
 
 
 class EigenSystem(NamedTuple):
-    """Full spectrum of a symmetric matrix, eigenvalues descending."""
+    """Full spectrum of a symmetric matrix, eigenvalues descending.
+
+    coords(H) = U^T H and lift(Y) = U Y are the two products an eigen
+    filter C = -U w(s) U^T H needs; TridiagonalEigen offers the same pair
+    without U.
+    """
 
     values: np.ndarray
     vectors: np.ndarray
@@ -35,6 +41,58 @@ class EigenSystem(NamedTuple):
     @property
     def dim(self) -> int:
         return self.values.shape[0]
+
+    def coords(self, H: np.ndarray) -> np.ndarray:
+        return self.vectors.T @ H
+
+    def lift(self, Y: np.ndarray) -> np.ndarray:
+        return self.vectors @ Y
+
+
+@dataclass(frozen=True, eq=False)
+class TridiagonalEigen:
+    """The spectrum of a symmetric A = Q T Q^T, T = Z diag(s) Z^T, held as
+    the Householder reflectors of Q (LAPACK dsytrd, lower), T's eigenvectors
+    Z (dstemr, ascending) and the eigenvalues s (descending), without the
+    n x n eigenvector matrix U = Q Z.
+
+    It offers the values and the two products of EigenSystem: coords(H) =
+    U^T H and lift(Y) = U Y, in the descending order of values. Q is
+    applied by dormqr, the body of dormtr for uplo = 'L'; its reflectors
+    are a Fortran-contiguous view of dsytrd's output, so no call copies
+    them.
+    """
+
+    values: np.ndarray
+    _reflectors: np.ndarray  # (n, n - 1), leading dimension n: dsytrd's c[1:, :-1]
+    _tau: np.ndarray
+    _Z: np.ndarray           # T's eigenvectors, ascending
+
+    @property
+    def dim(self) -> int:
+        return self.values.shape[0]
+
+    def _apply_q(self, B: np.ndarray, trans: str) -> np.ndarray:
+        """Q B (trans 'N') or Q^T B ('T') in place on the rows 1: of B."""
+        if len(B) > 1:
+            # dormqr's optimal workspace: 64 (its largest block) per column,
+            # plus the 65 x 64 block reflector it keeps there; less runs unblocked
+            lwork = 64 * max(1, B.shape[1]) + 65 * 64
+            out, _, info = lapack.dormqr("L", trans, self._reflectors, self._tau, B[1:],
+                                         lwork, overwrite_c=1)
+            if info != 0:
+                raise NumericError(f"LAPACK dormqr failed (info={info})")
+            B[1:] = out
+        return B
+
+    def coords(self, H: np.ndarray) -> np.ndarray:
+        B = self._apply_q(np.array(H, dtype=np.float64, order="F"), "T")
+        # flip the (n, k) result, not Z: matmul on a reversed view skips BLAS
+        return (self._Z.T @ B)[::-1].copy()
+
+    def lift(self, Y: np.ndarray) -> np.ndarray:
+        Y = np.ascontiguousarray(np.asarray(Y, dtype=np.float64)[::-1])
+        return self._apply_q(np.asfortranarray(self._Z @ Y), "N")
 
 
 def numeric_rank_mask(values: np.ndarray) -> np.ndarray:
@@ -45,19 +103,75 @@ def numeric_rank_mask(values: np.ndarray) -> np.ndarray:
     return values > EPS_RANK_REL * vmax
 
 
-def sym_eig(K: np.ndarray) -> EigenSystem:
+_SYMMETRY_TILE = 512
+
+
+def check_symmetric(K: np.ndarray, tol: float, what: str) -> None:
+    """Refuse (InputError) a square K with a non-finite entry or with
+    max|K - K^T| > tol * max(1, max|K|); tol = 0 asks for exact symmetry.
+
+    K is read in 512 x 512 tiles over one triangle, each tile against its
+    mirror, so no temporary is larger than a tile.
+    """
+    n, t = len(K), _SYMMETRY_TILE
+    diff = scale = 0.0
+    for i in range(0, n, t):
+        for j in range(i, n, t):
+            A, B = K[i:i + t, j:j + t], K[j:j + t, i:i + t].T
+            top, bottom = float(np.abs(A).max()), float(np.abs(B).max())
+            if not np.isfinite(top + bottom):
+                raise InputError(f"{what} contains non-finite entries")
+            scale = max(scale, top, bottom)
+            diff = max(diff, float(np.abs(A - B).max()))
+    if diff > tol * max(1.0, scale):
+        raise InputError(f"{what} is not " + (f"symmetric to {tol:g}" if tol
+                                               else "exactly symmetric"))
+
+
+def _tridiagonal_eig(K: np.ndarray) -> TridiagonalEigen:
+    """TridiagonalEigen of a checked symmetric K, from its upper triangle.
+
+    dsytrd runs on a private copy: K.T's, which is a plain copy of K's
+    buffer in Fortran order, and whose lower triangle is K's upper one.
+    Traced peak: that copy and Z, two matrices of K's size.
+    """
+    n = len(K)
+    if n == 0:
+        return TridiagonalEigen(np.zeros(0), np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
+    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+    c, d, e, tau, info = lapack.dsytrd(K.T.copy(order="F"), lower=1, lwork=lwork,
+                                       overwrite_a=1)
+    if info != 0:
+        raise NumericError(f"LAPACK dsytrd failed (info={info})")
+    # dstemr takes e of length n and range 0 for the whole spectrum
+    _, s, Z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
+    if info != 0:
+        raise NumericError(f"LAPACK dstemr failed (info={info})")
+    # reflector j lies in c[j + 2:, j]: starting one entry into c's buffer,
+    # the columns of c[1:, :-1] keep c's leading dimension n
+    reflectors = c.ravel(order="F")[1:1 + n * (n - 1)].reshape((n, n - 1), order="F")
+    return TridiagonalEigen(s[::-1].copy(), reflectors, tau, Z)
+
+
+def sym_eig(K: np.ndarray, _reduced: bool = False):
     """Eigendecomposition of a symmetric matrix, descending order.
 
-    Symmetry is checked to 1e-10 (relative to the largest entry); ties in
-    the ordering keep the deterministic order produced by the solver. A
-    failed decomposition raises NumericError.
+    K must be finite and symmetric to 1e-10 (relative to its largest
+    entry), or InputError is raised; the check reads K in tiles
+    (check_symmetric). The result is an EigenSystem from np.linalg.eigh,
+    which reads K's lower triangle; ties in the ordering keep the solver's
+    deterministic order. _reduced (DenseGram.eigensystem's, for a Gram
+    whose filters lift one column) returns a TridiagonalEigen instead:
+    the same values within ~1e-15 of the largest, without the n x n
+    eigenvector matrix, read from K's upper triangle. A failed
+    decomposition raises NumericError.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise InputError(f"sym_eig expects a square matrix, got shape {K.shape}")
-    scale = max(1.0, float(np.abs(K).max(initial=0.0)))
-    if float(np.abs(K - K.T).max(initial=0.0)) > 1e-10 * scale:
-        raise InputError("sym_eig input is not symmetric to 1e-10")
+    check_symmetric(K, 1e-10, "sym_eig input")
+    if _reduced:
+        return _tridiagonal_eig(K)
     try:
         w, V = np.linalg.eigh(K)
     except np.linalg.LinAlgError as exc:

@@ -5,7 +5,8 @@ derivatives at one u as a tuple, pointwise kernel blocks, the whole-array curl-f
 curl-free cross product from the two tables phi'(U) and phi''(U), a
 matrix-backed operator, spectral calculus through a full eigensystem, the
 append-and-refit score heuristic, the line-by-line CSV reader, a
-diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks and the mixture
+diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks, eigen-filter
+coefficients through np.linalg.eigh of the Md x Md Gram and the mixture
 log-likelihoods from a (Q, K, d) difference array: slow or naive forms that
 the package's fast paths are checked against. peak_bytes measures what a
 call allocates.
@@ -149,6 +150,22 @@ def full_gram(spec: MatrixKernelSpec, X) -> np.ndarray:
     np.kron(k, I_d)."""
     K = assemble_gram(spec, X).matrix
     return np.kron(K, np.eye(np.shape(X)[1])) if spec.kind == "diagonal" else K
+
+
+def eigh_filter_coeffs(spec: MatrixKernelSpec, X, weight, rank: int = None) -> np.ndarray:
+    """-U w(s) U^T h over np.linalg.eigh of the Md x Md Gram (U from eigh
+    itself), s its eigenvalues / M, w = weight(s) on the numerically
+    nonzero ones (above 1e-12 times the largest) and 0 elsewhere. weight
+    may take rank: then it is called as weight(s, s_J), s_J the rank-th
+    largest eigenvalue."""
+    X = np.asarray(X, dtype=np.float64)
+    s, U = np.linalg.eigh(full_gram(spec, X))
+    s = s / X.shape[0]
+    keep = s > 1e-12 * s.max()
+    w = np.zeros_like(s)
+    w[keep] = weight(s[keep]) if rank is None else weight(s[keep], np.sort(s)[::-1][rank - 1])
+    h = kernels.h_vector(spec, X)
+    return -(U @ (w * (U.T @ h))).reshape(X.shape)
 
 
 def nystrom_blocks_kron(samples, subset_indices, spec: MatrixKernelSpec):

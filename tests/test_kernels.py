@@ -535,6 +535,32 @@ def test_one_column_matvec_reads_one_triangle(kind, d):
     assert np.all(np.isfinite(gram.matvec(b)))
 
 
+def test_hand_built_dense_gram_is_checked():
+    X = np.random.default_rng(6).standard_normal((6, 1))
+    sp = spec("curl_free", imq())
+    A = np.arange(36.0).reshape(6, 6)
+    with pytest.raises(InputError, match="exactly symmetric"):
+        DenseGram(sp, X, A)
+    with pytest.raises(InputError, match="non-finite"):
+        DenseGram(sp, X, np.full((6, 6), np.nan))
+    for wrong in (np.eye(4), np.eye(6)[:, :5], np.ones(36)):
+        with pytest.raises(InputError, match=r"is 6 x 6"):
+            DenseGram(sp, X, wrong)
+    with pytest.raises(InputError, match=r"is 6 x 6"):  # a diagonal kernel's is M x M
+        DenseGram(spec("diagonal", imq()), np.zeros((6, 2)), np.eye(12))
+    S = A + A.T
+    b = np.arange(6.0)
+    assert np.allclose(DenseGram(sp, X, S).matvec(b), S @ b, rtol=1e-15, atol=0)
+
+
+def test_assemble_gram_skips_the_symmetry_check(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("assemble_gram checked its own Gram")
+    monkeypatch.setattr(kernels, "check_symmetric", refuse)
+    for kind, d in (("curl_free", 1), ("curl_free", 3), ("diagonal", 2)):
+        assemble_gram(spec(kind, imq()), np.random.default_rng(d).standard_normal((30, d)))
+
+
 def test_diagonal_gram_product_of_d_columns_is_one_matrix_product():
     X = np.random.default_rng(2).standard_normal((300, 3))
     gram = assemble_gram(spec("diagonal", imq(1.3)), X)
@@ -542,14 +568,20 @@ def test_diagonal_gram_product_of_d_columns_is_one_matrix_product():
     assert np.array_equal(gram.matvec(B.ravel()), (gram.matrix @ B).ravel())
 
 
-@pytest.mark.parametrize("kind, d", [("curl_free", 3), ("curl_free", 1), ("diagonal", 2)])
+@pytest.mark.parametrize("kind, d", [("curl_free", 3), ("curl_free", 1), ("diagonal", 2),
+                                     ("diagonal", 1)])
 def test_eigensystem_decomposes_the_gram_matrix_itself(monkeypatch, kind, d):
     seen = []
     real = spectral_linalg.sym_eig
-    monkeypatch.setattr(spectral_linalg, "sym_eig", lambda K: seen.append(K) or real(K))
+    monkeypatch.setattr(spectral_linalg, "sym_eig",
+                        lambda K, **kw: seen.append(K) or real(K, **kw))
     gram = assemble_gram(spec(kind, imq()), np.random.default_rng(5).standard_normal((20, d)))
-    gram.eigensystem()
+    eig = gram.eigensystem()
     assert len(seen) == 1 and seen[0] is gram.matrix
+    # one column per lift (curl-free, or diagonal at d = 1) skips the eigenvector matrix
+    reduced = kind == "curl_free" or d == 1
+    assert isinstance(eig, spectral_linalg.TridiagonalEigen) == reduced
+    assert isinstance(eig, spectral_linalg.EigenSystem) != reduced
 
 
 # ======================================================================

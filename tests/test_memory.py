@@ -25,6 +25,7 @@ from scorekit import (
 from scorekit.cli import main
 from scorekit.errors import InputError
 from scorekit.kernels import query_tables
+from scorekit.spectral_linalg import TridiagonalEigen
 
 from helpers import peak_bytes
 
@@ -76,9 +77,23 @@ def test_h_vector_peaks_far_below_an_m_by_m_table(kind):
 
 @pytest.mark.parametrize("M, d", [(2048, 1), (256, 8)])
 def test_eigensystem_peak_is_the_decomposition_and_one_copy(M, d):
-    """Symmetrizing a copy first took 3.0x the matrix; eigh needs 2x."""
+    """Symmetrizing a copy first took 3.0x the matrix, and so would a
+    tridiagonal eigensolver with an n^2 workspace (dstevd: 3.01x). The
+    reduction holds dsytrd's copy and T's eigenvectors Z, 2x."""
     gram = assemble_gram(curl_free("imq"), samples(M, d))
     assert peak_bytes(gram.eigensystem) <= 2.25 * gram.matrix.nbytes
+    assert isinstance(gram.eigensystem(), TridiagonalEigen)
+
+
+@pytest.mark.parametrize("M, d", [(2048, 1), (256, 8)])
+def test_first_eigen_filter_fit_never_forms_the_eigenvectors(M, d):
+    """The first fit over a fresh Gram decomposes it and lifts one column.
+    Forming U = Q Z on top of the reflectors and Z would take 3x."""
+    X = samples(M, d)
+    spec = curl_free("imq")
+    gram = assemble_gram(spec, X)
+    peak = peak_bytes(lambda: fit_truncated_tikhonov(X, spec, 0.1, gram=gram))
+    assert peak <= 2.25 * gram.matrix.nbytes
 
 
 @pytest.mark.parametrize("fit", ["landweber", "nu_method"])

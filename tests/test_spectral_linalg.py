@@ -7,6 +7,8 @@ from scorekit import estimators, spectral_linalg
 from scorekit.spectral_linalg import (
     SPD_RESIDUAL_TOL,
     EigenSystem,
+    TridiagonalEigen,
+    check_symmetric,
     conjugate_gradient,
     lanczos,
     numeric_rank_mask,
@@ -62,6 +64,92 @@ def test_sym_eig_rejects_asymmetric():
     A = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(InputError):
         sym_eig(A)
+
+
+@pytest.mark.parametrize("reduced", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_sym_eig_refuses_non_finite_input(reduced, bad):
+    with pytest.raises(InputError, match="non-finite"):
+        sym_eig(np.array([[bad, 0.0], [0.0, 1.0]]), _reduced=reduced)
+    # past the first 512 x 512 tile, off the diagonal
+    K = random_gram(1100, 1, 3)
+    K[1050, 3] = bad
+    with pytest.raises(InputError, match="non-finite"):
+        sym_eig(K, _reduced=reduced)
+
+
+def test_symmetry_check_reads_every_tile_against_its_mirror():
+    K = random_gram(1100, 1, 4)
+    check_symmetric(K, 0.0, "K")
+    for i, j in ((700, 10), (10, 700), (1099, 1098), (600, 520)):
+        A = K.copy()
+        A[i, j] += 1e-9 * np.abs(K).max()
+        check_symmetric(A, 1e-8, "A")
+        with pytest.raises(InputError, match="symmetric to 1e-10"):
+            sym_eig(A)
+        with pytest.raises(InputError, match="exactly symmetric"):
+            check_symmetric(A, 0.0, "A")
+
+
+def _sym_matrix(n):
+    return np.zeros((0, 0)) if n == 0 else random_gram(n, 1, n)
+
+
+def _amax(A):
+    return float(np.abs(A).max(initial=0.0))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 300])
+def test_reduced_eigensystem_matches_eigh(n):
+    K = _sym_matrix(n)
+    red, ref = sym_eig(K, _reduced=True), sym_eig(K)
+    assert isinstance(red, TridiagonalEigen) and red.dim == n
+    top = max(1.0, _amax(ref.values))
+    assert np.all(np.diff(red.values) <= 0)
+    assert _amax(red.values - ref.values) <= 1e-14 * top
+    rng = np.random.default_rng(n)
+    H, Y = rng.standard_normal((n, 3)), rng.standard_normal((n, 2))
+    # lift undoes coords
+    assert _amax(red.lift(red.coords(H)) - H) <= 1e-12 * _amax(H)
+    # against the explicit form: the eigenvectors lift(I) are an orthonormal
+    # eigenbasis of K, and coords / lift are its products
+    U = red.lift(np.eye(n))
+    assert _amax(U.T @ U - np.eye(n)) <= 1e-12
+    assert _amax(K @ U - U * red.values) <= 1e-12 * top
+    explicit = EigenSystem(red.values, U)
+    assert _amax(red.coords(H) - explicit.coords(H)) <= 1e-12 * _amax(H)
+    assert _amax(red.lift(Y) - explicit.lift(Y)) <= 1e-12 * _amax(Y)
+    # a smooth filter has no sign or rotation freedom: it equals eigh's
+    w = (red.values / (red.values + 0.1))[:, None]
+    assert _amax(red.lift(w * red.coords(H)) - ref.lift(w * ref.coords(H))) <= 1e-12 * _amax(H)
+
+
+def test_reduced_eigensystem_leaves_its_input_alone():
+    K = random_gram(40, 2, 9)
+    before = K.copy()
+    sym_eig(K, _reduced=True)
+    assert np.array_equal(K, before)
+
+
+@pytest.mark.parametrize("routine", ["dsytrd", "dstemr"])
+def test_reduced_sym_eig_wraps_lapack_failure(monkeypatch, routine):
+    real = getattr(spectral_linalg.lapack, routine)
+
+    def fail(*args, **kwargs):
+        *out, _ = real(*args, **kwargs)
+        return (*out, 3)
+    monkeypatch.setattr(spectral_linalg.lapack, routine, fail)
+    with pytest.raises(NumericError, match=f"{routine} failed \\(info=3\\)"):
+        sym_eig(random_gram(10, 1, 2), _reduced=True)
+
+
+def test_reduced_lift_wraps_lapack_failure(monkeypatch):
+    eig = sym_eig(random_gram(10, 1, 2), _reduced=True)
+    real = spectral_linalg.lapack.dormqr
+    monkeypatch.setattr(spectral_linalg.lapack, "dormqr",
+                        lambda *a, **kw: (*real(*a, **kw)[:2], -5))
+    with pytest.raises(NumericError, match="dormqr failed"):
+        eig.lift(np.ones((10, 1)))
 
 
 def test_numeric_rank_mask():
