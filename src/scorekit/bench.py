@@ -17,25 +17,26 @@ the radial tables K(Q, X) from one sq_dists per spec for every fit whose
 basis is the sample set, and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
 changes no row. The curl-free Tikhonov and Tikhonov-CG grids and the
-nu-method path are different. One Lanczos basis of the Krylov space of K
-and h, over the Gram of either form, serves all three: each Tikhonov fit
-gets a start that aims 100x below the residual its fit checks, each
-Tikhonov-CG cell returns the Galerkin iterate at the first step whose
-residual estimate meets its tol and checks it with one Gram product, and
-the nu-method recursion runs on the basis's tridiagonal matrix. Over a
-dense Gram solve_spd checks the start with one Gram product, returns it if
-it meets 1e-10 and factors the shifted Gram otherwise; over a matrix-free
-Gram CG checks it against 1e-8 and iterates on if it falls short. Those
-rows differ from independent solves and the direct recursion in their last
+nu-method path are different. One KrylovBasis of K and h, over the Gram of
+either form, serves all three: each Tikhonov fit starts from its Galerkin
+solution at the first step whose residual estimate meets a target 100x
+below the residual the fit checks, each Tikhonov-CG cell returns its
+Galerkin iterate at the first step whose estimate meets the cell's tol and
+checks it with one Gram product, and the nu-method recursion runs on its
+tridiagonal matrix where it spans the iterates. Over a dense Gram
+solve_spd checks the start with one Gram product, returns it if it meets
+1e-10 and factors the shifted Gram otherwise; over a matrix-free Gram CG
+checks it against 1e-8 and iterates on if it falls short. Those rows
+differ from independent solves and the direct recursion in their last
 digits (on the benchmark workloads, under 1e-5 relative for tikhonov and
 1e-11 for nu_method) while each still meets its residual tolerance. The
 Galerkin iterate is CG's iterate in exact arithmetic; in floating point
 the two are different solutions within the loose tol, and where lam is
 small (1e-5 and below on highdim-sweep) their rows differ by up to 1e-2
-relative. A Tikhonov-CG cell runs CG when the basis ends short of its
-tol and max_iter, or its true residual misses the tol that the estimate
-met. Shared work is timed in the fit_ms or predict_ms of the first cell
-that needs it, so a `.timings.csv` row is not the cost of that cell alone.
+relative. A Tikhonov-CG cell runs CG when the basis ends short of its tol
+and max_iter, or its true residual misses the tol that the estimate met.
+Shared work is timed in the fit_ms or predict_ms of the first cell that
+needs it, so a `.timings.csv` row is not the cost of that cell alone.
 
 Each estimator id is one REGISTRY entry: its config keys, its one-point
 fit over a _Problem's shared Gram and Nystrom blocks, and for landweber
@@ -64,8 +65,6 @@ from .atomic import atomic_open, read_text
 from .errors import InputError, NumericError
 from .estimators import (
     TruncatedTikhonov,
-    _krylov_solution,
-    _shift_targets,
     _subset_building_blocks,
     fit_landweber,
     fit_nu_method,
@@ -95,7 +94,7 @@ from .oracles import (
     score_batch,
     standard_gaussian,
 )
-from .spectral_linalg import SPD_RESIDUAL_TOL, lanczos
+from .spectral_linalg import SPD_RESIDUAL_TOL, _shift_targets, lanczos
 from .svgplot import render_line_chart
 
 SCHEMA_VERSION = 1
@@ -120,9 +119,6 @@ _KRYLOV_START_MARGIN = 100
 
 # the Krylov space counts as invariant once beta_k <= this * a norm of K
 _KRYLOV_INVARIANT_REL = 1e-14
-
-# the curl-free entries that read _Problem.krylov
-_KRYLOV_READERS = ("tikhonov", "tikhonov_cg", "nu_method")
 
 # the errors a cell may fail with (errors.py); anything else is a bug and
 # aborts the sweep
@@ -429,8 +425,8 @@ class _Problem:
     """The work the fits of samples X share across the estimator entries:
     a (d, M, seed) problem of the sweep, or the one entry of `scorekit fit`.
     seed draws the Nystrom subsets. The bandwidth, Grams, query tables,
-    Tikhonov starts and Nystrom blocks are built when a cell first needs
-    them, inside that cell's timing.
+    Krylov bases and Nystrom blocks are built when a cell first needs them,
+    inside that cell's timing.
     """
 
     def __init__(self, X: np.ndarray, entries, seed: int):
@@ -454,74 +450,55 @@ class _Problem:
         return self._once(("gram", spec), lambda: assemble_gram(spec, self.X))
 
     def krylov(self, spec: MatrixKernelSpec):
-        """(V, T, dims, spans_nu, beta): one Lanczos basis of the Gram of
-        spec, of either form, started at h, with its last beta.
+        """The KrylovBasis of a curl-free spec's Gram, of either form,
+        started at h; None for a diagonal spec or if the run fails, and
+        then every reader solves without it.
 
-        It serves the curl-free tikhonov, tikhonov_cg and nu_method entries
-        of spec and stops at invariance, at its cap, or once it spans the
-        nu-method iterates (t_max - 1 vectors), every tikhonov shift M lam
-        has met its start target, _KRYLOV_START_MARGIN below the residual
-        its fit checks, and every tikhonov_cg shift has met its entry's tol
-        or the basis holds its max_iter vectors; dims[i] is the size at
-        which tikhonov shift i met its target (0: never). The cap is
-        _TIK_IMPLICIT_MAX_ITER vectors and no more bytes than the largest
-        dense Gram the sweep accepts. Each reader takes the leading part it
-        needs, so its rows do not depend on the other entries. None if the
-        run fails.
+        One basis serves the curl-free tikhonov, tikhonov_cg and nu_method
+        entries of spec. It stops at invariance, at its cap, or once it
+        holds the nu-method's t_max - 1 vectors and every shift M lam has
+        met its target (a tikhonov one _start_target, a tikhonov_cg one its
+        entry's tol, unless the basis holds that entry's max_iter vectors).
+        The cap is _TIK_IMPLICIT_MAX_ITER vectors and no more bytes than the
+        largest dense Gram the sweep accepts. Each reader takes the leading
+        part it needs, so its rows do not depend on the other entries.
         """
         def build():
-            gram, shifts, t_max, rules = self.gram(spec), np.zeros(0), 1, []
+            gram, t_max, shifts, targets, caps = self.gram(spec), 1, [], [], []
+            start_target = _start_target(gram)
             for e in self.entries:
-                if e.kind != "curl_free" or e.id not in _KRYLOV_READERS \
-                        or self.spec(e) != spec:
+                if e.kind != "curl_free" or self.spec(e) != spec:
                     continue
                 if e.id == "nu_method":
                     t_max = max(p["t"] for _, p in e.grid)
-                    continue
-                lam_shifts = self.M * np.array([p["lam"] for _, p in e.grid])
-                if e.id == "tikhonov":
-                    shifts = lam_shifts
-                else:
-                    rules.append(_shift_targets(lam_shifts, 1, e.tol, e.max_iter)[0])
+                elif e.id in ("tikhonov", "tikhonov_cg"):
+                    start = e.id == "tikhonov"
+                    for _, p in e.grid:
+                        shifts.append(self.M * p["lam"])
+                        targets.append(start_target if start else e.tol)
+                        caps.append(math.inf if start else e.max_iter)
             if isinstance(gram, DenseGram):  # ||K||_1 in row blocks, to keep the peak down
-                K, fit_tol = gram.matrix, SPD_RESIDUAL_TOL
+                K = gram.matrix
                 norm = max(float(np.abs(K[i:i + 16]).sum(axis=1).max())
                            for i in range(0, len(K), 16))
             else:  # tr K >= ||K||_2 for PSD K; each diagonal block is -2 phi'(0) I_d
-                fit_tol = _TIK_IMPLICIT_TOL
                 norm = gram.dim * -2.0 * float(spec.scalar.dphi(0.0))
-            tol = _KRYLOV_INVARIANT_REL * norm
-            stop, dims = _shift_targets(shifts, t_max - 1, fit_tol / _KRYLOV_START_MARGIN)
-            rules.append(stop)
+            stop, _ = _shift_targets(shifts, targets, t_max - 1, caps)
             max_dim = min(_TIK_IMPLICIT_MAX_ITER, DENSE_SYSTEM_LIMIT ** 2 // gram.dim)
             try:
-                # every rule sees every step: each keeps its own pivots
-                V, T, beta = lanczos(gram, gram.divergence(), max_dim, tol,
-                                     stop=lambda a, b: all([rule(a, b) for rule in rules]))
+                return lanczos(gram, gram.divergence(), max_dim,
+                               _KRYLOV_INVARIANT_REL * norm, stop=stop)
             except _CONTRACT_ERRORS:
                 return None
-            return V, T, dims, beta <= tol or len(V) >= min(t_max - 1, gram.dim), beta
-        return self._once(("krylov", spec), build)
+        return None if spec.kind != "curl_free" else self._once(("krylov", spec), build)
 
 
-def _shifted_starts(problem: _Problem, spec, grid) -> list:
-    """Start vectors for the curl-free Tikhonov lam grid.
-
-    c = y / lam solves the fit's system (K + M lam I) c = h / lam when
-    (K + M lam I) y = h, and y = ||h|| V^T (T + M lam I)^-1 e_1 from the
-    problem's Lanczos basis, cut where it met its target. The fit checks
-    each start: solve_spd returns one that meets its residual and factors
-    otherwise, CG iterates on from one that falls short. If the basis
-    fails, every fit solves without a start and meets its own error.
-    """
-    lams = np.array([params["lam"] for _, params in grid])
-    basis = problem.krylov(spec)
-    if basis is None:
-        return [None] * len(lams)
-    V, T, dims, *_ = basis
-    nh = np.linalg.norm(problem.gram(spec).divergence())
-    return [_krylov_solution(V, T, k or len(V), problem.M * lam, nh / lam)
-            for lam, k in zip(lams, dims)]
+def _start_target(gram) -> float:
+    """The Lanczos residual estimate a Tikhonov start aims at:
+    _KRYLOV_START_MARGIN below the residual its fit checks, solve_spd's over
+    a dense Gram and _TIK_IMPLICIT_TOL over a matrix-free one."""
+    fit_tol = SPD_RESIDUAL_TOL if isinstance(gram, DenseGram) else _TIK_IMPLICIT_TOL
+    return fit_tol / _KRYLOV_START_MARGIN
 
 
 # ======================================================================
@@ -540,16 +517,14 @@ class EstimatorDef:
 
 
 def _tikhonov_sweep_opts(problem, entry, spec, i):
-    if entry.kind == "diagonal":
-        return {}
-    starts = problem._once(("starts", spec),
-                           lambda: _shifted_starts(problem, spec, entry.grid))
-    return dict(cg_tol=_TIK_IMPLICIT_TOL, cg_max_iter=_TIK_IMPLICIT_MAX_ITER, _x0=starts[i])
-
-
-def _tikhonov_cg_sweep_opts(problem, entry, spec, i):
-    basis = problem.krylov(spec) if entry.kind == "curl_free" else None
-    return {} if basis is None else {"_krylov": (basis[0], basis[1], basis[4])}
+    """A curl-free fit starts from c = y / lam, y = ||h|| V^T (T + M lam I)^-1
+    e_1 of the problem's basis cut where it met _start_target: solve_spd
+    returns a start that meets its residual and factors otherwise, CG
+    iterates on from one that falls short."""
+    basis, lam = problem.krylov(spec), entry.grid[i][1]["lam"]
+    start = None if basis is None else basis.galerkin(
+        problem.M * lam, _start_target(problem.gram(spec)), basis.norm_b / lam)[1]
+    return dict(cg_tol=_TIK_IMPLICIT_TOL, cg_max_iter=_TIK_IMPLICIT_MAX_ITER, _x0=start)
 
 
 def _fit_spectral_cutoff(problem, entry, spec, i):
@@ -562,9 +537,8 @@ def _fit_spectral_cutoff(problem, entry, spec, i):
 
 
 def _nu_method_path(problem, entry, spec, ts):
-    basis = problem.krylov(spec) if entry.kind == "curl_free" else None
     return nu_method_path(problem.X, spec, ts, nu=entry.nu, gram=problem.gram(spec),
-                          _krylov=basis[:2] if basis and basis[3] else None)
+                          _krylov=problem.krylov(spec))
 
 
 def _fit_nystrom(problem, entry, spec, i):
@@ -589,7 +563,7 @@ REGISTRY = {
         lambda p, e, spec, i, **opts: fit_tikhonov_cg(
             p.X, spec, e.grid[i][1]["lam"], tol=e.tol, max_iter=e.max_iter,
             gram=p.gram(spec), **opts),
-        sweep_opts=_tikhonov_cg_sweep_opts),
+        sweep_opts=lambda p, e, spec, i: {"_krylov": p.krylov(spec)}),
     "truncated_tikhonov": EstimatorDef(
         ("lambdas",),
         lambda p, e, spec, i: fit_truncated_tikhonov(

@@ -308,14 +308,15 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
     is given) and meta["mode"] names it. Unlike fit_tikhonov over a
     matrix-free Gram a non-converged run is not an error; the CG report
     lands in estimator.meta so callers can inspect it.
-    _krylov, when given, is the (V, T, beta) of spectral_linalg.lanczos(gram,
-    h, ...), read as far as it goes. The fit then returns the Galerkin
+    _krylov, when given, is the KrylovBasis of spectral_linalg.lanczos(gram,
+    h, ...), read as far as it goes. The fit then returns its Galerkin
     iterate c_k = (||h|| / lam) V_k^T (T_k + M lam I)^-1 e_1, in exact
     arithmetic CG's k-th iterate from x0 = 0, at the first k <= max_iter
     whose Lanczos residual estimate meets tol (k = max_iter if none does),
     and one Gram product gives the residual meta reports. CG runs instead
     when the basis ends short of both, or when the true residual misses tol
-    although the estimate met it.
+    although the estimate met it. meta["solver"] names the body that ran,
+    "galerkin" or "cg"; cg_iterations is k for the first.
     """
     scheme = Tikhonov(lam)
     X = as_samples(samples)
@@ -330,6 +331,7 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
     else:
         c, rep = found
     meta = {"mode": "implicit" if isinstance(gram, ImplicitGram) else "dense",
+            "solver": "cg" if found is None else "galerkin",
             "cg_iterations": rep.iterations,
             "cg_residual": rep.residual, "cg_converged": rep.converged}
     if not rep.converged:
@@ -342,58 +344,17 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
 def _galerkin_iterate(gram, h, lam, tol, max_iter, krylov):
     """(c_k, CGReport) of fit_tikhonov_cg's Galerkin iterate from krylov, or
     None where CG must run: the basis ends before its estimate meets tol or
-    max_iter is reached, or c_k's true residual misses tol although the
-    estimate met it."""
-    V, T, beta_last = krylov
-    M = gram.samples.shape[0]
-    alpha, beta = np.diag(T), np.append(np.diag(T, 1), beta_last)
-    stop, dims = _shift_targets(np.array([M * lam]), 1, tol)
-    for j in range(1, min(len(V), max_iter) + 1):
-        if stop(alpha[:j], beta[:j]):
-            break
-    k = int(dims[0]) or max_iter
-    if k > len(V):
-        return None
-    c = _krylov_solution(V, T, k, M * lam, np.linalg.norm(h) / lam)
-    if c is None:
+    max_iter is reached, T_k + M lam I is singular, or c_k's true residual
+    misses tol although the estimate met it."""
+    shift = gram.samples.shape[0] * lam
+    met, c = krylov.galerkin(shift, tol, krylov.norm_b / lam, max_iter)
+    if c is None or (not met and max_iter > len(krylov.V)):
         return None
     b = h / lam
-    rel = float(np.linalg.norm(b - (gram.matvec(c) + M * lam * c)) / np.linalg.norm(b))
-    if dims[0] and rel > tol:
+    rel = float(np.linalg.norm(b - (gram.matvec(c) + shift * c)) / np.linalg.norm(b))
+    if met and rel > tol:
         return None
-    return c, CGReport(k, rel, rel <= tol)
-
-
-def _krylov_solution(V, T, k, shift, scale):
-    """scale V_k^T (T_k + shift I)^-1 e_1 from the first k vectors of a
-    Lanczos basis started at b: the Galerkin solution of (K + shift I) y =
-    b / ||b||, times scale. None if T_k + shift I is singular."""
-    try:
-        z = np.linalg.solve(T[:k, :k] + shift * np.eye(k), np.eye(1, k)[0])
-    except np.linalg.LinAlgError:
-        return None
-    return scale * (z @ V[:k])
-
-
-def _shift_targets(shifts, min_dim, target, max_dim=None):
-    """A lanczos stop rule: min_dim vectors, and every (K + s I) y = b has
-    met the relative residual target by its Lanczos residual estimate
-    beta_k |e_k^T (T_k + s I)^-1 e_1| = beta_k beta_1..beta_{k-1} / (p_1..p_k),
-    p_k = alpha_k + s - beta_{k-1}^2 / p_{k-1} the pivots of T_k + s I, or
-    the basis holds max_dim vectors. Returns (stop, dims), dims[i] set to
-    the step at which shift i met the target (0: not yet).
-    """
-    piv, last = np.ones(len(shifts)), np.ones(len(shifts))
-    dims = np.zeros(len(shifts), dtype=np.int64)
-
-    def stop(alpha, beta):
-        b = beta[-2] if len(beta) > 1 else 0.0
-        piv[:] = alpha[-1] + shifts - b * b / piv
-        last[:] = last * (b if len(beta) > 1 else 1.0) / np.abs(piv)
-        dims[(dims == 0) & (beta[-1] * last <= target)] = len(beta)
-        return len(beta) >= min_dim and (bool(dims.all())
-                                         or (max_dim is not None and len(beta) >= max_dim))
-    return stop, dims
+    return c, CGReport(met or max_iter, rel, rel <= tol)
 
 
 # ======================================================================
@@ -545,11 +506,11 @@ def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0, gram=No
         c_t = (1+u_t) c_{t-1} - (omega_t/M)(a_{t-1} h + K c_{t-1}) - u_t c_{t-2}
         a_t = (1+u_t) a_{t-1} - u_t a_{t-2} - omega_t
     Only Gram matvecs are needed, so a matrix-free Gram serves at any size.
-    _krylov, when given, is (V, T) of spectral_linalg.lanczos(gram, h, ...)
-    and spans every snapshot: c_t lies in the Krylov space K_{t-1}(K, h),
-    so the basis must be invariant or hold at least max(ts) - 1 vectors.
-    The recursion then runs on (T, ||h|| e_1) over its first max(ts) - 1
-    vectors, and V lifts each snapshot.
+    _krylov, when given, is the KrylovBasis of spectral_linalg.lanczos(gram,
+    h, ...). c_t lies in the Krylov space K_{t-1}(K, h), so where the basis
+    spans K_{max(ts)-1} the recursion runs on (T, ||h|| e_1) over its first
+    max(ts) - 1 vectors and V lifts each snapshot; a basis too short for
+    that is not read, and the recursion runs on K.
     """
     if not np.isfinite(nu) or nu < 1:
         raise InputError(f"nu must be >= 1, got {nu!r}")
@@ -560,10 +521,10 @@ def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0, gram=No
         raise InputError("iteration counts must be integers >= 1")
     gram = _resolve_gram(spec, X, gram)
     h, matvec, lift = gram.divergence(), gram.matvec, lambda c: c
-    if _krylov is not None:
-        k = min(len(_krylov[0]), ts[-1] - 1)
-        V, T = _krylov[0][:k], _krylov[1][:k, :k]
-        h = np.linalg.norm(h) * np.eye(1, k)[0]
+    if _krylov is not None and _krylov.spans(ts[-1] - 1):
+        k = min(len(_krylov.V), ts[-1] - 1)
+        V, T = _krylov.V[:k], _krylov.T[:k, :k]
+        h = _krylov.norm_b * np.eye(1, k)[0]
         matvec, lift = (lambda y: T @ y), (lambda y: y @ V)
 
     _, w1 = nu_coefficients(1, nu)

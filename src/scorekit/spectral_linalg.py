@@ -334,7 +334,71 @@ def _project_out(V, w):
     return w, float(np.linalg.norm(w))
 
 
-def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None):
+def _shift_targets(shifts, targets, min_dim, caps):
+    """A lanczos stop rule for the systems (K + s_i I) y = b: stop once the
+    basis holds min_dim vectors and each system i has met its relative
+    residual target i by its Lanczos residual estimate beta_k |e_k^T (T_k +
+    s_i I)^-1 e_1| = beta_k beta_1..beta_{k-1} / |p_1..p_k|, p_k = alpha_k +
+    s_i - beta_{k-1}^2 / p_{k-1} the pivots of T_k + s_i I, or the basis
+    holds its cap i vectors (inf: none). Returns (stop, dims), dims[i] the
+    step at which system i met its target (0: not yet).
+    """
+    shifts, targets, caps = (np.asarray(v, dtype=np.float64) for v in (shifts, targets, caps))
+    piv, last = np.ones(len(shifts)), np.ones(len(shifts))
+    dims = np.zeros(len(shifts), dtype=np.int64)
+
+    def stop(alpha, beta):
+        k = len(beta)
+        b = beta[-2] if k > 1 else 0.0
+        piv[:] = alpha[-1] + shifts - b * b / piv
+        last[:] = last * (b if k > 1 else 1.0) / np.abs(piv)
+        dims[(dims == 0) & (beta[-1] * last <= targets)] = k
+        return k >= min_dim and bool(((dims > 0) | (k >= caps)).all())
+    return stop, dims
+
+
+@dataclass(frozen=True, eq=False)
+class KrylovBasis:
+    """What lanczos built from a symmetric K and b: the rows V, T = V K V^T,
+    the last beta, norm_b = ||b|| and whether beta met the run's tol. A
+    k-step run is the first k rows of a longer one, bit for bit, so each
+    reader reads the leading part it needs, however far others grew it.
+    """
+
+    V: np.ndarray
+    T: np.ndarray
+    beta: float
+    norm_b: float
+    invariant: bool
+
+    def spans(self, k: int) -> bool:
+        """Whether span(V) holds K_k(K, b), so p(K) b for every polynomial p
+        of degree below k: V is invariant or holds min(k, n) vectors."""
+        return self.invariant or len(self.V) >= min(k, self.V.shape[1])
+
+    def galerkin(self, shift: float, target: float, scale: float, max_dim: int = None):
+        """(met, y) of (K + shift I) y = scale b / ||b|| over the first
+        max_dim vectors (default all). met is the first step whose Lanczos
+        residual estimate meets target, replayed by _shift_targets as a
+        build's stop rule computed it (0: none); y = scale V_k^T (T_k + shift
+        I)^-1 e_1 at k = met, or at the last vector read; None if singular.
+        """
+        n = len(self.V) if max_dim is None else min(max_dim, len(self.V))
+        stop, dims = _shift_targets([shift], [target], 1, [np.inf])
+        alpha, beta = np.diag(self.T), np.append(np.diag(self.T, 1), self.beta)
+        for k in range(1, n + 1):
+            if stop(alpha[:k], beta[:k]):
+                break
+        met = int(dims[0])
+        k = met or n
+        try:
+            z = np.linalg.solve(self.T[:k, :k] + shift * np.eye(k), np.eye(1, k)[0])
+        except np.linalg.LinAlgError:
+            return met, None
+        return met, scale * (z @ self.V[:k])
+
+
+def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None) -> KrylovBasis:
     """Lanczos decomposition of a symmetric op started at b.
 
     Builds orthonormal rows V, v_1 = b / ||b||, and the tridiagonal T with
@@ -346,10 +410,10 @@ def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None):
     point revisits converged directions. A second pass runs only when the
     first left less than 1/sqrt(2) of the norm it found (the DGKS test:
     twice is enough). The run ends at the first step k with beta_k <= tol
-    (scale tol by a norm of op), k = max_dim or stop(alpha, beta) true,
-    called once per step with T's diagonal and off-diagonal so far (beta_k
-    last). A k-step run gives the first k rows of a longer one, bit for bit.
-    Returns (V, T, beta_k), V of shape (k, n); a zero b gives k = 0.
+    (scale tol by a norm of op), k = max_dim or stop(alpha, beta) true
+    (_shift_targets), called once per step with T's diagonal and
+    off-diagonal so far (beta_k last). Returns a KrylovBasis, V of shape
+    (k, n); a zero b gives k = 0.
     """
     if isinstance(max_dim, bool) or not isinstance(max_dim, (int, np.integer)) \
             or max_dim < 1:
@@ -359,7 +423,7 @@ def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None):
     b, nb = _rhs(op, b)
     n = b.shape[0]
     if nb == 0.0:
-        return np.zeros((0, n)), np.zeros((0, 0)), 0.0
+        return KrylovBasis(np.zeros((0, n)), np.zeros((0, 0)), 0.0, 0.0, True)
     # rows are written one per step; untouched rows of np.empty take no memory
     V = np.empty((min(int(max_dim), n), n))
     alpha, beta = np.zeros(V.shape[0]), np.zeros(V.shape[0])
@@ -383,7 +447,7 @@ def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None):
             break
         V[k] = w / beta[k - 1]
     T = np.diag(alpha[:k]) + np.diag(beta[:k - 1], 1) + np.diag(beta[:k - 1], -1)
-    return V[:k], T, float(beta[k - 1])
+    return KrylovBasis(V[:k], T, float(beta[k - 1]), nb, bool(beta[k - 1] <= tol))
 
 
 def power_iteration(op, iters: int = 50, rel_tol: float = 1e-4) -> float:

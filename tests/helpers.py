@@ -7,9 +7,10 @@ matrix-backed operator, spectral calculus through a full eigensystem, the
 append-and-refit score heuristic, the line-by-line CSV reader, a
 diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks, eigen-filter
 coefficients through np.linalg.eigh of the Md x Md Gram and the mixture
-log-likelihoods from a (Q, K, d) difference array: slow or naive forms that
-the package's fast paths are checked against. peak_bytes measures what a
-call allocates.
+log-likelihoods from a (Q, K, d) difference array, and the Lanczos stop
+rule as the AND of one rule per sweep entry: slow or naive forms that the
+package's fast paths are checked against. peak_bytes measures what a call
+allocates.
 """
 
 import csv
@@ -306,3 +307,28 @@ def component_logliks_broadcast(dist, X) -> np.ndarray:
     with np.errstate(divide="ignore"):
         logw = np.log(dist.weights)
     return logw[None, :] - sq / (2.0 * s2) - 0.5 * dist.dim * np.log(2.0 * np.pi * s2)
+
+
+def shift_targets_per_entry(shifts, min_dim, target, max_dim=None):
+    """spectral_linalg._shift_targets for one sweep entry: every shift
+    shares one target and one cap. A stop rule that holds once the basis
+    holds min_dim vectors and every (K + s I) y = b has met target by its
+    Lanczos residual estimate, or the basis holds max_dim vectors; and
+    dims, each shift's step of meeting it (0: not yet)."""
+    piv, last = np.ones(len(shifts)), np.ones(len(shifts))
+    dims = np.zeros(len(shifts), dtype=np.int64)
+
+    def stop(alpha, beta):
+        b = beta[-2] if len(beta) > 1 else 0.0
+        piv[:] = alpha[-1] + shifts - b * b / piv
+        last[:] = last * (b if len(beta) > 1 else 1.0) / np.abs(piv)
+        dims[(dims == 0) & (beta[-1] * last <= target)] = len(beta)
+        return len(beta) >= min_dim and (bool(dims.all())
+                                         or (max_dim is not None and len(beta) >= max_dim))
+    return stop, dims
+
+
+def all_rules(rules):
+    """The stop rule that holds where every rule holds; each sees every step,
+    so each keeps its own pivots."""
+    return lambda alpha, beta: all([rule(alpha, beta) for rule in rules])

@@ -1,6 +1,7 @@
 """Tests for the benchmark harness: config validation, sweep semantics,
 determinism, aggregation, slope fits, and SVG plotting."""
 
+import dataclasses
 import json
 import math
 import os
@@ -526,14 +527,14 @@ class TestMatrixFreeTikhonov:
             runs.append(op)
             return orig(op, *args, **kwargs)
 
-        def recorded(shifts, min_dim, target):
-            targets.append((shifts, target))
-            return orig_targets(shifts, min_dim, target)
+        def recorded(shifts, shift_targets, min_dim, caps):
+            targets.append((shifts, set(shift_targets)))
+            return orig_targets(shifts, shift_targets, min_dim, caps)
         monkeypatch.setattr(bench, "lanczos", counted)
         monkeypatch.setattr(bench, "_shift_targets", recorded)
         _, fits = self.run(monkeypatch)
         assert len(runs) == 1 and isinstance(runs[0], kernels.ImplicitGram)
-        [(shifts, target)] = targets
+        [(shifts, (target,))] = targets
         assert np.array_equal(shifts, 256 * np.asarray(LAMBDA_GRID))
         assert target == bench._TIK_IMPLICIT_TOL / 100
         # the starts meet the CG tolerance; no fit iterates further
@@ -543,8 +544,8 @@ class TestMatrixFreeTikhonov:
         orig = bench.lanczos
 
         def drifted(*args, **kwargs):
-            V, T, beta = orig(*args, **kwargs)
-            return V * (1.0 + 1e-4), T, beta
+            basis = orig(*args, **kwargs)
+            return dataclasses.replace(basis, V=basis.V * (1.0 + 1e-4))
         monkeypatch.setattr(bench, "lanczos", drifted)
         rows, fits = self.run(monkeypatch, lambdas=[1.0, 1e-3])
         assert all(r.reason == "" for r in rows)
@@ -570,6 +571,12 @@ def set_dense_limit(monkeypatch, limit):
 def no_basis(*args, **kwargs):
     # a failed basis: Tikhonov cells factor, the nu-method recursion runs on K
     raise NumericError("injected")
+
+
+def tikhonov_starts(problem, entry, spec):
+    """The start each cell of a curl-free tikhonov entry gets in the sweep."""
+    return [bench._tikhonov_sweep_opts(problem, entry, spec, i)["_x0"]
+            for i in range(len(entry.grid))]
 
 
 class TestDenseTikhonov:
@@ -633,9 +640,9 @@ class TestDenseTikhonov:
             runs.append((op.dim, max_dim, tol / np.linalg.norm(op.matrix, 1), stop))
             return orig(op, b, max_dim, tol, stop=stop)
 
-        def recorded(shifts, min_dim, target):
-            targets.append(target)
-            return orig_targets(shifts, min_dim, target)
+        def recorded(shifts, shift_targets, min_dim, caps):
+            targets.extend(set(shift_targets))
+            return orig_targets(shifts, shift_targets, min_dim, caps)
         monkeypatch.setattr(bench, "lanczos", counted)
         monkeypatch.setattr(bench, "_shift_targets", recorded)
         _, calls = self.run(monkeypatch)
@@ -651,15 +658,14 @@ class TestDenseTikhonov:
 
     @pytest.mark.parametrize("how", ["perturbed", "failed"])
     def test_rejected_starts_factor_to_the_rows_without_starts(self, monkeypatch, how):
-        monkeypatch.setattr(bench, "_shifted_starts",
-                            lambda problem, spec, grid: [None] * len(grid))
+        monkeypatch.setattr(bench._Problem, "krylov", lambda problem, spec: None)
         cold, cold_calls = self.run(monkeypatch)
         monkeypatch.undo()
         orig = bench.lanczos
 
         def perturbed(*args, **kwargs):
-            V, T, beta = orig(*args, **kwargs)
-            return V * (1.0 + 1e-4), T, beta
+            basis = orig(*args, **kwargs)
+            return dataclasses.replace(basis, V=basis.V * (1.0 + 1e-4))
 
         def failed(*args, **kwargs):
             raise NumericError("injected")
@@ -678,6 +684,7 @@ class TestKrylovBasis:
     # t_max - 1 = 199 vectors: more than the Tikhonov starts need (under 170
     # at d=2, M <= 128), so the nu-method entry lengthens the basis
     NU = {"id": "nu_method", "kind": "curl_free", "iterations": [1, 3, 10, 31, 100, 200]}
+    CG = {"id": "tikhonov_cg", "kind": "curl_free"}
 
     @staticmethod
     def config(entries, d=2, sizes=(64, 128)):
@@ -692,7 +699,7 @@ class TestKrylovBasis:
 
         def counted(*args, **kwargs):
             out = orig(*args, **kwargs)
-            runs.append((args[0].dim, args[3]) + out)
+            runs.append((args[0].dim, args[3], out.V, out.T, out.beta))
             return out
 
         def matvec(self, b):
@@ -703,15 +710,22 @@ class TestKrylovBasis:
         return runs, products
 
     def test_one_basis_serves_both_entries_and_each_reads_its_own_part(self, monkeypatch):
+        # the three readers in either config order, over the d=2 bases and
+        # the non-invariant d=8 one: each entry's rows are those it gives
+        # run alone, bit for bit
         stable_fields = TestGridExperiment.stable_fields
-        alone = []
-        for entry in (self.TIK, self.NU):
-            alone += stable_fields(run_grid_rows(self.config([entry])))
         runs, _ = self.recorded(monkeypatch)
-        both = stable_fields(run_grid_rows(self.config([self.TIK, self.NU])))
-        assert len(runs) == 4  # (M, seed) problems
-        assert all(reason == "" for *_, reason in both)
-        assert both == alone
+        for d, sizes in ((2, (64, 128)), (8, (64,))):
+            alone = {e["id"]: stable_fields(run_grid_rows(self.config([e], d, sizes)))
+                     for e in (self.TIK, self.CG, self.NU)}
+            for order in ((self.TIK, self.CG, self.NU), (self.NU, self.CG, self.TIK)):
+                del runs[:]
+                both = stable_fields(run_grid_rows(self.config(list(order), d, sizes)))
+                assert len(runs) == 2 * len(sizes)  # (M, seed) problems
+                assert all(reason == "" for *_, reason in both)
+                assert both == [row for e in order for row in alone[e["id"]]]
+            if d == 8:
+                assert all(beta > tol for _, tol, _, _, beta in runs)
 
     def test_nu_method_rows_match_the_direct_recursion(self, monkeypatch):
         # a d=1 Gram is numerically low rank: its Krylov space becomes
@@ -790,8 +804,9 @@ class TestSharedKrylovEngine:
             problem, (tik, nu) = self.problem([self.TIK, self.NU], d=d, M=M)
             spec = problem.spec(tik)
             assert isinstance(problem.gram(spec), form)
-            starts.append(bench._shifted_starts(problem, spec, tik.grid))
-            assert problem.krylov(spec)[3]  # spans every snapshot
+            starts.append(tikhonov_starts(problem, tik, spec))
+            # spans every snapshot
+            assert problem.krylov(spec).spans(max(self.NU["iterations"]) - 1)
             paths.append([est for *_, est in bench._fit_cells(nu, problem, spec)])
         for a, b in zip(*starts):
             assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(a)
@@ -821,7 +836,7 @@ class TestSharedKrylovEngine:
             estimators=[dict(self.TIK, lambdas=[1.0, 1e-2, 1e-4])]))
         rows = run_grid_rows(cfg)
         assert all(r.reason == "" for r in rows)
-        assert len(runs) == 2 and all(len(V) == 64 ** 2 // 128 for V, _, _ in runs)
+        assert len(runs) == 2 and all(len(basis.V) == 64 ** 2 // 128 for basis in runs)
         assert any(est.meta["cg_iterations"] > 0 for est in fits)
         for est in fits:
             assert est.meta["mode"] == "implicit"
@@ -850,7 +865,7 @@ class TestSharedKrylovEngine:
         lams = [1e4, 1e2, 1.0, 1e-2, 1e-4, 1e-6, 1e-8]
         problem, (tik,) = self.problem([dict(self.TIK, lambdas=lams)])
         spec = problem.spec(tik)
-        starts = bench._shifted_starts(problem, spec, tik.grid)
+        starts = tikhonov_starts(problem, tik, spec)
         assert len(starts) == len(lams)
         assert all(y is not None and np.all(np.isfinite(y)) for y in starts)
         cells = list(bench._fit_cells(tik, problem, spec))
@@ -907,6 +922,7 @@ class TestGalerkinCells:
             assert est.meta["cg_residual"] == pytest.approx(rel, rel=1e-6)
             assert est.meta["cg_converged"] == (rel <= self.TOL)
             assert est.meta["cg_converged"] or not public.meta["cg_converged"]
+            assert public.meta["solver"] == "cg"
             if est.scheme.lam >= 1e-2:
                 assert np.linalg.norm(est.coeffs - public.coeffs) \
                     <= 1e-8 * np.linalg.norm(public.coeffs)
@@ -932,10 +948,11 @@ class TestGalerkinCells:
         monkeypatch.setattr(self.GRAM[form], "matvec", matvec)
         monkeypatch.setattr(estimators, "conjugate_gradient", cg)
         fits = self.run(monkeypatch, form)
-        [(V, _, _)] = bases
+        [V] = [basis.V for basis in bases]
         assert cg_runs[0] == 0
         assert products[0] <= len(V) + len(fits)
         assert max(est.meta["cg_iterations"] for est in fits) <= len(V)
+        assert all(est.meta["solver"] == "galerkin" for est in fits)
 
     @pytest.mark.parametrize("how", ["short", "failed", "drifted"])
     @pytest.mark.parametrize("form", sorted(SHAPES))
@@ -948,8 +965,8 @@ class TestGalerkinCells:
         def drifted(*args, **kwargs):
             # T and beta still vouch for each iterate; the true residual,
             # about 1e-3, does not
-            V, T, beta = orig(*args, **kwargs)
-            return V * (1.0 + 1e-3), T, beta
+            basis = orig(*args, **kwargs)
+            return dataclasses.replace(basis, V=basis.V * (1.0 + 1e-3))
         if how == "short":
             # two vectors: no cell's estimate meets tol, and max_iter is 40
             monkeypatch.setattr(bench, "_TIK_IMPLICIT_MAX_ITER", 2)
@@ -960,6 +977,7 @@ class TestGalerkinCells:
         for est in fits:
             public = self.public(est)
             assert est.meta == public.meta and est.meta["cg_iterations"] > 2
+            assert est.meta["solver"] == "cg"
             assert np.array_equal(est.coeffs, public.coeffs)
 
 

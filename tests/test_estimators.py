@@ -1,3 +1,4 @@
+import inspect
 import struct
 
 import numpy as np
@@ -660,23 +661,26 @@ class TestNuMethod:
             assert np.array_equal(est.coeffs, solo.coeffs)
             assert est.offset == solo.offset
 
-    @pytest.mark.parametrize("dim", ["t_max - 1", "full"])
+    @pytest.mark.parametrize("dim", ["t_max - 1", "full", "one short"])
     def test_krylov_basis_reproduces_the_path(self, dim):
         # c_t lies in K_{t-1}(K, h): t_max - 1 Lanczos vectors suffice for
         # every snapshot up to t_max, and so does the invariant full space
         # a narrow bandwidth flattens the spectrum, so every Krylov direction
-        # carries weight and a basis one vector short is visibly wrong
+        # carries weight and a basis one vector short is visibly wrong: the
+        # path does not read it and runs the recursion on K
         rng = np.random.default_rng(55)
         X, spec = random_instance(rng, M=20, d=3, kind="curl_free", bw=0.3)
         gram = assemble_gram(spec, X)
         ts = [1, 2, 5, 17]
-        k = 16 if dim == "t_max - 1" else 60
-        V, T, beta = spectral_linalg.lanczos(gram, gram.divergence(), k, 1e-300)
-        assert len(V) == k
+        k = {"t_max - 1": 16, "full": 60, "one short": 15}[dim]
+        basis = spectral_linalg.lanczos(gram, gram.divergence(), k, 1e-300)
+        assert len(basis.V) == k
         direct = nu_method_path(X, spec, ts, nu=1.5, gram=gram)
-        lifted = nu_method_path(X, spec, ts, nu=1.5, gram=gram, _krylov=(V, T))
+        lifted = nu_method_path(X, spec, ts, nu=1.5, gram=gram, _krylov=basis)
         for a, b in zip(direct, lifted):
             assert a.scheme == b.scheme and a.offset == b.offset
+            if dim == "one short":
+                assert np.array_equal(a.coeffs, b.coeffs)
             assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-10 * max(
                 np.linalg.norm(a.coeffs), 1e-300)
 
@@ -1224,3 +1228,19 @@ class TestSerialization:
             return
         assert isinstance(back, FittedScoreEstimator)
         assert np.all(np.isfinite(back.coeffs)) and np.isfinite(back.offset)
+
+
+# ======================================================================
+# the public fits' signatures
+# ======================================================================
+
+def test_every_public_fit_and_path_takes_at_most_one_private_argument():
+    # a private argument is what a caller sharing work across fits hands in
+    # (a start, a Krylov basis, Nystrom blocks); at most one per fit
+    public = [f for name, f in vars(estimators).items()
+              if inspect.isfunction(f) and f.__module__ == estimators.__name__
+              and (name.startswith("fit_") or name.endswith("_path"))]
+    assert len(public) == 9
+    for f in public:
+        private = [p for p in inspect.signature(f).parameters if p.startswith("_")]
+        assert len(private) <= 1, f"{f.__name__} takes {private}"

@@ -7,6 +7,7 @@ from scorekit import estimators, spectral_linalg
 from scorekit.spectral_linalg import (
     SPD_RESIDUAL_TOL,
     EigenSystem,
+    KrylovBasis,
     TridiagonalEigen,
     check_symmetric,
     conjugate_gradient,
@@ -15,9 +16,10 @@ from scorekit.spectral_linalg import (
     power_iteration,
     solve_spd,
     sym_eig,
+    _shift_targets,
 )
 
-from helpers import LinearOperator, apply_spectral_filter
+from helpers import LinearOperator, all_rules, apply_spectral_filter, shift_targets_per_entry
 
 
 def random_gram(m, d, seed, kind="curl_free"):
@@ -383,7 +385,8 @@ def test_lanczos_solves_shifted_systems_on_a_low_rank_gram():
         T, k = tridiagonal(alpha, beta[:-1]), len(alpha)
         return all(beta[-1] * abs(np.linalg.solve(T + s * np.eye(k), np.eye(1, k)[0])[-1])
                    <= 1e-10 for s in shifts)
-    V, T, _ = lanczos(op, b, 800, 1e-14 * np.linalg.norm(A, 1), stop=solved)
+    basis = lanczos(op, b, 800, 1e-14 * np.linalg.norm(A, 1), stop=solved)
+    V, T = basis.V, basis.T
     assert all(rep.converged for rep in plain_reps)
     assert len(V) <= plain_reps[-1].iterations / 2
     assert np.abs(V @ V.T - np.eye(len(V))).max() <= 1e-12
@@ -397,7 +400,8 @@ def test_lanczos_solves_shifted_systems_on_a_low_rank_gram():
 def test_lanczos_exhausts_the_krylov_space():
     # n steps span the whole space: the decomposition is exact, no nan
     A, b = random_spd(12, 14)
-    V, T, beta = lanczos(LinearOperator.from_matrix(A), b, 40, 1e-300)
+    basis = lanczos(LinearOperator.from_matrix(A), b, 40, 1e-300)
+    V, T, beta = basis.V, basis.T, basis.beta
     assert V.shape == (12, 12) and T.shape == (12, 12)
     assert np.all(np.isfinite(V)) and np.isfinite(beta)
     assert np.abs(V @ V.T - np.eye(12)).max() <= 1e-12
@@ -413,7 +417,8 @@ def test_lanczos_matrix_functions_match_the_eigensystem(seed):
     nb = np.linalg.norm(b)
     op = LinearOperator.from_matrix(A)
     # the resolvent needs the whole (invariant) space
-    V, T, _ = lanczos(op, b, 40, 1e-300)
+    basis = lanczos(op, b, 40, 1e-300)
+    V, T = basis.V, basis.T
     for s in (1e-3, 0.5, 10.0):
         ref = apply_spectral_filter(eig, lambda sig: 1.0 / (sig + s), b)
         out = nb * (apply_spectral_filter(sym_eig(T), lambda sig: 1.0 / (sig + s),
@@ -422,7 +427,8 @@ def test_lanczos_matrix_functions_match_the_eigensystem(seed):
     # the nu-method iterate c_t is a polynomial of degree t - 2 in A: t - 1
     # vectors suffice although the space is far from invariant
     t, nu, M = 12, 1.5, 40
-    V, T, beta = lanczos(op, b, t - 1, 1e-300)
+    basis = lanczos(op, b, t - 1, 1e-300)
+    V, T, beta = basis.V, basis.T, basis.beta
     assert len(V) == t - 1 and beta > 1e-3
     ref = apply_spectral_filter(eig, lambda sig: nu_filter(sig, t, nu, M), b)
     out = nb * (apply_spectral_filter(sym_eig(T), lambda sig: nu_filter(sig, t, nu, M),
@@ -438,7 +444,8 @@ def test_lanczos_stops_on_a_low_rank_matrix(rank):
     Q, _ = np.linalg.qr(rng.standard_normal((60, rank)))
     A = (Q * np.geomspace(1.0, 100.0, rank)) @ Q.T
     b = rng.standard_normal(60)
-    V, T, beta = lanczos(LinearOperator.from_matrix(A), b, 60, 1e-12 * np.linalg.norm(A, 1))
+    basis = lanczos(LinearOperator.from_matrix(A), b, 60, 1e-12 * np.linalg.norm(A, 1))
+    V, T, beta = basis.V, basis.T, basis.beta
     # K_k(A, b) = span(b) + range(A) once k = rank + 1
     assert len(V) <= rank + 1
     assert beta <= 1e-12 * np.linalg.norm(A, 1)
@@ -449,7 +456,8 @@ def test_lanczos_stops_on_a_low_rank_matrix(rank):
 def test_lanczos_zero_rhs():
     calls = []
     op = LinearOperator(3, lambda v: calls.append(v) or v)
-    V, T, beta = lanczos(op, np.zeros(3), 3, 1e-12)
+    basis = lanczos(op, np.zeros(3), 3, 1e-12)
+    V, T, beta = basis.V, basis.T, basis.beta
     assert V.shape == (0, 3) and T.shape == (0, 0) and beta == 0.0
     assert not calls
 
@@ -495,11 +503,13 @@ def test_a_short_lanczos_run_is_the_prefix_of_a_longer_one(k, cut):
     A = random_gram(40, 2, seed=3)
     b = np.random.default_rng(5).standard_normal(80)
     op = LinearOperator.from_matrix(A)
-    V, T, _ = lanczos(op, b, 60, 1e-300)
+    full = lanczos(op, b, 60, 1e-300)
+    V, T = full.V, full.T
     if cut == "max_dim":
-        Vk, Tk, beta = lanczos(op, b, k, 1e-300)
+        short = lanczos(op, b, k, 1e-300)
     else:
-        Vk, Tk, beta = lanczos(op, b, 60, 1e-300, stop=lambda alpha, _: len(alpha) == k)
+        short = lanczos(op, b, 60, 1e-300, stop=lambda alpha, _: len(alpha) == k)
+    Vk, Tk, beta = short.V, short.T, short.beta
     assert len(V) == 60 and len(Vk) == k
     assert np.array_equal(Vk, V[:k]) and np.array_equal(Tk, T[:k, :k])
     assert beta == T[k - 1, k]
@@ -510,7 +520,7 @@ def test_lanczos_stays_orthogonal_over_a_geometric_spectrum(monkeypatch):
     Q, _ = np.linalg.qr(rng.standard_normal((300, 300)))
     A = (Q * np.geomspace(1.0, 1e-12, 300)) @ Q.T
     passes = count_passes(monkeypatch)
-    V, _, _ = lanczos(LinearOperator.from_matrix(A), rng.standard_normal(300), 200, 1e-300)
+    V = lanczos(LinearOperator.from_matrix(A), rng.standard_normal(300), 200, 1e-300).V
     assert len(V) == 200
     assert np.abs(V @ V.T - np.eye(200)).max() <= 1e-13
     # one pass per step: the recurrence left most of each new vector
@@ -526,13 +536,94 @@ def test_lanczos_makes_a_second_pass_where_the_first_cancels(monkeypatch, rank):
     Q, _ = np.linalg.qr(rng.standard_normal((60, rank)))
     A = (Q * np.geomspace(1.0, 100.0, rank)) @ Q.T
     passes = count_passes(monkeypatch)
-    V, T, _ = lanczos(LinearOperator.from_matrix(A), rng.standard_normal(60), 20, 1e-300)
+    basis = lanczos(LinearOperator.from_matrix(A), rng.standard_normal(60), 20, 1e-300)
+    V, T = basis.V, basis.T
     assert len(V) == 20
     steps = [n for i, n in enumerate(passes) if i == 0 or passes[i - 1] != n]
     assert steps == list(range(1, 21)) and len(passes) > len(steps)
     assert np.abs(V @ V.T - np.eye(20)).max() <= 1e-13
     assert np.allclose(V[:rank + 1] @ A @ V[:rank + 1].T, T[:rank + 1, :rank + 1],
                        rtol=0, atol=1e-12 * np.linalg.norm(A, 1))
+
+
+def low_rank_gram_and_rhs(seed=3):
+    A = random_gram(40, 2, seed=seed)
+    return LinearOperator.from_matrix(A), np.random.default_rng(5).standard_normal(80)
+
+
+TIK_SHIFTS = 80 * np.geomspace(1.0, 1e-3, 4)
+CG_SHIFTS = 80 * np.geomspace(1.0, 1e-4, 5)
+
+
+@pytest.mark.parametrize("t_max, cg_tol, max_iter, stop_at", [
+    (1, 1e-2, 40, 61), (71, 1e-2, 40, 70), (1, 1e-14, 66, 66), (1, 1e-8, 200, 75)],
+    ids=["tikhonov-targets", "nu-method-t_max", "cg-max_iter", "cg-tol"])
+def test_one_stop_rule_stops_where_every_entry_rule_holds(t_max, cg_tol, max_iter, stop_at):
+    # a tikhonov grid (start target 1e-12, no cap), a tikhonov_cg grid (its
+    # tol and max_iter) and a nu-method t_max: the one rule with a target
+    # and a cap per shift holds where the AND of the entry rules does; each
+    # case is stopped by the rule it is named after
+    op, b = low_rank_gram_and_rhs()
+    basis = lanczos(op, b, 80, 1e-300)
+    alpha, beta = np.diag(basis.T), np.append(np.diag(basis.T, 1), basis.beta)
+    tik, tik_dims = shift_targets_per_entry(TIK_SHIFTS, t_max - 1, 1e-12)
+    cg, _ = shift_targets_per_entry(CG_SHIFTS, 1, cg_tol, max_iter)
+    reference = all_rules([cg, tik])
+    one, dims = _shift_targets(np.r_[TIK_SHIFTS, CG_SHIFTS], [1e-12] * 4 + [cg_tol] * 5,
+                               t_max - 1, [np.inf] * 4 + [max_iter] * 5)
+    steps = range(1, len(basis.V) + 1)
+    expected = [reference(alpha[:k], beta[:k]) for k in steps]
+    assert [one(alpha[:k], beta[:k]) for k in steps] == expected
+    assert expected.index(True) + 1 == stop_at
+    assert np.array_equal(dims[:4], tik_dims)
+
+
+@pytest.mark.parametrize("max_dim", [None, 6, 200])
+def test_galerkin_replays_the_build_rule_and_solves_at_its_step(max_dim):
+    op, b = low_rank_gram_and_rhs()
+    basis = lanczos(op, b, 60, 1e-300)
+    V, T = basis.V, basis.T
+    alpha, beta = np.diag(T), np.append(np.diag(T, 1), basis.beta)
+    n = len(V) if max_dim is None else min(max_dim, len(V))
+    for shift in np.r_[TIK_SHIFTS, CG_SHIFTS]:
+        for target in (1e-4, 1e-12):
+            met, y = basis.galerkin(shift, target, 2.5, max_dim)
+            rule, dims = shift_targets_per_entry(np.array([shift]), 1, target)
+            for k in range(1, n + 1):
+                if rule(alpha[:k], beta[:k]):
+                    break
+            assert met == dims[0]
+            k = met or n
+            z = np.linalg.solve(T[:k, :k] + shift * np.eye(k), np.eye(1, k)[0])
+            assert np.array_equal(y, 2.5 * (z @ V[:k]))
+            if met:  # a basis built with that rule ends at that step
+                stop, _ = _shift_targets([shift], [target], 1, [np.inf])
+                assert len(lanczos(op, b, 60, 1e-300, stop=stop).V) == met
+
+
+def test_galerkin_reports_a_singular_system():
+    op, b = low_rank_gram_and_rhs()
+    basis = lanczos(op, b, 1, 1e-300)
+    with np.errstate(divide="ignore"):  # the zero pivot of T_1 - alpha_1 I
+        met, y = basis.galerkin(-basis.T[0, 0], 1e-4, 1.0)
+    assert met == 0 and y is None
+
+
+def test_a_basis_spans_what_it_holds_or_everything_once_invariant():
+    A, b = random_spd(12, 14)
+    op = LinearOperator.from_matrix(A)
+    short = lanczos(op, b, 5, 1e-300)
+    assert isinstance(short, KrylovBasis) and not short.invariant
+    assert short.spans(5) and not short.spans(6)
+    assert short.norm_b == float(np.linalg.norm(b))
+    full = lanczos(op, b, 40, 1e-300)
+    assert len(full.V) == 12 and full.spans(12) and full.spans(100)
+    rank = 3
+    rng = np.random.default_rng(rank)
+    Q, _ = np.linalg.qr(rng.standard_normal((60, rank)))
+    low = lanczos(LinearOperator.from_matrix((Q * np.geomspace(1.0, 100.0, rank)) @ Q.T),
+                  rng.standard_normal(60), 60, 1e-12 * 100)
+    assert low.invariant and len(low.V) <= rank + 1 and low.spans(59)
 
 
 # ======================================================================

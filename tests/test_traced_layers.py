@@ -132,7 +132,7 @@ def test_loose_tikhonov_cells_spend_no_cg_iteration(tmp_path, monkeypatch):
     with tracer.Tracer() as traced:
         obs = sweep.run(str(tmp_path), 0)
     assert obs["rc"] == 0
-    cells, basis = len(bench.LAMBDA_GRID), sum(len(V) for V, _, _ in bases)
+    cells, basis = len(bench.LAMBDA_GRID), sum(len(b.V) for b in bases)
     assert traced.stat("estimators.fit_tikhonov_cg").calls == cells
     assert traced.stat("spectral_linalg.conjugate_gradient").counts.get("iters", 0) == 0
     assert traced.stat("kernels.ImplicitGram.matvec").calls <= basis + cells
