@@ -30,6 +30,7 @@ import numpy as np
 from .atomic import atomic_open
 from .errors import FitError, InputError, NumericError
 from .kernels import (
+    BLOCK_ENTRIES,
     DENSE_SYSTEM_LIMIT,
     FAMILIES,
     KINDS,
@@ -189,22 +190,19 @@ class FittedScoreEstimator:
         return recover_log_density(self, query)
 
 
-_PREDICT_CHUNK_ENTRIES = 2 ** 17
-
-
 def predict(est: FittedScoreEstimator, queries, _shared=None) -> np.ndarray:
     """Evaluate the fitted score field at each query row.
 
-    Rows go in chunks of max(1, 2**17 // N), N the columns of U (samples if
-    the offset is nonzero, else the basis), each read from one query_tables
-    call. _shared, when given, is query_tables(est.kernel, queries,
-    est.samples), built once by a caller predicting several fits on one
-    problem; it stands in for the chunks."""
+    Rows go in chunks of max(1, BLOCK_ENTRIES // N), N the columns of U
+    (samples if the offset is nonzero, else the basis), each read from one
+    query_tables call, which fills it as one block. _shared, when given, is
+    query_tables(est.kernel, queries, est.samples), built once by a caller
+    predicting several fits on one problem; it stands in for the chunks."""
     Q = _as_queries(np.atleast_2d(np.asarray(queries, dtype=np.float64)), est.dim)
     with_zeta = est.offset != 0.0
     X = est.samples if with_zeta else est.basis
     subset = est.subset_indices if with_zeta else None
-    step = max(1, Q.shape[0] if _shared else _PREDICT_CHUNK_ENTRIES // X.shape[0])
+    step = max(1, Q.shape[0] if _shared else BLOCK_ENTRIES // X.shape[0])
     out = np.empty_like(Q)
     for lo in range(0, Q.shape[0], step):
         q = Q[lo:lo + step]

@@ -40,6 +40,10 @@ KINDS = ("diagonal", "curl_free")
 # would take (Md)^2 * 8 bytes, 128 MB at the limit
 DENSE_SYSTEM_LIMIT = 4096
 
+# entries (8 bytes each) of one block of a Q x M table pass: query_tables
+# fills its tables and predict takes its query chunks this many at a time
+BLOCK_ENTRIES = 2 ** 17
+
 
 # ======================================================================
 # scalar radial kernels
@@ -60,29 +64,32 @@ class ScalarRadialKernel:
             raise InputError(f"bandwidth must be a positive finite real, got {bandwidth!r}")
         object.__setattr__(self, "bandwidth", bandwidth)
 
-    # phi and its u-derivatives, vectorized over u arrays.
+    # phi and its u-derivatives, vectorized over u arrays; out, an array
+    # shaped as u (u itself allowed), receives the table instead of a new one.
 
-    def phi(self, u):
-        return self._derivative(0, u)
+    def phi(self, u, out=None):
+        return self._derivative(0, u, out)
 
-    def dphi(self, u):
-        return self._derivative(1, u)
+    def dphi(self, u, out=None):
+        return self._derivative(1, u, out)
 
-    def d2phi(self, u):
-        return self._derivative(2, u)
+    def d2phi(self, u, out=None):
+        return self._derivative(2, u, out)
 
-    def d3phi(self, u):
-        return self._derivative(3, u)
+    def d3phi(self, u, out=None):
+        return self._derivative(3, u, out)
 
-    def _derivative(self, n: int, u):
+    def _derivative(self, n: int, u, out=None):
         """phi^(n)(u) by the module docstring's formula."""
         u = np.asarray(u, dtype=np.float64)
         s2 = self.bandwidth ** 2
         if self.family == "imq":
-            table = (1.0 + u / s2) ** (-0.5 - n)
+            base = np.add(np.divide(u, s2, out=out), 1.0, out=out)
+            # ** keeps a 0-d u on scalar pow, which can round apart from np.power's loop
+            table = base ** (-0.5 - n) if out is None else np.power(base, -0.5 - n, out=out)
             c = math.prod(-0.5 - k for k in range(n))
         else:
-            table = np.exp(-u / (2.0 * s2))
+            table = np.exp(np.divide(np.negative(u, out=out), 2.0 * s2, out=out), out=out)
             c = (-0.5) ** n
         if n:
             # in place: a product into a new array would allocate a second table
@@ -138,11 +145,15 @@ def _as_queries(Xq, d: int) -> np.ndarray:
     return np.ascontiguousarray(q)
 
 
-def sq_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """All pairwise squared Euclidean distances, clipped at zero."""
+def sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """All pairwise squared Euclidean distances, clipped at zero; out, a
+    len(A) x len(B) array, receives them instead of a new one."""
     aa = np.einsum("ij,ij->i", A, A)
     bb = np.einsum("ij,ij->i", B, B)
-    out = aa[:, None] + bb[None, :] - 2.0 * (A @ B.T)
+    out = np.add(aa[:, None], bb[None, :], out=out)
+    ab = A @ B.T
+    ab *= 2.0
+    out -= ab
     np.maximum(out, 0.0, out=out)
     return out
 
@@ -159,7 +170,7 @@ def scalar_gram(kernel: ScalarRadialKernel, X: np.ndarray, Y: np.ndarray = None)
 # ======================================================================
 
 def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
-                 zeta: bool = True, cross: bool = True) -> tuple:
+                 zeta: bool = True, cross: bool = True, _out=None) -> tuple:
     """(z, tables) from one U = sq_dists(queries, samples), phi'' shared.
 
     z is zeta_batch(spec, samples, queries) if zeta; tables, if cross, are
@@ -167,39 +178,72 @@ def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
     subset is None): (phi(U),) diagonal, (phi'(U), phi''(U)) curl-free at
     d > 1 and, at d = 1, where the curl-free kernel is the scalar
     -2 phi'(u) - 4 phi''(u) u, the one table (-2 phi'(U) - 4 phi''(U) U,).
-    The arrays are not validated; callers pass checked ones.
+    _out, a tuple of arrays shaped as the tables, receives them.
+
+    Only z and the tables are allocated whole. They are filled in blocks of
+    query rows through work arrays of one block, allocated once and reused
+    by every block, so the temporaries stay O(BLOCK_ENTRIES) whatever Q: one
+    block of all Q rows when Q x M <= BLOCK_ENTRIES (every predict chunk),
+    else of max(8, BLOCK_ENTRIES // M) rows rounded down to a multiple of
+    the 8 rows BLAS groups, so that a block's products round as one whole
+    pass's would. The arrays are not validated; callers pass checked ones.
     """
+    Q = queries.shape[0]
     M, d = samples.shape
     k = spec.scalar
-    U = sq_dists(queries, samples)
-    p2 = k.d2phi(U) if spec.kind == "curl_free" else None
-    z = None
-    if zeta:
+    curl = spec.kind == "curl_free"
+    z = np.empty((Q, d)) if zeta else None
+    tables = None
+    if cross:
+        N = M if subset is None else len(subset)
+        tables = _out or tuple(np.empty((Q, N)) for _ in range(2 if curl and d > 1 else 1))
+    step = max(1, Q) if Q * M <= BLOCK_ENTRIES else max(8, BLOCK_ENTRIES // M // 8 * 8)
+
+    def work(needed):
+        return np.empty((min(step, Q), M)) if needed else None
+    U_w, W_w = work(True), work(zeta)
+    T_w = work(curl and (zeta or d == 1))
+    # phi'' is written straight into its output table when there is one
+    P2_w = work(curl and (not cross or subset is not None))
+    for lo in range(0, Q, step):
+        hi = min(lo + step, Q)
+        n = hi - lo
+        U = sq_dists(queries[lo:hi], samples, out=U_w[:n])
+        p2 = None
+        if curl:
+            p2 = k.d2phi(U, out=tables[-1][lo:hi] if P2_w is None else P2_w[:n])
+        if zeta:
+            W = W_w[:n]
+            if p2 is None:
+                k.dphi(U, out=W)
+                W *= 2.0 / M
+            else:
+                T = T_w[:n]
+                np.multiply(U, 2.0, out=W)
+                W *= k.d3phi(U, out=T)
+                W += np.multiply(p2, d + 2, out=T)
+                W *= -4.0 / M
+            zq = np.matmul(W, samples, out=z[lo:hi])
+            zq -= W.sum(axis=1)[:, None] * queries[lo:hi]
+        if not cross:
+            continue
+        B = U if subset is None else U[:, subset]
         if p2 is None:
-            W = (2.0 / M) * k.dphi(U)
-        else:
-            # in place, freed before the cross tables: at most 4 Q x M arrays live
-            W = 2.0 * U
-            W *= k.d3phi(U)
-            W += (d + 2) * p2
-            W *= -4.0 / M
-        z = W @ samples - W.sum(axis=1)[:, None] * queries
-        del W
-    if not cross:
-        return z, None
-    B = U if subset is None else U[:, subset]
-    if p2 is None:
-        return z, (k.phi(B),)
-    P2 = p2 if subset is None else p2[:, subset]
-    if d > 1:
-        return z, (k.dphi(B), P2)
-    # in place over phi'', which zeta has read: no more Q x M arrays than d > 1
-    P2 *= B
-    P2 *= -4.0
-    P1 = k.dphi(B)
-    P1 *= 2.0
-    P2 -= P1
-    return z, (P2,)
+            k.phi(B, out=tables[0][lo:hi])
+            continue
+        P2 = tables[-1][lo:hi]
+        if subset is not None:
+            P2[...] = p2[:, subset]
+        if d > 1:
+            k.dphi(B, out=tables[0][lo:hi])
+            continue
+        # in place over phi'', which zeta has read
+        P2 *= B
+        P2 *= -4.0
+        P1 = k.dphi(B, out=T_w[:n, :B.shape[1]])
+        P1 *= 2.0
+        P2 -= P1
+    return z, tables
 
 
 def zeta_batch(spec: MatrixKernelSpec, samples, queries, _table=None) -> np.ndarray:
@@ -215,11 +259,7 @@ def zeta_batch(spec: MatrixKernelSpec, samples, queries, _table=None) -> np.ndar
     """
     X = as_samples(samples)
     Q = _as_queries(queries, X.shape[1])
-    if _table is None:
-        return query_tables(spec, Q, X, cross=False)[0]
-    z, (table,) = query_tables(spec, Q, X)
-    _table[...] = table
-    return z
+    return query_tables(spec, Q, X, cross=_table is not None, _out=(_table,))[0]
 
 
 def zeta(spec: MatrixKernelSpec, samples, query) -> np.ndarray:
@@ -230,20 +270,13 @@ def zeta(spec: MatrixKernelSpec, samples, query) -> np.ndarray:
 
 
 def h_vector(spec: MatrixKernelSpec, samples, _gram=None) -> np.ndarray:
-    """zeta stacked at the samples: (zeta(x^1), ..., zeta(x^M)), in chunks of
-    ~2**17 // M rows, a multiple of the 8 rows BLAS groups, so at d = 1 and
-    M % 8 == 0 the bits equal one whole zeta_batch(X, X).
+    """zeta stacked at the samples: (zeta(x^1), ..., zeta(x^M)).
 
     _gram, an M x M array for a curl-free kernel at d = 1, receives the
-    dense Gram in the same pass: each chunk's zeta_batch writes the chunk's
-    rows of the kernel.
+    dense Gram in the same pass, as zeta_batch's _table.
     """
     X = as_samples(samples)
-    M = X.shape[0]
-    step = max(8, 2 ** 17 // M // 8 * 8)
-    return np.concatenate([
-        zeta_batch(spec, X, X[lo:lo + step], _table=None if _gram is None else _gram[lo:lo + step])
-        for lo in range(0, M, step)]).ravel()
+    return zeta_batch(spec, X, X, _table=_gram).ravel()
 
 
 # ======================================================================

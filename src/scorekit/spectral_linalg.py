@@ -334,14 +334,25 @@ def _project_out(V, w):
     return w, float(np.linalg.norm(w))
 
 
+def _next_pivot(piv, last, alpha_k, beta_prev, shifts):
+    """Step k of the pivot recurrence of T_k + s I for each shift s: p_k =
+    alpha_k + s - beta_{k-1}^2 / p_{k-1} and last_k = beta_1..beta_{k-1} /
+    |p_1..p_k|, from step k - 1's (piv, last); beta_prev is beta_{k-1},
+    None at k = 1, where piv and last are not read. Scalars or arrays."""
+    if beta_prev is None:
+        piv = alpha_k + shifts
+        return piv, 1.0 / abs(piv)
+    piv = alpha_k + shifts - beta_prev * beta_prev / piv
+    return piv, last * beta_prev / abs(piv)
+
+
 def _shift_targets(shifts, targets, min_dim, caps):
     """A lanczos stop rule for the systems (K + s_i I) y = b: stop once the
     basis holds min_dim vectors and each system i has met its relative
     residual target i by its Lanczos residual estimate beta_k |e_k^T (T_k +
-    s_i I)^-1 e_1| = beta_k beta_1..beta_{k-1} / |p_1..p_k|, p_k = alpha_k +
-    s_i - beta_{k-1}^2 / p_{k-1} the pivots of T_k + s_i I, or the basis
-    holds its cap i vectors (inf: none). Returns (stop, dims), dims[i] the
-    step at which system i met its target (0: not yet).
+    s_i I)^-1 e_1| = beta_k beta_1..beta_{k-1} / |p_1..p_k| (_next_pivot),
+    or the basis holds its cap i vectors (inf: none). Returns (stop, dims),
+    dims[i] the step at which system i met its target (0: not yet).
     """
     shifts, targets, caps = (np.asarray(v, dtype=np.float64) for v in (shifts, targets, caps))
     piv, last = np.ones(len(shifts)), np.ones(len(shifts))
@@ -349,9 +360,7 @@ def _shift_targets(shifts, targets, min_dim, caps):
 
     def stop(alpha, beta):
         k = len(beta)
-        b = beta[-2] if k > 1 else 0.0
-        piv[:] = alpha[-1] + shifts - b * b / piv
-        last[:] = last * (b if k > 1 else 1.0) / np.abs(piv)
+        piv[:], last[:] = _next_pivot(piv, last, alpha[-1], beta[-2] if k > 1 else None, shifts)
         dims[(dims == 0) & (beta[-1] * last <= targets)] = k
         return k >= min_dim and bool(((dims > 0) | (k >= caps)).all())
     return stop, dims
@@ -379,17 +388,19 @@ class KrylovBasis:
     def galerkin(self, shift: float, target: float, scale: float, max_dim: int = None):
         """(met, y) of (K + shift I) y = scale b / ||b|| over the first
         max_dim vectors (default all). met is the first step whose Lanczos
-        residual estimate meets target, replayed by _shift_targets as a
-        build's stop rule computed it (0: none); y = scale V_k^T (T_k + shift
-        I)^-1 e_1 at k = met, or at the last vector read; None if singular.
+        residual estimate meets target, by the float operations of a build's
+        stop rule (_shift_targets), one scalar _next_pivot per step (0:
+        none); y = scale V_k^T (T_k + shift I)^-1 e_1 at k = met, or at the
+        last vector read; None if singular.
         """
         n = len(self.V) if max_dim is None else min(max_dim, len(self.V))
-        stop, dims = _shift_targets([shift], [target], 1, [np.inf])
         alpha, beta = np.diag(self.T), np.append(np.diag(self.T, 1), self.beta)
-        for k in range(1, n + 1):
-            if stop(alpha[:k], beta[:k]):
+        met, piv, last = 0, None, None
+        for j in range(n):
+            piv, last = _next_pivot(piv, last, alpha[j], beta[j - 1] if j else None, shift)
+            if beta[j] * last <= target:
+                met = j + 1
                 break
-        met = int(dims[0])
         k = met or n
         try:
             z = np.linalg.solve(self.T[:k, :k] + shift * np.eye(k), np.eye(1, k)[0])

@@ -7,10 +7,11 @@ matrix-backed operator, spectral calculus through a full eigensystem, the
 append-and-refit score heuristic, the line-by-line CSV reader, a
 diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks, eigen-filter
 coefficients through np.linalg.eigh of the Md x Md Gram and the mixture
-log-likelihoods from a (Q, K, d) difference array, and the Lanczos stop
-rule as the AND of one rule per sweep entry: slow or naive forms that the
-package's fast paths are checked against. peak_bytes measures what a call
-allocates.
+log-likelihoods from a (Q, K, d) difference array, the Lanczos stop rule
+as the AND of one rule per sweep entry, the query tables as one
+whole-array pass and the Galerkin step replayed by a build's stop rule:
+slow or naive forms that the package's fast paths are checked against.
+peak_bytes measures what a call allocates.
 """
 
 import csv
@@ -332,3 +333,50 @@ def all_rules(rules):
     """The stop rule that holds where every rule holds; each sees every step,
     so each keeps its own pivots."""
     return lambda alpha, beta: all([rule(alpha, beta) for rule in rules])
+
+
+def query_tables_whole(spec: MatrixKernelSpec, queries, samples, subset=None,
+                       zeta: bool = True, cross: bool = True) -> tuple:
+    """kernels.query_tables as one whole-array pass: U = sq_dists(queries,
+    samples) and every radial table Q x M at once, out of place."""
+    M, d = samples.shape
+    k = spec.scalar
+    aa = np.einsum("ij,ij->i", queries, queries)
+    bb = np.einsum("ij,ij->i", samples, samples)
+    U = np.maximum(aa[:, None] + bb[None, :] - 2.0 * (queries @ samples.T), 0.0)
+    p2 = k.d2phi(U) if spec.kind == "curl_free" else None
+    z = None
+    if zeta:
+        if p2 is None:
+            W = (2.0 / M) * k.dphi(U)
+        else:
+            W = (2.0 * U * k.d3phi(U) + (d + 2) * p2) * (-4.0 / M)
+        z = W @ samples - W.sum(axis=1)[:, None] * queries
+    if not cross:
+        return z, None
+    B = U if subset is None else U[:, subset]
+    if p2 is None:
+        return z, (k.phi(B),)
+    P2 = p2 if subset is None else p2[:, subset]
+    if d > 1:
+        return z, (k.dphi(B), P2)
+    return z, (P2 * B * -4.0 - 2.0 * k.dphi(B),)
+
+
+def galerkin_replay(basis, shift: float, target: float, scale: float, max_dim: int = None):
+    """KrylovBasis.galerkin with met replayed by a stop rule over the
+    one-element shift array (shift_targets_per_entry), called at every
+    step as a build calls it."""
+    n = len(basis.V) if max_dim is None else min(max_dim, len(basis.V))
+    stop, dims = shift_targets_per_entry(np.array([shift], dtype=np.float64), 1, target)
+    alpha, beta = np.diag(basis.T), np.append(np.diag(basis.T, 1), basis.beta)
+    for k in range(1, n + 1):
+        if stop(alpha[:k], beta[:k]):
+            break
+    met = int(dims[0])
+    k = met or n
+    try:
+        z = np.linalg.solve(basis.T[:k, :k] + shift * np.eye(k), np.eye(1, k)[0])
+    except np.linalg.LinAlgError:
+        return met, None
+    return met, scale * (z @ basis.V[:k])

@@ -451,17 +451,17 @@ class TestProblemSharing:
 
         orig_sq = kernels.sq_dists
 
-        def sq_dists(A, B):
-            out = orig_sq(A, B)
+        def sq_dists(A, B, out=None):
+            out = orig_sq(A, B, out)
             if cross_shape(out.shape):
                 cross[out.shape[1]] = cross.get(out.shape[1], 0) + 1
             return out
         monkeypatch.setattr(kernels, "sq_dists", sq_dists)
         for meth in ("phi", "dphi", "d2phi", "d3phi"):
-            def counted(self, u, _orig=getattr(kernels.ScalarRadialKernel, meth)):
+            def counted(self, u, out=None, _orig=getattr(kernels.ScalarRadialKernel, meth)):
                 if cross_shape(np.shape(u)):
                     radial[np.shape(u)[1]] = radial.get(np.shape(u)[1], 0) + 1
-                return _orig(self, u)
+                return _orig(self, u, out)
             monkeypatch.setattr(kernels.ScalarRadialKernel, meth, counted)
         cfg = parse_experiment_config(base_config(
             dimensions=[2], sample_sizes=list(sizes), seeds=[0], eval_size=eval_size,

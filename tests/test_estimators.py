@@ -876,7 +876,7 @@ class TestPredict:
 
     @staticmethod
     def chunk_sizes(columns):
-        chunk = max(1, estimators._PREDICT_CHUNK_ENTRIES // columns)
+        chunk = max(1, kernels.BLOCK_ENTRIES // columns)
         return (1, chunk - 1, chunk, chunk + 1, 3 * chunk + 5)
 
     @staticmethod

@@ -33,6 +33,7 @@ from helpers import (
     curlfree_matvec,
     eval_matrix_kernel,
     gram_matvec,
+    query_tables_whole,
     scalar_derivs,
 )
 
@@ -447,22 +448,67 @@ def test_cross_gram_curlfree_with_no_columns():
 
 
 @pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
-@pytest.mark.parametrize("M", [2048, 3000, 2040])   # 2040: the last chunk has 56 of 64 rows
+@pytest.mark.parametrize("M", [2048, 3000, 2040])   # 2040: the last block has 56 of 64 rows
 def test_h_vector_chunks_equal_one_zeta_batch_bits(kind, M):
     X = np.random.default_rng(M).standard_normal((M, 1))
     sp = spec(kind, gauss(0.9))
-    assert np.array_equal(h_vector(sp, X), zeta_batch(sp, X, X).ravel())
+    whole = query_tables_whole(sp, X, X, cross=False)[0].ravel()
+    assert np.array_equal(h_vector(sp, X), whole)
+    assert np.array_equal(zeta_batch(sp, X, X).ravel(), whole)
 
 
 @pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
 def test_h_vector_chunks_where_blas_regroups_rows(kind):
-    """At d > 1 or M % 8 != 0 a chunk's products may round differently."""
+    """At d > 1 or M % 8 != 0 a block's products may round differently."""
     for M, d in ((1001, 1), (1000, 3)):
         X = np.random.default_rng(M).standard_normal((M, d))
         sp = spec(kind, imq(1.1))
-        whole = zeta_batch(sp, X, X).ravel()
+        whole = query_tables_whole(sp, X, X, cross=False)[0].ravel()
         h = h_vector(sp, X)
         assert np.abs(h - whole).max() <= 1e-13 * np.abs(whole).max()
+
+
+def blocked_and_whole_tables(kind, Q, M, d, subset):
+    rng = np.random.default_rng(Q + M + d)
+    X, Xq = rng.standard_normal((M, d)), rng.standard_normal((Q, d))
+    idx = np.sort(rng.choice(M, M // 4, replace=False)) if subset else None
+    sp = spec(kind, gauss(0.4 * np.sqrt(d)))
+    assert Q * M > kernels.BLOCK_ENTRIES
+    z, tables = query_tables(sp, Xq, X, idx)
+    assert np.array_equal(query_tables(sp, Xq, X, idx, cross=False)[0], z)
+    only = query_tables(sp, Xq, X, idx, zeta=False)[1]
+    assert all(np.array_equal(t, r) for t, r in zip(only, tables))
+    return (z, tables), query_tables_whole(sp, Xq, X, idx)
+
+
+# the sweep's shared tables (eval_size 1024 against conv-1d's M at d = 1 and
+# the d > 1 sweeps' M = 512), a Q that is not a multiple of the block rows
+# (1000 = 31 x 32 + 8 at M = 4096) and subset bases
+@pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
+@pytest.mark.parametrize("Q, M, d, subset", [
+    (1024, 256, 1, False), (1024, 1024, 1, False), (1024, 4096, 1, False),
+    (1024, 512, 8, False), (1024, 512, 64, False), (1024, 512, 128, False),
+    (1000, 4096, 1, False), (1024, 512, 8, True), (1000, 1024, 1, True)])
+def test_blocked_query_tables_equal_one_whole_pass(kind, Q, M, d, subset):
+    (z, tables), (ref_z, ref_tables) = blocked_and_whole_tables(kind, Q, M, d, subset)
+    assert np.array_equal(z, ref_z)
+    assert len(tables) == len(ref_tables)
+    assert all(np.array_equal(t, r) for t, r in zip(tables, ref_tables))
+
+
+@pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
+def test_short_last_block_at_d_above_one(kind):
+    """The last block of 232 rows computes its zeta product (232 x 512 by
+    512 x 8) with a BLAS partition of its own: z moved by 1.1e-15 relative."""
+    (z, tables), (ref_z, ref_tables) = blocked_and_whole_tables(kind, 1000, 512, 8, True)
+    assert np.abs(z - ref_z).max() <= 1e-13 * np.abs(ref_z).max()
+    assert all(np.array_equal(t, r) for t, r in zip(tables, ref_tables))
+
+
+def test_query_tables_of_no_queries():
+    X = np.random.default_rng(0).standard_normal((5, 2))
+    z, (t1, t2) = query_tables(spec("curl_free", imq()), X[:0], X)
+    assert z.shape == (0, 2) and t1.shape == t2.shape == (0, 5)
 
 
 @pytest.mark.parametrize("family", ["gaussian", "imq"])

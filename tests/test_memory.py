@@ -22,6 +22,7 @@ from scorekit import (
     median_bandwidth,
     save_samples_csv,
 )
+from scorekit.bench import parse_experiment_config, run_grid_rows
 from scorekit.cli import main
 from scorekit.errors import InputError
 from scorekit.kernels import query_tables
@@ -59,6 +60,32 @@ def test_curlfree_cross_apply_holds_one_query_by_basis_array():
     tables = query_tables(spec, queries, basis, zeta=False)[1]
     peak = peak_bytes(lambda: cross_apply(spec, queries, basis, coeffs, _tables=tables))
     assert peak <= 1.5 * (Q * 8) * N
+
+
+@pytest.mark.parametrize("Q, M, d", [(1024, 4096, 1), (1024, 512, 64)])
+def test_query_tables_hold_their_outputs_and_one_block(Q, M, d):
+    """One whole-array pass peaked at 160 MB for 32 MB of outputs at d = 1
+    and at 20 MB for 8.5 MB at d = 64; the blocks add 4 MB to each."""
+    rng = np.random.default_rng(Q + M + d)
+    queries, X = rng.normal(size=(Q, d)), rng.normal(size=(M, d))
+    spec = MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", np.sqrt(d)))
+    outputs = (Q * 8) * (d + M * (1 if d == 1 else 2))
+    assert peak_bytes(lambda: query_tables(spec, queries, X)) <= outputs + 8 * MB
+
+
+def test_d1_sweep_holds_no_whole_query_temporaries():
+    """conv-exp's estimators at d = 1, M = 2048, eval_size 1024: with the
+    shared tables built from whole Q x M temporaries the sweep peaked at
+    125 MB; in blocks it peaks at 65 MB, about the Gram and one copy."""
+    cfg = parse_experiment_config({
+        "schema_version": 1, "distribution": "gaussian", "dimensions": [1],
+        "sample_sizes": [2048], "seeds": [0], "eval_size": 1024,
+        "estimators": [
+            {"id": "tikhonov", "kind": "curl_free"},
+            {"id": "nu_method", "kind": "curl_free", "iterations": [1, 3, 10, 31, 100, 316]}]})
+    rows = []
+    assert peak_bytes(lambda: rows.extend(run_grid_rows(cfg))) <= 96 * MB
+    assert rows and not any(r.reason for r in rows)
 
 
 def test_median_bandwidth_holds_no_copy_of_the_distances():

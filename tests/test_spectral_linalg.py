@@ -19,7 +19,13 @@ from scorekit.spectral_linalg import (
     _shift_targets,
 )
 
-from helpers import LinearOperator, all_rules, apply_spectral_filter, shift_targets_per_entry
+from helpers import (
+    LinearOperator,
+    all_rules,
+    apply_spectral_filter,
+    galerkin_replay,
+    shift_targets_per_entry,
+)
 
 
 def random_gram(m, d, seed, kind="curl_free"):
@@ -601,11 +607,34 @@ def test_galerkin_replays_the_build_rule_and_solves_at_its_step(max_dim):
                 assert len(lanczos(op, b, 60, 1e-300, stop=stop).V) == met
 
 
+@pytest.mark.parametrize("source", ["low-rank", "d1-curl-free-gram"])
+def test_galerkin_scalar_steps_equal_the_replayed_stop_rule(source):
+    # met and y bit for bit as a per-step replay of the build's vectorized
+    # stop rule gives them, over shifts and targets that meet early, late
+    # and never, on a small Gram and on a sweep-like d = 1 Gram from h
+    if source == "low-rank":
+        op, b = low_rank_gram_and_rhs()
+        basis = lanczos(op, b, 60, 1e-300)
+    else:
+        X = np.random.default_rng(11).standard_normal((300, 1))
+        gram = assemble_gram(MatrixKernelSpec("curl_free", ScalarRadialKernel("gaussian", 0.5)), X)
+        basis = lanczos(gram, gram.divergence(), 120, 1e-300)
+    shifts = np.r_[TIK_SHIFTS, CG_SHIFTS, 300 * np.geomspace(1.0, 1e-8, 9), 0.0]
+    for shift in shifts:
+        for target in (1e-2, 1e-6, 1e-10, 1e-12, 1e-16):
+            for max_dim in (None, 1, 7):
+                met, y = basis.galerkin(shift, target, 1.5, max_dim)
+                ref_met, ref_y = galerkin_replay(basis, shift, target, 1.5, max_dim)
+                assert met == ref_met
+                assert np.array_equal(y, ref_y)
+
+
 def test_galerkin_reports_a_singular_system():
     op, b = low_rank_gram_and_rhs()
     basis = lanczos(op, b, 1, 1e-300)
     with np.errstate(divide="ignore"):  # the zero pivot of T_1 - alpha_1 I
         met, y = basis.galerkin(-basis.T[0, 0], 1e-4, 1.0)
+        assert (met, y) == galerkin_replay(basis, -basis.T[0, 0], 1e-4, 1.0)
     assert met == 0 and y is None
 
 
