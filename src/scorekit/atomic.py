@@ -1,7 +1,10 @@
 """File I/O: atomic output, so a reader sees the old file or the whole new
-one, and one UTF-8 text reader for every input file."""
+one, one UTF-8 text reader for every input file, and one reader of the CSV
+records in such a text."""
 
 import contextlib
+import csv
+import io
 import os
 
 from .errors import InputError
@@ -40,3 +43,29 @@ def read_text(path) -> str:
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte "
                          f"{exc.start}") from None
+
+
+def read_csv_records(text: str, path, header_error, parse) -> list:
+    """parse(fields) of each non-blank record after the header of text, the
+    CSV file at path, which header_error(header) finds wrong (a message) or
+    not (None). Each InputError names path and the line (in records)."""
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"{path}: empty file") from None
+    wrong = header_error(header)
+    if wrong:
+        raise InputError(f"{path}: line 1: {wrong}")
+    out = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise InputError(f"{path}: line {lineno}: expected {len(header)} fields, "
+                             f"got {len(row)}")
+        try:
+            out.append(parse(row))
+        except ValueError as exc:
+            raise InputError(f"{path}: line {lineno}: {exc}") from None
+    return out

@@ -51,7 +51,6 @@ rows share their run's fit time or failure.
 """
 
 import csv
-import io
 import json
 import math
 import os
@@ -61,7 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import atomic_open, read_text
+from .atomic import atomic_open, read_csv_records, read_text
 from .errors import InputError, NumericError
 from .estimators import (
     TruncatedTikhonov,
@@ -117,7 +116,8 @@ _TIK_IMPLICIT_MAX_ITER = 800
 # solves; at 1e-12 they move by under 1e-5, for a few more basis vectors.
 _KRYLOV_START_MARGIN = 100
 
-# the Krylov space counts as invariant once beta_k <= this * a norm of K
+# the Krylov space counts as invariant once beta_k <= this * tr K (>= ||K||_2,
+# K PSD): Md / sigma^2, each curl-free diagonal entry being -2 phi'(0) = 1 / sigma^2
 _KRYLOV_INVARIANT_REL = 1e-14
 
 # the errors a cell may fail with (errors.py); anything else is a bug and
@@ -181,8 +181,9 @@ def _float_list(v, where, low=0.0, high=math.inf, open_low=True):
     return tuple(out)
 
 
-def _scalar_float(v, where, low=0.0, open_low=True):
-    vals = _float_list(v, where, low=low, open_low=open_low)
+def _scalar(v, where, parse=_float_list, **limits):
+    """v's one value, read by parse; a list is refused, even of one value."""
+    vals = parse(v, where, **limits)
     if len(vals) != 1 or isinstance(v, list):
         raise InputError(f"{where}: expected a single number")
     return vals[0]
@@ -229,7 +230,7 @@ def _parse_estimator(obj, where: str) -> EstimatorEntry:
         raise InputError(f"{where}: 'family' must be 'imq' or 'gaussian'")
     bandwidth = obj.get("bandwidth", "median")
     if bandwidth != "median":
-        bandwidth = _scalar_float(bandwidth, f"{where}.bandwidth")
+        bandwidth = _scalar(bandwidth, f"{where}.bandwidth")
 
     kw, key_of = {}, {}
     for key in (k for k in how.keys if k in obj):
@@ -257,12 +258,12 @@ _KEY_FIELDS = {
     "fractions": ("grid", lambda v, w: _grid(
         "fraction", _float_list(v, w, low=0.0, high=1.0))),
     "iterations": ("grid", lambda v, w: _grid("t", _int_list(v, w))),
-    "tol": ("tol", _scalar_float),
-    "max_iter": ("max_iter", lambda v, w: _int_list(v, w)[0]),
-    "eta": ("eta", _scalar_float),
-    "nu": ("nu", lambda v, w: _scalar_float(v, w, low=1.0, open_low=False)),
-    "subset_size": ("subset", lambda v, w: _int_list(v, w)[0]),
-    "subset_fraction": ("subset", lambda v, w: _float_list(v, w, low=0.0, high=1.0)[0]),
+    "tol": ("tol", _scalar),
+    "max_iter": ("max_iter", lambda v, w: _scalar(v, w, _int_list)),
+    "eta": ("eta", _scalar),
+    "nu": ("nu", lambda v, w: _scalar(v, w, low=1.0, open_low=False)),
+    "subset_size": ("subset", lambda v, w: _scalar(v, w, _int_list)),
+    "subset_fraction": ("subset", lambda v, w: _scalar(v, w, low=0.0, high=1.0)),
 }
 _GRID_DEFAULTS = {"lambdas": LAMBDA_GRID, "fractions": FRACTION_GRID,
                   "iterations": ITERATION_GRID}
@@ -328,9 +329,9 @@ def parse_experiment_config(data, base_dir: str = ".") -> ExperimentConfig:
     if len(set(ids)) != len(ids):
         raise InputError("config.estimators: estimator ids must be unique")
 
-    eval_size = _int_list(data.get("eval_size", 1024), "config.eval_size")[0]
-    dseed = _int_list(data.get("distribution_seed", 0),
-                      "config.distribution_seed", minimum=0)[0]
+    eval_size = _scalar(data.get("eval_size", 1024), "config.eval_size", _int_list)
+    dseed = _scalar(data.get("distribution_seed", 0), "config.distribution_seed", _int_list,
+                    minimum=0)
     return ExperimentConfig(distribution=dist, dimensions=dims,
                             sample_sizes=sizes, estimators=entries,
                             seeds=seeds, eval_size=eval_size,
@@ -369,7 +370,7 @@ def load_mixture_file(path) -> MixtureDistribution:
         return MixtureDistribution(
             np.asarray([_float_list(r, "means", low=-math.inf, open_low=False) for r in rows]),
             np.asarray(_float_list(data["weights"], "weights", open_low=False)),
-            scale=_scalar_float(data.get("scale", 1.0), "scale"))
+            scale=_scalar(data.get("scale", 1.0), "scale"))
     except (InputError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -477,17 +478,11 @@ class _Problem:
                         shifts.append(self.M * p["lam"])
                         targets.append(start_target if start else e.tol)
                         caps.append(math.inf if start else e.max_iter)
-            if isinstance(gram, DenseGram):  # ||K||_1 in row blocks, to keep the peak down
-                K = gram.matrix
-                norm = max(float(np.abs(K[i:i + 16]).sum(axis=1).max())
-                           for i in range(0, len(K), 16))
-            else:  # tr K >= ||K||_2 for PSD K; each diagonal block is -2 phi'(0) I_d
-                norm = gram.dim * -2.0 * float(spec.scalar.dphi(0.0))
             stop, _ = _shift_targets(shifts, targets, t_max - 1, caps)
             max_dim = min(_TIK_IMPLICIT_MAX_ITER, DENSE_SYSTEM_LIMIT ** 2 // gram.dim)
+            tol = _KRYLOV_INVARIANT_REL * (gram.dim / spec.scalar.bandwidth ** 2)
             try:
-                return lanczos(gram, gram.divergence(), max_dim,
-                               _KRYLOV_INVARIANT_REL * norm, stop=stop)
+                return lanczos(gram, gram.divergence(), max_dim, tol, stop=stop)
             except _CONTRACT_ERRORS:
                 return None
         return None if spec.kind != "curl_free" else self._once(("krylov", spec), build)
@@ -852,27 +847,11 @@ def run_convergence_experiment(config, out_path, threads: int = 1) -> list:
 # ======================================================================
 
 def read_summary_csv(path) -> list:
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise InputError(f"{path}: empty file") from None
-    if header != SUMMARY_HEADER:
-        raise InputError(f"{path}: line 1: expected header "
-                         f"{','.join(SUMMARY_HEADER)!r}")
-    out = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(SUMMARY_HEADER):
-            raise InputError(f"{path}: line {lineno}: expected "
-                             f"{len(SUMMARY_HEADER)} fields, got {len(row)}")
-        try:
-            out.append(SummaryRow(row[0], row[1], int(row[2]), int(row[3]),
-                                  row[4], float(row[5]), int(row[6])))
-        except ValueError as exc:
-            raise InputError(f"{path}: line {lineno}: {exc}") from None
-    return out
+    return read_csv_records(
+        read_text(path), path,
+        lambda h: None if tuple(h) == SUMMARY_HEADER
+        else f"expected header {','.join(SUMMARY_HEADER)!r}",
+        lambda r: SummaryRow(r[0], r[1], int(r[2]), int(r[3]), r[4], float(r[5]), int(r[6])))
 
 
 def emit_plot(csv_path, x_field: str = "M", log_x: bool = False,

@@ -166,6 +166,8 @@ def main(argv=None) -> int:
             return 1
         if args.threads < 1:
             raise InputError("--threads must be >= 1")
+        if args.seed is not None and args.seed < 0:
+            raise InputError("--seed must be >= 0")
         return args.fn(args)
     except InputError as exc:
         print(f"scorekit: error: {exc}", file=sys.stderr)

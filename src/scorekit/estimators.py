@@ -11,8 +11,8 @@ computed from the Gram matrix K and the stacked divergence vector h:
     tikhonov            (K + M lam I) c = h / lam,            a = -1/lam
     truncated_tikhonov  c = -sum_j u_j u_j^T h / ((s_j+lam) M s_j),  a = 0
     spectral_cutoff     c = -sum_{s_j >= lam} u_j u_j^T h / (M s_j^2), a = 0
-    landweber           c_t = (I - eta K/M) c_{t-1} - (t-1) eta^2 h / M, a = -t eta
-    nu_method           two-term accelerated recursion in (c_t, a_t)
+    landweber           c_t = (I - eta K/M) c_{t-1} + (t-1) eta^2 h / M, a = -t eta
+    nu_method           accelerated two-term recursion, a = -2t(t+2nu)/(4nu+1)
     nystrom             reduced basis Z: c_Z = -(K_ZX K_XZ/M + lam K_ZZ)^{-1} h_Z
 
 where s_j are eigenvalues of K/M with eigenvectors u_j, and h stacks zeta
@@ -118,6 +118,20 @@ class NuMethod:
             raise InputError(f"NuMethod requires nu >= 1, got {self.nu!r}")
         if self.t < 1:
             raise InputError(f"NuMethod requires t >= 1, got {self.t!r}")
+
+
+def _scheme_offset(scheme) -> float:
+    """The zeta multiplier a = -g(0) of the scheme's filter g, which its fits carry."""
+    if isinstance(scheme, Tikhonov):
+        return -1.0 / scheme.lam
+    if isinstance(scheme, Landweber):
+        return -scheme.t * scheme.eta
+    if isinstance(scheme, NuMethod):
+        # the filter is a normalized Jacobi polynomial; a closed form, so a
+        # corrupt t cannot stall a load
+        t, nu = scheme.t, scheme.nu
+        return -2.0 * t * (t + 2.0 * nu) / (4.0 * nu + 1.0)
+    return 0.0  # truncated Tikhonov, spectral cut-off and every subset fit
 
 
 def landweber_iterations(lam: float) -> int:
@@ -274,7 +288,7 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
     """
     scheme = Tikhonov(lam)
     X = as_samples(samples)
-    M, d = X.shape
+    M = X.shape[0]
     gram = _resolve_gram(spec, X, gram)
     if isinstance(gram, ImplicitGram):
         if cg_max_iter is None:
@@ -291,10 +305,10 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
     b = gram.divergence().reshape(len(G), -1) / lam
     x0 = None if _x0 is None else np.reshape(_x0, b.shape)
     try:
-        C = solve_spd(G, b, shift=M * lam, x0=x0).reshape(M, d)
+        C = solve_spd(G, b, shift=M * lam, x0=x0)
     except NumericError as exc:
         raise FitError(f"tikhonov solve failed: {exc}") from exc
-    return FittedScoreEstimator(spec, X, C, -1.0 / lam, scheme, meta={"mode": "dense"})
+    return FittedScoreEstimator(spec, X, C, _scheme_offset(scheme), scheme, meta={"mode": "dense"})
 
 
 def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e-4,
@@ -318,7 +332,7 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
     """
     scheme = Tikhonov(lam)
     X = as_samples(samples)
-    M, d = X.shape
+    M = X.shape[0]
     gram = _resolve_gram(spec, X, gram)
     shift = M * lam
     h = gram.divergence()
@@ -336,7 +350,7 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
         meta["warnings"] = [
             f"CG stopped at relative residual {rep.residual:.3e} after "
             f"{rep.iterations} iterations (target {tol:.1e})"]
-    return FittedScoreEstimator(spec, X, c.reshape(M, d), -1.0 / lam, scheme, meta=meta)
+    return FittedScoreEstimator(spec, X, c, _scheme_offset(scheme), scheme, meta=meta)
 
 
 def _galerkin_iterate(gram, h, lam, tol, max_iter, krylov):
@@ -363,7 +377,6 @@ def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
                          require_nonzero, meta=None):
     """Coefficients c = -sum_j w(s_j) u_j u_j^T h over the Gram spectrum."""
     X = as_samples(samples)
-    M, d = X.shape
     s, eig, Y, _ = _spectrum(_eigen_gram(spec, X, gram, type(scheme).__name__))
     mask = numeric_rank_mask(s)
     if require_nonzero and not mask.any():
@@ -372,7 +385,7 @@ def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
     w = np.zeros_like(s)
     w[mask] = weight_of_sig(s[mask])
     C = -eig.lift(w[:, None] * Y)
-    return FittedScoreEstimator(spec, X, C.reshape(M, d), 0.0, scheme, meta=dict(meta or {}))
+    return FittedScoreEstimator(spec, X, C, _scheme_offset(scheme), scheme, meta=meta)
 
 
 def fit_truncated_tikhonov(samples, spec: MatrixKernelSpec, lam: float,
@@ -430,34 +443,77 @@ def fit_spectral_cutoff(samples, spec: MatrixKernelSpec, lam: float = None,
 
 
 # ======================================================================
-# Landweber iteration
+# semi-iterative regularization (Landweber, nu-method)
 # ======================================================================
 
-def _estimate_sigma_max(gram) -> float:
-    M = gram.samples.shape[0]
-    op = LinearOperator(gram.dim, lambda v: gram.matvec(v) / M)
-    return power_iteration(op, iters=50)
+def _semi_iterative(X, spec, ts, gram, weights, scheme, what, meta=None, _krylov=None):
+    """Snapshots at each count in ts, as _iteration_counts returns them, of
+    the two-term recursion over the resolved gram from c_0 = c_1 = 0, t >= 2:
+
+        c_t = (1+u_t) c_{t-1} - (omega_t/M)(a_{t-1} h + K c_{t-1}) - u_t c_{t-2}
+
+    with (u_t, omega_t) = weights(t) and a_t = -g_t(0) the offset of
+    scheme(t), which the snapshot at t carries with meta. Only Gram matvecs
+    are needed, so a matrix-free Gram serves at any size. _krylov, when
+    given, is the KrylovBasis of spectral_linalg.lanczos(gram, h, ...). c_t
+    lies in the Krylov space K_{t-1}(K, h), so where the basis spans
+    K_{max(ts)-1} the recursion runs on (T, ||h|| e_1) over its first
+    max(ts) - 1 vectors and V lifts each snapshot; a basis too short for
+    that is not read. what names the recursion where it diverges.
+    """
+    M = X.shape[0]
+    h, matvec, lift = gram.divergence(), gram.matvec, lambda c: c
+    if _krylov is not None and _krylov.spans(ts[-1] - 1):
+        k = min(len(_krylov.V), ts[-1] - 1)
+        V, T = _krylov.V[:k], _krylov.T[:k, :k]
+        h = _krylov.norm_b * np.eye(1, k)[0]
+        matvec, lift = (lambda y: T @ y), (lambda y: y @ V)
+    c_prev = c_cur = np.zeros(h.size)
+    out = []
+    for tau in range(1, ts[-1] + 1):
+        if tau > 1:  # a holds a_{tau-1}
+            u, w = weights(tau)
+            c_prev, c_cur = c_cur, ((1.0 + u) * c_cur - (w / M) * (a * h + matvec(c_cur))
+                                    - u * c_prev)
+        s = scheme(tau)
+        a = _scheme_offset(s)
+        if not (np.isfinite(a) and np.all(np.isfinite(c_cur))):
+            raise NumericError(f"{what} recursion diverged at iteration {tau}")
+        if tau in ts:
+            out.append(FittedScoreEstimator(spec, X, lift(c_cur), a, s, meta=meta))
+    return out
+
+
+def _iteration_counts(ts) -> list:
+    """ts as sorted distinct ints, each >= 1."""
+    ts = sorted({int(t) for t in ts})
+    if not ts or ts[0] < 1:
+        raise InputError("iteration counts must be integers >= 1")
+    return ts
+
+
+def _one_count(t, lam, iterations) -> int:
+    """t, or iterations(lam) when t is not given; exactly one is."""
+    if (t is None) == (lam is None):
+        raise InputError("give exactly one of t or lam")
+    return iterations(lam) if t is None else t
 
 
 def landweber_path(samples, spec: MatrixKernelSpec, ts, eta: float = None, gram=None):
     """Snapshots of the Landweber recursion at each iteration count in ts.
 
     Assembling s_t = s_{t-1} - eta (zeta + L s_{t-1}) in coefficient form
-    gives a_t = -t eta and
-
-        c_t = (I - eta K/M) c_{t-1} - eta a_{t-1} h / M,    c_0 = 0,
-
-    which matches the spectral filter g(sigma) = (1-(1-eta sigma)^t)/sigma
-    with g(0) = t eta. Default eta is 0.9 / sigma_max(K/M) with sigma_max
-    from power iteration; eta * sigma_max >= 1 is rejected.
+    gives the semi-iterative recursion with (u_t, omega_t) = (0, eta):
+    c_t = (I - eta K/M) c_{t-1} - eta a_{t-1} h / M and a_t = -t eta, the
+    spectral filter g(sigma) = (1-(1-eta sigma)^t)/sigma with g(0) = t eta.
+    Default eta is 0.9 / sigma_max(K/M) with sigma_max from power
+    iteration; eta * sigma_max >= 1 is rejected.
     """
     X = as_samples(samples)
-    M, d = X.shape
-    ts = sorted({int(t) for t in ts})
-    if not ts or ts[0] < 1:
-        raise InputError("iteration counts must be integers >= 1")
+    ts = _iteration_counts(ts)
     gram = _resolve_gram(spec, X, gram)
-    sig_max = _estimate_sigma_max(gram)
+    sig_max = power_iteration(
+        LinearOperator(gram.dim, lambda v: gram.matvec(v) / X.shape[0]), iters=50)
     if sig_max <= 0.0:
         raise FitError("sigma_max estimate is zero; Gram appears degenerate")
     if eta is None:
@@ -467,96 +523,38 @@ def landweber_path(samples, spec: MatrixKernelSpec, ts, eta: float = None, gram=
         raise FitError(
             f"Landweber step size violates eta * sigma_max(K/M) < 1: "
             f"eta={eta:.6g}, sigma_max~{sig_max:.6g}, product={eta * sig_max:.6g}")
-    h = gram.divergence()
-    out = []
-    c = np.zeros(M * d)
-    for tau in range(1, ts[-1] + 1):
-        a_prev = -(tau - 1) * eta
-        c = c - (eta / M) * gram.matvec(c) - (eta * a_prev / M) * h
-        if not np.all(np.isfinite(c)):
-            raise NumericError(f"Landweber recursion diverged at iteration {tau}")
-        if tau in ts:
-            out.append(FittedScoreEstimator(
-                spec, X, c.reshape(M, d).copy(), -tau * eta,
-                Landweber(eta, tau), meta={"sigma_max_estimate": sig_max}))
-    return out
+    return _semi_iterative(X, spec, ts, gram, lambda t: (0.0, eta),
+                           lambda t: Landweber(eta, t), "Landweber",
+                           meta={"sigma_max_estimate": sig_max})
 
 
 def fit_landweber(samples, spec: MatrixKernelSpec, eta: float = None, t: int = None,
                   lam: float = None, gram=None) -> FittedScoreEstimator:
     """Landweber fit at one iteration count (or lam, via t = floor(1/lam))."""
-    if (t is None) == (lam is None):
-        raise InputError("give exactly one of t or lam")
-    if t is None:
-        t = landweber_iterations(lam)
+    t = _one_count(t, lam, landweber_iterations)
     return landweber_path(samples, spec, [t], eta=eta, gram=gram)[0]
 
 
-# ======================================================================
-# nu-method (accelerated semi-iterative regularization)
-# ======================================================================
-
 def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0, gram=None,
                    _krylov=None):
-    """Snapshots of the nu-method recursion at each iteration count in ts.
-
-    a_0 = 0, a_1 = -omega_1, c_0 = c_1 = 0, then for t >= 2:
-        c_t = (1+u_t) c_{t-1} - (omega_t/M)(a_{t-1} h + K c_{t-1}) - u_t c_{t-2}
-        a_t = (1+u_t) a_{t-1} - u_t a_{t-2} - omega_t
-    Only Gram matvecs are needed, so a matrix-free Gram serves at any size.
-    _krylov, when given, is the KrylovBasis of spectral_linalg.lanczos(gram,
-    h, ...). c_t lies in the Krylov space K_{t-1}(K, h), so where the basis
-    spans K_{max(ts)-1} the recursion runs on (T, ||h|| e_1) over its first
-    max(ts) - 1 vectors and V lifts each snapshot; a basis too short for
-    that is not read, and the recursion runs on K.
+    """Snapshots of the nu-method at each iteration count in ts: the
+    semi-iterative recursion with (u_t, omega_t) = nu_coefficients(t, nu),
+    whose filter is a normalized Jacobi polynomial with a_t = -g_t(0) =
+    -2 t (t + 2 nu) / (4 nu + 1). _krylov is _semi_iterative's.
     """
     if not np.isfinite(nu) or nu < 1:
         raise InputError(f"nu must be >= 1, got {nu!r}")
     X = as_samples(samples)
-    M, d = X.shape
-    ts = sorted({int(t) for t in ts})
-    if not ts or ts[0] < 1:
-        raise InputError("iteration counts must be integers >= 1")
-    gram = _resolve_gram(spec, X, gram)
-    h, matvec, lift = gram.divergence(), gram.matvec, lambda c: c
-    if _krylov is not None and _krylov.spans(ts[-1] - 1):
-        k = min(len(_krylov.V), ts[-1] - 1)
-        V, T = _krylov.V[:k], _krylov.T[:k, :k]
-        h = _krylov.norm_b * np.eye(1, k)[0]
-        matvec, lift = (lambda y: T @ y), (lambda y: y @ V)
-
-    _, w1 = nu_coefficients(1, nu)
-    a_prev, a_cur = 0.0, -w1          # a_0, a_1
-    c_prev = np.zeros(h.size)         # c_0
-    c_cur = np.zeros(h.size)          # c_1
-    out = []
-
-    def snapshot(tau, a, c):
-        out.append(FittedScoreEstimator(
-            spec, X, lift(c).reshape(M, d).copy(), a, NuMethod(nu, tau)))
-
-    if 1 in ts:
-        snapshot(1, a_cur, c_cur)
-    for tau in range(2, ts[-1] + 1):
-        u, w = nu_coefficients(tau, nu)
-        c_next = (1.0 + u) * c_cur - (w / M) * (a_cur * h + matvec(c_cur)) - u * c_prev
-        a_next = (1.0 + u) * a_cur - u * a_prev - w
-        if not (np.isfinite(a_next) and np.all(np.isfinite(c_next))):
-            raise NumericError(f"nu-method recursion diverged at iteration {tau}")
-        c_prev, c_cur = c_cur, c_next
-        a_prev, a_cur = a_cur, a_next
-        if tau in ts:
-            snapshot(tau, a_cur, c_cur)
-    return out
+    ts = _iteration_counts(ts)
+    return _semi_iterative(X, spec, ts, _resolve_gram(spec, X, gram),
+                           lambda t: nu_coefficients(t, nu), lambda t: NuMethod(nu, t),
+                           "nu-method", _krylov=_krylov)
 
 
 def fit_nu_method(samples, spec: MatrixKernelSpec, nu: float = 1.0, t: int = None,
                   lam: float = None, gram=None) -> FittedScoreEstimator:
     """nu-method fit at one iteration count (or lam, via t = floor(lam^-1/2))."""
-    if (t is None) == (lam is None):
-        raise InputError("give exactly one of t or lam")
-    if t is None:
-        t = nu_method_iterations(lam)
+    t = _one_count(t, lam, nu_method_iterations)
     return nu_method_path(samples, spec, [t], nu=nu, gram=gram)[0]
 
 
@@ -640,7 +638,7 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
         if c is None:
             raise FitError(f"subset Gram is numerically singular: {last_err}")
         meta = {"subset_size": idx.size, "jitter": shift}
-        return FittedScoreEstimator(spec, X, c, 0.0, scheme,
+        return FittedScoreEstimator(spec, X, c, _scheme_offset(scheme), scheme,
                                     subset_indices=idx, meta=meta)
 
     if isinstance(scheme, SpectralCutoff):
@@ -671,7 +669,7 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
     c = -(P @ y)
     meta = {"subset_size": idx.size,
             "subset_rank": int(zmask.sum()) * h_Z.shape[1]}
-    return FittedScoreEstimator(spec, X, c, 0.0, scheme,
+    return FittedScoreEstimator(spec, X, c, _scheme_offset(scheme), scheme,
                                 subset_indices=idx, meta=meta)
 
 
@@ -754,20 +752,6 @@ def _scheme_from_code(code, params):
     return cls(**kw)
 
 
-def _scheme_offset(scheme) -> float:
-    """The zeta multiplier a that a fit of this scheme carries."""
-    if isinstance(scheme, Tikhonov):
-        return -1.0 / scheme.lam
-    if isinstance(scheme, Landweber):
-        return -scheme.t * scheme.eta
-    if isinstance(scheme, NuMethod):
-        # closed form of nu_method_path's a_t recursion (its filter is a
-        # normalized Jacobi polynomial), so a corrupt t cannot stall a load
-        t, nu = scheme.t, scheme.nu
-        return -2.0 * t * (t + 2.0 * nu) / (4.0 * nu + 1.0)
-    return 0.0  # truncated Tikhonov, spectral cut-off and every subset fit
-
-
 def save_estimator(est: FittedScoreEstimator, path) -> None:
     """Write the versioned binary form.
 
@@ -846,8 +830,8 @@ def _decode_estimator(raw: bytes) -> FittedScoreEstimator:
                          "samples or coefficients")
     spec = MatrixKernelSpec(KINDS[kind], ScalarRadialKernel(FAMILIES[fam], bw))
     scheme = _scheme_from_code(code, params)
-    # the recursion that produced a saved nu-method a_t drifts from the closed
-    # form by up to 1e-9 relative at t = 2e5
+    # files saved before the closed form hold a nu-method a_t from the old
+    # recursion, which drifts from it by up to 1e-9 relative at t = 2e5
     expected = _scheme_offset(scheme)
     if not (np.isfinite(expected) and abs(offset - expected) <= 1e-6 * abs(expected)):
         raise InputError(f"offset {offset!r} contradicts the {type(scheme).__name__} "

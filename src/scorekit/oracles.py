@@ -6,7 +6,6 @@ Every randomized routine is a pure function of (inputs, seed).
 """
 
 import contextlib
-import csv
 import io
 from dataclasses import dataclass
 
@@ -14,7 +13,7 @@ import numpy as np
 from scipy.spatial.distance import pdist
 from scipy.special import logsumexp, softmax
 
-from .atomic import atomic_open, read_text
+from .atomic import atomic_open, read_csv_records, read_text
 from .errors import DegenerateDataError, InputError
 from .kernels import _as_queries, _as_vector, as_samples, sq_dists
 
@@ -199,12 +198,16 @@ def normalized_error(est, dist: MixtureDistribution, n_eval: int = 1024,
 # CSV sample exchange
 # ======================================================================
 
+def _header(d) -> str:
+    return ",".join(f"x{i + 1}" for i in range(d))
+
+
 def save_samples_csv(samples, path) -> None:
     """Write samples with an x1..xd header and 17-significant-digit floats,
     in csv.writer's bytes (no field needs a quote) as one string."""
     X = as_samples(samples)
     M, d = X.shape
-    text = ",".join(f"x{i + 1}" for i in range(d)) + "\r\n" + (
+    text = _header(d) + "\r\n" + (
         ",".join(["%.17g"] * d) + "\r\n") * M % tuple(X.ravel().tolist())
     with atomic_open(path, "w", newline="") as f:
         f.write(text)
@@ -217,34 +220,17 @@ def load_samples_csv(path) -> np.ndarray:
     text = read_text(path)
     head, _, body = text.partition("\n")
     d = head.count(",") + 1
-    if (head.removesuffix("\r") == ",".join(f"x{i + 1}" for i in range(d))
+    if (head.removesuffix("\r") == _header(d)
             and body[:1] not in ("", "\n", "\r")
             and not any(s in body for s in ('"', "#", "\n\n", "\n\r"))):
         with contextlib.suppress(ValueError):
             X = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
             if X.shape[1] == d:
                 return as_samples(X)
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise InputError(f"{path}: empty file") from None
-    expected = [f"x{i + 1}" for i in range(len(header))]
-    if header != expected:
-        raise InputError(f"{path}: line 1: expected header "
-                         f"{','.join(expected)!r}, got {','.join(header)!r}")
-    d = len(header)
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != d:
-            raise InputError(f"{path}: line {lineno}: expected {d} fields, "
-                             f"got {len(row)}")
-        try:
-            rows.append([float(v) for v in row])
-        except ValueError as exc:
-            raise InputError(f"{path}: line {lineno}: {exc}") from None
+    # a header of n fields joins to _header(n) only if no field holds a comma
+    rows = read_csv_records(text, path, lambda h: None if ",".join(h) == _header(len(h))
+                            else f"expected header {_header(len(h))!r}, got {','.join(h)!r}",
+                            lambda r: [float(v) for v in r])
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return as_samples(np.asarray(rows))

@@ -9,7 +9,8 @@ diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks, eigen-filter
 coefficients through np.linalg.eigh of the Md x Md Gram and the mixture
 log-likelihoods from a (Q, K, d) difference array, the Lanczos stop rule
 as the AND of one rule per sweep entry, the query tables as one
-whole-array pass and the Galerkin step replayed by a build's stop rule:
+whole-array pass, the Galerkin step replayed by a build's stop rule and
+the Landweber and nu-method recursions as two loops, each with its own a_t:
 slow or naive forms that the package's fast paths are checked against.
 peak_bytes measures what a call allocates.
 """
@@ -380,3 +381,37 @@ def galerkin_replay(basis, shift: float, target: float, scale: float, max_dim: i
     except np.linalg.LinAlgError:
         return met, None
     return met, scale * (z @ basis.V[:k])
+
+
+def landweber_recursion(gram, ts, eta: float):
+    """[(c_t, a_t) for t in sorted ts] of the Landweber loop over gram:
+    c_t = c_{t-1} - (eta/M) K c_{t-1} - (eta a_{t-1}/M) h, a_t = -t eta."""
+    M = gram.samples.shape[0]
+    h, c, out = gram.divergence(), np.zeros(gram.dim), []
+    for tau in range(1, max(ts) + 1):
+        a_prev = -(tau - 1) * eta
+        c = c - (eta / M) * gram.matvec(c) - (eta * a_prev / M) * h
+        if tau in ts:
+            out.append((c.copy(), -tau * eta))
+    return out
+
+
+def nu_method_recursion(gram, ts, nu: float):
+    """[(c_t, a_t) for t in sorted ts] of the nu-method loop over gram, a_t
+    by its own recursion: a_0 = 0, a_1 = -omega_1, c_0 = c_1 = 0, then
+    c_t = (1+u_t) c_{t-1} - (omega_t/M)(a_{t-1} h + K c_{t-1}) - u_t c_{t-2}
+    and a_t = (1+u_t) a_{t-1} - u_t a_{t-2} - omega_t."""
+    M = gram.samples.shape[0]
+    h = gram.divergence()
+    a_prev, a_cur = 0.0, -estimators.nu_coefficients(1, nu)[1]
+    c_prev, c_cur = np.zeros(gram.dim), np.zeros(gram.dim)
+    out = [(c_cur.copy(), a_cur)] if 1 in ts else []
+    for tau in range(2, max(ts) + 1):
+        u, w = estimators.nu_coefficients(tau, nu)
+        c_next = (1.0 + u) * c_cur - (w / M) * (a_cur * h + gram.matvec(c_cur)) - u * c_prev
+        a_next = (1.0 + u) * a_cur - u * a_prev - w
+        c_prev, c_cur = c_cur, c_next
+        a_prev, a_cur = a_cur, a_next
+        if tau in ts:
+            out.append((c_cur.copy(), a_cur))
+    return out

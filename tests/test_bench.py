@@ -146,6 +146,13 @@ class TestConfigValidation:
         with pytest.raises(InputError):
             parse_experiment_config(base_config(dimensions=[True]))
 
+    @pytest.mark.parametrize("key, value", [("eval_size", 16), ("distribution_seed", 3)])
+    def test_scalar_keys_refuse_lists(self, key, value):
+        assert getattr(parse_experiment_config(base_config(**{key: value})), key) == value
+        for bad in ([value, 999], [value]):
+            with pytest.raises(InputError, match=f"config.{key}: expected a single number"):
+                parse_experiment_config(base_config(**{key: bad}))
+
 
 class TestEstimatorEntryValidation:
 
@@ -213,6 +220,17 @@ class TestEstimatorEntryValidation:
     def test_explicit_bandwidth(self):
         e = self.entry(id="tikhonov", bandwidth=2.5)
         assert e.bandwidth == 2.5
+
+    @pytest.mark.parametrize("id_, key, value, field", [
+        ("tikhonov_cg", "max_iter", 10, "max_iter"),
+        ("nystrom", "subset_size", 5, "subset"),
+        ("nystrom", "subset_fraction", 0.5, "subset"),
+    ])
+    def test_scalar_keys_refuse_lists(self, id_, key, value, field):
+        assert getattr(self.entry(id=id_, **{key: value}), field) == value
+        for bad in ([value, 2 * value], [value]):
+            with pytest.raises(InputError, match=f"{key}: expected a single number"):
+                self.entry(id=id_, **{key: bad})
 
 
 # ======================================================================
@@ -813,6 +831,26 @@ class TestSharedKrylovEngine:
         for a, b in zip(*paths):
             assert a.offset == b.offset
             assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-9 * np.linalg.norm(a.coeffs)
+
+    @pytest.mark.parametrize("family", ["imq", "gaussian"])
+    def test_both_forms_get_the_same_invariance_tolerance(self, monkeypatch, family):
+        # beta_k <= 1e-14 tr K, and tr K = Md / sigma^2 in either form
+        d, M, tols = 2, 32, []
+        orig = bench.lanczos
+
+        def recorded(gram, b, max_dim, tol, **kwargs):
+            tols.append(tol)
+            return orig(gram, b, max_dim, tol, **kwargs)
+
+        monkeypatch.setattr(bench, "lanczos", recorded)
+        for limit, form in ((M * d, kernels.DenseGram), (M * d - 1, kernels.ImplicitGram)):
+            set_dense_limit(monkeypatch, limit)
+            problem, (tik,) = self.problem([dict(self.TIK, family=family)], d=d, M=M)
+            spec = problem.spec(tik)
+            assert isinstance(problem.gram(spec), form)
+            assert problem.krylov(spec) is not None
+        assert tols[0] == tols[1]
+        assert tols[0] == pytest.approx(1e-14 * M * d / spec.scalar.bandwidth ** 2, rel=1e-15)
 
     def test_the_basis_is_capped_at_the_dense_gram_bytes(self, monkeypatch):
         # Md = 128 over a limit of 64: matrix-free, and a basis of at most

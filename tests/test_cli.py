@@ -173,6 +173,21 @@ class TestExitCodes:
         assert main(["grid-exp", "--config", cfg, "--out", "o.csv",
                      "--threads", "0"]) == 1
 
+    @pytest.mark.parametrize("command", ["fit", "grid-exp", "conv-exp"])
+    def test_negative_seed_is_exit_1(self, tmp_path, samples_csv, capsys, command):
+        # a negative seed would reach numpy's SeedSequence and end in a traceback
+        if command == "fit":
+            cfg = fit_config(tmp_path, id="nystrom", subset_size=8)
+        else:
+            cfg = write_json(tmp_path / "c.json", {
+                "schema_version": 1, "distribution": "gaussian", "dimensions": [2],
+                "sample_sizes": [8, 16], "seeds": [0], "eval_size": 8,
+                "estimators": [{"id": "oracle"}]})
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "scorekit: error: --seed must be >= 0\n"
+        assert not out.exists()
+
 
 class TestExperimentCommands:
 

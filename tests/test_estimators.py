@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scorekit import estimators, kernels, spectral_linalg
-from scorekit.errors import FitError, InputError
+from scorekit.errors import FitError, InputError, NumericError
 from scorekit.estimators import (
     FittedScoreEstimator,
     Landweber,
@@ -50,6 +50,8 @@ from helpers import (
     eval_matrix_kernel,
     forbid_big_cross_grams,
     full_gram,
+    landweber_recursion,
+    nu_method_recursion,
     nystrom_blocks_kron,
     peak_bytes,
 )
@@ -695,6 +697,70 @@ class TestNuMethod:
             fit_nu_method(X, diag(), nu=0.5, t=3)
 
 
+class TestSemiIterative:
+    """landweber_path and nu_method_path run one recursion; the two loops it
+    replaced (tests/helpers), each with its own a_t, are the references."""
+
+    @pytest.mark.parametrize("kind", ["diagonal", "curl_free"])
+    @pytest.mark.parametrize("form", ["dense", "implicit", "krylov"])
+    def test_paths_match_their_own_loops(self, kind, form):
+        rng = np.random.default_rng(96)
+        X, spec = random_instance(rng, M=12, d=3, kind=kind)
+        ts, nu = [1, 2, 5, 12, 30], 1.5
+        gram = ImplicitGram(spec, X) if form == "implicit" else assemble_gram(spec, X)
+        assert isinstance(gram, kernels.DenseGram) == (form != "implicit")
+        eta = 0.5 / fit_landweber(X, spec, t=1, gram=gram).meta["sigma_max_estimate"]
+        if form == "krylov":
+            # landweber_path reads no basis, so the engine runs its weights on one
+            basis = spectral_linalg.lanczos(gram, gram.divergence(), max(ts) - 1, 1e-300)
+            assert basis.spans(max(ts) - 1) and len(basis.V) == max(ts) - 1
+            lw = estimators._semi_iterative(X, spec, ts, gram, lambda t: (0.0, eta),
+                                            lambda t: Landweber(eta, t), "Landweber",
+                                            _krylov=basis)
+            nus = nu_method_path(X, spec, ts, nu=nu, gram=gram, _krylov=basis)
+        else:
+            lw = landweber_path(X, spec, ts, eta=eta, gram=gram)
+            nus = nu_method_path(X, spec, ts, nu=nu, gram=gram)
+        for got, ref in ((lw, landweber_recursion(gram, ts, eta)),
+                         (nus, nu_method_recursion(gram, ts, nu))):
+            assert [est.scheme.t for est in got] == ts
+            for est, (c, a) in zip(got, ref):
+                assert np.linalg.norm(est.coeffs.ravel() - c) <= 1e-12 * np.linalg.norm(c)
+                assert est.offset == pytest.approx(a, rel=1e-12)
+                assert est.offset == estimators._scheme_offset(est.scheme)
+
+    def test_divergence_names_the_recursion(self, monkeypatch):
+        rng = np.random.default_rng(97)
+        X, spec = random_instance(rng, M=6, d=2, kind="curl_free")
+        monkeypatch.setattr(estimators, "nu_coefficients", lambda t, nu: (0.0, np.inf))
+        # a tiny sigma_max admits a step that overflows c_2
+        monkeypatch.setattr(estimators, "power_iteration", lambda op, iters: 1e-300)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="^nu-method recursion diverged at iteration 2$"):
+                nu_method_path(X, spec, [1, 3])
+            with pytest.raises(NumericError, match="^Landweber recursion diverged at iteration 2$"):
+                landweber_path(X, spec, [1, 3])
+
+    def test_bad_counts_and_nu_raise_before_any_gram_product(self, monkeypatch):
+        rng = np.random.default_rng(98)
+        X, spec = random_instance(rng, M=6, d=2, kind="curl_free")
+        gram = ImplicitGram(spec, X)
+
+        def no_product(*args, **kwargs):
+            raise AssertionError("Gram product before the argument checks")
+
+        monkeypatch.setattr(ImplicitGram, "matvec", no_product)
+        monkeypatch.setattr(estimators, "assemble_gram", no_product)
+        for call in (lambda: landweber_path(X, spec, [0, 3], gram=gram),
+                     lambda: landweber_path(X, spec, [], eta=0.1),
+                     lambda: fit_landweber(X, spec, t=0),
+                     lambda: nu_method_path(X, spec, [0], gram=gram),
+                     lambda: nu_method_path(X, spec, [3], nu=0.5),
+                     lambda: fit_nu_method(X, spec, t=2, lam=0.1)):
+            with pytest.raises(InputError):
+                call()
+
+
 # ======================================================================
 # reduced-basis (subset) fits
 # ======================================================================
@@ -1199,6 +1265,13 @@ class TestSerialization:
             p.write_bytes(raw[:at] + struct.pack("<d", 12345.0) + raw[at + 8:])
             with pytest.raises(InputError, match="offset"):
                 load_estimator(p)
+
+    @pytest.mark.parametrize("scheme", ["tikhonov", "truncated_tikhonov",
+                                        "spectral_cutoff", "subset", "landweber",
+                                        "nu_method"])
+    def test_every_fit_carries_its_schemes_offset(self, scheme):
+        for est in self.every_scheme()[scheme]:
+            assert est.offset == estimators._scheme_offset(est.scheme)
 
     @staticmethod
     def valid_files():
