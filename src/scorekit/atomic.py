@@ -48,7 +48,8 @@ def read_text(path) -> str:
 def read_csv_records(text: str, path, header_error, parse) -> list:
     """parse(fields) of each non-blank record after the header of text, the
     CSV file at path, which header_error(header) finds wrong (a message) or
-    not (None). Each InputError names path and the line (in records)."""
+    not (None). Each InputError names path and the physical line on which
+    the record ends, so a quoted field that spans lines is counted in full."""
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -58,14 +59,14 @@ def read_csv_records(text: str, path, header_error, parse) -> list:
     if wrong:
         raise InputError(f"{path}: line 1: {wrong}")
     out = []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
         if len(row) != len(header):
-            raise InputError(f"{path}: line {lineno}: expected {len(header)} fields, "
-                             f"got {len(row)}")
+            raise InputError(f"{path}: line {reader.line_num}: expected {len(header)} "
+                             f"fields, got {len(row)}")
         try:
             out.append(parse(row))
         except ValueError as exc:
-            raise InputError(f"{path}: line {lineno}: {exc}") from None
+            raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     return out

@@ -55,7 +55,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -670,6 +669,9 @@ def run_grid_rows(cfg: ExperimentConfig, threads: int = 1) -> list:
                 for M in cfg.sample_sizes
                 for seed in cfg.seeds]
     if threads > 1:
+        # only a threaded sweep needs concurrent.futures
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             outcomes = list(pool.map(lambda p: _run_problem(cfg, *p), problems))
     else:

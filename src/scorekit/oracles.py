@@ -10,8 +10,6 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist
-from scipy.special import logsumexp, softmax
 
 from .atomic import atomic_open, read_csv_records, read_text
 from .errors import DegenerateDataError, InputError
@@ -105,6 +103,10 @@ def _component_logliks(dist: MixtureDistribution, X: np.ndarray) -> np.ndarray:
 
 def log_density(dist: MixtureDistribution, x) -> float:
     """log p(x) of the mixture (normalized)."""
+    # imported here: no sweep, CLI call or prediction needs it, and
+    # scipy.special would add 40-80 ms to every import of the package
+    from scipy.special import logsumexp
+
     x = _as_vector(np.ravel(x), dist.dim, "x")
     return float(logsumexp(_component_logliks(dist, x[None, :])[0]))
 
@@ -112,7 +114,12 @@ def log_density(dist: MixtureDistribution, x) -> float:
 def score_batch(dist: MixtureDistribution, X) -> np.ndarray:
     """Analytic grad log p at each row of X; shape (Q, d)."""
     X = _as_queries(np.atleast_2d(X), dist.dim)
-    resp = softmax(_component_logliks(dist, X), axis=1)
+    # the responsibilities, in place, as scipy.special.softmax computes them:
+    # exp(L - max L) over its row sum
+    resp = _component_logliks(dist, X)
+    resp -= resp.max(axis=1, keepdims=True)
+    np.exp(resp, out=resp)
+    resp /= resp.sum(axis=1, keepdims=True)
     return (resp @ dist.means - X) / dist.scale ** 2
 
 
@@ -146,13 +153,61 @@ def sample(dist: MixtureDistribution, M: int, seed: int) -> np.ndarray:
     return dist.means[comp] + noise
 
 
+# pairs in one block of _pair_sq_dists's rows (two buffers of 256 KB)
+_PAIR_BLOCK = 2 ** 15
+
+
+def _pair_sq_dists(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of all pairs i < j of rows of X, in
+    scipy's condensed order (row i holds the pairs (i, j > i)) and in the
+    bits of scipy.spatial.distance.pdist(X, "sqeuclidean"): each sum adds
+    (x_ic - x_jc)^2 over the columns c in order, as pdist's loop does.
+
+    Rows go in blocks of about _PAIR_BLOCK pairs. A block of b rows from
+    row i is summed column by column over the b x (M-1-i) rectangle of
+    pairs (i.., j > i), and its upper triangle is copied out.
+    """
+    M, d = X.shape
+    cols = np.ascontiguousarray(X.T)
+    out = np.empty(M * (M - 1) // 2)
+    buf = np.empty((2, max(_PAIR_BLOCK, M - 1)))
+    i = pos = 0
+    while i < M - 1:
+        n = M - 1 - i
+        b = min(n, max(1, _PAIR_BLOCK // n))
+        total, term = buf[:, :b * n].reshape(2, b, n)
+        for c in range(d):
+            part = total if c == 0 else term
+            np.subtract(cols[c, i:i + b, None], cols[c, None, i + 1:], out=part)
+            np.multiply(part, part, out=part)
+            if c:
+                total += term
+        # pair (i + r, i + 1 + k) of the rectangle is in the triangle iff k >= r
+        count = b * n - b * (b - 1) // 2
+        np.compress((np.arange(n) >= np.arange(b)[:, None]).ravel(), total.ravel(),
+                    out=out[pos:pos + count])
+        pos, i = pos + count, i + b
+    return out
+
+
 def median_bandwidth(samples) -> float:
-    """Median of all M(M-1)/2 pairwise Euclidean distances."""
+    """Median of all M(M-1)/2 pairwise Euclidean distances, equal bit for
+    bit to float(np.median(scipy.spatial.distance.pdist(X))).
+
+    sqrt keeps order, so the median is selected in place among the squared
+    distances (no second M(M-1)/2 array), and only the one or two middle
+    values are square-rooted; two are averaged as np.median averages them.
+    One partition at k leaves the k-th smallest at k and the (k-1)-th as the
+    largest before it, which costs half of np.median's partition at [k-1, k].
+    """
     X = as_samples(samples)
     if X.shape[0] < 2:
         raise InputError("median_bandwidth needs at least 2 samples")
-    # partitions pdist's fresh output in place: no M(M-1)/2 copy
-    med = float(np.median(pdist(X), overwrite_input=True))
+    sq = _pair_sq_dists(X)
+    k = sq.size // 2
+    sq.partition(k)
+    med = float(np.sqrt(sq[k]) if sq.size % 2
+                else (np.sqrt(sq[:k].max()) + np.sqrt(sq[k])) / 2)
     if med <= 0.0:
         raise DegenerateDataError("all samples coincide; bandwidth undefined")
     return med

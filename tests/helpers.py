@@ -286,16 +286,16 @@ def load_samples_csv_lines(path) -> np.ndarray:
                              f"{','.join(expected)!r}, got {','.join(header)!r}")
         d = len(header)
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != d:
-                raise InputError(f"{path}: line {lineno}: expected {d} fields, "
+                raise InputError(f"{path}: line {reader.line_num}: expected {d} fields, "
                                  f"got {len(row)}")
             try:
                 rows.append([float(v) for v in row])
             except ValueError as exc:
-                raise InputError(f"{path}: line {lineno}: {exc}") from None
+                raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return as_samples(np.asarray(rows))

@@ -1160,6 +1160,16 @@ class TestPlot:
         with pytest.raises(InputError, match="line 2"):
             emit_plot(path)
 
+    def test_error_names_the_physical_line(self, tmp_path):
+        # the quoted hyperparams field spans lines 2-3, so the third record
+        # is on line 4
+        path = tmp_path / "bad.csv"
+        path.write_text("estimator,kind,d,M,hyperparams,median_error,n_ok\n"
+                        'e,diagonal,2,16,"lam=1\n",0.5,4\n'
+                        "e,diagonal,2,sixteen,lam=1,0.5,4\n")
+        with pytest.raises(InputError, match="line 4: invalid literal for int"):
+            read_summary_csv(path)
+
     def test_bad_x_field(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("estimator,kind,d,M,hyperparams,median_error,n_ok\n")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
+from scipy.special import logsumexp, softmax
 
 from scorekit import oracles
 from scorekit.errors import DegenerateDataError, InputError
@@ -205,6 +206,26 @@ class TestTrueScore:
         Q = np.random.default_rng(0).normal(0.5, 1.0, (1024, 128))
         assert peak_bytes(lambda: score_batch(dist, Q)) < 16 * 2 ** 20
 
+    # the grid mixtures of every sweep workload, and the 16-d one of the CLI
+    # workload (16 distinct 0/1 vertices drawn from its own seed stream)
+    @pytest.mark.parametrize("d", [1, 8, 64, 128, "cli-16"])
+    def test_score_batch_and_log_density_are_scipy_bit_for_bit(self, d):
+        if d == "cli-16":
+            rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(11,)))
+            codes = rng.choice(2 ** 16, size=16, replace=False)
+            means = ((codes[:, None] >> np.arange(16)[None, :]) & 1).astype(float)
+            dist = MixtureDistribution(means, np.full(16, 1.0 / 16))
+        else:
+            dist = make_grid_distribution(d, 0)
+        Q = sample(dist, 1024, 1)
+        Q[-1] = 40.0    # far tail: every component but one underflows
+        L = oracles._component_logliks(dist, Q)
+        ref = (softmax(L, axis=1) @ dist.means - Q) / dist.scale ** 2
+        assert np.array_equal(score_batch(dist, Q), ref)
+        for q in Q[::97]:
+            row = oracles._component_logliks(dist, q[None, :])[0]
+            assert log_density(dist, q) == float(logsumexp(row))
+
     def test_oracle_wrapper_predict(self):
         dist = make_grid_distribution(2, 3)
         Q = np.random.default_rng(1).normal(0, 1, (5, 2))
@@ -268,9 +289,34 @@ class TestMedianBandwidth:
 
     @pytest.mark.parametrize("M", [2, 3, 64, 301])
     def test_equals_the_median_of_a_copy_bit_for_bit(self, M):
-        # it partitions pdist's output in place
+        # pdist stays the reference for the numpy distances
         X = sample(standard_gaussian(5), M, M)
         assert median_bandwidth(X) == float(np.median(pdist(X)))
+
+    # every workload's shape (each has an even pair count M(M-1)/2) and one
+    # with an odd count
+    @pytest.mark.parametrize("M, d", [(256, 1), (1024, 1), (4096, 1), (512, 8), (512, 64),
+                                      (512, 128), (768, 16), (258, 3)])
+    def test_is_pdists_median_bit_for_bit_at_the_workload_shapes(self, M, d):
+        X = sample(make_grid_distribution(d, 0), M, M + d)
+        assert median_bandwidth(X) == float(np.median(pdist(X)))
+        assert np.array_equal(oracles._pair_sq_dists(X), pdist(X, "sqeuclidean"))
+
+    def test_rows_longer_than_a_block(self, monkeypatch):
+        # with 8-pair blocks most rows of the triangle are blocks of their own
+        monkeypatch.setattr(oracles, "_PAIR_BLOCK", 8)
+        X = sample(standard_gaussian(3), 50, 4)
+        assert np.array_equal(oracles._pair_sq_dists(X), pdist(X, "sqeuclidean"))
+        assert median_bandwidth(X) == float(np.median(pdist(X)))
+
+    @pytest.mark.parametrize("M", [12, 14])     # 66 and 91 pairs
+    def test_duplicate_rows_and_tied_distances(self, M):
+        # points k (1, 2) on a line, each twice: most distances tie
+        X = np.repeat(np.arange(M // 2 + 1, dtype=float)[:, None] * [1.0, 2.0], 2, axis=0)[:M]
+        dists = pdist(X)
+        assert len(np.unique(dists)) < dists.size // 4
+        assert median_bandwidth(X) == float(np.median(dists))
+        assert np.array_equal(oracles._pair_sq_dists(X), pdist(X, "sqeuclidean"))
 
     def test_identical_samples_degenerate(self):
         with pytest.raises(DegenerateDataError):
@@ -373,6 +419,13 @@ class TestCsv:
         path = tmp_path / "nn.csv"
         path.write_text("x1\n0.5\noops\n")
         with pytest.raises(InputError, match="line 3"):
+            load_samples_csv(path)
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        # the quoted field spans lines 2-3, so the third record is on line 4
+        path = tmp_path / "multiline.csv"
+        path.write_text('x1,x2\n"1\n",2\n3,abc\n')
+        with pytest.raises(InputError, match="line 4: could not convert string to float: 'abc'"):
             load_samples_csv(path)
 
     def test_empty_file(self, tmp_path):
