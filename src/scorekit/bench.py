@@ -18,9 +18,10 @@ basis is the sample set, and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
 changes no row. The curl-free Tikhonov and Tikhonov-CG grids and the
 nu-method path are different. One KrylovBasis of K and h, over the Gram of
-either form, serves all three: each Tikhonov fit starts from its Galerkin
-solution at the first step whose residual estimate meets a target 100x
-below the residual the fit checks, each Tikhonov-CG cell returns its
+either form, serves all three: each Tikhonov fit is handed the basis and
+makes its own start, its Galerkin solution at the first step whose
+residual estimate meets a target 100x below the residual the fit checks
+(estimators._start_tol), each Tikhonov-CG cell returns its
 Galerkin iterate at the first step whose estimate meets the cell's tol and
 checks it with one Gram product, and the nu-method recursion runs on its
 tridiagonal matrix where it spans the iterates. Over a dense Gram
@@ -41,8 +42,8 @@ needs it, so a `.timings.csv` row is not the cost of that cell alone.
 Each estimator id is one REGISTRY entry: its config keys, its one-point
 fit over a _Problem's shared Gram and Nystrom blocks, and for landweber
 and nu_method the snapshot path the sweep runs. `scorekit fit` calls the
-one-point fit without the sweep's opts (the starts, CG budget and bases
-above), so it returns what the public fit returns. One loop (_fit_cells) times
+one-point fit without the sweep's opts (the bases and CG budget above),
+so it returns what the public fit returns. One loop (_fit_cells) times
 every fit of the sweep and records a contract error (InputError,
 NumericError or MemoryError: a bad lambda, a singular subset, CG running
 out of iterations) as a row with error = nan and the exception text in the
@@ -63,6 +64,7 @@ from .atomic import atomic_open, read_csv_records, read_text
 from .errors import InputError, NumericError
 from .estimators import (
     TruncatedTikhonov,
+    _start_tol,
     _subset_building_blocks,
     fit_landweber,
     fit_nu_method,
@@ -77,7 +79,6 @@ from .estimators import (
 )
 from .kernels import (
     DENSE_SYSTEM_LIMIT,
-    DenseGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
     assemble_gram,
@@ -92,7 +93,7 @@ from .oracles import (
     score_batch,
     standard_gaussian,
 )
-from .spectral_linalg import SPD_RESIDUAL_TOL, _shift_targets, lanczos
+from .spectral_linalg import _shift_targets, lanczos
 from .svgplot import render_line_chart
 
 SCHEMA_VERSION = 1
@@ -106,14 +107,6 @@ FRACTION_GRID = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 # capped budget; cells whose lambda is too small to converge report failure
 _TIK_IMPLICIT_TOL = 1e-8
 _TIK_IMPLICIT_MAX_ITER = 800
-
-# The Tikhonov starts come from a Lanczos basis of the Gram and each aims,
-# by its Lanczos residual estimate, 100x below the residual its fit checks
-# (solve_spd's 1e-10 dense, _TIK_IMPLICIT_TOL matrix-free). At lam = 1e-8
-# the shifted Gram's condition number is ~3e7, so starts that only just met
-# 1e-10 moved conv-1d benchmark rows by up to 3.7e-4 relative from factored
-# solves; at 1e-12 they move by under 1e-5, for a few more basis vectors.
-_KRYLOV_START_MARGIN = 100
 
 # the Krylov space counts as invariant once beta_k <= this * tr K (>= ||K||_2,
 # K PSD): Md / sigma^2, each curl-free diagonal entry being -2 phi'(0) = 1 / sigma^2
@@ -148,6 +141,26 @@ def _check_keys(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise InputError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
+
+
+def _check_config_root(data, keys) -> None:
+    """The checks every config file's root passes, a sweep's or a CLI
+    subcommand's: an object, no key beyond schema_version and keys, and
+    schema_version SCHEMA_VERSION."""
+    if not isinstance(data, dict):
+        raise InputError("config root must be an object")
+    _check_keys(data, ("schema_version",) + keys, "config")
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise InputError(f"config: 'schema_version' must be {SCHEMA_VERSION}, "
+                         f"got {data.get('schema_version')!r}")
+
+
+def _config_path(data, key, base_dir) -> str:
+    """The file named under config key, relative to base_dir (the config's
+    folder)."""
+    if not isinstance(data[key], str) or not data[key]:
+        raise InputError(f"config.{key}: expected a file path string")
+    return os.path.join(base_dir, data[key])
 
 
 def _as_list(v):
@@ -280,19 +293,13 @@ class ExperimentConfig:
     mixture: MixtureDistribution = None
 
 
-_CONFIG_KEYS = ("schema_version", "distribution", "mixture_file", "dimensions",
-                "sample_sizes", "estimators", "seeds", "eval_size",
-                "distribution_seed")
+_CONFIG_KEYS = ("distribution", "mixture_file", "dimensions", "sample_sizes",
+                "estimators", "seeds", "eval_size", "distribution_seed")
 
 
 def parse_experiment_config(data, base_dir: str = ".") -> ExperimentConfig:
     """Validate a parsed config object. Unknown keys are hard errors."""
-    if not isinstance(data, dict):
-        raise InputError("config root must be an object")
-    _check_keys(data, _CONFIG_KEYS, "config")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise InputError(f"config: 'schema_version' must be {SCHEMA_VERSION}, "
-                         f"got {data.get('schema_version')!r}")
+    _check_config_root(data, _CONFIG_KEYS)
 
     dist = data.get("distribution")
     if dist not in ("grid", "gaussian", "mixture"):
@@ -302,9 +309,7 @@ def parse_experiment_config(data, base_dir: str = ".") -> ExperimentConfig:
     if dist == "mixture":
         if "mixture_file" not in data:
             raise InputError("config: distribution 'mixture' requires 'mixture_file'")
-        if not isinstance(data["mixture_file"], str) or not data["mixture_file"]:
-            raise InputError("config.mixture_file: expected a file path string")
-        mixture = load_mixture_file(os.path.join(base_dir, data["mixture_file"]))
+        mixture = load_mixture_file(_config_path(data, "mixture_file", base_dir))
     elif "mixture_file" in data:
         raise InputError("config: 'mixture_file' is only valid with "
                          "distribution 'mixture'")
@@ -457,26 +462,25 @@ class _Problem:
         One basis serves the curl-free tikhonov, tikhonov_cg and nu_method
         entries of spec. It stops at invariance, at its cap, or once it
         holds the nu-method's t_max - 1 vectors and every shift M lam has
-        met its target (a tikhonov one _start_target, a tikhonov_cg one its
-        entry's tol, unless the basis holds that entry's max_iter vectors).
+        met its target (a tikhonov one the estimate fit_tikhonov's start
+        aims at, estimators._start_tol, a tikhonov_cg one its entry's tol,
+        unless the basis holds that entry's max_iter vectors).
         The cap is _TIK_IMPLICIT_MAX_ITER vectors and no more bytes than the
         largest dense Gram the sweep accepts. Each reader takes the leading
         part it needs, so its rows do not depend on the other entries.
         """
         def build():
             gram, t_max, shifts, targets, caps = self.gram(spec), 1, [], [], []
-            start_target = _start_target(gram)
             for e in self.entries:
                 if e.kind != "curl_free" or self.spec(e) != spec:
                     continue
                 if e.id == "nu_method":
                     t_max = max(p["t"] for _, p in e.grid)
                 elif e.id in ("tikhonov", "tikhonov_cg"):
-                    start = e.id == "tikhonov"
-                    for _, p in e.grid:
-                        shifts.append(self.M * p["lam"])
-                        targets.append(start_target if start else e.tol)
-                        caps.append(math.inf if start else e.max_iter)
+                    start, n = e.id == "tikhonov", len(e.grid)
+                    shifts += [self.M * p["lam"] for _, p in e.grid]
+                    targets += [_start_tol(gram, _TIK_IMPLICIT_TOL) if start else e.tol] * n
+                    caps += [math.inf if start else e.max_iter] * n
             stop, _ = _shift_targets(shifts, targets, t_max - 1, caps)
             max_dim = min(_TIK_IMPLICIT_MAX_ITER, DENSE_SYSTEM_LIMIT ** 2 // gram.dim)
             tol = _KRYLOV_INVARIANT_REL * (gram.dim / spec.scalar.bandwidth ** 2)
@@ -485,14 +489,6 @@ class _Problem:
             except _CONTRACT_ERRORS:
                 return None
         return None if spec.kind != "curl_free" else self._once(("krylov", spec), build)
-
-
-def _start_target(gram) -> float:
-    """The Lanczos residual estimate a Tikhonov start aims at:
-    _KRYLOV_START_MARGIN below the residual its fit checks, solve_spd's over
-    a dense Gram and _TIK_IMPLICIT_TOL over a matrix-free one."""
-    fit_tol = SPD_RESIDUAL_TOL if isinstance(gram, DenseGram) else _TIK_IMPLICIT_TOL
-    return fit_tol / _KRYLOV_START_MARGIN
 
 
 # ======================================================================
@@ -508,17 +504,6 @@ class EstimatorDef:
     fit: object                # (problem, entry, spec, i, **opts) -> fit at grid point i
     path: object = None        # (problem, entry, spec, ts) -> fits at each t, from one run
     sweep_opts: object = None  # (problem, entry, spec, i) -> opts the sweep gives fit
-
-
-def _tikhonov_sweep_opts(problem, entry, spec, i):
-    """A curl-free fit starts from c = y / lam, y = ||h|| V^T (T + M lam I)^-1
-    e_1 of the problem's basis cut where it met _start_target: solve_spd
-    returns a start that meets its residual and factors otherwise, CG
-    iterates on from one that falls short."""
-    basis, lam = problem.krylov(spec), entry.grid[i][1]["lam"]
-    start = None if basis is None else basis.galerkin(
-        problem.M * lam, _start_target(problem.gram(spec)), basis.norm_b / lam)[1]
-    return dict(cg_tol=_TIK_IMPLICIT_TOL, cg_max_iter=_TIK_IMPLICIT_MAX_ITER, _x0=start)
 
 
 def _fit_spectral_cutoff(problem, entry, spec, i):
@@ -551,7 +536,9 @@ REGISTRY = {
         ("lambdas",),
         lambda p, e, spec, i, **opts: fit_tikhonov(
             p.X, spec, e.grid[i][1]["lam"], gram=p.gram(spec), **opts),
-        sweep_opts=_tikhonov_sweep_opts),
+        sweep_opts=lambda p, e, spec, i: dict(
+            cg_tol=_TIK_IMPLICIT_TOL, cg_max_iter=_TIK_IMPLICIT_MAX_ITER,
+            _krylov=p.krylov(spec))),
     "tikhonov_cg": EstimatorDef(
         ("lambdas", "tol", "max_iter"),
         lambda p, e, spec, i, **opts: fit_tikhonov_cg(

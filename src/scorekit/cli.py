@@ -14,7 +14,8 @@ from dataclasses import replace
 from .atomic import atomic_open
 from .bench import (
     REGISTRY,
-    _check_keys,
+    _check_config_root,
+    _config_path,
     _load_json_object,
     _parse_estimator,
     _Problem,
@@ -35,29 +36,23 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _command_config(args, keys):
-    """The subcommand's JSON config, of schema 1 and no key beyond keys, and
-    path(key): the file named under key, relative to the config's folder."""
+def _command_config(args, required, optional=()):
+    """The subcommand's JSON config, checked by bench._check_config_root and
+    holding every required key, and path(key): bench._config_path of the
+    file named under key."""
     data = _load_json_object(args.config, "config")
-    _check_keys(data, ("schema_version",) + keys, "config")
-    if data.get("schema_version") != 1:
-        raise InputError("config: 'schema_version' must be 1")
-
-    def path(key):
-        if not isinstance(data[key], str) or not data[key]:
-            raise InputError(f"config.{key}: expected a file path string")
-        return os.path.join(os.path.dirname(args.config), data[key])
-    return data, path
+    _check_config_root(data, required + optional)
+    if any(key not in data for key in required):
+        raise InputError(f"config: {args.command} needs {' and '.join(map(repr, required))}")
+    return data, lambda key: _config_path(data, key, os.path.dirname(args.config))
 
 
 # ======================================================================
 # fit
 # ======================================================================
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> None:
     data, path = _command_config(args, ("samples", "estimator"))
-    if "samples" not in data or "estimator" not in data:
-        raise InputError("config: fit needs 'samples' and 'estimator'")
     X = load_samples_csv(path("samples"))
     entry = _parse_estimator(data["estimator"], "config.estimator")
     fit = REGISTRY[entry.id].fit
@@ -70,22 +65,18 @@ def _cmd_fit(args) -> int:
     est = fit(problem, entry, problem.spec(entry), 0)
     del problem  # its Gram must not outlive the fit
     save_estimator(est, args.out)
-    return 0
 
 
 # ======================================================================
 # predict
 # ======================================================================
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> None:
     data, path = _command_config(args, ("estimator", "queries"))
-    if "estimator" not in data or "queries" not in data:
-        raise InputError("config: predict needs 'estimator' and 'queries'")
     est = load_estimator(path("estimator"))
     Q = load_samples_csv(path("queries"))
     scores = predict(est, Q)
     save_samples_csv(scores, args.out)
-    return 0
 
 
 # ======================================================================
@@ -99,32 +90,25 @@ def _experiment_config(args):
     return cfg
 
 
-def _cmd_grid_exp(args) -> int:
+def _cmd_grid_exp(args) -> None:
     run_grid_experiment(_experiment_config(args), args.out, threads=args.threads)
-    return 0
 
 
-def _cmd_conv_exp(args) -> int:
-    run_convergence_experiment(_experiment_config(args), args.out,
-                               threads=args.threads)
-    return 0
+def _cmd_conv_exp(args) -> None:
+    run_convergence_experiment(_experiment_config(args), args.out, threads=args.threads)
 
 
-def _cmd_plot(args) -> int:
-    data, path = _command_config(args, ("input", "x", "log_x", "log_y", "title"))
-    if "input" not in data:
-        raise InputError("config: plot needs 'input' (a summary CSV path)")
+def _cmd_plot(args) -> None:
+    data, path = _command_config(args, ("input",), ("x", "log_x", "log_y", "title"))
     for key in ("log_x", "log_y"):
         if key in data and not isinstance(data[key], bool):
             raise InputError(f"config.{key}: expected true or false")
-    svg = emit_plot(path("input"),
-                    x_field=data.get("x", "M"),
-                    log_x=bool(data.get("log_x", False)),
-                    log_y=bool(data.get("log_y", False)),
-                    title=str(data.get("title", "")))
+    if not isinstance(data.get("title", ""), str):
+        raise InputError("config.title: expected a string")
+    svg = emit_plot(path("input"), x_field=data.get("x", "M"), log_x=data.get("log_x", False),
+                    log_y=data.get("log_y", False), title=data.get("title", ""))
     with atomic_open(args.out, "w", newline="") as f:
         f.write(svg)
-    return 0
 
 
 # ======================================================================
@@ -136,22 +120,23 @@ def _build_parser() -> _Parser:
                      description="score-estimation benchmark harness")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
+    seed = ("--seed", dict(type=int, default=None, help=(
+        "seed override (fit: subset draws; experiments: replaces the config seed list)")))
+    threads = ("--threads", dict(type=int, default=1, help="worker threads for the sweep"))
+    # each subcommand takes only the flags it reads
     specs = (
-        ("fit", _cmd_fit, "fit an estimator from a samples CSV"),
-        ("predict", _cmd_predict, "evaluate a saved estimator on queries"),
-        ("grid-exp", _cmd_grid_exp, "run a hyperparameter sweep"),
-        ("conv-exp", _cmd_conv_exp, "run a convergence-rate experiment"),
-        ("plot", _cmd_plot, "render a summary CSV as an SVG chart"),
+        ("fit", _cmd_fit, "fit an estimator from a samples CSV", (seed,)),
+        ("predict", _cmd_predict, "evaluate a saved estimator on queries", ()),
+        ("grid-exp", _cmd_grid_exp, "run a hyperparameter sweep", (seed, threads)),
+        ("conv-exp", _cmd_conv_exp, "run a convergence-rate experiment", (seed, threads)),
+        ("plot", _cmd_plot, "render a summary CSV as an SVG chart", ()),
     )
-    for name, fn, help_text in specs:
+    for name, fn, help_text, flags in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed override (fit: subset draws; experiments: "
-                            "replaces the config seed list)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for experiment sweeps")
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
     return parser
 
@@ -164,11 +149,12 @@ def main(argv=None) -> int:
             parser.print_usage(sys.stderr)
             print("scorekit: error: a subcommand is required", file=sys.stderr)
             return 1
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise InputError("--threads must be >= 1")
-        if args.seed is not None and args.seed < 0:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
             raise InputError("--seed must be >= 0")
-        return args.fn(args)
+        args.fn(args)
+        return 0
     except InputError as exc:
         print(f"scorekit: error: {exc}", file=sys.stderr)
         return 1

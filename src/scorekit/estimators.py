@@ -31,7 +31,6 @@ from .atomic import atomic_open
 from .errors import FitError, InputError, NumericError
 from .kernels import (
     BLOCK_ENTRIES,
-    DENSE_SYSTEM_LIMIT,
     FAMILIES,
     KINDS,
     ImplicitGram,
@@ -39,6 +38,7 @@ from .kernels import (
     ScalarRadialKernel,
     _as_queries,
     _as_vector,
+    _matrix_free,
     as_samples,
     assemble_gram,
     cross_apply,
@@ -50,6 +50,7 @@ from .kernels import (
 )
 from .spectral_linalg import (
     EPS_RANK_REL,
+    SPD_RESIDUAL_TOL,
     CGReport,
     LinearOperator,
     conjugate_gradient,
@@ -271,9 +272,22 @@ def _spectrum(gram):
 # Tikhonov
 # ======================================================================
 
+# fit_tikhonov's Krylov start aims this factor below the residual the fit
+# checks. At lam = 1e-8 the shifted Gram's condition number is ~3e7, so
+# starts that only just met 1e-10 moved conv-1d benchmark rows by up to
+# 3.7e-4 relative from factored solves; at 1e-12 they move by under 1e-5.
+_KRYLOV_START_MARGIN = 100
+
+
+def _start_tol(gram, cg_tol: float) -> float:
+    """The Lanczos residual estimate fit_tikhonov's start aims at over gram:
+    _KRYLOV_START_MARGIN below solve_spd's residual dense, cg_tol matrix-free."""
+    return (cg_tol if isinstance(gram, ImplicitGram) else SPD_RESIDUAL_TOL) / _KRYLOV_START_MARGIN
+
+
 def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
                  cg_tol: float = 1e-10, cg_max_iter: int = None,
-                 _x0=None) -> FittedScoreEstimator:
+                 _krylov=None) -> FittedScoreEstimator:
     """Solve (K + M lam I) c = h / lam; predictions carry a = -1/lam.
 
     The Gram's form (assemble_gram's unless gram is given) picks the solver.
@@ -282,19 +296,22 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
     M x M system with d right-hand sides. Over a matrix-free Gram the fit is
     fit_tikhonov_cg run to the same 1e-10 residual contract (cg_tol),
     raising FitError if that cannot be reached.
-    _x0, when given, is a start for c: the direct solve returns it if it
-    already meets the solve_spd residual and factors otherwise, CG iterates
-    from it.
+    _krylov, a KrylovBasis of lanczos(gram, h, ...), gives the start c =
+    (||h|| / lam) V_k^T (T_k + M lam I)^-1 e_1, k the first step whose
+    residual estimate meets _start_tol (else the last): solve_spd returns it
+    if it meets its residual and factors otherwise, CG iterates from it.
     """
     scheme = Tikhonov(lam)
     X = as_samples(samples)
     M = X.shape[0]
     gram = _resolve_gram(spec, X, gram)
+    x0 = None if _krylov is None else _krylov.galerkin(
+        M * lam, _start_tol(gram, cg_tol), _krylov.norm_b / lam)[1]
     if isinstance(gram, ImplicitGram):
         if cg_max_iter is None:
             cg_max_iter = max(1000, 4 * M)
         est = fit_tikhonov_cg(X, spec, lam, tol=cg_tol, max_iter=cg_max_iter, gram=gram,
-                              x0=_x0)
+                              x0=x0)
         if not est.meta["cg_converged"]:
             raise FitError(
                 f"tikhonov CG stopped at relative residual {est.meta['cg_residual']:.3e} "
@@ -303,9 +320,8 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
         return est
     G = gram.matrix
     b = gram.divergence().reshape(len(G), -1) / lam
-    x0 = None if _x0 is None else np.reshape(_x0, b.shape)
     try:
-        C = solve_spd(G, b, shift=M * lam, x0=x0)
+        C = solve_spd(G, b, shift=M * lam, x0=None if x0 is None else x0.reshape(b.shape))
     except NumericError as exc:
         raise FitError(f"tikhonov solve failed: {exc}") from exc
     return FittedScoreEstimator(spec, X, C, _scheme_offset(scheme), scheme, meta={"mode": "dense"})
@@ -577,10 +593,10 @@ def _subset_building_blocks(samples, subset_indices, spec):
         raise InputError("subset indices contain duplicates")
     Z = np.ascontiguousarray(X[idx])
     N = idx.size
-    if spec.kind == "curl_free" and N * d > DENSE_SYSTEM_LIMIT:
+    if _matrix_free(spec, N, d):
         raise InputError(
             f"a curl-free subset of N={N} at d={d} needs two dense Nd x Nd blocks of "
-            f"{(N * d) ** 2 * 8} bytes each; Nd may not exceed {DENSE_SYSTEM_LIMIT}")
+            f"{(N * d) ** 2 * 8} bytes each, over the dense system limit")
     # cross_gram blocks: N x N for a diagonal kernel (its scalar factor), Nd x Nd
     # for a curl-free one; h_Z is reshaped to their rows
     Kzz = cross_gram(spec, Z, Z)

@@ -36,8 +36,8 @@ from .spectral_linalg import check_symmetric
 FAMILIES = ("imq", "gaussian")
 KINDS = ("diagonal", "curl_free")
 
-# a curl-free Gram of more than this many rows (Md) is matrix-free: dense it
-# would take (Md)^2 * 8 bytes, 128 MB at the limit
+# a curl-free Gram at d > 1 of more than this many rows (Md) is matrix-free
+# (_matrix_free): dense it would take (Md)^2 * 8 bytes, 128 MB at the limit
 DENSE_SYSTEM_LIMIT = 4096
 
 # entries (8 bytes each) of one block of a Q x M table pass: query_tables
@@ -377,7 +377,7 @@ class ImplicitGram(_Gram):
     """Matrix-free Gram operator.
 
     Stores only M x M tables, query_tables(spec, X, X)'s: phi'(U) and
-    phi''(U) at d > 1, the scalar kernel itself at d = 1. A matvec is
+    phi''(U) (a hand-built one at d = 1 keeps the scalar kernel). A matvec is
     cross_apply evaluated at the samples over them, O(M^2 d) time instead of
     touching an Md x Md matrix (O(M^2 d^2) storage dense). The tables are
     built by the first matvec, so a fit that refuses this form allocates
@@ -426,13 +426,19 @@ def cross_gram(spec: MatrixKernelSpec, rows, cols) -> np.ndarray:
     return out.reshape(P * d, Q * d)
 
 
-def assemble_gram(spec: MatrixKernelSpec, samples):
-    """The Gram of spec over the samples, in the one form its size affords.
+def _matrix_free(spec: MatrixKernelSpec, M: int, d: int) -> bool:
+    """Whether spec's Gram over M samples in d dimensions is matrix-free:
+    curl-free at d > 1 with Md > DENSE_SYSTEM_LIMIT. Every other Gram, a
+    scalar M x M kernel among them, is dense."""
+    return spec.kind == "curl_free" and d > 1 and M * d > DENSE_SYSTEM_LIMIT
 
-    A diagonal kernel K = k I_d gets a DenseGram of its scalar M x M factor
-    k. A curl-free one gets the dense Md x Md Gram while Md <=
-    DENSE_SYSTEM_LIMIT and an ImplicitGram beyond; a caller who wants the
-    matrix-free form at any size builds ImplicitGram(spec, X).
+
+def assemble_gram(spec: MatrixKernelSpec, samples):
+    """The Gram of spec over the samples, in the one form _matrix_free
+    picks: an ImplicitGram where it holds, else a DenseGram, of the scalar
+    M x M factor k of a diagonal kernel K = k I_d or of the whole curl-free
+    Gram. A caller who wants the matrix-free form at any size builds
+    ImplicitGram(spec, X).
 
     At d = 1 a curl-free Gram is the scalar kernel -2 phi'(u) - 4 phi''(u) u
     of query_tables(spec, X, X), built in h_vector's pass, which reads the
@@ -444,7 +450,7 @@ def assemble_gram(spec: MatrixKernelSpec, samples):
     """
     X = as_samples(samples)
     M, d = X.shape
-    if spec.kind == "curl_free" and M * d > DENSE_SYSTEM_LIMIT:
+    if _matrix_free(spec, M, d):
         return ImplicitGram(spec, X)
     n = M * d if spec.kind == "curl_free" else M
     h = None

@@ -592,9 +592,22 @@ def no_basis(*args, **kwargs):
 
 
 def tikhonov_starts(problem, entry, spec):
-    """The start each cell of a curl-free tikhonov entry gets in the sweep."""
-    return [bench._tikhonov_sweep_opts(problem, entry, spec, i)["_x0"]
-            for i in range(len(entry.grid))]
+    """The start fit_tikhonov makes for each cell of a curl-free tikhonov
+    entry in the sweep, as it hands it to solve_spd (dense) or to
+    fit_tikhonov_cg (matrix-free)."""
+    starts = []
+
+    def spy(fn):
+        def recorded(*args, x0=None, **kwargs):
+            starts.append(None if x0 is None else np.ravel(x0))
+            return fn(*args, x0=x0, **kwargs)
+        return recorded
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(estimators, "solve_spd", spy(estimators.solve_spd))
+        m.setattr(estimators, "fit_tikhonov_cg", spy(estimators.fit_tikhonov_cg))
+        list(bench._fit_cells(entry, problem, spec))
+    assert len(starts) == len(entry.grid)
+    return starts
 
 
 class TestDenseTikhonov:
@@ -821,6 +834,9 @@ class TestSharedKrylovEngine:
             set_dense_limit(monkeypatch, limit)
             problem, (tik, nu) = self.problem([self.TIK, self.NU], d=d, M=M)
             spec = problem.spec(tik)
+            if d == 1 and form is kernels.ImplicitGram:
+                # assemble_gram keeps a d = 1 Gram dense at every M: built by hand
+                problem._once(("gram", spec), lambda: form(spec, problem.X))
             assert isinstance(problem.gram(spec), form)
             starts.append(tikhonov_starts(problem, tik, spec))
             # spans every snapshot
@@ -1017,6 +1033,33 @@ class TestGalerkinCells:
             assert est.meta == public.meta and est.meta["cg_iterations"] > 2
             assert est.meta["solver"] == "cg"
             assert np.array_equal(est.coeffs, public.coeffs)
+
+
+class TestTikhonovStarts:
+    """A sweep tikhonov cell is fit_tikhonov handed the problem's basis,
+    which makes its own start: the public fit with that basis, bit for bit,
+    whose start meets its target inside the basis at every lam."""
+
+    @pytest.mark.parametrize("form", sorted(TestGalerkinCells.SHAPES))
+    def test_each_cell_is_the_public_fit_given_the_basis(self, form):
+        d, M = TestGalerkinCells.SHAPES[form]
+        problem, (tik,) = TestSharedKrylovEngine.problem([TestSharedKrylovEngine.TIK], d=d, M=M)
+        spec = problem.spec(tik)
+        gram, basis = problem.gram(spec), problem.krylov(spec)
+        assert isinstance(gram, TestGalerkinCells.GRAM[form]) and basis is not None
+        target = estimators._start_tol(gram, bench._TIK_IMPLICIT_TOL)
+        cells = list(bench._fit_cells(tik, problem, spec))
+        assert [tik.grid[i][1]["lam"] for i, _, _ in cells] == list(LAMBDA_GRID)
+        for i, cell, est in cells:
+            lam = tik.grid[i][1]["lam"]
+            assert cell.reason == ""
+            assert basis.galerkin(M * lam, target, basis.norm_b / lam)[0] > 0
+            ref = estimators.fit_tikhonov(
+                problem.X, spec, lam, gram=gram, cg_tol=bench._TIK_IMPLICIT_TOL,
+                cg_max_iter=bench._TIK_IMPLICIT_MAX_ITER, _krylov=basis)
+            assert est.offset == ref.offset
+            assert est.coeffs.tobytes() == ref.coeffs.tobytes()
+            assert est.meta == ref.meta
 
 
 class TestSummarize:

@@ -9,6 +9,7 @@ import pytest
 from scorekit import bench
 from scorekit.bench import SummaryRow, write_summary_csv
 from scorekit.cli import main
+from scorekit.errors import InputError
 from scorekit.estimators import fit_nu_method, fit_tikhonov, fit_tikhonov_cg, load_estimator
 from scorekit.kernels import MatrixKernelSpec, ScalarRadialKernel
 from scorekit.oracles import (
@@ -187,6 +188,65 @@ class TestExitCodes:
         assert main([command, "--config", cfg, "--out", str(out), "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "scorekit: error: --seed must be >= 0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--threads"), ("predict", "--threads"), ("predict", "--seed"),
+        ("plot", "--seed"), ("plot", "--threads")])
+    def test_a_flag_the_subcommand_does_not_read_is_exit_1(self, tmp_path, capsys,
+                                                           command, flag):
+        out = tmp_path / "out"
+        assert main([command, "--config", "c.json", "--out", str(out), flag, "2"]) == 1
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestConfigRoot:
+    """Every config file, a subcommand's or a sweep's, passes one root check
+    and resolves its file paths one way."""
+
+    CONFIGS = {
+        "fit": {"samples": "samples.csv",
+                "estimator": {"id": "tikhonov", "kind": "curl_free", "lambdas": [0.1]}},
+        "predict": {"estimator": "est.bin", "queries": "q.csv"},
+        "grid-exp": {"distribution": "gaussian", "dimensions": [2], "sample_sizes": [8],
+                     "seeds": [0], "eval_size": 8, "estimators": [{"id": "oracle"}]},
+        "plot": {"input": "rows.summary.csv"},
+    }
+    MESSAGE = "config: 'schema_version' must be 1, got 2"
+
+    @pytest.mark.parametrize("command", sorted(CONFIGS))
+    def test_schema_version_2_is_refused_with_one_message(self, tmp_path, capsys, command):
+        cfg = write_json(tmp_path / "c.json", dict(self.CONFIGS[command], schema_version=2))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"scorekit: error: {self.MESSAGE}\n"
+
+    def test_the_sweep_parser_gives_the_same_message(self):
+        with pytest.raises(InputError) as info:
+            bench.parse_experiment_config(dict(self.CONFIGS["grid-exp"], schema_version=2))
+        assert str(info.value) == self.MESSAGE
+
+    @pytest.mark.parametrize("command, key", [
+        ("fit", "samples"), ("predict", "queries"), ("plot", "input")])
+    @pytest.mark.parametrize("value", [5, "", None, ["x.csv"]])
+    def test_a_path_that_is_not_a_string_is_refused(self, tmp_path, capsys, command, key,
+                                                     value):
+        (tmp_path / "est.bin").write_bytes(pack())
+        data = dict(self.CONFIGS[command], schema_version=1)
+        data[key] = value
+        cfg = write_json(tmp_path / "c.json", data)
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert (f"scorekit: error: config.{key}: expected a file path string"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("title", [["a"], 3, None, {"t": 1}])
+    def test_plot_refuses_a_title_that_is_not_a_string(self, tmp_path, capsys, title):
+        write_summary_csv([SummaryRow("tikhonov", "curl_free", 2, 16, "lam=0.1", 0.5, 2)],
+                          tmp_path / "rows.summary.csv")
+        cfg = write_json(tmp_path / "c.json", dict(self.CONFIGS["plot"], schema_version=1,
+                                                   title=title))
+        assert main(["plot", "--config", cfg, "--out", str(tmp_path / "p.svg")]) == 1
+        assert "config.title" in capsys.readouterr().err
+        assert not (tmp_path / "p.svg").exists()
 
 
 class TestExperimentCommands:

@@ -489,6 +489,35 @@ class TestSizeRefusal:
             fit_nystrom(X, np.arange(257), cf("imq", 4.0), TruncatedTikhonov(0.1))
 
 
+class TestScalarGramsStayDense:
+    """At d = 1 a curl-free Gram is a scalar M x M kernel, dense at every M
+    like a diagonal one: over a dense limit lowered to 64 it is still a
+    DenseGram, and the fits that need it dense run there and give the bits
+    they give at the default limit. At d = 2 the limit still holds."""
+
+    LIMIT, M = 64, 80
+
+    def test_only_the_curl_free_gram_at_d_above_one_goes_matrix_free(self, monkeypatch):
+        rng = np.random.default_rng(92)
+        monkeypatch.setattr(kernels, "DENSE_SYSTEM_LIMIT", self.LIMIT)
+        X1, X2 = rng.normal(size=(self.M, 1)), rng.normal(size=(self.LIMIT // 2 + 1, 2))
+        assert isinstance(assemble_gram(cf(), X1), kernels.DenseGram)
+        assert isinstance(assemble_gram(diag(), X2), kernels.DenseGram)
+        assert isinstance(assemble_gram(cf(), X2), ImplicitGram)
+
+    @pytest.mark.parametrize("fit", [
+        lambda X, spec: fit_truncated_tikhonov(X, spec, 0.1),
+        lambda X, spec: fit_spectral_cutoff(X, spec, rank=10),
+        lambda X, spec: fit_nystrom(X, np.arange(72), spec, TruncatedTikhonov(0.1)),
+    ], ids=["truncated_tikhonov", "spectral_cutoff-rank", "nystrom"])
+    def test_fits_that_need_it_dense_run_over_the_limit(self, monkeypatch, fit):
+        X = np.random.default_rng(93).normal(size=(self.M, 1))
+        ref = fit(X, cf("imq", 0.8))
+        monkeypatch.setattr(kernels, "DENSE_SYSTEM_LIMIT", self.LIMIT)
+        est = fit(X, cf("imq", 0.8))
+        assert est.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
 # ======================================================================
 # Landweber
 # ======================================================================
