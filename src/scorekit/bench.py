@@ -55,6 +55,7 @@ import csv
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 
@@ -137,22 +138,47 @@ def _glabel(v) -> str:
 # config schema
 # ======================================================================
 
+# Every JSON file kind scorekit reads: its required keys and its optional
+# ones. Each kind but the mixture file also holds schema_version.
+_FILE_KEYS = {
+    "sweep": (("distribution", "dimensions", "sample_sizes", "seeds", "estimators"),
+              ("mixture_file", "eval_size", "distribution_seed")),
+    "fit": (("samples", "estimator"), ()),
+    "predict": (("estimator", "queries"), ()),
+    "plot": (("input",), ("x", "log_x", "log_y", "title")),
+    "mixture file": (("means", "weights"), ("scale",)),
+}
+
+
 def _check_keys(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise InputError(f"{where}: unknown key(s) {', '.join(map(repr, unknown))}")
 
 
-def _check_config_root(data, keys) -> None:
-    """The checks every config file's root passes, a sweep's or a CLI
-    subcommand's: an object, no key beyond schema_version and keys, and
-    schema_version SCHEMA_VERSION."""
+def read_config(kind: str, data=None, path=None) -> dict:
+    """The root of the JSON file of kind (a _FILE_KEYS key) at path, or data
+    if path is None: an object with every required key, no key beyond the
+    kind's and, but in a mixture file, schema_version SCHEMA_VERSION. Its
+    errors name the file, but for schema_version's, the same for an object."""
+    if path is not None:
+        try:
+            data = json.loads(read_text(path))
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: invalid JSON: {exc}") from None
+    versioned = kind != "mixture file"
+    where = ("" if path is None else f"{path}: ") + ("config" if versioned else kind)
     if not isinstance(data, dict):
-        raise InputError("config root must be an object")
-    _check_keys(data, ("schema_version",) + keys, "config")
-    if data.get("schema_version") != SCHEMA_VERSION:
+        raise InputError(f"{where} root must be an object")
+    required, optional = _FILE_KEYS[kind]
+    _check_keys(data, required + optional + ("schema_version",) * versioned, where)
+    if versioned and data.get("schema_version") != SCHEMA_VERSION:
         raise InputError(f"config: 'schema_version' must be {SCHEMA_VERSION}, "
                          f"got {data.get('schema_version')!r}")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise InputError(f"{where}: missing required key(s) {', '.join(map(repr, missing))}")
+    return data
 
 
 def _config_path(data, key, base_dir) -> str:
@@ -163,42 +189,29 @@ def _config_path(data, key, base_dir) -> str:
     return os.path.join(base_dir, data[key])
 
 
-def _as_list(v):
-    return v if isinstance(v, list) else [v]
-
-
-def _int_list(v, where, minimum=1):
-    out = []
-    for item in _as_list(v):
-        if isinstance(item, bool) or not isinstance(item, int) or item < minimum:
-            raise InputError(f"{where}: expected integer(s) >= {minimum}, got {item!r}")
-        out.append(item)
-    if not out:
-        raise InputError(f"{where}: list must be non-empty")
-    return tuple(out)
-
-
-def _float_list(v, where, low=0.0, high=math.inf, open_low=True):
-    out = []
-    for item in _as_list(v):
-        if isinstance(item, bool) or not isinstance(item, (int, float)) \
-                or not math.isfinite(item):
-            raise InputError(f"{where}: expected finite number(s), got {item!r}")
-        x = float(item)
-        if x < low or x > high or (open_low and x == low):
-            raise InputError(f"{where}: value {x!r} out of range")
-        out.append(x)
-    if not out:
-        raise InputError(f"{where}: list must be non-empty")
-    return tuple(out)
-
-
-def _scalar(v, where, parse=_float_list, **limits):
-    """v's one value, read by parse; a list is refused, even of one value."""
-    vals = parse(v, where, **limits)
-    if len(vals) != 1 or isinstance(v, list):
+def _numbers(v, where, kind=float, low=0.0, high=math.inf, closed=False, single=False,
+             repeats=False):
+    """The numbers of v, a non-empty list (of distinct values unless repeats)
+    or one value: ints >= low (kind int), or finite floats in (low, high],
+    [low, high] if closed. single returns one value and refuses any list."""
+    if single and isinstance(v, list):
         raise InputError(f"{where}: expected a single number")
-    return vals[0]
+    out = []
+    for x in v if isinstance(v, list) else [v]:
+        if kind is int:
+            if isinstance(x, bool) or not isinstance(x, int) or x < low:
+                raise InputError(f"{where}: expected integer(s) >= {low}, got {x!r}")
+        elif isinstance(x, bool) or not isinstance(x, (int, float)) \
+                or not abs(x) <= sys.float_info.max:  # nan, inf, an int past the floats
+            raise InputError(f"{where}: expected finite number(s), got {x!r}")
+        elif not low <= x <= high or (x == low and not closed):
+            raise InputError(f"{where}: value {float(x)!r} out of range")
+        out.append(kind(x))
+    if not out:
+        raise InputError(f"{where}: list must be non-empty")
+    if not repeats and len(set(out)) < len(out):
+        raise InputError(f"{where}: values must be distinct, got {v!r}")
+    return out[0] if single else tuple(out)
 
 
 @dataclass(frozen=True)
@@ -242,7 +255,7 @@ def _parse_estimator(obj, where: str) -> EstimatorEntry:
         raise InputError(f"{where}: 'family' must be 'imq' or 'gaussian'")
     bandwidth = obj.get("bandwidth", "median")
     if bandwidth != "median":
-        bandwidth = _scalar(bandwidth, f"{where}.bandwidth")
+        bandwidth = _numbers(bandwidth, f"{where}.bandwidth", single=True)
 
     kw, key_of = {}, {}
     for key in (k for k in how.keys if k in obj):
@@ -266,16 +279,15 @@ def _grid(name, values) -> tuple:
 # one field are alternatives. A block without a grid key gets its id's first
 # one at _GRID_DEFAULTS; any other key left out keeps its field's default.
 _KEY_FIELDS = {
-    "lambdas": ("grid", lambda v, w: _grid("lam", _float_list(v, w))),
-    "fractions": ("grid", lambda v, w: _grid(
-        "fraction", _float_list(v, w, low=0.0, high=1.0))),
-    "iterations": ("grid", lambda v, w: _grid("t", _int_list(v, w))),
-    "tol": ("tol", _scalar),
-    "max_iter": ("max_iter", lambda v, w: _scalar(v, w, _int_list)),
-    "eta": ("eta", _scalar),
-    "nu": ("nu", lambda v, w: _scalar(v, w, low=1.0, open_low=False)),
-    "subset_size": ("subset", lambda v, w: _scalar(v, w, _int_list)),
-    "subset_fraction": ("subset", lambda v, w: _scalar(v, w, low=0.0, high=1.0)),
+    "lambdas": ("grid", lambda v, w: _grid("lam", _numbers(v, w))),
+    "fractions": ("grid", lambda v, w: _grid("fraction", _numbers(v, w, high=1.0))),
+    "iterations": ("grid", lambda v, w: _grid("t", _numbers(v, w, int, 1))),
+    "tol": ("tol", lambda v, w: _numbers(v, w, single=True)),
+    "max_iter": ("max_iter", lambda v, w: _numbers(v, w, int, 1, single=True)),
+    "eta": ("eta", lambda v, w: _numbers(v, w, single=True)),
+    "nu": ("nu", lambda v, w: _numbers(v, w, low=1.0, closed=True, single=True)),
+    "subset_size": ("subset", lambda v, w: _numbers(v, w, int, 1, single=True)),
+    "subset_fraction": ("subset", lambda v, w: _numbers(v, w, high=1.0, single=True)),
 }
 _GRID_DEFAULTS = {"lambdas": LAMBDA_GRID, "fractions": FRACTION_GRID,
                   "iterations": ITERATION_GRID}
@@ -293,38 +305,33 @@ class ExperimentConfig:
     mixture: MixtureDistribution = None
 
 
-_CONFIG_KEYS = ("distribution", "mixture_file", "dimensions", "sample_sizes",
-                "estimators", "seeds", "eval_size", "distribution_seed")
+# The numeric keys of a sweep config, all integers: (lower bound, single
+# value). A key left out keeps its ExperimentConfig default.
+_SWEEP_INTS = {"dimensions": (1, False), "sample_sizes": (1, False), "seeds": (0, False),
+               "eval_size": (1, True), "distribution_seed": (0, True)}
 
 
-def parse_experiment_config(data, base_dir: str = ".") -> ExperimentConfig:
-    """Validate a parsed config object. Unknown keys are hard errors."""
-    _check_config_root(data, _CONFIG_KEYS)
-
-    dist = data.get("distribution")
+def parse_experiment_config(data, base_dir: str = ".", _path=None) -> ExperimentConfig:
+    """Validate a parsed config object, or the JSON file at _path. Unknown
+    keys are hard errors."""
+    data = read_config("sweep", data, _path)
+    dist = data["distribution"]
     if dist not in ("grid", "gaussian", "mixture"):
         raise InputError("config: 'distribution' must be 'grid', 'gaussian' "
                          f"or 'mixture', got {dist!r}")
+    if ("mixture_file" in data) != (dist == "mixture"):
+        raise InputError("config: 'mixture_file' is given exactly when "
+                         "distribution is 'mixture'")
+    nums = {key: _numbers(data[key], f"config.{key}", int, low, single=single)
+            for key, (low, single) in _SWEEP_INTS.items() if key in data}
     mixture = None
     if dist == "mixture":
-        if "mixture_file" not in data:
-            raise InputError("config: distribution 'mixture' requires 'mixture_file'")
         mixture = load_mixture_file(_config_path(data, "mixture_file", base_dir))
-    elif "mixture_file" in data:
-        raise InputError("config: 'mixture_file' is only valid with "
-                         "distribution 'mixture'")
+        if any(d != mixture.dim for d in nums["dimensions"]):
+            raise InputError(f"config.dimensions: mixture file has d={mixture.dim}; "
+                             f"all dimensions must equal it")
 
-    for key in ("dimensions", "sample_sizes", "seeds"):
-        if key not in data:
-            raise InputError(f"config: missing required key {key!r}")
-    dims = _int_list(data["dimensions"], "config.dimensions")
-    if mixture is not None and any(d != mixture.dim for d in dims):
-        raise InputError(f"config.dimensions: mixture file has d={mixture.dim}; "
-                         f"all dimensions must equal it")
-    sizes = _int_list(data["sample_sizes"], "config.sample_sizes")
-    seeds = _int_list(data["seeds"], "config.seeds", minimum=0)
-
-    raw_ests = data.get("estimators")
+    raw_ests = data["estimators"]
     if not isinstance(raw_ests, list) or not raw_ests:
         raise InputError("config: 'estimators' must be a non-empty list")
     entries = tuple(_parse_estimator(e, f"config.estimators[{i}]")
@@ -332,49 +339,23 @@ def parse_experiment_config(data, base_dir: str = ".") -> ExperimentConfig:
     ids = [e.id for e in entries]
     if len(set(ids)) != len(ids):
         raise InputError("config.estimators: estimator ids must be unique")
-
-    eval_size = _scalar(data.get("eval_size", 1024), "config.eval_size", _int_list)
-    dseed = _scalar(data.get("distribution_seed", 0), "config.distribution_seed", _int_list,
-                    minimum=0)
-    return ExperimentConfig(distribution=dist, dimensions=dims,
-                            sample_sizes=sizes, estimators=entries,
-                            seeds=seeds, eval_size=eval_size,
-                            distribution_seed=dseed, mixture=mixture)
-
-
-def _load_json_object(path, what: str) -> dict:
-    """The JSON object in the UTF-8 file at path; what names the file in the
-    error a non-object root raises."""
-    try:
-        data = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: {what} root must be an object")
-    return data
+    return ExperimentConfig(distribution=dist, estimators=entries, mixture=mixture, **nums)
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    return parse_experiment_config(_load_json_object(path, "config"),
-                                   base_dir=os.path.dirname(str(path)))
-
-
-_MIXTURE_KEYS = ("means", "weights", "scale")
+    return parse_experiment_config(None, os.path.dirname(str(path)), _path=path)
 
 
 def load_mixture_file(path) -> MixtureDistribution:
     """JSON mixture description: means (list of rows), weights, scale."""
-    data = _load_json_object(path, "mixture file")
-    _check_keys(data, _MIXTURE_KEYS, str(path))
-    if "means" not in data or "weights" not in data:
-        raise InputError(f"{path}: mixture file needs 'means' and 'weights'")
+    data = read_config("mixture file", path=path)
     means = data["means"]
     rows = means if isinstance(means, list) and means and isinstance(means[0], list) else [means]
     try:
         return MixtureDistribution(
-            np.asarray([_float_list(r, "means", low=-math.inf, open_low=False) for r in rows]),
-            np.asarray(_float_list(data["weights"], "weights", open_low=False)),
-            scale=_scalar(data.get("scale", 1.0), "scale"))
+            np.asarray([_numbers(r, "means", low=-math.inf, repeats=True) for r in rows]),
+            np.asarray(_numbers(data["weights"], "weights", closed=True, repeats=True)),
+            scale=_numbers(data.get("scale", 1.0), "scale", single=True))
     except (InputError, TypeError, ValueError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -590,17 +571,16 @@ def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec)
                 reason = _reason(exc)
             yield i, _Cell(reason=reason, fit_ms=_now_ms() - t0), est
         return
-    ts = [params["t"] for _, params in entry.grid]
-    uniq = sorted(set(ts))
+    ts = sorted(params["t"] for _, params in entry.grid)  # distinct (_numbers)
     t0, reason = _now_ms(), ""
     try:
-        path = how.path(problem, entry, spec, uniq)
+        path = how.path(problem, entry, spec, ts)
     except _CONTRACT_ERRORS as exc:
-        path, reason = [None] * len(uniq), _reason(exc)
+        path, reason = [None] * len(ts), _reason(exc)
     ms = _now_ms() - t0
-    by_t = dict(zip(uniq, path))
-    for i, t in enumerate(ts):
-        yield i, _Cell(reason=reason, fit_ms=ms), by_t[t]
+    by_t = dict(zip(ts, path))
+    for i, (_, params) in enumerate(entry.grid):
+        yield i, _Cell(reason=reason, fit_ms=ms), by_t[params["t"]]
 
 
 def _run_cell_group(problem: _Problem, entry: EstimatorEntry, dist, Q, truth) -> list:

@@ -14,13 +14,12 @@ from dataclasses import replace
 from .atomic import atomic_open
 from .bench import (
     REGISTRY,
-    _check_config_root,
     _config_path,
-    _load_json_object,
     _parse_estimator,
     _Problem,
     emit_plot,
     load_experiment_config,
+    read_config,
     run_convergence_experiment,
     run_grid_experiment,
 )
@@ -36,14 +35,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _command_config(args, required, optional=()):
-    """The subcommand's JSON config, checked by bench._check_config_root and
-    holding every required key, and path(key): bench._config_path of the
-    file named under key."""
-    data = _load_json_object(args.config, "config")
-    _check_config_root(data, required + optional)
-    if any(key not in data for key in required):
-        raise InputError(f"config: {args.command} needs {' and '.join(map(repr, required))}")
+def _command_config(args):
+    """The subcommand's JSON config, read by bench.read_config, and
+    path(key): bench._config_path of the file named under key."""
+    data = read_config(args.command, path=args.config)
     return data, lambda key: _config_path(data, key, os.path.dirname(args.config))
 
 
@@ -52,7 +47,7 @@ def _command_config(args, required, optional=()):
 # ======================================================================
 
 def _cmd_fit(args) -> None:
-    data, path = _command_config(args, ("samples", "estimator"))
+    data, path = _command_config(args)
     X = load_samples_csv(path("samples"))
     entry = _parse_estimator(data["estimator"], "config.estimator")
     fit = REGISTRY[entry.id].fit
@@ -72,7 +67,7 @@ def _cmd_fit(args) -> None:
 # ======================================================================
 
 def _cmd_predict(args) -> None:
-    data, path = _command_config(args, ("estimator", "queries"))
+    data, path = _command_config(args)
     est = load_estimator(path("estimator"))
     Q = load_samples_csv(path("queries"))
     scores = predict(est, Q)
@@ -85,9 +80,7 @@ def _cmd_predict(args) -> None:
 
 def _experiment_config(args):
     cfg = load_experiment_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seeds=(args.seed,))
-    return cfg
+    return cfg if args.seed is None else replace(cfg, seeds=(args.seed,))
 
 
 def _cmd_grid_exp(args) -> None:
@@ -99,14 +92,14 @@ def _cmd_conv_exp(args) -> None:
 
 
 def _cmd_plot(args) -> None:
-    data, path = _command_config(args, ("input",), ("x", "log_x", "log_y", "title"))
-    for key in ("log_x", "log_y"):
-        if key in data and not isinstance(data[key], bool):
-            raise InputError(f"config.{key}: expected true or false")
-    if not isinstance(data.get("title", ""), str):
-        raise InputError("config.title: expected a string")
-    svg = emit_plot(path("input"), x_field=data.get("x", "M"), log_x=data.get("log_x", False),
-                    log_y=data.get("log_y", False), title=data.get("title", ""))
+    data, path = _command_config(args)
+    opts = {"x_field": data.get("x", "M")}
+    for key, default in (("log_x", False), ("log_y", False), ("title", "")):
+        opts[key] = data.get(key, default)
+        if type(opts[key]) is not type(default):
+            want = "a string" if key == "title" else "true or false"
+            raise InputError(f"config.{key}: expected {want}")
+    svg = emit_plot(path("input"), **opts)
     with atomic_open(args.out, "w", newline="") as f:
         f.write(svg)
 

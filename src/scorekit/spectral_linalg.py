@@ -186,9 +186,9 @@ def solve_spd(A: np.ndarray, b: np.ndarray, shift: float = 0.0,
     b may be a vector or an (n, k) block of right-hand sides. Every result
     meets the relative residual SPD_RESIDUAL_TOL. A start x0 (shaped like b)
     that is finite and already meets it is returned after one product with
-    A, without a factorization. Otherwise a private copy of A is shifted,
-    factored by Cholesky and the solution refined; failure to reach the
-    residual (or a failed factorization) raises NumericError with a
+    A, without a factorization. Otherwise one private copy of A is shifted,
+    factored by Cholesky in place and the solution refined against A; a
+    failure to reach the residual (or to factor) raises NumericError with a
     condition estimate from the Cholesky diagonal. A is never modified.
     """
     A = np.asarray(A, dtype=np.float64)
@@ -212,16 +212,16 @@ def solve_spd(A: np.ndarray, b: np.ndarray, shift: float = 0.0,
             r = b - (A @ x0 + shift * x0)
             if float(np.linalg.norm(r)) / nb <= SPD_RESIDUAL_TOL:
                 return x0
-    if shift != 0.0:
-        A = A + 0.0  # private copy: the caller's A is often a shared Gram
-        A[np.diag_indices_from(A)] += shift
+    # one private copy, in the order LAPACK reads: the caller's A is often a shared Gram
+    F = np.array(A, order="F")
+    F[np.diag_indices_from(F)] += shift
     try:
-        cf = scipy.linalg.cho_factor(A, check_finite=True)
+        cf = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=True)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"Cholesky factorization failed: {exc}") from exc
     x = scipy.linalg.cho_solve(cf, b, check_finite=False)
     for step in range(3):  # the solve, then at most two refinements
-        r = b - A @ x
+        r = b - (A @ x + shift * x)
         rel = float(np.linalg.norm(r)) / nb
         if rel <= SPD_RESIDUAL_TOL:
             return x

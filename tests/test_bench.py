@@ -153,6 +153,39 @@ class TestConfigValidation:
             with pytest.raises(InputError, match=f"config.{key}: expected a single number"):
                 parse_experiment_config(base_config(**{key: bad}))
 
+    def test_in_memory_root_must_be_an_object(self):
+        for data in ([], "config.json", None):
+            with pytest.raises(InputError) as info:
+                parse_experiment_config(data)
+            assert str(info.value) == "config root must be an object"
+
+    def test_missing_keys_share_one_wording(self):
+        data = base_config()
+        del data["seeds"], data["estimators"]
+        with pytest.raises(InputError) as info:
+            parse_experiment_config(data)
+        assert str(info.value) == "config: missing required key(s) 'seeds', 'estimators'"
+
+    @pytest.mark.parametrize("key", ["dimensions", "sample_sizes", "seeds"])
+    def test_repeated_values_are_refused(self, key):
+        with pytest.raises(InputError, match=f"config.{key}: values must be distinct"):
+            parse_experiment_config(base_config(**{key: [2, 3, 2]}))
+
+    def test_mixture_file_keeps_repeated_values(self, tmp_path):
+        (tmp_path / "mix.json").write_text(json.dumps(
+            {"means": [[0.5, 0.5], [0.5, 0.5]], "weights": [0.5, 0.5]}))
+        mix = load_mixture_file(tmp_path / "mix.json")
+        assert np.array_equal(mix.means, [[0.5, 0.5], [0.5, 0.5]])
+        assert np.array_equal(mix.weights, [0.5, 0.5])
+
+    def test_n_ok_counts_distinct_seeds(self):
+        est = [{"id": "tikhonov", "kind": "diagonal", "lambdas": [0.1]}]
+        with pytest.raises(InputError, match="config.seeds: values must be distinct"):
+            parse_experiment_config(base_config(seeds=[0, 0], estimators=est))
+        rows = run_grid_rows(parse_experiment_config(base_config(seeds=[0, 1], estimators=est)))
+        assert [(r.hyperparams, r.seed) for r in rows] == [("lam=0.1", 0), ("lam=0.1", 1)]
+        assert [s.n_ok for s in summarize(rows)] == [2]
+
 
 class TestEstimatorEntryValidation:
 
@@ -199,6 +232,19 @@ class TestEstimatorEntryValidation:
     def test_negative_lambda(self):
         with pytest.raises(InputError):
             self.entry(id="tikhonov", lambdas=[0.1, -0.1])
+
+    @pytest.mark.parametrize("id_, key, values", [
+        ("tikhonov", "lambdas", [0.1, 0.01, 0.1]),
+        ("spectral_cutoff", "fractions", [0.5, 0.5]),
+        ("nu_method", "iterations", [5, 10, 5]),
+    ])
+    def test_repeated_grid_values_are_refused(self, id_, key, values):
+        with pytest.raises(InputError, match=fr"estimators\[0\]\.{key}: values must be distinct"):
+            self.entry(id=id_, **{key: values})
+
+    def test_an_integer_past_the_float_range_is_an_input_error(self):
+        with pytest.raises(InputError, match="lambdas: expected finite number"):
+            self.entry(id="tikhonov", lambdas=[10 ** 400])
 
     def test_duplicate_ids_rejected(self):
         ests = [{"id": "tikhonov", "kind": "diagonal"},

@@ -212,6 +212,7 @@ class TestConfigRoot:
                      "seeds": [0], "eval_size": 8, "estimators": [{"id": "oracle"}]},
         "plot": {"input": "rows.summary.csv"},
     }
+    CONFIGS["conv-exp"] = CONFIGS["grid-exp"]
     MESSAGE = "config: 'schema_version' must be 1, got 2"
 
     @pytest.mark.parametrize("command", sorted(CONFIGS))
@@ -247,6 +248,45 @@ class TestConfigRoot:
         assert main(["plot", "--config", cfg, "--out", str(tmp_path / "p.svg")]) == 1
         assert "config.title" in capsys.readouterr().err
         assert not (tmp_path / "p.svg").exists()
+
+
+class TestOneReader:
+    """bench.read_config reads every JSON file kind: a non-object root, an
+    unknown key and a missing required key are each one error that names
+    the file once."""
+
+    MIXTURE = {"means": [[0.0, 0.0]], "weights": [1.0]}
+    FAULTS = {
+        "root": lambda data, required: [data],
+        "unknown key": lambda data, required: dict(data, extra=1),
+        "missing key": lambda data, required: {k: v for k, v in data.items() if k != required},
+    }
+    REQUIRED = {"fit": "samples", "predict": "queries", "grid-exp": "seeds",
+                "conv-exp": "sample_sizes", "plot": "input"}
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    @pytest.mark.parametrize("command", sorted(TestConfigRoot.CONFIGS))
+    def test_a_config_file_fault_names_it_once(self, tmp_path, capsys, command, fault):
+        data = dict(TestConfigRoot.CONFIGS[command], schema_version=1)
+        cfg = write_json(tmp_path / "c.json", self.FAULTS[fault](data, self.REQUIRED[command]))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scorekit: error: {cfg}: ") and err.count(cfg) == 1
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_a_mixture_file_fault_names_it_once(self, tmp_path, fault):
+        path = write_json(tmp_path / "mix.json", self.FAULTS[fault](self.MIXTURE, "weights"))
+        with pytest.raises(InputError) as info:
+            bench.load_mixture_file(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: mixture file") and message.count(path) == 1
+
+    def test_missing_keys_of_a_cli_config_share_the_sweep_wording(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "c.json", {"schema_version": 1})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"scorekit: error: {cfg}: config: missing required key(s) 'samples', 'estimator'\n")
 
 
 class TestExperimentCommands:

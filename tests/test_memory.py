@@ -26,7 +26,7 @@ from scorekit.bench import parse_experiment_config, run_grid_rows
 from scorekit.cli import main
 from scorekit.errors import InputError
 from scorekit.kernels import query_tables
-from scorekit.spectral_linalg import TridiagonalEigen
+from scorekit.spectral_linalg import SPD_RESIDUAL_TOL, TridiagonalEigen, solve_spd
 
 from helpers import peak_bytes
 
@@ -187,3 +187,19 @@ def test_d1_implicit_gram_holds_one_table(family):
     assert peak_bytes(build_two) < 5.5 * (M * 8) * M
     ref = assemble_gram(spec, X).matvec(b)
     assert np.abs(grams[0].matvec(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_solve_spd_holds_one_shifted_copy():
+    """A shifted solve without a start held A + shift I in C order and
+    cho_factor's Fortran copy of it, two matrices of A's size; it shifts and
+    factors one Fortran-ordered copy and refines against A itself."""
+    n = 1024
+    rng = np.random.default_rng(0)
+    B = rng.normal(size=(n, n))
+    A = B @ B.T / n
+    A_before, b, shift = A.copy(), rng.normal(size=n), 1.0
+    out = []
+    assert peak_bytes(lambda: out.append(solve_spd(A, b, shift=shift))) <= 1.25 * (n * 8) * n
+    r = b - (A @ out[0] + shift * out[0])
+    assert np.linalg.norm(r) <= SPD_RESIDUAL_TOL * np.linalg.norm(b)
+    assert np.array_equal(A, A_before)
