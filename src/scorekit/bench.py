@@ -12,9 +12,9 @@ The sweep runs one problem (d, M, seed) at a time; `threads` > 1 runs that
 many problems at once. Work that depends on neither lam nor the scheme is
 done once per problem and dropped when the problem ends: the draws X and
 Q, the true scores at Q, the median bandwidth, one Gram per kernel spec
-(in the form assemble_gram picks) with its h and eigensystem, zeta(Q) and
-the radial tables K(Q, X) from one sq_dists per spec for every fit whose
-basis is the sample set, and the lam-independent Nystrom blocks. These
+(in the form assemble_gram picks) with its h and eigensystem, the radial
+tables K(Q, B) from one sq_dists per spec and basis B (the samples, with
+zeta(Q), or a Nystrom subset), and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
 changes no row. The curl-free Tikhonov and Tikhonov-CG grids and the
 nu-method path are different. One KrylovBasis of K and h, over the Gram of
@@ -192,15 +192,15 @@ def _config_path(data, key, base_dir) -> str:
 def _numbers(v, where, kind=float, low=0.0, high=math.inf, closed=False, single=False,
              repeats=False):
     """The numbers of v, a non-empty list (of distinct values unless repeats)
-    or one value: ints >= low (kind int), or finite floats in (low, high],
+    or one value: ints in [low, high] (kind int), or finite floats in (low, high],
     [low, high] if closed. single returns one value and refuses any list."""
     if single and isinstance(v, list):
         raise InputError(f"{where}: expected a single number")
     out = []
     for x in v if isinstance(v, list) else [v]:
         if kind is int:
-            if isinstance(x, bool) or not isinstance(x, int) or x < low:
-                raise InputError(f"{where}: expected integer(s) >= {low}, got {x!r}")
+            if isinstance(x, bool) or not isinstance(x, int) or not low <= x <= high:
+                raise InputError(f"{where}: expected integer(s) in [{low}, {high}], got {x!r}")
         elif isinstance(x, bool) or not isinstance(x, (int, float)) \
                 or not abs(x) <= sys.float_info.max:  # nan, inf, an int past the floats
             raise InputError(f"{where}: expected finite number(s), got {x!r}")
@@ -305,10 +305,15 @@ class ExperimentConfig:
     mixture: MixtureDistribution = None
 
 
-# The numeric keys of a sweep config, all integers: (lower bound, single
-# value). A key left out keeps its ExperimentConfig default.
-_SWEEP_INTS = {"dimensions": (1, False), "sample_sizes": (1, False), "seeds": (0, False),
-               "eval_size": (1, True), "distribution_seed": (0, True)}
+# The numeric keys of a sweep config, all integers: (lower bound, upper bound,
+# single value); a key left out keeps its ExperimentConfig default. A size <=
+# _MAX_SIZE keeps an array of two sizes (M x d, eval_size x M, ...) under 2**59
+# bytes, so a sweep too big for memory fails its rows with MemoryError, not
+# numpy's OverflowError or ValueError on the shape.
+_MAX_SIZE = 2 ** 28
+_SWEEP_INTS = {"dimensions": (1, _MAX_SIZE, False), "sample_sizes": (1, _MAX_SIZE, False),
+               "seeds": (0, math.inf, False), "eval_size": (1, _MAX_SIZE, True),
+               "distribution_seed": (0, math.inf, True)}
 
 
 def parse_experiment_config(data, base_dir: str = ".", _path=None) -> ExperimentConfig:
@@ -322,8 +327,8 @@ def parse_experiment_config(data, base_dir: str = ".", _path=None) -> Experiment
     if ("mixture_file" in data) != (dist == "mixture"):
         raise InputError("config: 'mixture_file' is given exactly when "
                          "distribution is 'mixture'")
-    nums = {key: _numbers(data[key], f"config.{key}", int, low, single=single)
-            for key, (low, single) in _SWEEP_INTS.items() if key in data}
+    nums = {key: _numbers(data[key], f"config.{key}", int, low, high, single=single)
+            for key, (low, high, single) in _SWEEP_INTS.items() if key in data}
     mixture = None
     if dist == "mixture":
         mixture = load_mixture_file(_config_path(data, "mixture_file", base_dir))
@@ -601,9 +606,9 @@ def _run_cell_group(problem: _Problem, entry: EstimatorEntry, dist, Q, truth) ->
             continue
         t0 = _now_ms()
         try:
-            # a Nystrom fit's basis is a subset, not the samples
-            shared = None if est.subset_indices is not None else problem._once(
-                ("query", spec), lambda: query_tables(spec, Q, problem.X))
+            idx = est.subset_indices  # one entry per basis: the samples, or a subset (a = 0)
+            shared = problem._once(("query", spec, None if idx is None else idx.tobytes()),
+                                   lambda: query_tables(spec, Q, est.basis, zeta=idx is None))
             pred = predict(est, Q, _shared=shared)
             cell.error = _mean_error(truth, pred, problem.d)
         except _CONTRACT_ERRORS as exc:

@@ -163,33 +163,34 @@ def nu_coefficients(t: int, nu: float):
 # ======================================================================
 
 class FittedScoreEstimator:
-    """Immutable fitted state; predictions are a * zeta(x) + K_{x,basis} c."""
+    """Immutable fitted state; predictions are a * zeta(x) + K_{x,basis} c with
+    a = _scheme_offset(scheme), which must be 0 over a subset basis."""
 
     __slots__ = ("kernel", "samples", "basis", "subset_indices", "coeffs",
                  "offset", "scheme", "meta")
 
-    def __init__(self, kernel, samples, coeffs, offset, scheme,
-                 subset_indices=None, meta=None):
+    def __init__(self, kernel, samples, coeffs, scheme, subset_indices=None, meta=None):
         X = as_samples(samples).copy()
         X.setflags(write=False)
-        object.__setattr__(self, "kernel", kernel)
-        object.__setattr__(self, "samples", X)
-        if subset_indices is None:
-            basis = X
-            idx = None
-        else:
-            idx = np.asarray(subset_indices, dtype=np.int64)
+        offset = _scheme_offset(scheme)
+        basis, idx = X, None
+        if subset_indices is not None:
+            if offset != 0.0:
+                raise InputError(f"a subset basis carries no zeta term, but the "
+                                 f"{type(scheme).__name__} scheme defines a = {offset!r}")
+            idx = _subset_index(subset_indices, X.shape[0])
             basis = np.ascontiguousarray(X[idx])
             basis.setflags(write=False)
-        object.__setattr__(self, "subset_indices", idx)
-        object.__setattr__(self, "basis", basis)
-        C = np.asarray(coeffs, dtype=np.float64).reshape(basis.shape)
-        C = C.copy()
+        C = np.array(coeffs, dtype=np.float64)
+        if C.size != basis.size:
+            raise InputError(f"{C.size} coefficients for {basis.shape[0]} basis points "
+                             f"in {basis.shape[1]} dimensions, which take {basis.size}")
+        C = C.reshape(basis.shape)
         C.setflags(write=False)
-        object.__setattr__(self, "coeffs", C)
-        object.__setattr__(self, "offset", float(offset))
-        object.__setattr__(self, "scheme", scheme)
-        object.__setattr__(self, "meta", dict(meta or {}))
+        for name, value in (("kernel", kernel), ("samples", X), ("basis", basis),
+                            ("subset_indices", idx), ("coeffs", C), ("offset", offset),
+                            ("scheme", scheme), ("meta", dict(meta or {}))):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("FittedScoreEstimator is immutable")
@@ -208,20 +209,19 @@ class FittedScoreEstimator:
 def predict(est: FittedScoreEstimator, queries, _shared=None) -> np.ndarray:
     """Evaluate the fitted score field at each query row.
 
-    Rows go in chunks of max(1, BLOCK_ENTRIES // N), N the columns of U
-    (samples if the offset is nonzero, else the basis), each read from one
-    query_tables call, which fills it as one block. _shared, when given, is
-    query_tables(est.kernel, queries, est.samples), built once by a caller
-    predicting several fits on one problem; it stands in for the chunks."""
+    Rows go in chunks of max(1, BLOCK_ENTRIES // N), N the basis points,
+    each read from one query_tables call over the basis, which fills it as
+    one block; zeta is computed only where a != 0, and then the basis is the
+    sample set. _shared, when given, is query_tables(est.kernel, queries,
+    est.basis), built once by a caller predicting several fits on one
+    basis; it stands in for the chunks."""
     Q = _as_queries(np.atleast_2d(np.asarray(queries, dtype=np.float64)), est.dim)
     with_zeta = est.offset != 0.0
-    X = est.samples if with_zeta else est.basis
-    subset = est.subset_indices if with_zeta else None
-    step = max(1, Q.shape[0] if _shared else BLOCK_ENTRIES // X.shape[0])
+    step = max(1, Q.shape[0] if _shared else BLOCK_ENTRIES // est.basis.shape[0])
     out = np.empty_like(Q)
     for lo in range(0, Q.shape[0], step):
         q = Q[lo:lo + step]
-        z, tables = _shared or query_tables(est.kernel, q, X, subset, zeta=with_zeta)
+        z, tables = _shared or query_tables(est.kernel, q, est.basis, zeta=with_zeta)
         part = cross_apply(est.kernel, q, est.basis, est.coeffs, _tables=tables)
         out[lo:lo + step] = est.offset * z + part if with_zeta else part
     if not np.all(np.isfinite(out)):
@@ -324,7 +324,7 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
         C = solve_spd(G, b, shift=M * lam, x0=None if x0 is None else x0.reshape(b.shape))
     except NumericError as exc:
         raise FitError(f"tikhonov solve failed: {exc}") from exc
-    return FittedScoreEstimator(spec, X, C, _scheme_offset(scheme), scheme, meta={"mode": "dense"})
+    return FittedScoreEstimator(spec, X, C, scheme, meta={"mode": "dense"})
 
 
 def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e-4,
@@ -366,7 +366,7 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
         meta["warnings"] = [
             f"CG stopped at relative residual {rep.residual:.3e} after "
             f"{rep.iterations} iterations (target {tol:.1e})"]
-    return FittedScoreEstimator(spec, X, c, _scheme_offset(scheme), scheme, meta=meta)
+    return FittedScoreEstimator(spec, X, c, scheme, meta=meta)
 
 
 def _galerkin_iterate(gram, h, lam, tol, max_iter, krylov):
@@ -401,7 +401,7 @@ def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
     w = np.zeros_like(s)
     w[mask] = weight_of_sig(s[mask])
     C = -eig.lift(w[:, None] * Y)
-    return FittedScoreEstimator(spec, X, C, _scheme_offset(scheme), scheme, meta=meta)
+    return FittedScoreEstimator(spec, X, C, scheme, meta=meta)
 
 
 def fit_truncated_tikhonov(samples, spec: MatrixKernelSpec, lam: float,
@@ -496,7 +496,7 @@ def _semi_iterative(X, spec, ts, gram, weights, scheme, what, meta=None, _krylov
         if not (np.isfinite(a) and np.all(np.isfinite(c_cur))):
             raise NumericError(f"{what} recursion diverged at iteration {tau}")
         if tau in ts:
-            out.append(FittedScoreEstimator(spec, X, lift(c_cur), a, s, meta=meta))
+            out.append(FittedScoreEstimator(spec, X, lift(c_cur), s, meta=meta))
     return out
 
 
@@ -581,9 +581,8 @@ def fit_nu_method(samples, spec: MatrixKernelSpec, nu: float = 1.0, t: int = Non
 _NYSTROM_JITTERS = (1e-12, 1e-10, 1e-8)
 
 
-def _subset_building_blocks(samples, subset_indices, spec):
-    X = as_samples(samples)
-    M, d = X.shape
+def _subset_index(subset_indices, M: int) -> np.ndarray:
+    """subset_indices as at least one distinct int64 index into M samples."""
     idx = np.asarray(subset_indices, dtype=np.int64).ravel()
     if idx.size == 0:
         raise InputError("subset must be non-empty")
@@ -591,6 +590,13 @@ def _subset_building_blocks(samples, subset_indices, spec):
         raise InputError(f"subset indices out of range [0, {M})")
     if np.unique(idx).size != idx.size:
         raise InputError("subset indices contain duplicates")
+    return idx
+
+
+def _subset_building_blocks(samples, subset_indices, spec):
+    X = as_samples(samples)
+    M, d = X.shape
+    idx = _subset_index(subset_indices, M)
     Z = np.ascontiguousarray(X[idx])
     N = idx.size
     if _matrix_free(spec, N, d):
@@ -654,8 +660,7 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
         if c is None:
             raise FitError(f"subset Gram is numerically singular: {last_err}")
         meta = {"subset_size": idx.size, "jitter": shift}
-        return FittedScoreEstimator(spec, X, c, _scheme_offset(scheme), scheme,
-                                    subset_indices=idx, meta=meta)
+        return FittedScoreEstimator(spec, X, c, scheme, subset_indices=idx, meta=meta)
 
     if isinstance(scheme, SpectralCutoff):
         if scheme.lam is None:
@@ -685,8 +690,7 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
     c = -(P @ y)
     meta = {"subset_size": idx.size,
             "subset_rank": int(zmask.sum()) * h_Z.shape[1]}
-    return FittedScoreEstimator(spec, X, c, _scheme_offset(scheme), scheme,
-                                subset_indices=idx, meta=meta)
+    return FittedScoreEstimator(spec, X, c, scheme, subset_indices=idx, meta=meta)
 
 
 # ======================================================================
@@ -711,17 +715,16 @@ def recover_log_density(est: FittedScoreEstimator, query) -> float:
 
 
 def _potential_at(est, pts: np.ndarray) -> np.ndarray:
+    # one distance table: the basis is the sample set wherever a != 0
     k = est.kernel.scalar
     B, C = est.basis, est.coeffs
-    Ub = sq_dists(pts, B)
-    S = pts @ C.T
+    U = sq_dists(pts, B)
+    P1 = k.dphi(U)
     t = np.einsum("ij,ij->i", B, C)
-    psi_c = -2.0 * np.sum(k.dphi(Ub) * (S - t[None, :]), axis=1)
+    psi_c = -2.0 * np.sum(P1 * (pts @ C.T - t[None, :]), axis=1)
     if est.offset == 0.0:
         return psi_c
-    d = est.dim
-    Us = sq_dists(pts, est.samples)
-    Gfun = 2.0 * d * k.dphi(Us) + 4.0 * Us * k.d2phi(Us)
+    Gfun = 2.0 * est.dim * P1 + 4.0 * U * k.d2phi(U)
     return est.offset * Gfun.mean(axis=1) + psi_c
 
 
@@ -827,17 +830,12 @@ def _decode_estimator(raw: bytes) -> FittedScoreEstimator:
     offset, M, d, N, flags = struct.unpack("<dIIIQ", take(28))
     if flags & ~1:
         raise InputError(f"unknown flag bits {flags & ~1:#x} in estimator file")
-    subset = bool(flags & 1)
-    if N > M or N < 1 or (N != M and not subset):
-        raise InputError(f"basis size N={N} does not fit M={M} samples"
-                         + ("" if subset else " without a subset"))
-    samples = np.frombuffer(take(8 * M * d), dtype="<f8").reshape(M, d).copy()
+    # the sizes, the subset indices and the basis are the constructor's to check
+    samples = np.frombuffer(take(8 * M * d), dtype="<f8").reshape(M, d)
     idx = None
-    if subset:
+    if flags & 1:
         idx = np.frombuffer(take(4 * N), dtype="<u4").astype(np.int64)
-        if idx.max() >= M or np.unique(idx).size != N:
-            raise InputError(f"subset indices out of range [0, {M}) or duplicated")
-    coeffs = np.frombuffer(take(8 * N * d), dtype="<f8").reshape(N, d).copy()
+    coeffs = np.frombuffer(take(8 * N * d), dtype="<f8").reshape(N, d)
     if len(view) != 0:
         raise InputError("trailing bytes in estimator file")
     if not (np.all(np.isfinite(params)) and np.isfinite(offset)
@@ -846,11 +844,10 @@ def _decode_estimator(raw: bytes) -> FittedScoreEstimator:
                          "samples or coefficients")
     spec = MatrixKernelSpec(KINDS[kind], ScalarRadialKernel(FAMILIES[fam], bw))
     scheme = _scheme_from_code(code, params)
-    # files saved before the closed form hold a nu-method a_t from the old
-    # recursion, which drifts from it by up to 1e-9 relative at t = 2e5
+    # the stored a is checked, not used; files saved before the closed form hold
+    # a nu-method a_t from the old recursion, up to 1e-9 relative off at t = 2e5
     expected = _scheme_offset(scheme)
     if not (np.isfinite(expected) and abs(offset - expected) <= 1e-6 * abs(expected)):
         raise InputError(f"offset {offset!r} contradicts the {type(scheme).__name__} "
                          f"scheme, which defines {expected!r}")
-    return FittedScoreEstimator(spec, samples, coeffs, offset, scheme,
-                                subset_indices=idx)
+    return FittedScoreEstimator(spec, samples, coeffs, scheme, subset_indices=idx)

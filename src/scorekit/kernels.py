@@ -169,16 +169,16 @@ def scalar_gram(kernel: ScalarRadialKernel, X: np.ndarray, Y: np.ndarray = None)
 # query tables and the divergence field zeta
 # ======================================================================
 
-def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
-                 zeta: bool = True, cross: bool = True, _out=None) -> tuple:
+def query_tables(spec: MatrixKernelSpec, queries, samples, zeta: bool = True,
+                 cross: bool = True, _out=None) -> tuple:
     """(z, tables) from one U = sq_dists(queries, samples), phi'' shared.
 
     z is zeta_batch(spec, samples, queries) if zeta; tables, if cross, are
-    what cross_apply reads over the basis samples[subset] (all samples if
-    subset is None): (phi(U),) diagonal, (phi'(U), phi''(U)) curl-free at
-    d > 1 and, at d = 1, where the curl-free kernel is the scalar
-    -2 phi'(u) - 4 phi''(u) u, the one table (-2 phi'(U) - 4 phi''(U) U,).
-    _out, a tuple of arrays shaped as the tables, receives them.
+    what cross_apply reads over the basis samples: (phi(U),) diagonal,
+    (phi'(U), phi''(U)) curl-free at d > 1 and, at d = 1, where the
+    curl-free kernel is the scalar -2 phi'(u) - 4 phi''(u) u, the one table
+    (-2 phi'(U) - 4 phi''(U) U,). _out, a tuple of arrays shaped as the
+    tables, receives them.
 
     Only z and the tables are allocated whole. They are filled in blocks of
     query rows through work arrays of one block, allocated once and reused
@@ -195,8 +195,7 @@ def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
     z = np.empty((Q, d)) if zeta else None
     tables = None
     if cross:
-        N = M if subset is None else len(subset)
-        tables = _out or tuple(np.empty((Q, N)) for _ in range(2 if curl and d > 1 else 1))
+        tables = _out or tuple(np.empty((Q, M)) for _ in range(2 if curl and d > 1 else 1))
     step = max(1, Q) if Q * M <= BLOCK_ENTRIES else max(8, BLOCK_ENTRIES // M // 8 * 8)
 
     def work(needed):
@@ -204,7 +203,7 @@ def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
     U_w, W_w = work(True), work(zeta)
     T_w = work(curl and (zeta or d == 1))
     # phi'' is written straight into its output table when there is one
-    P2_w = work(curl and (not cross or subset is not None))
+    P2_w = work(curl and not cross)
     for lo in range(0, Q, step):
         hi = min(lo + step, Q)
         n = hi - lo
@@ -227,22 +226,17 @@ def query_tables(spec: MatrixKernelSpec, queries, samples, subset=None,
             zq -= W.sum(axis=1)[:, None] * queries[lo:hi]
         if not cross:
             continue
-        B = U if subset is None else U[:, subset]
         if p2 is None:
-            k.phi(B, out=tables[0][lo:hi])
-            continue
-        P2 = tables[-1][lo:hi]
-        if subset is not None:
-            P2[...] = p2[:, subset]
-        if d > 1:
-            k.dphi(B, out=tables[0][lo:hi])
-            continue
-        # in place over phi'', which zeta has read
-        P2 *= B
-        P2 *= -4.0
-        P1 = k.dphi(B, out=T_w[:n, :B.shape[1]])
-        P1 *= 2.0
-        P2 -= P1
+            k.phi(U, out=tables[0][lo:hi])
+        elif d > 1:
+            k.dphi(U, out=tables[0][lo:hi])
+        else:
+            # in place over phi'', which zeta has read
+            p2 *= U
+            p2 *= -4.0
+            P1 = k.dphi(U, out=T_w[:n])
+            P1 *= 2.0
+            p2 -= P1
     return z, tables
 
 

@@ -37,8 +37,8 @@ CORRUPT = [
     ("N > M without subset", pack(M=3, N=4)),
     ("N != M without subset", pack(M=3, N=2)),
     ("N = 0", pack(M=3, N=0, flags=1, idx=[])),
-    ("subset index out of range", pack(M=3, N=2, flags=1, idx=[0, 3])),
-    ("duplicate subset index", pack(M=3, N=2, flags=1, idx=[1, 1])),
+    ("subset index out of range", pack(code=2, offset=0.0, M=3, N=2, flags=1, idx=[0, 3])),
+    ("duplicate subset index", pack(code=2, offset=0.0, M=3, N=2, flags=1, idx=[1, 1])),
     ("unknown flag bit", pack(flags=2)),
     ("high flag bit", pack(flags=1 << 63)),
     ("nan sample", pack(samples=[0.0, 1.0, np.nan, 2.0, 3.0, 4.0])),
@@ -56,4 +56,11 @@ CORRUPT = [
     ("landweber offset", pack(code=4, params=(0.5, 3.0), offset=12345.0)),
     ("nu-method offset", pack(code=5, params=(1.0, 3.0), offset=12345.0)),
     ("nu-method offset of another t", pack(code=5, params=(1.0, 3.0), offset=-3.2)),
+    # a subset basis carries no zeta term, so a scheme that defines one is
+    # refused with its own offset
+    ("tikhonov subset", pack(M=3, N=2, flags=1, idx=[2, 0])),
+    ("landweber subset", pack(code=4, params=(0.5, 3.0), offset=-1.5, M=3, N=2,
+                              flags=1, idx=[2, 0])),
+    ("nu-method subset", pack(code=5, params=(1.0, 3.0), offset=-6.0, M=3, N=2,
+                              flags=1, idx=[2, 0])),
 ]

@@ -336,8 +336,8 @@ def all_rules(rules):
     return lambda alpha, beta: all([rule(alpha, beta) for rule in rules])
 
 
-def query_tables_whole(spec: MatrixKernelSpec, queries, samples, subset=None,
-                       zeta: bool = True, cross: bool = True) -> tuple:
+def query_tables_whole(spec: MatrixKernelSpec, queries, samples, zeta: bool = True,
+                       cross: bool = True) -> tuple:
     """kernels.query_tables as one whole-array pass: U = sq_dists(queries,
     samples) and every radial table Q x M at once, out of place."""
     M, d = samples.shape
@@ -355,13 +355,11 @@ def query_tables_whole(spec: MatrixKernelSpec, queries, samples, subset=None,
         z = W @ samples - W.sum(axis=1)[:, None] * queries
     if not cross:
         return z, None
-    B = U if subset is None else U[:, subset]
     if p2 is None:
-        return z, (k.phi(B),)
-    P2 = p2 if subset is None else p2[:, subset]
+        return z, (k.phi(U),)
     if d > 1:
-        return z, (k.dphi(B), P2)
-    return z, (P2 * B * -4.0 - 2.0 * k.dphi(B),)
+        return z, (k.dphi(U), p2)
+    return z, (p2 * U * -4.0 - 2.0 * k.dphi(U),)
 
 
 def galerkin_replay(basis, shift: float, target: float, scale: float, max_dim: int = None):

@@ -377,6 +377,62 @@ class TestGridExperiment:
         others = [r for r in rows if r.estimator != "landweber"]
         assert all(math.isfinite(r.error) for r in others)
 
+    # a median-bandwidth entry, one with its own bandwidth and the oracle
+    FAULT_ENTRIES = [
+        {"id": "oracle"},
+        {"id": "tikhonov", "kind": "curl_free", "lambdas": [0.1, 0.01]},
+        {"id": "truncated_tikhonov", "kind": "diagonal", "bandwidth": 1.0, "lambdas": [0.1]},
+    ]
+
+    def assert_fault_isolated(self, rows, hit, reason, clean):
+        """The rows where hit holds failed with reason; the others have no
+        reason and are the rows of clean, runs without the fault."""
+        failed = [r for r in rows if hit(r)]
+        assert failed and all(math.isnan(r.error) and r.reason == reason for r in failed)
+        kept = [r for r in rows if not hit(r)]
+        assert all(r.reason == "" and math.isfinite(r.error) for r in kept)
+        assert sorted(self.stable_fields(kept)) == sorted(self.stable_fields(clean))
+
+    def test_a_failed_bandwidth_fails_its_entry_on_that_problem(self):
+        # one sample has no pairwise distance to take the median of
+        rows = run_grid_rows(small_config(sample_sizes=[1, 16], estimators=self.FAULT_ENTRIES))
+        clean = run_grid_rows(small_config(sample_sizes=[16], estimators=self.FAULT_ENTRIES))
+        clean += run_grid_rows(small_config(sample_sizes=[1], estimators=[
+            e for e in self.FAULT_ENTRIES if e["id"] != "tikhonov"]))
+        self.assert_fault_isolated(
+            rows, lambda r: r.estimator == "tikhonov" and r.M == 1,
+            "InputError: median_bandwidth needs at least 2 samples", clean)
+
+    def test_a_failed_prediction_fails_its_cell(self, monkeypatch):
+        cfg = small_config(estimators=self.FAULT_ENTRIES)
+        clean = run_grid_rows(cfg)
+        orig = bench.predict
+
+        def predict(est, queries, _shared=None):
+            if est.scheme == estimators.Tikhonov(0.01):
+                raise NumericError("injected")
+            return orig(est, queries, _shared=_shared)
+
+        monkeypatch.setattr(bench, "predict", predict)
+        rows = run_grid_rows(cfg)
+        hit = lambda r: r.estimator == "tikhonov" and r.hyperparams == "lam=0.01"  # noqa: E731
+        self.assert_fault_isolated(rows, hit, "NumericError: injected",
+                                   [r for r in clean if not hit(r)])
+
+    def test_a_failed_draw_fails_its_problem(self, monkeypatch):
+        cfg = small_config(sample_sizes=[8, 16], estimators=self.FAULT_ENTRIES)
+        clean = run_grid_rows(small_config(sample_sizes=[8], estimators=self.FAULT_ENTRIES))
+        orig = bench.sample
+
+        def sample(dist, n, seed):
+            if n == 16:
+                raise MemoryError("injected")
+            return orig(dist, n, seed)
+
+        monkeypatch.setattr(bench, "sample", sample)
+        self.assert_fault_isolated(run_grid_rows(cfg), lambda r: r.M == 16,
+                                   "MemoryError: injected", clean)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_bug_in_a_fit_aborts_the_sweep(self, monkeypatch, threads):
         # only contract errors become nan rows; anything else is a bug
@@ -507,7 +563,8 @@ class TestProblemSharing:
             TestGridExperiment.stable_fields(rows)
 
     def test_query_tables_built_once_per_spec(self, monkeypatch):
-        eval_size, sizes = 24, (12, 20)
+        # the samples (12 and 20) and the Nystrom subsets (6 and 10)
+        eval_size, sizes = 24, (12, 20, 6, 10)
         cross, radial = {}, {}
 
         def cross_shape(shape):
@@ -528,23 +585,23 @@ class TestProblemSharing:
                 return _orig(self, u, out)
             monkeypatch.setattr(kernels.ScalarRadialKernel, meth, counted)
         cfg = parse_experiment_config(base_config(
-            dimensions=[2], sample_sizes=list(sizes), seeds=[0], eval_size=eval_size,
+            dimensions=[2], sample_sizes=[12, 20], seeds=[0], eval_size=eval_size,
             estimators=[
                 {"id": "tikhonov", "kind": "curl_free", "lambdas": [0.1, 0.01]},
                 {"id": "nu_method", "kind": "curl_free", "iterations": [3, 10]},
                 {"id": "spectral_cutoff", "kind": "diagonal", "fractions": [0.5, 0.9]},
                 {"id": "truncated_tikhonov", "kind": "diagonal", "lambdas": [0.1]},
-                {"id": "nystrom", "kind": "curl_free", "lambdas": [0.1],
+                {"id": "nystrom", "kind": "curl_free", "lambdas": [0.1, 0.01],
                  "subset_fraction": 0.5},
             ]))
         rows = run_grid_rows(cfg)
         assert all(r.reason == "" for r in rows)
-        # per problem and spec one U feeds zeta(Q) and the tables; the
-        # Nystrom fit predicts from its subset basis
-        assert cross == {M: 2 for M in sizes}
+        # per problem and spec one U of the samples feeds zeta(Q) and the
+        # tables, and one U of the subset the tables of the Nystrom grid
+        assert cross == {12: 2, 20: 2, 6: 1, 10: 1}
         # curl-free phi', phi'' (read by both terms) and phi'''; diagonal
-        # phi and phi'
-        assert radial == {M: 5 for M in sizes}
+        # phi and phi'; the subset's phi' and phi''
+        assert radial == {12: 5, 20: 5, 6: 2, 10: 2}
 
 
 class TestMatrixFreeTikhonov:

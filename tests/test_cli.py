@@ -189,6 +189,26 @@ class TestExitCodes:
         assert capsys.readouterr().err == "scorekit: error: --seed must be >= 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("eval_size", 10 ** 30), ("sample_sizes", [10 ** 30]), ("dimensions", [10 ** 30])])
+    def test_a_size_past_the_bound_is_refused_at_parse_time(self, tmp_path, capsys,
+                                                            monkeypatch, key, value):
+        # numpy would end these in OverflowError or ValueError tracebacks
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(bench, "run_grid_rows", no_sweep)
+        data = {"schema_version": 1, "distribution": "gaussian", "dimensions": [2],
+                "sample_sizes": [8], "seeds": [0], "eval_size": 8,
+                "estimators": [{"id": "oracle"}], key: value}
+        out = tmp_path / "out.csv"
+        assert main(["grid-exp", "--config", write_json(tmp_path / "c.json", data),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"scorekit: error: config.{key}: expected integer(s) in [1, {2 ** 28}], "
+            f"got {10 ** 30}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("fit", "--threads"), ("predict", "--threads"), ("predict", "--seed"),
         ("plot", "--seed"), ("plot", "--threads")])

@@ -1,4 +1,5 @@
 import inspect
+import re
 import struct
 
 import numpy as np
@@ -986,29 +987,25 @@ class TestPredict:
         M, d = 1000, 3
         X = rng.normal(size=(M, d))
         spec = MatrixKernelSpec(kind, ScalarRadialKernel(family, 1.3))
-        est = FittedScoreEstimator(spec, X, rng.normal(size=(M, d)), -2.5, Tikhonov(0.4))
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(M, d)), Tikhonov(0.4))
         for n in self.chunk_sizes(M):
             Q = rng.normal(size=(n, d))
             ref = est.offset * zeta_batch(spec, X, Q) + kernels.cross_apply(
                 spec, Q, X, est.coeffs)
             self.assert_close(predict(est, Q), ref)
 
-    @pytest.mark.parametrize("offset", [0.0, -0.7])
-    def test_chunks_over_a_subset_basis(self, offset):
-        # offset 0 is a Nystrom fit; with an offset the basis tables read
-        # their columns of the samples' U
+    def test_chunks_over_a_subset_basis(self):
+        # a subset basis has a = 0: the tables are over the basis alone
         rng = np.random.default_rng(77)
         M, N, d = 900, 300, 2
         X = rng.normal(size=(M, d))
         idx = rng.choice(M, size=N, replace=False)
         spec = cf("gaussian", 0.9)
-        est = FittedScoreEstimator(spec, X, rng.normal(size=(N, d)), offset,
-                                   TruncatedTikhonov(0.1), subset_indices=idx)
-        for n in self.chunk_sizes(M if offset else N):
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(N, d)), TruncatedTikhonov(0.1),
+                                   subset_indices=idx)
+        for n in self.chunk_sizes(N):
             Q = rng.normal(size=(n, d))
-            ref = offset * zeta_batch(spec, X, Q) + kernels.cross_apply(
-                spec, Q, X[idx], est.coeffs)
-            self.assert_close(predict(est, Q), ref)
+            self.assert_close(predict(est, Q), kernels.cross_apply(spec, Q, X[idx], est.coeffs))
 
     @pytest.mark.parametrize("kind", ["diagonal", "curl_free"])
     def test_chunks_with_zero_coefficients(self, kind):
@@ -1016,7 +1013,7 @@ class TestPredict:
         M, d = 700, 2
         X = rng.normal(size=(M, d))
         spec = MatrixKernelSpec(kind, ScalarRadialKernel("imq", 1.1))
-        est = FittedScoreEstimator(spec, X, np.zeros((M, d)), -0.03, Landweber(0.03, 1))
+        est = FittedScoreEstimator(spec, X, np.zeros((M, d)), Landweber(0.03, 1))
         for n in self.chunk_sizes(M):
             Q = rng.normal(size=(n, d))
             self.assert_close(predict(est, Q), -0.03 * zeta_batch(spec, X, Q))
@@ -1030,7 +1027,8 @@ class TestPredict:
         X = rng.normal(size=(M, 1))
         spec = MatrixKernelSpec("curl_free", ScalarRadialKernel(family, 0.6))
         scheme = Tikhonov(0.4) if offset else TruncatedTikhonov(0.4)
-        est = FittedScoreEstimator(spec, X, rng.normal(size=(M, 1)), offset, scheme)
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(M, 1)), scheme)
+        assert est.offset == offset
         for n in self.chunk_sizes(M):
             Q = rng.normal(size=(n, 1))
             ref = offset * zeta_batch(spec, X, Q) + cross_apply_two_tables(
@@ -1039,22 +1037,18 @@ class TestPredict:
             # the sweep's one whole-Q table per problem and spec
             self.assert_close(predict(est, Q, _shared=query_tables(spec, Q, X)), ref)
 
-    @pytest.mark.parametrize("offset", [0.0, -0.7])
-    def test_d1_scalar_table_over_a_subset_basis(self, offset):
+    def test_d1_scalar_table_over_a_subset_basis(self):
         rng = np.random.default_rng(81)
         M, N = 900, 300
         X = rng.normal(size=(M, 1))
         idx = rng.choice(M, size=N, replace=False)
         spec = cf("gaussian", 0.5)
-        # offset 0 is a Nystrom fit; with an offset the basis table is
-        # columns of the samples' one
-        est = FittedScoreEstimator(spec, X, rng.normal(size=(N, 1)), offset,
-                                   TruncatedTikhonov(0.1), subset_indices=idx)
-        for n in self.chunk_sizes(M if offset else N):
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(N, 1)), TruncatedTikhonov(0.1),
+                                   subset_indices=idx)
+        for n in self.chunk_sizes(N):
             Q = rng.normal(size=(n, 1))
-            ref = offset * zeta_batch(spec, X, Q) + cross_apply_two_tables(
-                spec, Q, X[idx], est.coeffs)
-            self.assert_close(predict(est, Q), ref)
+            self.assert_close(predict(est, Q),
+                              cross_apply_two_tables(spec, Q, X[idx], est.coeffs))
 
     @pytest.mark.parametrize("kind, d", [("diagonal", 16), ("curl_free", 16), ("curl_free", 1)],
                              ids=["diagonal", "curl_free", "curl_free-d1"])
@@ -1065,7 +1059,7 @@ class TestPredict:
         X = rng.normal(size=(M, d))
         Q = rng.normal(size=(20000, d))
         spec = MatrixKernelSpec(kind, ScalarRadialKernel("imq", 4.0))
-        est = FittedScoreEstimator(spec, X, rng.normal(size=(M, d)), -1000.0, Tikhonov(1e-3))
+        est = FittedScoreEstimator(spec, X, rng.normal(size=(M, d)), Tikhonov(1e-3))
         assert peak_bytes(lambda: predict(est, Q)) < 40e6
 
     def test_immutable_fitted_state(self):
@@ -1078,6 +1072,19 @@ class TestPredict:
             est.coeffs[0, 0] = 1.0
         with pytest.raises(ValueError):
             est.samples[0, 0] = 1.0
+
+    @pytest.mark.parametrize("idx, size, match", [
+        ([0, 5], 4, "out of range"), ([-1, 0], 4, "out of range"),
+        ([1, 1], 4, "duplicates"), ([], 0, "non-empty"),
+        (None, 5, "5 coefficients for 3 basis points"),
+        ([0, 2], 6, "6 coefficients for 2 basis points")],
+        ids=["index past M", "negative index", "duplicate index", "empty subset",
+             "coefficients of another size", "coefficients of the samples over a subset"])
+    def test_constructor_refuses_a_basis_it_cannot_hold(self, idx, size, match):
+        X = np.arange(6.0).reshape(3, 2)
+        with pytest.raises(InputError, match=match):
+            FittedScoreEstimator(cf(), X, np.ones(size), TruncatedTikhonov(0.1),
+                                 subset_indices=idx)
 
 
 # ======================================================================
@@ -1149,6 +1156,17 @@ class TestGradientField:
 # serialization
 # ======================================================================
 
+# (id, scheme, code, params, offset a) of one scheme in the file layout
+LAYOUTS = [
+    ("tikhonov", Tikhonov(0.1), 1, (0.1,), -10.0),
+    ("truncated_tikhonov", TruncatedTikhonov(0.1), 2, (0.1,), 0.0),
+    ("spectral_cutoff-lam", SpectralCutoff(lam=0.05), 3, (0.05, -1.0), 0.0),
+    ("spectral_cutoff-rank", SpectralCutoff(lam=0.05, rank=4), 3, (0.05, 4.0), 0.0),
+    ("landweber", Landweber(0.5, 3), 4, (0.5, 3.0), -1.5),
+    ("nu_method", NuMethod(1.0, 3), 5, (1.0, 3.0), -6.0),
+]
+
+
 class TestSerialization:
     def roundtrip(self, est, tmp_path):
         path = tmp_path / "est.bin"
@@ -1180,7 +1198,7 @@ class TestSerialization:
         # a missing lam or rank is stored as -1, not as NaN
         rng = np.random.default_rng(94)
         X = rng.normal(size=(5, 2))
-        est = FittedScoreEstimator(cf(), X, rng.normal(size=(5, 2)), 0.0, scheme)
+        est = FittedScoreEstimator(cf(), X, rng.normal(size=(5, 2)), scheme)
         back = self.roundtrip(est, tmp_path)
         assert back.scheme == scheme
         assert np.array_equal(back.coeffs, est.coeffs) and back.offset == 0.0
@@ -1193,27 +1211,42 @@ class TestSerialization:
         assert np.array_equal(back.subset_indices, [1, 3, 4])
         assert np.array_equal(back.basis, est.basis)
 
-    @pytest.mark.parametrize("scheme, code, params", [
-        (Tikhonov(0.1), 1, (0.1,)),
-        (TruncatedTikhonov(0.1), 2, (0.1,)),
-        (SpectralCutoff(lam=0.05), 3, (0.05, -1.0)),
-        (SpectralCutoff(lam=0.05, rank=4), 3, (0.05, 4.0)),
-        (Landweber(0.5, 3), 4, (0.5, 3.0)),
-        (NuMethod(1.0, 3), 5, (1.0, 3.0)),
-    ], ids=["tikhonov", "truncated_tikhonov", "spectral_cutoff-lam",
-            "spectral_cutoff-rank", "landweber", "nu_method"])
-    @pytest.mark.parametrize("idx", [None, [2, 0]], ids=["samples", "subset"])
-    def test_save_writes_the_documented_layout(self, tmp_path, scheme, code, params, idx):
+    @pytest.mark.parametrize(
+        "idx, scheme, code, params, offset",
+        [(None, *layout[1:]) for layout in LAYOUTS]
+        + [([2, 0], *layout[1:]) for layout in LAYOUTS if layout[4] == 0.0],
+        ids=[f"samples-{layout[0]}" for layout in LAYOUTS]
+        + [f"subset-{layout[0]}" for layout in LAYOUTS if layout[4] == 0.0])
+    def test_save_writes_the_documented_layout(self, tmp_path, idx, scheme, code, params,
+                                               offset):
         M, d = 3, 2
         N = M if idx is None else len(idx)
         X = np.arange(M * d, dtype=float).reshape(M, d) / 7
         C = np.linspace(-1.0, 1.0, N * d)
         spec = MatrixKernelSpec("curl_free", ScalarRadialKernel("gaussian", 2.5))
-        save_estimator(FittedScoreEstimator(spec, X, C, -1.5, scheme, subset_indices=idx),
+        save_estimator(FittedScoreEstimator(spec, X, C, scheme, subset_indices=idx),
                        tmp_path / "est.bin")
         assert (tmp_path / "est.bin").read_bytes() == pack(
-            fam=1, kind=1, bw=2.5, code=code, params=params, offset=-1.5, M=M, d=d,
+            fam=1, kind=1, bw=2.5, code=code, params=params, offset=offset, M=M, d=d,
             N=N, flags=int(idx is not None), samples=X, idx=idx, coeffs=C)
+
+    @pytest.mark.parametrize("idx", [None, [3, 0, 4]], ids=["samples", "subset"])
+    @pytest.mark.parametrize("scheme, offset", [(layout[1], layout[4]) for layout in LAYOUTS],
+                             ids=[layout[0] for layout in LAYOUTS])
+    def test_the_scheme_sets_the_offset(self, tmp_path, scheme, offset, idx):
+        assert "offset" not in inspect.signature(FittedScoreEstimator).parameters
+        rng = np.random.default_rng(99)
+        X = rng.normal(size=(6, 2))
+        C = rng.normal(size=(6 if idx is None else 3, 2))
+        if idx is not None and offset != 0.0:
+            with pytest.raises(InputError, match="subset basis carries no zeta term"):
+                FittedScoreEstimator(cf(), X, C, scheme, subset_indices=idx)
+            return
+        est = FittedScoreEstimator(cf(), X, C, scheme, subset_indices=idx)
+        assert est.offset == offset == estimators._scheme_offset(est.scheme)
+        back = self.roundtrip(est, tmp_path)
+        Q = rng.normal(size=(5, 2))
+        assert back.offset == offset and np.array_equal(back.predict(Q), est.predict(Q))
 
     def test_callable_filter_fit_is_not_serializable(self, tmp_path):
         rng = np.random.default_rng(92)
@@ -1246,7 +1279,7 @@ class TestSerialization:
     def test_corrupt_file_rejected(self, tmp_path, name, raw):
         p = tmp_path / "est.bin"
         p.write_bytes(raw)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=f"^{re.escape(str(p))}: "):
             load_estimator(p)
 
     def test_hand_built_file_loads(self, tmp_path):
@@ -1255,7 +1288,7 @@ class TestSerialization:
         p.write_bytes(pack())
         est = load_estimator(p)
         assert isinstance(est.scheme, Tikhonov) and est.offset == -10.0
-        p.write_bytes(pack(M=3, N=2, flags=1, idx=[2, 0]))
+        p.write_bytes(pack(code=2, offset=0.0, M=3, N=2, flags=1, idx=[2, 0]))
         assert np.array_equal(load_estimator(p).subset_indices, [2, 0])
 
     @staticmethod

@@ -1,8 +1,8 @@
-"""Every JSON config in README.md parses with the reader of its kind, so a
-documented config that drifts from the schema fails here.
+"""Every JSON config in README.md parses with the reader of its kind, and
+its Python blocks run, so documentation that drifts from the code fails here.
 
-A block's kind is the subcommand that opens the paragraph before it, as in
-"`fit` pins a single estimator ...".
+A JSON block's kind is the subcommand that opens the paragraph before it, as
+in "`fit` pins a single estimator ...".
 """
 
 import json
@@ -14,14 +14,14 @@ import pytest
 from scorekit.bench import _parse_estimator, parse_experiment_config, read_config
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+with open(README, encoding="utf-8") as f:
+    TEXT = f.read()
 
 
 def json_blocks() -> list:
     """(subcommand, parsed config) for each ```json block of the README."""
-    with open(README, encoding="utf-8") as f:
-        text = f.read()
-    return [(re.findall(r"^`([a-z-]+)` ", text[:m.start()], re.M)[-1], json.loads(m[1]))
-            for m in re.finditer(r"^```json\n(.*?)^```", text, re.M | re.S)]
+    return [(re.findall(r"^`([a-z-]+)` ", TEXT[:m.start()], re.M)[-1], json.loads(m[1]))
+            for m in re.finditer(r"^```json\n(.*?)^```", TEXT, re.M | re.S)]
 
 
 BLOCKS = json_blocks()
@@ -39,3 +39,13 @@ def test_a_documented_config_parses(command, data):
     assert read_config(command, data) is data
     if command == "fit":
         _parse_estimator(data["estimator"], "config.estimator")
+
+
+def test_the_python_blocks_run_in_order(tmp_path, monkeypatch):
+    # a later block may read what an earlier one defined (save/load reads est)
+    blocks = re.findall(r"^```python\n(.*?)^```", TEXT, re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, README, "exec"), namespace)

@@ -341,6 +341,28 @@ def test_cg_warm_start():
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
+def test_cg_restarts_where_the_recurrence_drifted():
+    # the first n products are of A + E, so the recurrence meets tol for
+    # that matrix at step n; the true residual, a product of A, misses it
+    rng = np.random.default_rng(18)
+    G = rng.standard_normal((20, 20))
+    A = G @ G.T + 20 * np.eye(20)
+    E = 1e-3 * np.linalg.norm(A) * np.diag(rng.uniform(size=20))
+    b, tol = rng.standard_normal(20), 1e-10
+    _, drifted = conjugate_gradient(LinearOperator.from_matrix(A + E), b, tol=tol)
+    n, calls = drifted.iterations, []
+
+    def matvec(v):
+        calls.append(len(calls))
+        return (A + E) @ v if len(calls) <= n else A @ v
+
+    x, rep = conjugate_gradient(LinearOperator(20, matvec), b, tol=tol, max_iter=200)
+    assert rep.iterations > n and len(calls) > n + 2  # restarted after step n
+    true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert rep.residual == pytest.approx(true, rel=1e-6)
+    assert rep.converged and true <= tol
+
+
 # ======================================================================
 # Lanczos
 # ======================================================================
