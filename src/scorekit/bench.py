@@ -455,11 +455,15 @@ class _Problem:
         largest dense Gram the sweep accepts. Each reader takes the leading
         part it needs, so its rows do not depend on the other entries.
         """
+        def shares(e):  # an entry whose kernel cannot be built shares no basis
+            try:
+                return e.kind == "curl_free" and self.spec(e) == spec
+            except _CONTRACT_ERRORS:
+                return False
+
         def build():
             gram, t_max, shifts, targets, caps = self.gram(spec), 1, [], [], []
-            for e in self.entries:
-                if e.kind != "curl_free" or self.spec(e) != spec:
-                    continue
+            for e in filter(shares, self.entries):
                 if e.id == "nu_method":
                     t_max = max(p["t"] for _, p in e.grid)
                 elif e.id in ("tikhonov", "tikhonov_cg"):
@@ -467,7 +471,7 @@ class _Problem:
                     shifts += [self.M * p["lam"] for _, p in e.grid]
                     targets += [_start_tol(gram, _TIK_IMPLICIT_TOL) if start else e.tol] * n
                     caps += [math.inf if start else e.max_iter] * n
-            stop, _ = _shift_targets(shifts, targets, t_max - 1, caps)
+            stop = _shift_targets(shifts, targets, t_max - 1, caps)
             max_dim = min(_TIK_IMPLICIT_MAX_ITER, DENSE_SYSTEM_LIMIT ** 2 // gram.dim)
             tol = _KRYLOV_INVARIANT_REL * (gram.dim / spec.scalar.bandwidth ** 2)
             try:

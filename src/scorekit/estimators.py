@@ -13,7 +13,7 @@ computed from the Gram matrix K and the stacked divergence vector h:
     spectral_cutoff     c = -sum_{s_j >= lam} u_j u_j^T h / (M s_j^2), a = 0
     landweber           c_t = (I - eta K/M) c_{t-1} + (t-1) eta^2 h / M, a = -t eta
     nu_method           accelerated two-term recursion, a = -2t(t+2nu)/(4nu+1)
-    nystrom             reduced basis Z: c_Z = -(K_ZX K_XZ/M + lam K_ZZ)^{-1} h_Z
+    nystrom             reduced basis Z: c_Z = -K_ZZ^{-1/2} g(L) K_ZZ^{-1/2} h_Z
 
 where s_j are eigenvalues of K/M with eigenvectors u_j, and h stacks zeta
 at the samples. Eigenvalues below EPS_RANK_REL * s_max are treated as zero
@@ -53,6 +53,7 @@ from .spectral_linalg import (
     SPD_RESIDUAL_TOL,
     CGReport,
     LinearOperator,
+    check_count,
     conjugate_gradient,
     numeric_rank_mask,
     power_iteration,
@@ -91,8 +92,8 @@ class SpectralCutoff:
     def __post_init__(self):
         if self.lam is not None and (not np.isfinite(self.lam) or self.lam <= 0):
             raise InputError(f"SpectralCutoff requires lam > 0, got {self.lam!r}")
-        if self.rank is not None and self.rank < 1:
-            raise InputError(f"SpectralCutoff rank must be >= 1, got {self.rank!r}")
+        if self.rank is not None:
+            check_count(self.rank, "SpectralCutoff rank")
         if self.lam is None and self.rank is None:
             raise InputError("SpectralCutoff needs lam or rank")
 
@@ -105,8 +106,7 @@ class Landweber:
     def __post_init__(self):
         if not np.isfinite(self.eta) or self.eta <= 0:
             raise InputError(f"Landweber requires eta > 0, got {self.eta!r}")
-        if self.t < 1:
-            raise InputError(f"Landweber requires t >= 1, got {self.t!r}")
+        check_count(self.t, "Landweber t")
 
 
 @dataclass(frozen=True)
@@ -117,8 +117,7 @@ class NuMethod:
     def __post_init__(self):
         if not np.isfinite(self.nu) or self.nu < 1:
             raise InputError(f"NuMethod requires nu >= 1, got {self.nu!r}")
-        if self.t < 1:
-            raise InputError(f"NuMethod requires t >= 1, got {self.t!r}")
+        check_count(self.t, "NuMethod t")
 
 
 def _scheme_offset(scheme) -> float:
@@ -347,6 +346,7 @@ def fit_tikhonov_cg(samples, spec: MatrixKernelSpec, lam: float, tol: float = 1e
     "galerkin" or "cg"; cg_iterations is k for the first.
     """
     scheme = Tikhonov(lam)
+    max_iter = check_count(max_iter, "max_iter")
     X = as_samples(samples)
     M = X.shape[0]
     gram = _resolve_gram(spec, X, gram)
@@ -436,8 +436,8 @@ def fit_spectral_cutoff(samples, spec: MatrixKernelSpec, lam: float = None,
     M, d = X.shape
     meta = {}
     if rank is not None:
-        rank = int(rank)
-        if not 1 <= rank <= M * d:
+        rank = check_count(rank, "rank")
+        if rank > M * d:
             raise InputError(f"rank must be in [1, {M * d}], got {rank}")
         # the filter below reads the same cached spectrum
         gram = _eigen_gram(spec, X, gram, "SpectralCutoff")
@@ -501,9 +501,9 @@ def _semi_iterative(X, spec, ts, gram, weights, scheme, what, meta=None, _krylov
 
 
 def _iteration_counts(ts) -> list:
-    """ts as sorted distinct ints, each >= 1."""
-    ts = sorted({int(t) for t in ts})
-    if not ts or ts[0] < 1:
+    """ts as sorted distinct ints, each an integer >= 1 (check_count)."""
+    ts = sorted({check_count(t, "iteration count") for t in ts})
+    if not ts:
         raise InputError("iteration counts must be integers >= 1")
     return ts
 
@@ -578,9 +578,6 @@ def fit_nu_method(samples, spec: MatrixKernelSpec, nu: float = 1.0, t: int = Non
 # reduced-basis (subset) estimator
 # ======================================================================
 
-_NYSTROM_JITTERS = (1e-12, 1e-10, 1e-8)
-
-
 def _subset_index(subset_indices, M: int) -> np.ndarray:
     """subset_indices as at least one distinct int64 index into M samples."""
     idx = np.asarray(subset_indices, dtype=np.int64).ravel()
@@ -594,6 +591,8 @@ def _subset_index(subset_indices, M: int) -> np.ndarray:
 
 
 def _subset_building_blocks(samples, subset_indices, spec):
+    """(X, idx) and the _subset_spectrum of subset X[idx]: none of it depends
+    on the scheme, so a caller fitting several on one subset builds it once."""
     X = as_samples(samples)
     M, d = X.shape
     idx = _subset_index(subset_indices, M)
@@ -604,92 +603,70 @@ def _subset_building_blocks(samples, subset_indices, spec):
             f"a curl-free subset of N={N} at d={d} needs two dense Nd x Nd blocks of "
             f"{(N * d) ** 2 * 8} bytes each, over the dense system limit")
     # cross_gram blocks: N x N for a diagonal kernel (its scalar factor), Nd x Nd
-    # for a curl-free one; h_Z is reshaped to their rows
-    Kzz = cross_gram(spec, Z, Z)
-    Kzz = 0.5 * (Kzz + Kzz.T)
-    # G = K_ZX K_XZ accumulated in row chunks of X so the cross Gram of all
-    # M samples is never materialized at once
-    n, rows = len(Kzz), len(Kzz) // N
-    G = np.zeros((n, n))
-    chunk = max(1, int(8e6 // (n * rows)))
-    for lo in range(0, M, chunk):
-        B = cross_gram(spec, X[lo:lo + chunk], Z)
+    # for a curl-free one, h_Z reshaped to their rows; K_XZ comes in row chunks
+    # of X so the cross Gram of all M samples is never materialized at once
+    n = N * (d if spec.kind == "curl_free" else 1)
+    chunk = max(1, int(8e6 // (n * (n // N))))
+    row_blocks = (cross_gram(spec, X[lo:lo + chunk], Z) for lo in range(0, M, chunk))
+    return (X, idx) + _subset_spectrum(cross_gram(spec, Z, Z), row_blocks,
+                                       zeta_batch(spec, X, Z).reshape(n, -1), M)
+
+
+def _subset_spectrum(Kzz, cross_blocks, h_Z, M):
+    """(P, tau, V, Y): P = U_r S_r^(-1/2) over K_ZZ's numeric rank, (tau, V)
+    the eigensystem of L = P^T (G / M) P, tau clipped at 0, G = K_ZX K_XZ
+    summed as B^T B over the row blocks B of K_XZ, and Y = V^T (P^T h_Z); a
+    filter g gives -P (V (g(tau) Y)). Each block is dropped once read, and
+    the row blocks before either eigensystem, which would add to their peak."""
+    G = np.zeros(Kzz.shape)
+    for B in cross_blocks:
         G += B.T @ B
-    G = 0.5 * (G + G.T)
-    h_Z = zeta_batch(spec, X, Z).reshape(n, -1)
-    return X, Z, idx, Kzz, G, h_Z
-
-
-def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
-                scheme, _blocks=None) -> FittedScoreEstimator:
-    """Restrict the estimator to basis functions at a sample subset Z.
-
-    scheme TruncatedTikhonov(lam): closed form (no matrix square roots)
-        c_Z = -(K_ZX K_XZ / M + lam K_ZZ)^{-1} h_Z
-    where a system too singular to solve gets K_ZZ's diagonal raised by up
-    to 1e-8 times its mean; meta["jitter"] records it (0.0 if none)
-    scheme SpectralCutoff(lam) or a callable g: general spectral form
-        c_Z = -K_ZZ^{-1/2} g(L) K_ZZ^{-1/2} h_Z,
-        L = K_ZZ^{-1/2} (K_ZX K_XZ / M) K_ZZ^{-1/2}
-    with h_Z the divergence field (averaged over all M samples) at the
-    subset points. Predictions use a = 0 and the subset basis only. With
-    the full subset this reproduces the corresponding full estimator at
-    the same lam.
-
-    _blocks, when given, is _subset_building_blocks(samples,
-    subset_indices, spec): those blocks do not depend on the scheme, so a
-    caller fitting several schemes on one subset builds them once.
-    """
-    if _blocks is None:
-        _blocks = _subset_building_blocks(samples, subset_indices, spec)
-    X, Z, idx, Kzz, G, h_Z = _blocks
-    M, d = X.shape
-
-    if isinstance(scheme, TruncatedTikhonov):
-        lam = scheme.lam
-        A = G / M + lam * Kzz
-        c = None
-        last_err = None
-        for jit in (0.0,) + _NYSTROM_JITTERS:
-            try:
-                shift = jit * float(np.trace(Kzz)) / Kzz.shape[0]
-                c = -solve_spd(A, h_Z, shift=lam * shift)
-                break
-            except NumericError as exc:
-                last_err = exc
-        if c is None:
-            raise FitError(f"subset Gram is numerically singular: {last_err}")
-        meta = {"subset_size": idx.size, "jitter": shift}
-        return FittedScoreEstimator(spec, X, c, scheme, subset_indices=idx, meta=meta)
-
-    if isinstance(scheme, SpectralCutoff):
-        if scheme.lam is None:
-            raise InputError("subset fits need SpectralCutoff with an explicit lam")
-        lam = scheme.lam
-        g = lambda s: np.where(s >= lam, 1.0 / np.maximum(s, lam), 0.0)  # noqa: E731
-    elif callable(scheme):
-        g = scheme
-    else:
-        raise InputError(
-            "scheme must be TruncatedTikhonov, SpectralCutoff, or a spectral "
-            "filter callable")
-
+    del B
+    Kzz = 0.5 * (Kzz + Kzz.T)
     zeig = sym_eig(Kzz)
+    del Kzz
     zmask = numeric_rank_mask(zeig.values)
     if not zmask.any():
         raise FitError("subset Gram is numerically rank zero")
     P = zeig.vectors[:, zmask] / np.sqrt(zeig.values[zmask])  # K_ZZ^(-1/2) factor
-    L = P.T @ (G / M) @ P
+    del zeig
+    L = P.T @ (0.5 * (G + G.T) / M) @ P
+    del G
     L = 0.5 * (L + L.T)
     leig = sym_eig(L)
-    tau = np.maximum(leig.values, 0.0)
+    return P, np.maximum(leig.values, 0.0), leig.vectors, leig.vectors.T @ (P.T @ h_Z)
+
+
+def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
+                scheme, _blocks=None) -> FittedScoreEstimator:
+    """Restrict the estimator to basis functions at a sample subset Z:
+    c_Z = -K_ZZ^{-1/2} g(L) K_ZZ^{-1/2} h_Z for the scheme's filter g, L =
+    K_ZZ^{-1/2} (K_ZX K_XZ / M) K_ZZ^{-1/2} over K_ZZ's nonzero spectrum and
+    h_Z the divergence field (averaged over all M samples) at Z. g is
+    1/(s + lam) for TruncatedTikhonov(lam), 1/s on s >= lam for
+    SpectralCutoff(lam), a callable itself. Predictions use a = 0 and the
+    subset basis only; meta holds subset_size and subset_rank. The full
+    subset reproduces the full estimator at the same lam. _blocks is
+    _subset_building_blocks' result, which fits on one subset can share.
+    """
+    if isinstance(scheme, TruncatedTikhonov):
+        g = lambda s: 1.0 / (s + scheme.lam)  # noqa: E731
+    elif isinstance(scheme, SpectralCutoff):
+        if scheme.lam is None:
+            raise InputError("subset fits need SpectralCutoff with an explicit lam")
+        g = lambda s: np.where(s >= scheme.lam, 1.0 / np.maximum(s, scheme.lam), 0.0)  # noqa: E731
+    elif callable(scheme):
+        g = scheme
+    else:
+        raise InputError("scheme must be TruncatedTikhonov, SpectralCutoff or a filter callable")
+    if _blocks is None:
+        _blocks = _subset_building_blocks(samples, subset_indices, spec)
+    X, idx, P, tau, V, Y = _blocks
     gv = np.asarray(g(tau), dtype=np.float64)
     if not np.all(np.isfinite(gv)):
         raise NumericError("spectral filter returned non-finite values")
-    y = leig.vectors @ (gv[:, None] * (leig.vectors.T @ (P.T @ h_Z)))
-    c = -(P @ y)
-    meta = {"subset_size": idx.size,
-            "subset_rank": int(zmask.sum()) * h_Z.shape[1]}
+    c = -(P @ (V @ (gv[:, None] * Y)))
+    meta = {"subset_size": idx.size, "subset_rank": P.shape[1] * Y.shape[1]}
     return FittedScoreEstimator(spec, X, c, scheme, subset_indices=idx, meta=meta)
 
 

@@ -25,6 +25,7 @@ the scalar kernel, so every field in its span is a gradient field.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,20 @@ class ScalarRadialKernel:
         if not np.isfinite(bandwidth) or bandwidth <= 0.0:
             raise InputError(f"bandwidth must be a positive finite real, got {bandwidth!r}")
         object.__setattr__(self, "bandwidth", bandwidth)
+        try:
+            ok = all(0.0 < abs(self._scale(n, bandwidth ** 2)) < math.inf for n in (1, 2, 3))
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:  # sigma^6 meets the largest double at the top, |c_3| / sigma^6 at the bottom
+            top = sys.float_info.max
+            lo, hi = (-self._scale(3, 1.0) / top) ** (1 / 6), top ** (1 / 6)
+            raise InputError(f"bandwidth {bandwidth!r} is outside about [{lo:.4g}, {hi:.4g}], "
+                             f"where the {self.family} derivative scales are finite and nonzero")
+
+    def _scale(self, n: int, s2: float) -> float:
+        """c_n / s2^n: phi^(n)'s constant factor at s2 = sigma^2, c_n at s2 = 1."""
+        c = math.prod(-0.5 - k for k in range(n)) if self.family == "imq" else (-0.5) ** n
+        return c / s2 ** n
 
     # phi and its u-derivatives, vectorized over u arrays; out, an array
     # shaped as u (u itself allowed), receives the table instead of a new one.
@@ -87,13 +102,11 @@ class ScalarRadialKernel:
             base = np.add(np.divide(u, s2, out=out), 1.0, out=out)
             # ** keeps a 0-d u on scalar pow, which can round apart from np.power's loop
             table = base ** (-0.5 - n) if out is None else np.power(base, -0.5 - n, out=out)
-            c = math.prod(-0.5 - k for k in range(n))
         else:
             table = np.exp(np.divide(np.negative(u, out=out), 2.0 * s2, out=out), out=out)
-            c = (-0.5) ** n
         if n:
             # in place: a product into a new array would allocate a second table
-            table *= c / s2 ** n
+            table *= self._scale(n, s2)
         return table
 
 

@@ -103,6 +103,14 @@ def numeric_rank_mask(values: np.ndarray) -> np.ndarray:
     return values > EPS_RANK_REL * vmax
 
 
+def check_count(value, what: str) -> int:
+    """value, a count or budget, as an int >= 1: an int or a numpy integer,
+    not a bool or a float that would be truncated, or InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise InputError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 _SYMMETRY_TILE = 512
 
 
@@ -279,11 +287,10 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
     """
     if tol <= 0.0:
         raise InputError("tol must be positive")
+    max_iter = 10 * op.dim if max_iter is None else check_count(max_iter, "max_iter")
     b, nb = _rhs(op, b)
     if nb == 0.0:
         return np.zeros_like(b), CGReport(0, 0.0, True)
-    if max_iter is None:
-        max_iter = 10 * op.dim
 
     if x0 is None:
         x = np.zeros_like(b)
@@ -351,19 +358,18 @@ def _shift_targets(shifts, targets, min_dim, caps):
     basis holds min_dim vectors and each system i has met its relative
     residual target i by its Lanczos residual estimate beta_k |e_k^T (T_k +
     s_i I)^-1 e_1| = beta_k beta_1..beta_{k-1} / |p_1..p_k| (_next_pivot),
-    or the basis holds its cap i vectors (inf: none). Returns (stop, dims),
-    dims[i] the step at which system i met its target (0: not yet).
+    or the basis holds its cap i vectors (inf: none).
     """
     shifts, targets, caps = (np.asarray(v, dtype=np.float64) for v in (shifts, targets, caps))
     piv, last = np.ones(len(shifts)), np.ones(len(shifts))
-    dims = np.zeros(len(shifts), dtype=np.int64)
+    met = np.zeros(len(shifts), dtype=bool)
 
     def stop(alpha, beta):
         k = len(beta)
         piv[:], last[:] = _next_pivot(piv, last, alpha[-1], beta[-2] if k > 1 else None, shifts)
-        dims[(dims == 0) & (beta[-1] * last <= targets)] = k
-        return k >= min_dim and bool(((dims > 0) | (k >= caps)).all())
-    return stop, dims
+        met[beta[-1] * last <= targets] = True
+        return k >= min_dim and bool((met | (k >= caps)).all())
+    return stop
 
 
 @dataclass(frozen=True, eq=False)
@@ -426,9 +432,7 @@ def lanczos(op, b: np.ndarray, max_dim: int, tol: float, stop=None) -> KrylovBas
     off-diagonal so far (beta_k last). Returns a KrylovBasis, V of shape
     (k, n); a zero b gives k = 0.
     """
-    if isinstance(max_dim, bool) or not isinstance(max_dim, (int, np.integer)) \
-            or max_dim < 1:
-        raise InputError(f"max_dim must be an integer >= 1, got {max_dim!r}")
+    check_count(max_dim, "max_dim")
     if not (np.isfinite(tol) and tol > 0.0):
         raise InputError(f"tol must be positive and finite, got {tol!r}")
     b, nb = _rhs(op, b)

@@ -172,17 +172,17 @@ def eigh_filter_coeffs(spec: MatrixKernelSpec, X, weight, rank: int = None) -> n
 
 
 def nystrom_blocks_kron(samples, subset_indices, spec: MatrixKernelSpec):
-    """estimators._subset_building_blocks of a diagonal kernel as Nd x Nd
-    Kronecker blocks: K_ZZ = np.kron(k(Z, Z), I_d), G = K_ZX K_XZ from the
-    whole Md x Nd np.kron(k(X, Z), I_d), and h_Z as one Nd column."""
+    """estimators._subset_building_blocks of a diagonal kernel from Nd x Nd
+    Kronecker blocks, through estimators._subset_spectrum: K_ZZ =
+    np.kron(k(Z, Z), I_d), the whole Md x Nd K_XZ = np.kron(k(X, Z), I_d)
+    as one row block, and h_Z as one Nd column."""
     X = as_samples(samples)
     idx = np.asarray(subset_indices, dtype=np.int64)
     Z = X[idx]
     eye = np.eye(X.shape[1])
-    Kzz = np.kron(scalar_gram(spec.scalar, Z), eye)
-    B = np.kron(scalar_gram(spec.scalar, X, Z), eye)
-    G = B.T @ B
-    return X, Z, idx, Kzz, 0.5 * (G + G.T), zeta_batch(spec, X, Z).reshape(-1, 1)
+    return (X, idx) + estimators._subset_spectrum(
+        np.kron(scalar_gram(spec.scalar, Z), eye), [np.kron(scalar_gram(spec.scalar, X, Z), eye)],
+        zeta_batch(spec, X, Z).reshape(-1, 1), X.shape[0])
 
 
 def forbid_big_cross_grams(monkeypatch):

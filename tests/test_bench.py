@@ -377,11 +377,14 @@ class TestGridExperiment:
         others = [r for r in rows if r.estimator != "landweber"]
         assert all(math.isfinite(r.error) for r in others)
 
-    # a median-bandwidth entry, one with its own bandwidth and the oracle
+    # a median-bandwidth entry, two with their own bandwidth and the oracle;
+    # the curl-free nu_method reads the Krylov basis built for its kernel,
+    # which must pass over an entry whose kernel cannot be built
     FAULT_ENTRIES = [
         {"id": "oracle"},
         {"id": "tikhonov", "kind": "curl_free", "lambdas": [0.1, 0.01]},
         {"id": "truncated_tikhonov", "kind": "diagonal", "bandwidth": 1.0, "lambdas": [0.1]},
+        {"id": "nu_method", "kind": "curl_free", "bandwidth": 1.0, "iterations": [3]},
     ]
 
     def assert_fault_isolated(self, rows, hit, reason, clean):
@@ -402,6 +405,18 @@ class TestGridExperiment:
         self.assert_fault_isolated(
             rows, lambda r: r.estimator == "tikhonov" and r.M == 1,
             "InputError: median_bandwidth needs at least 2 samples", clean)
+
+    def test_a_bandwidth_past_the_kernel_range_fails_its_entry(self):
+        # past the range the kernel's derivative scales overflow or divide by
+        # zero; the entry's rows fail with the kernel's reason, the rest run
+        wide = {"id": "nystrom", "kind": "curl_free", "bandwidth": 1e60, "lambdas": [0.1]}
+        rows = run_grid_rows(small_config(estimators=self.FAULT_ENTRIES + [wide]))
+        clean = run_grid_rows(small_config(estimators=self.FAULT_ENTRIES))
+        assert any(r.estimator == "oracle" for r in rows)
+        self.assert_fault_isolated(
+            rows, lambda r: r.estimator == "nystrom",
+            "InputError: bandwidth 1e+60 is outside about [4.674e-52, 2.376e+51], where "
+            "the imq derivative scales are finite and nonzero", clean)
 
     def test_a_failed_prediction_fails_its_cell(self, monkeypatch):
         cfg = small_config(estimators=self.FAULT_ENTRIES)
@@ -524,8 +539,9 @@ class TestProblemSharing:
         rows = run_grid_rows(cfg)
         assert all(r.reason == "" for r in rows)
         problems = 4
-        # one dense eigensystem per problem across both eigen-filter fits
-        assert calls["sym_eig"] == problems
+        # one dense eigensystem per problem across both eigen-filter fits, and
+        # two per Nystrom subset (K_ZZ and L) across its three lams
+        assert calls["sym_eig"] == problems + 2 * problems
         # one Gram and one h per problem: tikhonov_cg reads the same Gram
         assert calls["h_vector"] == problems
         assert calls["score_batch"] == problems
@@ -1285,6 +1301,22 @@ class TestPlot:
         svg = emit_plot(path)
         assert "<polyline" not in svg
         assert svg.count("<circle") == 1
+
+    def test_a_summary_over_several_d_names_each_series_by_d(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text(
+            "estimator,kind,d,M,hyperparams,median_error,n_ok\n"
+            "e,diagonal,2,16,lam=1,0.5,4\n"
+            "e,diagonal,4,16,lam=1,0.25,4\n")
+        svg = emit_plot(path)
+        assert ">e d=2</text>" in svg and ">e d=4</text>" in svg
+
+    def test_log_axes_drop_the_points_they_cannot_show(self):
+        # x = 0 has no log on the x axis, y = -1 none on the y axis
+        series = [("a", [(0.0, 1.0), (1.0, -1.0), (10.0, 1.0), (100.0, 0.1)])]
+        svg = render_line_chart(series, log_x=True, log_y=True)
+        assert svg.count("<circle") == 2
+        assert render_line_chart(series).count("<circle") == 4
 
     def test_bad_header_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,10 +1,15 @@
 """End-to-end tests of the command-line interface: every subcommand, the
 exit-code contract, and cross-run determinism of experiment artifacts."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorekit import bench
 from scorekit.bench import SummaryRow, write_summary_csv
@@ -209,6 +214,19 @@ class TestExitCodes:
             f"got {10 ** 30}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("bandwidth", [1e60, 1e-60])
+    def test_a_bandwidth_past_the_kernel_range_is_exit_1(self, tmp_path, samples_csv,
+                                                         capsys, bandwidth):
+        # the kernel's derivative scales would end in OverflowError or
+        # ZeroDivisionError tracebacks
+        cfg = fit_config(tmp_path, bandwidth=bandwidth)
+        out = tmp_path / "e.bin"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"scorekit: error: bandwidth {bandwidth!r} is outside about [")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, flag", [
         ("fit", "--threads"), ("predict", "--threads"), ("predict", "--seed"),
         ("plot", "--seed"), ("plot", "--threads")])
@@ -218,6 +236,43 @@ class TestExitCodes:
         assert main([command, "--config", "c.json", "--out", str(out), flag, "2"]) == 1
         assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
         assert not out.exists()
+
+
+FITTABLE = [i for i, how in bench.REGISTRY.items() if how.fit is not None]
+POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestFitExitContract:
+    """`scorekit fit` of any fittable id, kind and family, at any positive
+    bandwidth and grid value, exits 0, 1 or 2, and a failure ends in one
+    contract line, never a traceback. numpy's RuntimeWarnings (overflow,
+    invalid values) are ignored, not raised: a command-line run prints
+    them and goes on, and the exit code and the last line are what this
+    contract covers."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(eid=st.sampled_from(FITTABLE), kind=st.sampled_from(["diagonal", "curl_free"]),
+           family=st.sampled_from(["imq", "gaussian"]),
+           # half the bandwidths near the samples' scale, where most fits run
+           bandwidth=st.one_of(POSITIVE_FLOATS, st.floats(0.01, 100.0)),
+           lam=POSITIVE_FLOATS, t=st.integers(1, 64))
+    def test_every_fit_exits_by_the_contract(self, tmp_path_factory, eid, kind, family,
+                                             bandwidth, lam, t):
+        tmp = tmp_path_factory.mktemp("fit")
+        save_samples_csv(np.random.default_rng(0).normal(size=(12, 2)), tmp / "samples.csv")
+        grid = {"iterations": [t]} if eid in ("landweber", "nu_method") else {"lambdas": [lam]}
+        cfg = write_json(tmp / "fit.json", {
+            "schema_version": 1, "samples": "samples.csv",
+            "estimator": {"id": eid, "kind": kind, "family": family,
+                          "bandwidth": bandwidth, **grid}})
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["fit", "--config", cfg, "--out", str(tmp / "est.bin")])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().splitlines()[-1].startswith(
+                ("scorekit: error:", "scorekit: numeric failure:"))
 
 
 class TestConfigRoot:

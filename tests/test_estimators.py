@@ -34,6 +34,7 @@ from scorekit.estimators import (
     save_estimator,
 )
 from scorekit.kernels import (
+    DenseGram,
     ImplicitGram,
     MatrixKernelSpec,
     ScalarRadialKernel,
@@ -42,6 +43,7 @@ from scorekit.kernels import (
     query_tables,
     zeta_batch,
 )
+from scorekit.spectral_linalg import LinearOperator, conjugate_gradient
 
 from estimator_files import CORRUPT, pack
 from fd_oracles import fd_gradient, fd_jacobian
@@ -74,6 +76,66 @@ def random_instance(rng, M=None, d=None, kind=None, family=None, bw=None):
     bw = bw or float(rng.uniform(0.9, 2.0))
     X = rng.normal(size=(M, d))
     return X, MatrixKernelSpec(str(kind), ScalarRadialKernel(str(family), bw))
+
+
+# ======================================================================
+# scheme and count arguments
+# ======================================================================
+
+SMALL = np.random.default_rng(3).normal(size=(6, 2))
+
+
+class TestArguments:
+    @pytest.mark.parametrize("make, match", [
+        (lambda: TruncatedTikhonov(0.0), "TruncatedTikhonov requires lam > 0"),
+        (lambda: TruncatedTikhonov(np.nan), "TruncatedTikhonov requires lam > 0"),
+        (lambda: SpectralCutoff(lam=-1.0), "SpectralCutoff requires lam > 0"),
+        (lambda: SpectralCutoff(rank=0), "SpectralCutoff rank must be an integer >= 1"),
+        (lambda: Landweber(0.0, 3), "Landweber requires eta > 0"),
+        (lambda: Landweber(np.inf, 3), "Landweber requires eta > 0"),
+        (lambda: Landweber(0.1, 0), "Landweber t must be an integer >= 1"),
+        (lambda: NuMethod(1.0, 0), "NuMethod t must be an integer >= 1"),
+    ], ids=["truncated-zero", "truncated-nan", "cutoff-lam", "cutoff-rank",
+            "landweber-eta-zero", "landweber-eta-inf", "landweber-t", "nu-t"])
+    def test_a_scheme_refuses_a_parameter_out_of_range(self, make, match):
+        with pytest.raises(InputError, match=match):
+            make()
+
+    @pytest.mark.parametrize("call", [
+        lambda: Landweber(0.1, 2.5),
+        lambda: Landweber(0.1, True),
+        lambda: NuMethod(1.0, 2.5),
+        lambda: SpectralCutoff(rank=2.5),
+        lambda: SpectralCutoff(rank=True),
+        lambda: landweber_path(SMALL, cf(), [1.9, 3]),
+        lambda: nu_method_path(SMALL, cf(), [True]),
+        lambda: fit_landweber(SMALL, cf(), t=2.5),
+        lambda: fit_nu_method(SMALL, cf(), t=2.5),
+        lambda: fit_spectral_cutoff(SMALL, cf(), rank=2.5),
+        lambda: fit_spectral_cutoff(SMALL, cf(), rank=True),
+        lambda: fit_tikhonov_cg(SMALL, cf(), 0.1, max_iter=2.5),
+        lambda: fit_tikhonov_cg(SMALL, cf(), 0.1, max_iter=True),
+        lambda: fit_tikhonov(SMALL, cf(), 0.1, gram=ImplicitGram(cf(), SMALL), cg_max_iter=2.5),
+        lambda: conjugate_gradient(LinearOperator(3, lambda v: v), np.ones(3), max_iter=2.5),
+        lambda: conjugate_gradient(LinearOperator(3, lambda v: v), np.ones(3), max_iter=0),
+    ], ids=["Landweber-float", "Landweber-bool", "NuMethod-float", "SpectralCutoff-float",
+            "SpectralCutoff-bool", "landweber_path", "nu_method_path-bool",
+            "fit_landweber", "fit_nu_method", "fit_spectral_cutoff-float",
+            "fit_spectral_cutoff-bool", "fit_tikhonov_cg-float", "fit_tikhonov_cg-bool",
+            "fit_tikhonov-matrix-free", "conjugate_gradient-float", "conjugate_gradient-zero"])
+    def test_a_count_that_is_not_an_integer_is_refused(self, call):
+        # a float or a bool would be truncated, or saved in a file that
+        # load_estimator refuses
+        with pytest.raises(InputError, match="must be an integer >= 1, got "):
+            call()
+
+    def test_a_numpy_integer_count_is_an_integer(self, tmp_path):
+        three = np.int64(3)
+        for est in (fit_landweber(SMALL, cf(), t=three), fit_nu_method(SMALL, cf(), t=three),
+                    fit_spectral_cutoff(SMALL, cf(), rank=three)):
+            save_estimator(est, tmp_path / "est.bin")
+            assert load_estimator(tmp_path / "est.bin").scheme == est.scheme
+        assert fit_tikhonov_cg(SMALL, cf(), 0.1, max_iter=three).meta["cg_iterations"] <= 3
 
 
 # ======================================================================
@@ -163,6 +225,15 @@ class TestTikhonov:
         gram = assemble_gram(spec, rng.normal(size=(6, 2)))
         with pytest.raises(InputError):
             fit_tikhonov(X, spec, 0.1, gram=gram)
+        # and one for the same samples under another kernel spec
+        with pytest.raises(InputError, match="different kernel spec"):
+            fit_tikhonov(X, spec, 0.1, gram=assemble_gram(cf("gaussian", 3.0), X))
+
+    def test_a_failed_dense_solve_is_a_fit_error(self):
+        # a hand-built indefinite Gram: G + M lam I = -0.4 I has no Cholesky factor
+        X, spec = SMALL, cf()
+        with pytest.raises(FitError, match="^tikhonov solve failed: "):
+            fit_tikhonov(X, spec, 0.1, gram=DenseGram(spec, X, -np.eye(12)))
 
     def test_bad_lam_rejected(self):
         X = np.zeros((2, 1))
@@ -524,6 +595,11 @@ class TestScalarGramsStayDense:
 # ======================================================================
 
 class TestLandweber:
+    def test_a_zero_gram_has_no_step_size(self):
+        X, spec = SMALL, cf()
+        with pytest.raises(FitError, match="sigma_max estimate is zero"):
+            landweber_path(X, spec, [3], gram=DenseGram(spec, X, np.zeros((12, 12))))
+
     def test_one_step_is_scaled_zeta(self):
         rng = np.random.default_rng(40)
         X, spec = random_instance(rng, M=6, d=2, kind="curl_free")
@@ -796,28 +872,17 @@ class TestSemiIterative:
 # ======================================================================
 
 class TestNystrom:
-    def test_jitter_is_recorded(self):
+    def test_near_singular_subset_gram_matches_truncated_tikhonov(self):
+        # a near-duplicate pair makes K_ZZ numerically singular; the filter
+        # form drops its null directions, as the full eigen filter does
         rng = np.random.default_rng(62)
         X = rng.normal(size=(10, 2))
-        spec = MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", 1.0))
-        est = fit_nystrom(X, np.arange(10), spec, TruncatedTikhonov(0.01))
-        assert est.meta["jitter"] == 0.0
-        # a near-duplicate pair makes K_ZZ numerically singular
         X[1] = X[0] + 1e-10
+        spec = cf("imq", 1.0)
         est = fit_nystrom(X, np.arange(10), spec, TruncatedTikhonov(0.01))
-        assert 0.0 < est.meta["jitter"] <= 1e-8
-        assert np.all(np.isfinite(est.coeffs))
-
-    @pytest.mark.parametrize("bandwidth", [1.0, 100.0, 1000.0])
-    def test_jitter_is_relative_to_the_mean_diagonal(self, bandwidth):
-        rng = np.random.default_rng(63)
-        X = rng.normal(size=(10, 2))
-        X[1] = X[0] + 1e-10
-        spec = cf("imq", bandwidth)
-        est = fit_nystrom(X, np.arange(10), spec, TruncatedTikhonov(0.01))
-        mean_diag = np.trace(kernels.cross_gram(spec, X, X)) / 20
-        ratio = est.meta["jitter"] / mean_diag
-        assert any(ratio == pytest.approx(j, rel=1e-12) for j in (1e-12, 1e-10, 1e-8))
+        ref = fit_truncated_tikhonov(X, spec, 0.01)
+        assert est.meta["subset_size"] == 10 and est.meta["subset_rank"] < 20
+        assert np.linalg.norm(est.coeffs - ref.coeffs) <= 1e-9 * np.linalg.norm(ref.coeffs)
 
     def test_full_subset_reproduces_truncated_tikhonov(self):
         rng = np.random.default_rng(60)
@@ -847,8 +912,8 @@ class TestNystrom:
         rng = np.random.default_rng(64)
         X, spec = rng.normal(size=(40, 3)), diag("imq", 1.3)
         idx = np.sort(rng.choice(40, size=12, replace=False))
-        blocks = estimators._subset_building_blocks(X, idx, spec)
-        assert blocks[3].shape == blocks[4].shape == (12, 12)
+        P, tau, V, _ = estimators._subset_building_blocks(X, idx, spec)[2:]
+        assert P.shape == V.shape == (12, 12) and tau.shape == (12,)
         est = fit_nystrom(X, idx, spec, scheme)
         ref = fit_nystrom(X, idx, spec, scheme, _blocks=nystrom_blocks_kron(X, idx, spec))
         assert np.linalg.norm(est.coeffs - ref.coeffs) <= 1e-10 * np.linalg.norm(ref.coeffs)
@@ -863,17 +928,17 @@ class TestNystrom:
             < 8 * 2 ** 20
 
     def test_closed_form_equals_square_root_form(self):
-        # the no-square-root solve and the explicit K_ZZ^{-1/2} spectral
-        # path are algebraically identical for the shifted-inverse filter
+        # the truncated Tikhonov scheme is the shifted-inverse filter of the
+        # K_ZZ^{-1/2} form, bit for bit
         rng = np.random.default_rng(62)
         X = rng.normal(size=(32, 2))
         spec = cf("imq", 1.2)
         idx = rng.choice(32, size=8, replace=False)
         lam = 0.03
         a = fit_nystrom(X, idx, spec, TruncatedTikhonov(lam))
-        b = fit_nystrom(X, idx, spec, lambda s: 1.0 / (s + lam))
-        Q = rng.normal(size=(10, 2))
-        assert np.abs(a.predict(Q) - b.predict(Q)).max() < 1e-8
+        b = fit_nystrom(X, idx, spec, lambda s: 1 / (s + lam))
+        assert np.array_equal(a.coeffs, b.coeffs)
+        assert a.meta == b.meta
 
     def test_single_point_subset_is_rank_d_representer(self):
         rng = np.random.default_rng(63)
@@ -892,6 +957,10 @@ class TestNystrom:
         est = fit_nystrom(X, idx, spec, TruncatedTikhonov(0.1))
         assert np.array_equal(est.basis, X[idx])
         assert np.array_equal(est.subset_indices, idx)
+
+    def test_a_non_finite_filter_is_a_numeric_error(self):
+        with pytest.raises(NumericError, match="spectral filter returned non-finite values"):
+            fit_nystrom(SMALL, [0, 2, 4], cf(), lambda s: np.full_like(s, np.inf))
 
     def test_bad_subsets_rejected(self):
         rng = np.random.default_rng(65)
@@ -923,6 +992,13 @@ class TestNystrom:
 # ======================================================================
 
 class TestPredict:
+    def test_non_finite_output_is_a_numeric_error(self):
+        X, spec = SMALL, cf()
+        est = FittedScoreEstimator(spec, X, np.full((6, 2), 1e308), TruncatedTikhonov(0.1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="prediction produced non-finite values"):
+                est.predict(np.zeros((3, 2)))
+
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(70)
         X, spec = random_instance(rng, M=5, d=3)

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +159,22 @@ def test_kernel_value_checks_keep_their_messages(make, message):
     with pytest.raises(InputError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("family, c3", [("imq", 1.875), ("gaussian", 0.125)])
+def test_bandwidth_range_is_where_every_derivative_scale_is_a_nonzero_double(family, c3):
+    # sigma^6 reaches the largest double at the top, |c_3| / sigma^6 at the bottom
+    top = sys.float_info.max
+    lo, hi = (c3 / top) ** (1 / 6), top ** (1 / 6)
+    for bw in (lo * (1 + 1e-9), hi * (1 - 1e-9)):
+        k = ScalarRadialKernel(family, bw)
+        at_zero = [k.phi(0.0), k.dphi(0.0), k.d2phi(0.0), k.d3phi(0.0)]
+        assert all(np.isfinite(v) and v != 0.0 for v in at_zero)
+    for bw in (lo * (1 - 1e-9), hi * (1 + 1e-9), 1e-60, 1e60):
+        with pytest.raises(InputError) as exc:
+            ScalarRadialKernel(family, bw)
+        assert str(exc.value) == (f"bandwidth {bw!r} is outside about [{lo:.4g}, {hi:.4g}], "
+                                  f"where the {family} derivative scales are finite and nonzero")
 
 
 # ======================================================================

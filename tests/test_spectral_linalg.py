@@ -594,16 +594,15 @@ def test_one_stop_rule_stops_where_every_entry_rule_holds(t_max, cg_tol, max_ite
     op, b = low_rank_gram_and_rhs()
     basis = lanczos(op, b, 80, 1e-300)
     alpha, beta = np.diag(basis.T), np.append(np.diag(basis.T, 1), basis.beta)
-    tik, tik_dims = shift_targets_per_entry(TIK_SHIFTS, t_max - 1, 1e-12)
+    tik, _ = shift_targets_per_entry(TIK_SHIFTS, t_max - 1, 1e-12)
     cg, _ = shift_targets_per_entry(CG_SHIFTS, 1, cg_tol, max_iter)
     reference = all_rules([cg, tik])
-    one, dims = _shift_targets(np.r_[TIK_SHIFTS, CG_SHIFTS], [1e-12] * 4 + [cg_tol] * 5,
-                               t_max - 1, [np.inf] * 4 + [max_iter] * 5)
+    one = _shift_targets(np.r_[TIK_SHIFTS, CG_SHIFTS], [1e-12] * 4 + [cg_tol] * 5,
+                         t_max - 1, [np.inf] * 4 + [max_iter] * 5)
     steps = range(1, len(basis.V) + 1)
     expected = [reference(alpha[:k], beta[:k]) for k in steps]
     assert [one(alpha[:k], beta[:k]) for k in steps] == expected
     assert expected.index(True) + 1 == stop_at
-    assert np.array_equal(dims[:4], tik_dims)
 
 
 @pytest.mark.parametrize("max_dim", [None, 6, 200])
@@ -625,7 +624,7 @@ def test_galerkin_replays_the_build_rule_and_solves_at_its_step(max_dim):
             z = np.linalg.solve(T[:k, :k] + shift * np.eye(k), np.eye(1, k)[0])
             assert np.array_equal(y, 2.5 * (z @ V[:k]))
             if met:  # a basis built with that rule ends at that step
-                stop, _ = _shift_targets([shift], [target], 1, [np.inf])
+                stop = _shift_targets([shift], [target], 1, [np.inf])
                 assert len(lanczos(op, b, 60, 1e-300, stop=stop).V) == met
 
 
