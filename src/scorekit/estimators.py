@@ -1,27 +1,32 @@
 """Score-estimator fits.
 
-Every scheme below produces an estimate of grad log p with the shared
-prediction form
+Every scheme below estimates grad log p in the shared prediction form
 
     s_hat(x) = a * zeta(x) + sum_j K(x, b_j) c_j
 
-differing only in how the coefficients c and the zeta multiplier a are
-computed from the Gram matrix K and the stacked divergence vector h:
+and differs only in how c and the zeta multiplier a come from the Gram K
+and the stacked divergence vector h. A scheme is a spectral filter g on the
+eigenvalues s_j of K/M (eigenvectors u_j). Its class holds its offset a,
+-g(0) where the basis carries zeta and 0 where it does not, and an eigen
+scheme's class also holds g, as filter(s):
 
-    tikhonov            (K + M lam I) c = h / lam,            a = -1/lam
-    truncated_tikhonov  c = -sum_j u_j u_j^T h / ((s_j+lam) M s_j),  a = 0
-    spectral_cutoff     c = -sum_{s_j >= lam} u_j u_j^T h / (M s_j^2), a = 0
-    landweber           c_t = (I - eta K/M) c_{t-1} + (t-1) eta^2 h / M, a = -t eta
-    nu_method           accelerated two-term recursion, a = -2t(t+2nu)/(4nu+1)
-    nystrom             reduced basis Z: c_Z = -K_ZZ^{-1/2} g(L) K_ZZ^{-1/2} h_Z
+    tikhonov            (K + M lam I) c = h / lam,                        a = -1/lam
+    truncated_tikhonov  c = -sum_j g(s_j) u_j u_j^T h / (M s_j), g = 1/(s+lam), a = 0
+    spectral_cutoff     the same with g(s) = 1/s on s >= lam, 0 below,      a = 0
+    landweber           c_t = (I - eta K/M) c_{t-1} + (t-1) eta^2 h / M,   a = -t eta
+    nu_method           accelerated two-term recursion,    a = -2t(t+2nu)/(4nu+1)
+    nystrom             reduced basis Z: c_Z = -K_ZZ^{-1/2} g(L) K_ZZ^{-1/2} h_Z, a = 0
 
-where s_j are eigenvalues of K/M with eigenvectors u_j, and h stacks zeta
-at the samples. Eigenvalues below EPS_RANK_REL * s_max are treated as zero
-wherever a scheme filters on the nonzero spectrum.
+Eigenvalues below EPS_RANK_REL * s_max count as zero wherever a scheme
+filters on the nonzero spectrum. Every lam lies in [LAM_MIN, DBL_MAX],
+LAM_MIN ~ 5.563e-309 the smallest double whose 1/lam is finite, and a
+scheme refuses parameters whose offset is not a finite double.
 """
 
 import io
+import math
 import struct
+import sys
 import warnings
 from dataclasses import dataclass, fields
 
@@ -66,13 +71,35 @@ from .spectral_linalg import (
 # regularization scheme descriptors
 # ======================================================================
 
+# the smallest lam whose 1/lam is a finite double (1/DBL_MAX is subnormal,
+# and its reciprocal rounds past DBL_MAX); every lam lies in [LAM_MIN, DBL_MAX]
+LAM_MIN = math.nextafter(1.0 / sys.float_info.max, 1.0)
+
+
+def _check_lam(lam, who: str) -> None:
+    if not (np.isfinite(lam) and lam >= LAM_MIN):
+        raise InputError(f"{who} requires lam in [{LAM_MIN:.4g}, {sys.float_info.max:.4g}], "
+                         f"where 1/lam is a finite double, got {lam!r}")
+
+
+def _check_offset(scheme, formula: str) -> None:
+    try:
+        finite = math.isfinite(scheme.offset)
+    except OverflowError:  # an int t past the double range
+        finite = False
+    if not finite:
+        raise InputError(f"{type(scheme).__name__} offset {formula} is not a finite double: "
+                         f"it and its terms must stay within {sys.float_info.max:.4g}")
+
+
 @dataclass(frozen=True)
 class Tikhonov:
     lam: float
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam <= 0:
-            raise InputError(f"Tikhonov requires lam > 0, got {self.lam!r}")
+        _check_lam(self.lam, "Tikhonov")
+
+    offset = property(lambda self: -1.0 / float(self.lam))
 
 
 @dataclass(frozen=True)
@@ -80,8 +107,12 @@ class TruncatedTikhonov:
     lam: float
 
     def __post_init__(self):
-        if not np.isfinite(self.lam) or self.lam <= 0:
-            raise InputError(f"TruncatedTikhonov requires lam > 0, got {self.lam!r}")
+        _check_lam(self.lam, "TruncatedTikhonov")
+
+    offset = 0.0
+
+    def filter(self, s):
+        return 1.0 / (s + self.lam)
 
 
 @dataclass(frozen=True)
@@ -90,12 +121,19 @@ class SpectralCutoff:
     rank: int = None
 
     def __post_init__(self):
-        if self.lam is not None and (not np.isfinite(self.lam) or self.lam <= 0):
-            raise InputError(f"SpectralCutoff requires lam > 0, got {self.lam!r}")
+        if self.lam is not None:
+            _check_lam(self.lam, "SpectralCutoff")
         if self.rank is not None:
             check_count(self.rank, "SpectralCutoff rank")
         if self.lam is None and self.rank is None:
             raise InputError("SpectralCutoff needs lam or rank")
+
+    offset = 0.0
+
+    def filter(self, s):
+        if self.lam is None:
+            raise InputError("a SpectralCutoff filters by an explicit lam, not by rank")
+        return np.where(s >= self.lam, 1.0 / np.maximum(s, self.lam), 0.0)
 
 
 @dataclass(frozen=True)
@@ -107,6 +145,9 @@ class Landweber:
         if not np.isfinite(self.eta) or self.eta <= 0:
             raise InputError(f"Landweber requires eta > 0, got {self.eta!r}")
         check_count(self.t, "Landweber t")
+        _check_offset(self, "-t eta")
+
+    offset = property(lambda self: -float(self.t) * float(self.eta))
 
 
 @dataclass(frozen=True)
@@ -118,33 +159,25 @@ class NuMethod:
         if not np.isfinite(self.nu) or self.nu < 1:
             raise InputError(f"NuMethod requires nu >= 1, got {self.nu!r}")
         check_count(self.t, "NuMethod t")
+        _check_offset(self, "-2t(t + 2nu)/(4nu + 1)")
 
-
-def _scheme_offset(scheme) -> float:
-    """The zeta multiplier a = -g(0) of the scheme's filter g, which its fits carry."""
-    if isinstance(scheme, Tikhonov):
-        return -1.0 / scheme.lam
-    if isinstance(scheme, Landweber):
-        return -scheme.t * scheme.eta
-    if isinstance(scheme, NuMethod):
+    @property
+    def offset(self) -> float:
         # the filter is a normalized Jacobi polynomial; a closed form, so a
         # corrupt t cannot stall a load
-        t, nu = scheme.t, scheme.nu
+        t, nu = float(self.t), float(self.nu)
         return -2.0 * t * (t + 2.0 * nu) / (4.0 * nu + 1.0)
-    return 0.0  # truncated Tikhonov, spectral cut-off and every subset fit
 
 
 def landweber_iterations(lam: float) -> int:
     """Iteration count standing in for a penalty weight: t = floor(1/lam)."""
-    if lam <= 0:
-        raise InputError("lam must be positive")
+    _check_lam(lam, "landweber_iterations")
     return max(1, int(np.floor(1.0 / lam)))
 
 
 def nu_method_iterations(lam: float) -> int:
     """Accelerated schemes need ~lam^(-1/2) steps: t = floor(lam^(-1/2))."""
-    if lam <= 0:
-        raise InputError("lam must be positive")
+    _check_lam(lam, "nu_method_iterations")
     return max(1, int(np.floor(lam ** -0.5)))
 
 
@@ -163,7 +196,8 @@ def nu_coefficients(t: int, nu: float):
 
 class FittedScoreEstimator:
     """Immutable fitted state; predictions are a * zeta(x) + K_{x,basis} c with
-    a = _scheme_offset(scheme), which must be 0 over a subset basis."""
+    a = scheme.offset, which must be 0 over a subset basis. A filter callable
+    (fit_nystrom's) has no offset attribute and gives a = 0."""
 
     __slots__ = ("kernel", "samples", "basis", "subset_indices", "coeffs",
                  "offset", "scheme", "meta")
@@ -171,7 +205,7 @@ class FittedScoreEstimator:
     def __init__(self, kernel, samples, coeffs, scheme, subset_indices=None, meta=None):
         X = as_samples(samples).copy()
         X.setflags(write=False)
-        offset = _scheme_offset(scheme)
+        offset = getattr(scheme, "offset", 0.0)
         basis, idx = X, None
         if subset_indices is not None:
             if offset != 0.0:
@@ -389,17 +423,16 @@ def _galerkin_iterate(gram, h, lam, tol, max_iter, krylov):
 # eigenfilter-based fits (truncated Tikhonov, spectral cut-off)
 # ======================================================================
 
-def _fit_by_eigen_filter(samples, spec, weight_of_sig, scheme, gram,
-                         require_nonzero, meta=None):
-    """Coefficients c = -sum_j w(s_j) u_j u_j^T h over the Gram spectrum."""
+def _fit_by_eigen_filter(samples, spec, scheme, gram, meta=None):
+    """Coefficients c = -sum_j g(s_j) / (M s_j) u_j u_j^T h over the nonzero
+    spectrum of the Gram, g the scheme's filter."""
     X = as_samples(samples)
     s, eig, Y, _ = _spectrum(_eigen_gram(spec, X, gram, type(scheme).__name__))
     mask = numeric_rank_mask(s)
-    if require_nonzero and not mask.any():
-        raise FitError("kernel Gram is numerically rank zero; cannot filter "
-                       "on its nonzero spectrum")
+    if not mask.any():
+        raise FitError("kernel Gram is numerically rank zero")
     w = np.zeros_like(s)
-    w[mask] = weight_of_sig(s[mask])
+    w[mask] = scheme.filter(s[mask]) / (X.shape[0] * s[mask])
     C = -eig.lift(w[:, None] * Y)
     return FittedScoreEstimator(spec, X, C, scheme, meta=meta)
 
@@ -414,11 +447,7 @@ def fit_truncated_tikhonov(samples, spec: MatrixKernelSpec, lam: float,
     functions, which is the principled out-of-sample form of the classic
     in-sample-only estimator.
     """
-    scheme = TruncatedTikhonov(lam)
-    M = as_samples(samples).shape[0]
-    return _fit_by_eigen_filter(
-        samples, spec, lambda s: 1.0 / ((s + lam) * M * s), scheme, gram,
-        require_nonzero=True)
+    return _fit_by_eigen_filter(samples, spec, TruncatedTikhonov(lam), gram)
 
 
 def fit_spectral_cutoff(samples, spec: MatrixKernelSpec, lam: float = None,
@@ -433,12 +462,11 @@ def fit_spectral_cutoff(samples, spec: MatrixKernelSpec, lam: float = None,
     if (lam is None) == (rank is None):
         raise InputError("give exactly one of lam or rank")
     X = as_samples(samples)
-    M, d = X.shape
     meta = {}
     if rank is not None:
         rank = check_count(rank, "rank")
-        if rank > M * d:
-            raise InputError(f"rank must be in [1, {M * d}], got {rank}")
+        if rank > X.size:
+            raise InputError(f"rank must be in [1, {X.size}], got {rank}")
         # the filter below reads the same cached spectrum
         gram = _eigen_gram(spec, X, gram, "SpectralCutoff")
         sig, _, _, m = _spectrum(gram)
@@ -451,11 +479,7 @@ def fit_spectral_cutoff(samples, spec: MatrixKernelSpec, lam: float = None,
                           f"{n_nonzero}; clamped", stacklevel=2)
             meta["rank_clamped_to"] = eff
         lam = float(sig[(eff - 1) // m])  # s_J in the Md spectrum
-    scheme = SpectralCutoff(lam=lam, rank=rank)
-    return _fit_by_eigen_filter(
-        samples, spec,
-        lambda s: np.where(s >= lam, 1.0 / (M * np.square(s)), 0.0),
-        scheme, gram, require_nonzero=False, meta=meta)
+    return _fit_by_eigen_filter(X, spec, SpectralCutoff(lam=lam, rank=rank), gram, meta=meta)
 
 
 # ======================================================================
@@ -492,8 +516,8 @@ def _semi_iterative(X, spec, ts, gram, weights, scheme, what, meta=None, _krylov
             c_prev, c_cur = c_cur, ((1.0 + u) * c_cur - (w / M) * (a * h + matvec(c_cur))
                                     - u * c_prev)
         s = scheme(tau)
-        a = _scheme_offset(s)
-        if not (np.isfinite(a) and np.all(np.isfinite(c_cur))):
+        a = s.offset
+        if not np.all(np.isfinite(c_cur)):
             raise NumericError(f"{what} recursion diverged at iteration {tau}")
         if tau in ts:
             out.append(FittedScoreEstimator(spec, X, lift(c_cur), s, meta=meta))
@@ -555,13 +579,11 @@ def nu_method_path(samples, spec: MatrixKernelSpec, ts, nu: float = 1.0, gram=No
                    _krylov=None):
     """Snapshots of the nu-method at each iteration count in ts: the
     semi-iterative recursion with (u_t, omega_t) = nu_coefficients(t, nu),
-    whose filter is a normalized Jacobi polynomial with a_t = -g_t(0) =
-    -2 t (t + 2 nu) / (4 nu + 1). _krylov is _semi_iterative's.
-    """
-    if not np.isfinite(nu) or nu < 1:
-        raise InputError(f"nu must be >= 1, got {nu!r}")
+    whose filter, a normalized Jacobi polynomial, is NuMethod(nu, t)'s.
+    _krylov is _semi_iterative's."""
     X = as_samples(samples)
     ts = _iteration_counts(ts)
+    NuMethod(nu, ts[-1])  # nu, and the largest offset, before any Gram work
     return _semi_iterative(X, spec, ts, _resolve_gram(spec, X, gram),
                            lambda t: nu_coefficients(t, nu), lambda t: NuMethod(nu, t),
                            "nu-method", _krylov=_krylov)
@@ -642,26 +664,17 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
     """Restrict the estimator to basis functions at a sample subset Z:
     c_Z = -K_ZZ^{-1/2} g(L) K_ZZ^{-1/2} h_Z for the scheme's filter g, L =
     K_ZZ^{-1/2} (K_ZX K_XZ / M) K_ZZ^{-1/2} over K_ZZ's nonzero spectrum and
-    h_Z the divergence field (averaged over all M samples) at Z. g is
-    1/(s + lam) for TruncatedTikhonov(lam), 1/s on s >= lam for
-    SpectralCutoff(lam), a callable itself. Predictions use a = 0 and the
+    h_Z the divergence field (averaged over all M samples) at Z. g is the
+    scheme's filter (TruncatedTikhonov, or SpectralCutoff with a lam), or
+    the scheme itself when it is a callable. Predictions use a = 0 and the
     subset basis only; meta holds subset_size and subset_rank. The full
     subset reproduces the full estimator at the same lam. _blocks is
     _subset_building_blocks' result, which fits on one subset can share.
     """
-    if isinstance(scheme, TruncatedTikhonov):
-        g = lambda s: 1.0 / (s + scheme.lam)  # noqa: E731
-    elif isinstance(scheme, SpectralCutoff):
-        if scheme.lam is None:
-            raise InputError("subset fits need SpectralCutoff with an explicit lam")
-        g = lambda s: np.where(s >= scheme.lam, 1.0 / np.maximum(s, scheme.lam), 0.0)  # noqa: E731
-    elif callable(scheme):
-        g = scheme
-    else:
+    g = getattr(scheme, "filter", scheme)
+    if not callable(g):
         raise InputError("scheme must be TruncatedTikhonov, SpectralCutoff or a filter callable")
-    if _blocks is None:
-        _blocks = _subset_building_blocks(samples, subset_indices, spec)
-    X, idx, P, tau, V, Y = _blocks
+    X, idx, P, tau, V, Y = _blocks or _subset_building_blocks(samples, subset_indices, spec)
     gv = np.asarray(g(tau), dtype=np.float64)
     if not np.all(np.isfinite(gv)):
         raise NumericError("spectral filter returned non-finite values")
@@ -685,24 +698,16 @@ def recover_log_density(est: FittedScoreEstimator, query) -> float:
     """
     if est.kernel.kind != "curl_free":
         raise InputError("log-density recovery requires a curl_free kernel")
-    x = _as_vector(np.ravel(query), est.dim)
-    pts = np.vstack([x, est.samples[0]])
-    vals = _potential_at(est, pts)
-    return float(vals[0] - vals[1])
-
-
-def _potential_at(est, pts: np.ndarray) -> np.ndarray:
+    pts = np.vstack([_as_vector(np.ravel(query), est.dim), est.samples[0]])
     # one distance table: the basis is the sample set wherever a != 0
-    k = est.kernel.scalar
-    B, C = est.basis, est.coeffs
+    k, B, C = est.kernel.scalar, est.basis, est.coeffs
     U = sq_dists(pts, B)
     P1 = k.dphi(U)
     t = np.einsum("ij,ij->i", B, C)
-    psi_c = -2.0 * np.sum(P1 * (pts @ C.T - t[None, :]), axis=1)
-    if est.offset == 0.0:
-        return psi_c
-    Gfun = 2.0 * est.dim * P1 + 4.0 * U * k.d2phi(U)
-    return est.offset * Gfun.mean(axis=1) + psi_c
+    vals = -2.0 * np.sum(P1 * (pts @ C.T - t[None, :]), axis=1)
+    if est.offset != 0.0:
+        vals = est.offset * (2.0 * est.dim * P1 + 4.0 * U * k.d2phi(U)).mean(axis=1) + vals
+    return float(vals[0] - vals[1])
 
 
 # ======================================================================
@@ -715,14 +720,6 @@ _MAGIC = b"SKESTv1\n"
 # scheme code k is _SCHEMES[k - 1], its parameters the scheme's fields in
 # order, a SpectralCutoff's missing lam or rank as -1
 _SCHEMES = (Tikhonov, TruncatedTikhonov, SpectralCutoff, Landweber, NuMethod)
-
-
-def _scheme_code(scheme):
-    if type(scheme) not in _SCHEMES:
-        raise InputError(f"scheme {scheme!r} is not serializable")
-    values = (getattr(scheme, f.name) for f in fields(scheme))
-    params = [-1.0 if v is None else v for v in values]
-    return _SCHEMES.index(type(scheme)) + 1, params
 
 
 def _count(v, what) -> int:
@@ -757,7 +754,10 @@ def save_estimator(est: FittedScoreEstimator, path) -> None:
     (bit 0: subset indices present); f8 samples (M*d, row-major); u4 subset
     indices (N, if flagged); f8 coefficients (N*d, row-major).
     """
-    code, params = _scheme_code(est.scheme)
+    if type(est.scheme) not in _SCHEMES:
+        raise InputError(f"scheme {est.scheme!r} is not serializable")
+    params = [-1.0 if v is None else v for v in (getattr(est.scheme, f.name)
+                                                 for f in fields(est.scheme))]
     M, d = est.samples.shape
     N = est.basis.shape[0]
     flags = 0 if est.subset_indices is None else 1
@@ -765,7 +765,7 @@ def save_estimator(est: FittedScoreEstimator, path) -> None:
     buf.write(_MAGIC)
     buf.write(struct.pack("<BBd", FAMILIES.index(est.kernel.scalar.family),
                           KINDS.index(est.kernel.kind), est.kernel.scalar.bandwidth))
-    buf.write(struct.pack("<BB", code, len(params)))
+    buf.write(struct.pack("<BB", _SCHEMES.index(type(est.scheme)) + 1, len(params)))
     buf.write(np.asarray(params, dtype="<f8").tobytes())
     buf.write(struct.pack("<dIIIQ", est.offset, M, d, N, flags))
     buf.write(np.ascontiguousarray(est.samples, dtype="<f8").tobytes())
@@ -823,8 +823,7 @@ def _decode_estimator(raw: bytes) -> FittedScoreEstimator:
     scheme = _scheme_from_code(code, params)
     # the stored a is checked, not used; files saved before the closed form hold
     # a nu-method a_t from the old recursion, up to 1e-9 relative off at t = 2e5
-    expected = _scheme_offset(scheme)
-    if not (np.isfinite(expected) and abs(offset - expected) <= 1e-6 * abs(expected)):
+    if not abs(offset - scheme.offset) <= 1e-6 * abs(scheme.offset):
         raise InputError(f"offset {offset!r} contradicts the {type(scheme).__name__} "
-                         f"scheme, which defines {expected!r}")
+                         f"scheme, which defines {scheme.offset!r}")
     return FittedScoreEstimator(spec, samples, coeffs, scheme, subset_indices=idx)

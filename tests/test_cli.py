@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scorekit import bench
@@ -242,12 +242,27 @@ FITTABLE = [i for i, how in bench.REGISTRY.items() if how.fit is not None]
 POSITIVE_FLOATS = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
+# at these kinds and bandwidths h is small enough that h / lam stays finite
+# at lam = 1e-320, where the offset -1/lam does not
+TINY_LAM_FITS = [(eid, kind, bw) for eid in ("tikhonov", "tikhonov_cg")
+                 for kind, bw in (("diagonal", 1e-50), ("curl_free", 1e-50),
+                                  ("diagonal", 1e-20), ("curl_free", 1e-20),
+                                  ("curl_free", 1e-5))]
+
+
+def tiny_lam_examples(test):
+    for eid, kind, bw in TINY_LAM_FITS:
+        test = example(eid=eid, kind=kind, family="imq", bandwidth=bw, lam=1e-320, t=1)(test)
+    return test
+
+
 class TestFitExitContract:
     """`scorekit fit` of any fittable id, kind and family, at any positive
-    bandwidth and grid value, exits 0, 1 or 2, and a failure ends in one
-    contract line, never a traceback. numpy's RuntimeWarnings (overflow,
-    invalid values) are ignored, not raised: a command-line run prints
-    them and goes on, and the exit code and the last line are what this
+    bandwidth and grid value, exits 0, 1 or 2, a failure ends in one
+    contract line, never a traceback, and a success writes a file that
+    load_estimator reads. numpy's RuntimeWarnings (overflow, invalid
+    values) are ignored, not raised: a command-line run prints them and
+    goes on, and the exit code, the last line and the file are what this
     contract covers."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -256,6 +271,7 @@ class TestFitExitContract:
            # half the bandwidths near the samples' scale, where most fits run
            bandwidth=st.one_of(POSITIVE_FLOATS, st.floats(0.01, 100.0)),
            lam=POSITIVE_FLOATS, t=st.integers(1, 64))
+    @tiny_lam_examples
     def test_every_fit_exits_by_the_contract(self, tmp_path_factory, eid, kind, family,
                                              bandwidth, lam, t):
         tmp = tmp_path_factory.mktemp("fit")
@@ -273,6 +289,27 @@ class TestFitExitContract:
         if code:
             assert err.getvalue().splitlines()[-1].startswith(
                 ("scorekit: error:", "scorekit: numeric failure:"))
+        else:
+            load_estimator(tmp / "est.bin")
+
+    @pytest.mark.parametrize("eid", ["tikhonov", "tikhonov_cg"])
+    @pytest.mark.parametrize("kind, bandwidth", sorted({(k, bw) for _, k, bw in TINY_LAM_FITS}
+                                                       | {("diagonal", 1.0), ("curl_free", 1.0)}))
+    def test_a_lam_without_a_finite_offset_is_one_input_error(self, tmp_path, capsys, eid,
+                                                              kind, bandwidth):
+        # both Tikhonov fits refuse it before any divide, also at bandwidth 1,
+        # where h / lam would overflow
+        cfg = write_fit_config(tmp_path, np.random.default_rng(0).normal(size=(12, 2)), {
+            "id": eid, "kind": kind, "family": "imq", "bandwidth": bandwidth,
+            "lambdas": [1e-320]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # printed to stderr, as a command-line run does
+            code = main(["fit", "--config", cfg, "--out", str(tmp_path / "est.bin")])
+        err = capsys.readouterr().err
+        assert code == 1 and not (tmp_path / "est.bin").exists()
+        assert err.splitlines() == [
+            "scorekit: error: Tikhonov requires lam in [5.563e-309, 1.798e+308], "
+            "where 1/lam is a finite double, got 1e-320"]
 
 
 class TestConfigRoot:

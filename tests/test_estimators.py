@@ -85,18 +85,30 @@ def random_instance(rng, M=None, d=None, kind=None, family=None, bw=None):
 SMALL = np.random.default_rng(3).normal(size=(6, 2))
 
 
+# the one lam range, [LAM_MIN, DBL_MAX], as every lam refusal names it
+LAM_RANGE = re.escape("requires lam in [5.563e-309, 1.798e+308]")
+
+
 class TestArguments:
     @pytest.mark.parametrize("make, match", [
-        (lambda: TruncatedTikhonov(0.0), "TruncatedTikhonov requires lam > 0"),
-        (lambda: TruncatedTikhonov(np.nan), "TruncatedTikhonov requires lam > 0"),
-        (lambda: SpectralCutoff(lam=-1.0), "SpectralCutoff requires lam > 0"),
+        (lambda: TruncatedTikhonov(0.0), "TruncatedTikhonov " + LAM_RANGE),
+        (lambda: TruncatedTikhonov(np.nan), "TruncatedTikhonov " + LAM_RANGE),
+        (lambda: SpectralCutoff(lam=-1.0), "SpectralCutoff " + LAM_RANGE),
         (lambda: SpectralCutoff(rank=0), "SpectralCutoff rank must be an integer >= 1"),
         (lambda: Landweber(0.0, 3), "Landweber requires eta > 0"),
         (lambda: Landweber(np.inf, 3), "Landweber requires eta > 0"),
         (lambda: Landweber(0.1, 0), "Landweber t must be an integer >= 1"),
         (lambda: NuMethod(1.0, 0), "NuMethod t must be an integer >= 1"),
+        # offsets of -inf and nan, and counts t that no double holds
+        (lambda: NuMethod(1.0, 10 ** 200), "NuMethod offset .* is not a finite double"),
+        (lambda: NuMethod(1.0, 10 ** 400), "NuMethod offset .* is not a finite double"),
+        (lambda: NuMethod(1e308, 1), "NuMethod offset .* is not a finite double"),
+        (lambda: Landweber(1e300, 10 ** 10), "Landweber offset .* is not a finite double"),
+        (lambda: Landweber(0.5, 10 ** 400), "Landweber offset .* is not a finite double"),
     ], ids=["truncated-zero", "truncated-nan", "cutoff-lam", "cutoff-rank",
-            "landweber-eta-zero", "landweber-eta-inf", "landweber-t", "nu-t"])
+            "landweber-eta-zero", "landweber-eta-inf", "landweber-t", "nu-t",
+            "nu-offset-t-1e200", "nu-offset-t-1e400", "nu-offset-nu-1e308",
+            "landweber-offset-1e310", "landweber-offset-t-1e400"])
     def test_a_scheme_refuses_a_parameter_out_of_range(self, make, match):
         with pytest.raises(InputError, match=match):
             make()
@@ -136,6 +148,80 @@ class TestArguments:
             save_estimator(est, tmp_path / "est.bin")
             assert load_estimator(tmp_path / "est.bin").scheme == est.scheme
         assert fit_tikhonov_cg(SMALL, cf(), 0.1, max_iter=three).meta["cg_iterations"] <= 3
+
+    @pytest.mark.parametrize("call", [
+        lambda: Tikhonov(1e-320),
+        lambda: Tikhonov(np.nextafter(estimators.LAM_MIN, 0.0)),
+        lambda: Tikhonov(np.inf),
+        lambda: TruncatedTikhonov(-0.5),
+        lambda: SpectralCutoff(lam=np.nan),
+        lambda: fit_tikhonov(SMALL, cf(), 1e-320),
+        lambda: fit_tikhonov_cg(SMALL, cf(), 1e-320),
+        lambda: fit_landweber(SMALL, cf(), lam=np.nan),
+        lambda: fit_landweber(SMALL, cf(), lam=1e-320),
+        lambda: fit_landweber(SMALL, cf(), lam=np.inf),
+        lambda: fit_nu_method(SMALL, cf(), lam=np.inf),
+        lambda: fit_nu_method(SMALL, cf(), lam=0.0),
+        lambda: landweber_iterations(-1.0),
+        lambda: nu_method_iterations(np.nan),
+    ], ids=["Tikhonov-1e-320", "Tikhonov-below-LAM_MIN", "Tikhonov-inf", "TruncatedTikhonov",
+            "SpectralCutoff-nan", "fit_tikhonov", "fit_tikhonov_cg", "fit_landweber-nan",
+            "fit_landweber-1e-320", "fit_landweber-inf", "fit_nu_method-inf",
+            "fit_nu_method-zero", "landweber_iterations", "nu_method_iterations"])
+    def test_every_lam_takes_one_range(self, call):
+        with pytest.raises(InputError, match=LAM_RANGE):
+            call()
+
+    def test_lam_range_ends_where_one_over_lam_is_finite(self):
+        lo, hi = estimators.LAM_MIN, np.finfo(np.float64).max
+        assert lo == np.nextafter(1.0 / hi, 1.0)
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.float64(1.0) / np.nextafter(lo, 0.0))
+        for lam in (lo, hi):
+            assert np.isfinite(Tikhonov(lam).offset) and Tikhonov(lam).offset == -1.0 / lam
+            assert TruncatedTikhonov(lam).lam == SpectralCutoff(lam=lam).lam == lam
+        assert landweber_iterations(hi) == nu_method_iterations(hi) == 1
+        assert nu_method_iterations(lo) == int(np.floor(lo ** -0.5))
+
+
+
+# one spectrum, with a zero and values on both sides of the cut-off 0.05
+SPECTRUM = np.array([0.0, 0.01, 0.05, 0.25, 2.0])
+
+
+class TestSchemeFacts:
+    """Each scheme class holds its offset a = -g(0) (0 where the fit's basis
+    has no zeta term), and the two eigen schemes their filter g, each as
+    the closed form the fits used before the classes held them."""
+
+    @pytest.mark.parametrize("scheme, offset", [
+        (Tikhonov(0.1), -1.0 / 0.1),
+        (Tikhonov(3e-7), -1.0 / 3e-7),
+        (TruncatedTikhonov(0.1), 0.0),
+        (SpectralCutoff(lam=0.05), 0.0),
+        (SpectralCutoff(rank=4), 0.0),
+        (Landweber(0.37, 11), -11 * 0.37),
+        (Landweber(0.9, np.int64(7)), -7 * 0.9),
+        (NuMethod(1.0, 3), -2.0 * 3 * (3 + 2.0 * 1.0) / (4.0 * 1.0 + 1.0)),
+        (NuMethod(2.5, 40), -2.0 * 40 * (40 + 2.0 * 2.5) / (4.0 * 2.5 + 1.0)),
+    ], ids=["tikhonov", "tikhonov-small", "truncated_tikhonov", "spectral_cutoff-lam",
+            "spectral_cutoff-rank", "landweber", "landweber-numpy-t", "nu_method",
+            "nu_method-nu-2.5"])
+    def test_offset_is_the_closed_form(self, scheme, offset):
+        assert scheme.offset == offset
+
+    @pytest.mark.parametrize("scheme, g", [
+        # bit for bit the callable TestNystrom's square-root form test passes
+        (TruncatedTikhonov(0.03), 1 / (SPECTRUM + 0.03)),
+        (SpectralCutoff(lam=0.05), [0.0, 0.0, 1 / 0.05, 1 / 0.25, 1 / 2.0]),
+        (SpectralCutoff(lam=0.05, rank=3), [0.0, 0.0, 1 / 0.05, 1 / 0.25, 1 / 2.0]),
+    ], ids=["truncated_tikhonov", "spectral_cutoff", "spectral_cutoff-rank-resolved"])
+    def test_filter_is_the_closed_form(self, scheme, g):
+        assert np.array_equal(scheme.filter(SPECTRUM), g)
+
+    def test_a_cutoff_by_rank_alone_has_no_filter(self):
+        with pytest.raises(InputError, match="explicit lam"):
+            SpectralCutoff(rank=2).filter(SPECTRUM)
 
 
 # ======================================================================
@@ -833,7 +919,7 @@ class TestSemiIterative:
             for est, (c, a) in zip(got, ref):
                 assert np.linalg.norm(est.coeffs.ravel() - c) <= 1e-12 * np.linalg.norm(c)
                 assert est.offset == pytest.approx(a, rel=1e-12)
-                assert est.offset == estimators._scheme_offset(est.scheme)
+                assert est.offset == est.scheme.offset
 
     def test_divergence_names_the_recursion(self, monkeypatch):
         rng = np.random.default_rng(97)
@@ -862,6 +948,7 @@ class TestSemiIterative:
                      lambda: fit_landweber(X, spec, t=0),
                      lambda: nu_method_path(X, spec, [0], gram=gram),
                      lambda: nu_method_path(X, spec, [3], nu=0.5),
+                     lambda: nu_method_path(X, spec, [1, 10 ** 200], gram=gram),
                      lambda: fit_nu_method(X, spec, t=2, lam=0.1)):
             with pytest.raises(InputError):
                 call()
@@ -1319,7 +1406,7 @@ class TestSerialization:
                 FittedScoreEstimator(cf(), X, C, scheme, subset_indices=idx)
             return
         est = FittedScoreEstimator(cf(), X, C, scheme, subset_indices=idx)
-        assert est.offset == offset == estimators._scheme_offset(est.scheme)
+        assert est.offset == offset == est.scheme.offset
         back = self.roundtrip(est, tmp_path)
         Q = rng.normal(size=(5, 2))
         assert back.offset == offset and np.array_equal(back.predict(Q), est.predict(Q))
@@ -1328,7 +1415,8 @@ class TestSerialization:
         rng = np.random.default_rng(92)
         X, spec = random_instance(rng, M=6, d=2, kind="curl_free")
         est = fit_nystrom(X, [0, 1], spec, lambda s: 1.0 / (s + 0.1))
-        with pytest.raises(InputError):
+        assert est.offset == 0.0
+        with pytest.raises(InputError, match="is not serializable"):
             save_estimator(est, tmp_path / "bad.bin")
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -1409,7 +1497,7 @@ class TestSerialization:
                                         "nu_method"])
     def test_every_fit_carries_its_schemes_offset(self, scheme):
         for est in self.every_scheme()[scheme]:
-            assert est.offset == estimators._scheme_offset(est.scheme)
+            assert est.offset == est.scheme.offset
 
     @staticmethod
     def valid_files():
