@@ -319,10 +319,16 @@ class DenseGram(_Gram):
     factor k of a diagonal kernel (m = d), the whole Md x Md matrix of a
     curl-free one (m = 1).
 
-    A hand-built one is checked: G must have that shape and be exactly
-    symmetric (check_symmetric, which also refuses a non-finite entry), or
-    InputError is raised. assemble_gram's Grams are exactly symmetric by
-    construction and skip the check (_symmetric=True).
+    A hand-built one copies its matrix and checks it: G must have that
+    shape and be exactly symmetric (check_symmetric, which also refuses a
+    non-finite entry), or InputError is raised. assemble_gram's Grams are
+    exactly symmetric by construction, built for this Gram alone, and skip
+    the check and the copy (_symmetric=True).
+
+    matrix is G, C-ordered. Once eigensystem() has reduced it (m = 1), it
+    holds G only in its lower triangle and diagonal, and the Householder
+    reflectors of that reduction in its strict upper triangle; every reader
+    here (matvec, solve_spd) reads the lower triangle.
     """
 
     __slots__ = ("matrix", "_eig", "_coords")
@@ -331,7 +337,7 @@ class DenseGram(_Gram):
         X = as_samples(samples)
         n = X.size if spec.kind == "curl_free" else X.shape[0]
         if not _symmetric:
-            matrix = np.asarray(matrix, dtype=np.float64)
+            matrix = np.array(matrix, dtype=np.float64, order="C")
             if matrix.shape != (n, n):
                 raise InputError(f"a {spec.kind} Gram over {X.shape[0]} samples in "
                                  f"{X.shape[1]} dimensions is {n} x {n}, got shape "
@@ -343,10 +349,10 @@ class DenseGram(_Gram):
         self._coords = None
 
     def matvec(self, b: np.ndarray) -> np.ndarray:
-        """K b. A one-column product (m = 1) is BLAS dsymv, which reads one
-        triangle of G; G is exactly symmetric, and G.T is the
-        Fortran-ordered view dsymv takes without a copy. The m columns of a
-        diagonal kernel's B are one G @ B."""
+        """K b. A one-column product (m = 1) is BLAS dsymv on G.T, the
+        Fortran-ordered view it takes without a copy, reading G's lower
+        triangle and diagonal: all of G, reduced or not. The m columns of a
+        diagonal kernel's B (d > 1, never reduced) are one G @ B."""
         b = np.asarray(b, dtype=np.float64).ravel()
         if b.shape[0] != self.dim:
             raise InputError(f"vector length {b.shape[0]} != Gram dimension {self.dim}")
@@ -356,16 +362,20 @@ class DenseGram(_Gram):
         return (G @ b.reshape(len(G), -1)).ravel()
 
     def eigensystem(self):
-        """Cached spectrum of G, values descending, from sym_eig on G itself
-        (no copy of the caller's). Where each filter lifts one column (m =
-        1: every curl-free Gram, a diagonal one at d = 1) it is sym_eig's
-        TridiagonalEigen, which never forms the n x n eigenvector matrix;
-        a diagonal kernel's m = d columns per lift keep eigh's EigenSystem,
-        whose explicit vectors lift a block faster. Both offer values,
-        coords and lift."""
+        """Cached spectrum of G, values descending, from sym_eig on G itself,
+        which this Gram owns; G is exactly symmetric, so it is not checked
+        again (_in_place). Where each filter lifts one column (m = 1: every
+        curl-free Gram, a diagonal one at d = 1) it is sym_eig's
+        TridiagonalEigen, which never forms the n x n eigenvector matrix:
+        G is reduced in its own buffer, its upper triangle then holds the
+        reflectors the value reads, and the value adds T's eigenvectors Z
+        and O(n). A diagonal kernel's m = d columns per lift keep eigh's
+        EigenSystem, whose explicit vectors lift a block faster. Both offer
+        values, coords and lift."""
         if self._eig is None:
             from .spectral_linalg import sym_eig
-            self._eig = sym_eig(self.matrix, _reduced=self.dim == len(self.matrix))
+            self._eig = sym_eig(self.matrix, _reduced=self.dim == len(self.matrix),
+                                _in_place=True)
         return self._eig
 
     def divergence_coords(self) -> np.ndarray:

@@ -11,6 +11,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
+from scipy.linalg.blas import dsymm, dsymv
 
 from .errors import InputError, NumericError
 
@@ -53,18 +54,19 @@ class EigenSystem(NamedTuple):
 class TridiagonalEigen:
     """The spectrum of a symmetric A = Q T Q^T, T = Z diag(s) Z^T, held as
     the Householder reflectors of Q (LAPACK dsytrd, lower), T's eigenvectors
-    Z (dstemr, ascending) and the eigenvalues s (descending), without the
+    Z (dstevd, ascending) and the eigenvalues s (descending), without the
     n x n eigenvector matrix U = Q Z.
 
     It offers the values and the two products of EigenSystem: coords(H) =
     U^T H and lift(Y) = U Y, in the descending order of values. Q is
-    applied by dormqr, the body of dormtr for uplo = 'L'; its reflectors
-    are a Fortran-contiguous view of dsytrd's output, so no call copies
-    them.
+    applied by dormqr, the body of dormtr for uplo = 'L'. The reflectors
+    stay where dsytrd wrote them, in the strict upper triangle of the
+    reduced matrix's own buffer; they are a Fortran-contiguous view of it,
+    so no call copies them and the value holds Z and O(n) besides.
     """
 
     values: np.ndarray
-    _reflectors: np.ndarray  # (n, n - 1), leading dimension n: dsytrd's c[1:, :-1]
+    _reflectors: np.ndarray  # (n, n - 1) view, leading dimension n: A.T[1:, :-1]
     _tau: np.ndarray
     _Z: np.ndarray           # T's eigenvectors, ascending
 
@@ -136,32 +138,55 @@ def check_symmetric(K: np.ndarray, tol: float, what: str) -> None:
                                                else "exactly symmetric"))
 
 
-def _tridiagonal_eig(K: np.ndarray) -> TridiagonalEigen:
-    """TridiagonalEigen of a checked symmetric K, from its upper triangle.
+def _restore(A: np.ndarray, diag: np.ndarray) -> None:
+    """Write diag on A's diagonal and copy A's strict lower triangle onto
+    its upper one, in tiles."""
+    np.fill_diagonal(A, diag)
+    t = _SYMMETRY_TILE
+    for i in range(0, len(A), t):
+        D = A[i:i + t, i:i + t]
+        upper = np.triu_indices(len(D), 1)
+        D[upper] = D.T[upper]
+        A[i:i + t, i + t:] = A[i + t:, i:i + t].T
 
-    dsytrd runs on a private copy: K.T's, which is a plain copy of K's
-    buffer in Fortran order, and whose lower triangle is K's upper one.
-    Traced peak: that copy and Z, two matrices of K's size.
+
+def _tridiagonal_eig(A: np.ndarray) -> TridiagonalEigen:
+    """TridiagonalEigen of an exactly symmetric, C-contiguous A, reduced in
+    A's own buffer.
+
+    dsytrd (lower) runs on A.T, A's Fortran-ordered view: it reads A's
+    upper triangle and writes T and the reflectors there, and A's diagonal
+    is saved and written back. A then holds itself in its lower triangle
+    and diagonal, which is all its other readers read, and the reflectors
+    in its strict upper triangle, which the result keeps as a view. T is
+    solved by divide and conquer (dstevd). A failure restores A's diagonal
+    and, from its lower triangle, its upper one, so that a later reduction
+    reads A again, and raises. Traced peak: Z and dstevd's n^2 workspace,
+    two matrices of A's size.
     """
-    n = len(K)
-    if n == 0:
-        return TridiagonalEigen(np.zeros(0), np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)))
-    lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
-    c, d, e, tau, info = lapack.dsytrd(K.T.copy(order="F"), lower=1, lwork=lwork,
-                                       overwrite_a=1)
-    if info != 0:
-        raise NumericError(f"LAPACK dsytrd failed (info={info})")
-    # dstemr takes e of length n and range 0 for the whole spectrum
-    _, s, Z, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
-    if info != 0:
-        raise NumericError(f"LAPACK dstemr failed (info={info})")
+    n = len(A)
+    if n <= 1:  # scipy's dstevd refuses an empty e
+        return TridiagonalEigen(np.diag(A).copy(), np.zeros((n, 0)), np.zeros(0), np.eye(n))
+    diag = np.diag(A).copy()
+    try:
+        lwork = int(lapack.dsytrd_lwork(n, lower=1)[0])
+        c, d, e, tau, info = lapack.dsytrd(A.T, lower=1, lwork=lwork, overwrite_a=1)
+        np.fill_diagonal(A, diag)
+        if info != 0:
+            raise NumericError(f"LAPACK dsytrd failed (info={info})")
+        s, Z, info = lapack.dstevd(d, e, overwrite_d=1, overwrite_e=1)
+        if info != 0:
+            raise NumericError(f"LAPACK dstevd failed (info={info})")
+    except (NumericError, MemoryError):  # MemoryError: dstevd's n^2 workspace
+        _restore(A, diag)
+        raise
     # reflector j lies in c[j + 2:, j]: starting one entry into c's buffer,
     # the columns of c[1:, :-1] keep c's leading dimension n
     reflectors = c.ravel(order="F")[1:1 + n * (n - 1)].reshape((n, n - 1), order="F")
     return TridiagonalEigen(s[::-1].copy(), reflectors, tau, Z)
 
 
-def sym_eig(K: np.ndarray, _reduced: bool = False):
+def sym_eig(K: np.ndarray, _reduced: bool = False, _in_place: bool = False):
     """Eigendecomposition of a symmetric matrix, descending order.
 
     K must be finite and symmetric to 1e-10 (relative to its largest
@@ -171,15 +196,19 @@ def sym_eig(K: np.ndarray, _reduced: bool = False):
     deterministic order. _reduced (DenseGram.eigensystem's, for a Gram
     whose filters lift one column) returns a TridiagonalEigen instead:
     the same values within ~1e-15 of the largest, without the n x n
-    eigenvector matrix, read from K's upper triangle. A failed
-    decomposition raises NumericError.
+    eigenvector matrix, read from K's upper triangle in a private copy, so
+    K is never written. _in_place (DenseGram.eigensystem's, on the
+    C-contiguous matrix it owns, exactly symmetric already) skips the check
+    and reduces K itself (_tridiagonal_eig), leaving its lower triangle and
+    diagonal as they were. A failed decomposition raises NumericError.
     """
     K = np.asarray(K, dtype=np.float64)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise InputError(f"sym_eig expects a square matrix, got shape {K.shape}")
-    check_symmetric(K, 1e-10, "sym_eig input")
+    if not _in_place:
+        if K.ndim != 2 or K.shape[0] != K.shape[1]:
+            raise InputError(f"sym_eig expects a square matrix, got shape {K.shape}")
+        check_symmetric(K, 1e-10, "sym_eig input")
     if _reduced:
-        return _tridiagonal_eig(K)
+        return _tridiagonal_eig(K if _in_place else np.array(K, order="C"))
     try:
         w, V = np.linalg.eigh(K)
     except np.linalg.LinAlgError as exc:
@@ -187,19 +216,43 @@ def sym_eig(K: np.ndarray, _reduced: bool = False):
     return EigenSystem(w[::-1].copy(), V[:, ::-1].copy())
 
 
+@np.errstate(over="ignore")
+def _norm(v: np.ndarray) -> float:
+    """||v||_2, rescaled by max|v| where the plain sum of squares overflows."""
+    out = float(np.linalg.norm(v))
+    if out == np.inf and np.all(np.isfinite(v)):
+        scale = float(np.abs(v).max())
+        out = scale * float(np.linalg.norm(v / scale))
+    return out
+
+
+def _lower_product(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A x read from A's lower triangle and diagonal, by BLAS on A.T, the
+    Fortran-ordered view of a C-ordered A: dsymm for a block of columns,
+    dsymv for a vector or one column (at n = 4096 with 2 threads, dsymm
+    of one column took 62 ms, dsymv 1.3 ms)."""
+    if x.ndim == 2 and x.shape[1] > 1:
+        return dsymm(1.0, A.T, x)
+    return dsymv(1.0, A.T, x.ravel()).reshape(x.shape)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def solve_spd(A: np.ndarray, b: np.ndarray, shift: float = 0.0,
               x0: np.ndarray = None) -> np.ndarray:
     """Solve (A + shift I) x = b for symmetric positive definite A + shift I.
 
-    b may be a vector or an (n, k) block of right-hand sides. Every result
-    meets the relative residual SPD_RESIDUAL_TOL. A start x0 (shaped like b)
-    that is finite and already meets it is returned after one product with
-    A, without a factorization. Otherwise one private copy of A is shifted,
-    factored by Cholesky in place and the solution refined against A; a
-    failure to reach the residual (or to factor) raises NumericError with a
-    condition estimate from the Cholesky diagonal. A is never modified.
+    Only A's lower triangle and diagonal are read, so A may be a Gram
+    reduced by DenseGram.eigensystem. b may be a vector or an (n, k) block
+    of right-hand sides. Every result meets the relative residual
+    SPD_RESIDUAL_TOL. A start x0 (shaped like b) that is finite and already
+    meets it is returned after one product with A, without a factorization.
+    Otherwise one private copy of A is shifted, factored by Cholesky in
+    place and the solution refined against A; a failure to reach the
+    residual (or to factor) raises NumericError with a condition estimate
+    from the Cholesky diagonal, and so does a non-finite residual. A is
+    never modified.
     """
-    A = np.asarray(A, dtype=np.float64)
+    A = np.ascontiguousarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     shift = float(shift)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -208,7 +261,7 @@ def solve_spd(A: np.ndarray, b: np.ndarray, shift: float = 0.0,
         raise InputError("right-hand side length does not match matrix")
     if not np.isfinite(shift):
         raise InputError(f"shift must be finite, got {shift!r}")
-    nb = float(np.linalg.norm(b))
+    nb = _norm(b)
     if nb == 0.0:
         return np.zeros_like(b)
     if x0 is not None:
@@ -217,22 +270,28 @@ def solve_spd(A: np.ndarray, b: np.ndarray, shift: float = 0.0,
             raise InputError(f"start shape {x0.shape} does not match right-hand "
                              f"side shape {b.shape}")
         if np.all(np.isfinite(x0)):
-            r = b - (A @ x0 + shift * x0)
-            if float(np.linalg.norm(r)) / nb <= SPD_RESIDUAL_TOL:
+            r = b - (_lower_product(A, x0) + shift * x0)
+            if _norm(r) / nb <= SPD_RESIDUAL_TOL:
                 return x0
-    # one private copy, in the order LAPACK reads: the caller's A is often a shared Gram
-    F = np.array(A, order="F")
+    # one private copy, in the order LAPACK reads: the caller's A is often a
+    # shared Gram. A.T's Fortran copy holds A's lower triangle in its upper
+    # one, the part cho_factor reads; a non-finite entry there makes some
+    # pivot NaN or -inf, which dpotrf refuses, so the other part is not checked.
+    F = np.array(A.T, order="F")
     F[np.diag_indices_from(F)] += shift
     try:
-        cf = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=True)
+        cf = scipy.linalg.cho_factor(F, overwrite_a=True, check_finite=False)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"Cholesky factorization failed: {exc}") from exc
     x = scipy.linalg.cho_solve(cf, b, check_finite=False)
     for step in range(3):  # the solve, then at most two refinements
-        r = b - (A @ x + shift * x)
-        rel = float(np.linalg.norm(r)) / nb
+        r = b - (_lower_product(A, x) + shift * x)
+        rel = _norm(r) / nb
         if rel <= SPD_RESIDUAL_TOL:
             return x
+        if not np.isfinite(rel):
+            raise NumericError("solve_spd: the residual is not finite: A holds a "
+                               "non-finite entry or the solution overflows")
         if step < 2:
             x = x + scipy.linalg.cho_solve(cf, r, check_finite=False)
     # cond(A) = cond(L)^2, and the spread of L's diagonal bounds cond(L)
@@ -274,9 +333,19 @@ def _rhs(op, b):
         raise InputError(f"vector length {b.shape[0]} != operator dimension {op.dim}")
     if not np.all(np.isfinite(b)):
         raise InputError("right-hand side contains non-finite entries")
-    return b, float(np.linalg.norm(b))
+    return b, _norm(b)
 
 
+def _cg_dot(u, v, it: int) -> float:
+    """u @ v for conjugate_gradient, or NumericError where it is not
+    finite: an overflowed product can meet no tolerance."""
+    out = float(u @ v)
+    if not np.isfinite(out):
+        raise NumericError(f"CG inner product overflows at iteration {it}")
+    return out
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
                        max_iter: int = None, x0: np.ndarray = None):
     """Conjugate gradient for symmetric PSD op, stopping at ||r|| <= tol ||b||.
@@ -284,6 +353,7 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
     Accepts any object with .dim and .matvec (LinearOperator, Gram objects).
     On hitting the recurrence tolerance the true residual is recomputed; the
     iteration continues if the recurrence had drifted. Returns (x, CGReport).
+    A non-finite operator output or inner product raises NumericError.
     """
     if tol <= 0.0:
         raise InputError("tol must be positive")
@@ -299,7 +369,7 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
         x = np.asarray(x0, dtype=np.float64).ravel().copy()
         r = b - op.matvec(x)
     p = r.copy()
-    rs = float(r @ r)
+    rs = _cg_dot(r, r, 0)
     rel = np.sqrt(rs) / nb
     if rel <= tol:
         return x, CGReport(0, rel, True)
@@ -310,18 +380,18 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
         Ap = op.matvec(p)
         if not np.all(np.isfinite(Ap)):
             raise NumericError(f"non-finite operator output at CG iteration {it}")
-        pAp = float(p @ Ap)
+        pAp = _cg_dot(p, Ap, it)
         if pAp <= 0.0:
             raise NumericError("non-positive curvature encountered; operator is not PSD")
         alpha = rs / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ r)
+        rs_new = _cg_dot(r, r, it)
         rel = np.sqrt(rs_new) / nb
         if rel <= tol:
             # guard against recurrence drift before declaring victory
             r = b - op.matvec(x)
-            rs_new = float(r @ r)
+            rs_new = _cg_dot(r, r, it)
             rel = np.sqrt(rs_new) / nb
             if rel <= tol:
                 return x, CGReport(it, rel, True)

@@ -218,6 +218,21 @@ def peak_bytes(fn) -> int:
             tracemalloc.stop()
 
 
+def retained_bytes(fn) -> int:
+    """Bytes traced as live once fn() has returned, above what was live
+    before it; fn's result is held until they are read."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()  # noqa: F841 -- held while the bytes are read
+        return tracemalloc.get_traced_memory()[0] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def gram_matvec(gram, b: np.ndarray) -> np.ndarray:
     """K @ b for either Gram form."""
     return gram.matvec(b)

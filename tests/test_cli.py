@@ -312,6 +312,31 @@ class TestFitExitContract:
             "where 1/lam is a finite double, got 1e-320"]
 
 
+    @pytest.mark.parametrize("eid", ["tikhonov", "tikhonov_cg"])
+    @pytest.mark.parametrize("kind, bandwidth", [("curl_free", 1.0), ("diagonal", 1.0),
+                                                 ("diagonal", 1e-5)])
+    @pytest.mark.parametrize("lam", [1e-300, 1e-308])
+    def test_an_overflowing_solve_prints_no_runtime_warning(self, tmp_path, capsys, eid, kind,
+                                                            bandwidth, lam):
+        # inside the lam range h / lam is finite, but the norms and products
+        # of the solve overflow: it fails with one contract line or writes
+        # a file that loads, and numpy prints nothing
+        cfg = write_fit_config(tmp_path, np.random.default_rng(0).normal(size=(12, 2)), {
+            "id": eid, "kind": kind, "family": "imq", "bandwidth": bandwidth,
+            "lambdas": [lam]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # each one a command-line run would print
+            code = main(["fit", "--config", cfg, "--out", str(tmp_path / "est.bin")])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        if code:
+            assert code == 2 and len(err.splitlines()) == 1
+            assert err.startswith("scorekit: numeric failure:")
+        else:
+            assert err == ""
+            load_estimator(tmp_path / "est.bin")
+
+
 class TestConfigRoot:
     """Every config file, a subcommand's or a sweep's, passes one root check
     and resolves its file paths one way."""

@@ -622,6 +622,45 @@ class TestSpectralCutoff:
 # sizes refused up front
 # ======================================================================
 
+class TestReducedGramReaders:
+    """eigensystem() reduces a dense Gram in its own buffer and leaves the
+    reflectors in its upper triangle; every other reader of that Gram reads
+    the lower triangle and gives the bits it gives on a fresh Gram."""
+
+    X = np.random.default_rng(22).normal(size=(40, 2))
+    SPEC = cf("imq", 1.3)
+
+    def readers(self, gram, factor_calls):
+        X, spec, h = self.X, self.SPEC, gram.divergence()
+        krylov = spectral_linalg.lanczos(gram, h, gram.dim, 1e-300)
+        out = {"lanczos": (krylov.V, krylov.T),
+               "power_iteration": spectral_linalg.power_iteration(gram)}
+        out["tikhonov_start"] = fit_tikhonov(X, spec, 0.1, gram=gram, _krylov=krylov).coeffs
+        assert not factor_calls  # the Krylov start met the residual
+        out["tikhonov_cholesky"] = fit_tikhonov(X, spec, 0.1, gram=gram).coeffs
+        assert len(factor_calls) == 1
+        out["landweber_path"] = [e.coeffs for e in landweber_path(X, spec, [3, 10], gram=gram)]
+        factor_calls.clear()
+        return out
+
+    def test_each_reader_keeps_its_bits(self, monkeypatch):
+        calls, orig = [], spectral_linalg.scipy.linalg.cho_factor
+        monkeypatch.setattr(spectral_linalg.scipy.linalg, "cho_factor",
+                            lambda *a, **kw: calls.append(1) or orig(*a, **kw))
+        fresh = assemble_gram(self.SPEC, self.X)
+        reduced = assemble_gram(self.SPEC, self.X)
+        reduced.eigensystem()
+        # the reduction wrote its reflectors over the upper triangle
+        assert not np.array_equal(reduced.matrix, fresh.matrix)
+        ref, got = self.readers(fresh, calls), self.readers(reduced, calls)
+        assert ref.keys() == got.keys()
+        for name, value in ref.items():
+            parts = value if isinstance(value, (tuple, list)) else [value]
+            others = got[name] if isinstance(value, (tuple, list)) else [got[name]]
+            assert len(parts) == len(others)
+            assert all(np.array_equal(a, b) for a, b in zip(parts, others)), name
+
+
 class TestSizeRefusal:
     """A curl-free system over the dense limit (Md = 4160 here) is refused
     by the fits that need it dense, with the bytes, before any allocation."""

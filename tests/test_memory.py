@@ -28,7 +28,7 @@ from scorekit.errors import InputError
 from scorekit.kernels import query_tables
 from scorekit.spectral_linalg import SPD_RESIDUAL_TOL, TridiagonalEigen, solve_spd
 
-from helpers import peak_bytes
+from helpers import peak_bytes, retained_bytes
 
 MB = 2 ** 20
 
@@ -104,12 +104,22 @@ def test_h_vector_peaks_far_below_an_m_by_m_table(kind):
 
 @pytest.mark.parametrize("M, d", [(2048, 1), (256, 8)])
 def test_eigensystem_peak_is_the_decomposition_and_one_copy(M, d):
-    """Symmetrizing a copy first took 3.0x the matrix, and so would a
-    tridiagonal eigensolver with an n^2 workspace (dstevd: 3.01x). The
-    reduction holds dsytrd's copy and T's eigenvectors Z, 2x."""
+    """Symmetrizing a copy first took 3.0x the matrix, and so did dstevd
+    on a reduced copy (3.01x): the copy, T's eigenvectors Z and dstevd's
+    n^2 workspace. The reduction runs in the Gram's own buffer, so it
+    holds Z and that workspace, 2x."""
     gram = assemble_gram(curl_free("imq"), samples(M, d))
     assert peak_bytes(gram.eigensystem) <= 2.25 * gram.matrix.nbytes
     assert isinstance(gram.eigensystem(), TridiagonalEigen)
+
+
+@pytest.mark.parametrize("M, d", [(2048, 1), (256, 8)])
+def test_cached_spectrum_keeps_z_and_a_view_of_the_gram(M, d):
+    """The reflectors stay in the Gram's own upper triangle, so the cached
+    value adds only Z and O(n); reduced on a copy, it kept that copy too
+    (2x the matrix)."""
+    gram = assemble_gram(curl_free("imq"), samples(M, d))
+    assert retained_bytes(gram.eigensystem) <= 1.05 * gram.matrix.nbytes
 
 
 @pytest.mark.parametrize("M, d", [(2048, 1), (256, 8)])

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from scorekit import InputError, NumericError, MatrixKernelSpec, ScalarRadialKernel, assemble_gram
+from scorekit.kernels import DenseGram
 from scorekit import estimators, spectral_linalg
 from scorekit.spectral_linalg import (
     SPD_RESIDUAL_TOL,
@@ -139,7 +140,7 @@ def test_reduced_eigensystem_leaves_its_input_alone():
     assert np.array_equal(K, before)
 
 
-@pytest.mark.parametrize("routine", ["dsytrd", "dstemr"])
+@pytest.mark.parametrize("routine", ["dsytrd", "dstevd"])
 def test_reduced_sym_eig_wraps_lapack_failure(monkeypatch, routine):
     real = getattr(spectral_linalg.lapack, routine)
 
@@ -149,6 +150,87 @@ def test_reduced_sym_eig_wraps_lapack_failure(monkeypatch, routine):
     monkeypatch.setattr(spectral_linalg.lapack, routine, fail)
     with pytest.raises(NumericError, match=f"{routine} failed \\(info=3\\)"):
         sym_eig(random_gram(10, 1, 2), _reduced=True)
+
+
+@pytest.mark.parametrize("routine", ["dsytrd", "dstevd"])
+def test_a_failed_reduction_leaves_the_gram_whole(monkeypatch, routine):
+    # the in-place reduction reads the upper triangle it overwrites, so a
+    # failure puts it back and a later eigensystem() reads the Gram again
+    gram = assemble_gram(MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", 1.0)),
+                         np.random.default_rng(2).standard_normal((300, 2)))
+    before = gram.matrix.copy()
+    real = getattr(spectral_linalg.lapack, routine)
+    monkeypatch.setattr(spectral_linalg.lapack, routine,
+                        lambda *a, **kw: (*real(*a, **kw)[:-1], 3))
+    with pytest.raises(NumericError, match=f"{routine} failed"):
+        gram.eigensystem()
+    assert np.array_equal(gram.matrix, before)
+    monkeypatch.undo()
+    assert np.array_equal(gram.eigensystem().values, sym_eig(before, _reduced=True).values)
+
+
+def _gram_of_size(n):
+    """An assemble_gram curl-free Gram with n rows: M = n samples at d = 1."""
+    X = np.random.default_rng(n).standard_normal((n, 1))
+    return assemble_gram(MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", 1.0)), X)
+
+
+# no Gram has zero rows, so n = 0 is sym_eig's alone
+@pytest.mark.parametrize("via, n", [("sym_eig", 0), ("sym_eig", 1), ("sym_eig", 2),
+                                    ("eigensystem", 1), ("eigensystem", 2)])
+def test_reduced_eigensystem_of_the_smallest_sizes(monkeypatch, via, n):
+    # n <= 1 calls no LAPACK: scipy's dstevd refuses an empty e
+    gram = _gram_of_size(n) if via == "eigensystem" else None
+    K = gram.matrix.copy() if gram is not None else _sym_matrix(n)
+    if n <= 1:
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK called for n <= 1")
+        for routine in ("dsytrd", "dstevd", "dormqr"):
+            monkeypatch.setattr(spectral_linalg.lapack, routine, refuse)
+    eig = gram.eigensystem() if gram is not None else sym_eig(K, _reduced=True)
+    assert isinstance(eig, TridiagonalEigen) and eig.dim == n
+    assert _amax(eig.values - np.linalg.eigvalsh(K)[::-1]) <= 1e-15 * max(1.0, _amax(K))
+    H = np.arange(1.0, 2 * n + 1).reshape(n, 2)
+    assert _amax(eig.lift(eig.coords(H)) - H) <= 1e-15 * max(1.0, _amax(H))
+    U = eig.lift(np.eye(n))
+    assert _amax(K @ U - U * eig.values) <= 1e-14 * max(1.0, _amax(K))
+    if gram is not None:
+        lower = np.tril_indices(n)
+        assert np.array_equal(gram.matrix[lower], K[lower])
+
+
+def test_eigensystem_reduces_the_gram_in_its_own_buffer():
+    gram = _gram_of_size(300)
+    before = gram.matrix.copy()
+    eig = gram.eigensystem()
+    # bit for bit the reduction of a private copy, which sym_eig makes
+    ref = sym_eig(before, _reduced=True)
+    assert np.array_equal(eig.values, ref.values)
+    # the Gram stays whole in its lower triangle and diagonal; the
+    # reflectors the value reads lie above, in the same buffer
+    lower = np.tril_indices(300)
+    assert np.array_equal(gram.matrix[lower], before[lower])
+    assert not np.array_equal(gram.matrix, before)
+    assert np.shares_memory(eig._reflectors, gram.matrix)
+    H = np.random.default_rng(3).standard_normal((300, 2))
+    assert np.array_equal(eig.coords(H), ref.coords(H))
+    assert np.array_equal(eig.lift(H), ref.lift(H))
+
+
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
+def test_sym_eig_never_writes_a_callers_array(order):
+    K = random_gram(30, 2, 11)
+    A = {"C": K.copy(), "F": np.asfortranarray(K),
+         "strided": np.repeat(K, 2, axis=1)[:, ::2]}[order]
+    before = A.copy()
+    for reduced in (False, True):
+        eig = sym_eig(A, _reduced=reduced)
+        assert np.array_equal(A, before)
+        assert np.array_equal(eig.values, sym_eig(K, _reduced=reduced).values)
+    # nor a hand-built Gram's: DenseGram keeps a copy of it
+    X = np.random.default_rng(11).standard_normal((30, 2))
+    DenseGram(MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", 1.0)), X, A).eigensystem()
+    assert np.array_equal(A, before)
 
 
 def test_reduced_lift_wraps_lapack_failure(monkeypatch):
@@ -198,6 +280,19 @@ def test_solve_spd_singular_raises():
 
 def test_solve_spd_zero_rhs():
     assert np.array_equal(solve_spd(np.eye(2), np.zeros(2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("shape", [(40,), (40, 1), (40, 3)])
+@pytest.mark.parametrize("start", [False, True])
+def test_solve_spd_reads_only_the_lower_triangle(shape, start):
+    # a Gram that eigensystem() reduced holds its reflectors above the diagonal
+    A = random_gram(20, 2, seed=12)
+    b = np.random.default_rng(13).standard_normal(shape)
+    x0 = solve_spd(A, b, shift=0.3) if start else None
+    ref = solve_spd(A, b, shift=0.3, x0=x0)
+    junk = A.copy()
+    junk[np.triu_indices(40, 1)] = np.nan
+    assert np.array_equal(solve_spd(junk, b, shift=0.3, x0=x0), ref)
 
 
 @pytest.fixture
