@@ -408,8 +408,12 @@ def _now_ms() -> float:
     return time.perf_counter() * 1e3
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _mean_error(truth: np.ndarray, pred: np.ndarray, d: int) -> float:
-    return float(np.mean(np.square(truth - pred).sum(axis=1)) / d)
+    err = float(np.mean(np.square(truth - pred).sum(axis=1)) / d)
+    if not math.isfinite(err):  # a finite prediction far off the truth: a nan row
+        raise NumericError("the mean squared error overflows a double")
+    return err
 
 
 class _Problem:

@@ -197,7 +197,8 @@ def nu_coefficients(t: int, nu: float):
 class FittedScoreEstimator:
     """Immutable fitted state; predictions are a * zeta(x) + K_{x,basis} c with
     a = scheme.offset, which must be 0 over a subset basis. A filter callable
-    (fit_nystrom's) has no offset attribute and gives a = 0."""
+    (fit_nystrom's) has no offset attribute and gives a = 0. A non-finite a or
+    c raises NumericError: every fit and every load passes this one rule."""
 
     __slots__ = ("kernel", "samples", "basis", "subset_indices", "coeffs",
                  "offset", "scheme", "meta")
@@ -218,6 +219,10 @@ class FittedScoreEstimator:
         if C.size != basis.size:
             raise InputError(f"{C.size} coefficients for {basis.shape[0]} basis points "
                              f"in {basis.shape[1]} dimensions, which take {basis.size}")
+        finite = np.isfinite(C)
+        if not (math.isfinite(offset) and finite.all()):
+            raise NumericError(f"fitted state is not finite: offset {offset!r}, "
+                               f"{C.size - finite.sum()} of {C.size} coefficients non-finite")
         C = C.reshape(basis.shape)
         C.setflags(write=False)
         for name, value in (("kernel", kernel), ("samples", X), ("basis", basis),
@@ -678,7 +683,9 @@ def fit_nystrom(samples, subset_indices, spec: MatrixKernelSpec,
     gv = np.asarray(g(tau), dtype=np.float64)
     if not np.all(np.isfinite(gv)):
         raise NumericError("spectral filter returned non-finite values")
-    c = -(P @ (V @ (gv[:, None] * Y)))
+    # a weight near 1/lam can overflow c; the constructor refuses that
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = -(P @ (V @ (gv[:, None] * Y)))
     meta = {"subset_size": idx.size, "subset_rank": P.shape[1] * Y.shape[1]}
     return FittedScoreEstimator(spec, X, c, scheme, subset_indices=idx, meta=meta)
 
@@ -777,13 +784,13 @@ def save_estimator(est: FittedScoreEstimator, path) -> None:
 
 
 def load_estimator(path) -> FittedScoreEstimator:
-    """Read back an estimator written by save_estimator; every InputError
-    names the file."""
+    """Read back an estimator written by save_estimator; every refusal (the
+    constructor's NumericError too) is an InputError that names the file."""
     with open(path, "rb") as f:
         raw = f.read()
     try:
         return _decode_estimator(raw)
-    except InputError as exc:
+    except (InputError, NumericError) as exc:
         raise InputError(f"{path}: {exc}") from None
 
 
@@ -815,10 +822,7 @@ def _decode_estimator(raw: bytes) -> FittedScoreEstimator:
     coeffs = np.frombuffer(take(8 * N * d), dtype="<f8").reshape(N, d)
     if len(view) != 0:
         raise InputError("trailing bytes in estimator file")
-    if not (np.all(np.isfinite(params)) and np.isfinite(offset)
-            and np.all(np.isfinite(samples)) and np.all(np.isfinite(coeffs))):
-        raise InputError("estimator file holds non-finite parameters, offset, "
-                         "samples or coefficients")
+    # finiteness: the scheme checks params, the offset match a, the constructor the rest
     spec = MatrixKernelSpec(KINDS[kind], ScalarRadialKernel(FAMILIES[fam], bw))
     scheme = _scheme_from_code(code, params)
     # the stored a is checked, not used; files saved before the closed form hold

@@ -39,10 +39,6 @@ class EigenSystem(NamedTuple):
     values: np.ndarray
     vectors: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
     def coords(self, H: np.ndarray) -> np.ndarray:
         return self.vectors.T @ H
 
@@ -69,10 +65,6 @@ class TridiagonalEigen:
     _reflectors: np.ndarray  # (n, n - 1) view, leading dimension n: A.T[1:, :-1]
     _tau: np.ndarray
     _Z: np.ndarray           # T's eigenvectors, ascending
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
     def _apply_q(self, B: np.ndarray, trans: str) -> np.ndarray:
         """Q B (trans 'N') or Q^T B ('T') in place on the rows 1: of B."""

@@ -45,6 +45,7 @@ CORRUPT = [
     ("inf param", pack(params=(np.inf,))),
     ("nan offset", pack(offset=np.nan)),
     ("inf coefficient", pack(coeffs=[0.0, 1.0, 2.0, -np.inf, 4.0, 5.0])),
+    ("nan coefficient", pack(coeffs=[0.0, 1.0, 2.0, 3.0, np.nan, 5.0])),
     # an offset the scheme does not define: Tikhonov a = -1/lam, truncated
     # Tikhonov, spectral cut-off and subset fits a = 0, Landweber a = -t eta,
     # nu-method a_t = -2t(t + 2nu)/(4nu + 1)

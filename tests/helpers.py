@@ -257,8 +257,9 @@ def apply_spectral_filter(eig, g, v: np.ndarray) -> np.ndarray:
     g vanish there.
     """
     v = np.asarray(v, dtype=np.float64).ravel()
-    if v.shape[0] != eig.dim:
-        raise InputError(f"vector length {v.shape[0]} != eigensystem dimension {eig.dim}")
+    n = len(eig.values)
+    if v.shape[0] != n:
+        raise InputError(f"vector length {v.shape[0]} != eigensystem dimension {n}")
     try:
         gv = np.asarray(g(eig.values), dtype=np.float64)
         if gv.shape != eig.values.shape:

@@ -2,8 +2,10 @@
 exit-code contract, and cross-run determinism of experiment artifacts."""
 
 import contextlib
+import csv
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -256,6 +258,19 @@ def tiny_lam_examples(test):
     return test
 
 
+# Nystrom fits whose filter weight 1/lam = 1e308 on a clipped eigenvalue of L
+# overflows the coefficients at bandwidth 100 on 12 x 2 normal samples
+OVERFLOWING_NYSTROM_FITS = [("diagonal", "imq"), ("diagonal", "gaussian"),
+                            ("curl_free", "gaussian")]
+
+
+def overflowing_nystrom_examples(test):
+    for kind, family in OVERFLOWING_NYSTROM_FITS:
+        test = example(eid="nystrom", kind=kind, family=family, bandwidth=100.0,
+                       lam=1e-308, t=1)(test)
+    return test
+
+
 class TestFitExitContract:
     """`scorekit fit` of any fittable id, kind and family, at any positive
     bandwidth and grid value, exits 0, 1 or 2, a failure ends in one
@@ -272,6 +287,7 @@ class TestFitExitContract:
            bandwidth=st.one_of(POSITIVE_FLOATS, st.floats(0.01, 100.0)),
            lam=POSITIVE_FLOATS, t=st.integers(1, 64))
     @tiny_lam_examples
+    @overflowing_nystrom_examples
     def test_every_fit_exits_by_the_contract(self, tmp_path_factory, eid, kind, family,
                                              bandwidth, lam, t):
         tmp = tmp_path_factory.mktemp("fit")
@@ -335,6 +351,103 @@ class TestFitExitContract:
         else:
             assert err == ""
             load_estimator(tmp_path / "est.bin")
+
+    @pytest.mark.parametrize("kind, family", OVERFLOWING_NYSTROM_FITS)
+    def test_overflowing_coefficients_are_one_numeric_failure(self, tmp_path, capsys, kind,
+                                                              family):
+        # the constructor refuses the non-finite coefficients, so no file is
+        # written that load_estimator would refuse, and numpy prints nothing
+        cfg = write_fit_config(tmp_path, np.random.default_rng(0).normal(size=(12, 2)), {
+            "id": "nystrom", "kind": kind, "family": family, "bandwidth": 100.0,
+            "lambdas": [1e-308]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--config", cfg, "--out", str(tmp_path / "est.bin")])
+        err = capsys.readouterr().err
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and not (tmp_path / "est.bin").exists()
+        assert len(err.splitlines()) == 1
+        assert err.startswith("scorekit: numeric failure: fitted state is not finite")
+
+
+# estimator files for the predict property: a zeta term over the samples,
+# and a subset basis
+PREDICTED_FITS = [
+    {"id": "tikhonov", "kind": "curl_free", "family": "imq", "bandwidth": 1.0,
+     "lambdas": [0.01]},
+    {"id": "nystrom", "kind": "diagonal", "family": "gaussian", "bandwidth": 0.5,
+     "lambdas": [0.01]},
+]
+
+
+class TestCommandProperties:
+    """`scorekit predict` and `grid-exp` keep the exit-code contract over
+    drawn inputs. Warnings are ignored as in TestFitExitContract."""
+
+    @pytest.fixture(scope="class")
+    def estimator_files(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fits")
+        out = []
+        for i, entry in enumerate(PREDICTED_FITS):
+            cfg = write_fit_config(tmp, np.random.default_rng(i).normal(size=(12, 2)), entry)
+            out.append(tmp / f"est{i}.bin")
+            assert main(["fit", "--config", cfg, "--out", str(out[-1])]) == 0
+        return out
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(which=st.integers(0, len(PREDICTED_FITS) - 1),
+           queries=st.lists(st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+                            min_size=1, max_size=4))
+    def test_predict_on_queries_across_the_float_range(self, tmp_path_factory,
+                                                      estimator_files, which, queries):
+        tmp = tmp_path_factory.mktemp("predict")
+        save_samples_csv(np.array(queries), tmp / "q.csv")
+        cfg = write_json(tmp / "p.json", {"schema_version": 1,
+                                          "estimator": str(estimator_files[which]),
+                                          "queries": "q.csv"})
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["predict", "--config", cfg, "--out", str(tmp / "s.csv")])
+        assert code in (0, 1, 2)
+        if code:
+            assert err.getvalue().splitlines()[-1].startswith(
+                ("scorekit: error:", "scorekit: numeric failure:"))
+            assert not (tmp / "s.csv").exists()
+        else:
+            S = load_samples_csv(tmp / "s.csv")
+            assert S.shape == (len(queries), 2) and np.all(np.isfinite(S))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(eid=st.sampled_from(FITTABLE), kind=st.sampled_from(["diagonal", "curl_free"]),
+           family=st.sampled_from(["imq", "gaussian"]),
+           bandwidth=st.one_of(st.just("median"), POSITIVE_FLOATS, st.floats(0.01, 100.0)),
+           lam=POSITIVE_FLOATS, t=st.integers(1, 64),
+           distribution=st.sampled_from(["grid", "gaussian"]), d=st.integers(1, 2),
+           M=st.integers(1, 8), eval_size=st.integers(1, 8), seed=st.integers(0, 3))
+    # a finite prediction near a/lam = 1e300 whose squared error overflows
+    @example(eid="tikhonov", kind="curl_free", family="imq", bandwidth=1.0, lam=1e-300, t=1,
+             distribution="gaussian", d=2, M=8, eval_size=8, seed=0)
+    def test_grid_exp_rows_hold_an_error_or_a_reason(self, tmp_path_factory, eid, kind,
+                                                     family, bandwidth, lam, t, distribution,
+                                                     d, M, eval_size, seed):
+        tmp = tmp_path_factory.mktemp("sweep")
+        grid = {"iterations": [t]} if eid in ("landweber", "nu_method") else {"lambdas": [lam]}
+        cfg = write_json(tmp / "exp.json", {
+            "schema_version": 1, "distribution": distribution, "dimensions": [d],
+            "sample_sizes": [M], "seeds": [seed], "eval_size": eval_size,
+            "estimators": [{"id": "oracle"},
+                           {"id": eid, "kind": kind, "family": family,
+                            "bandwidth": bandwidth, **grid}]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["grid-exp", "--config", cfg, "--out", str(tmp / "rows.csv")]) == 0
+        rows = list(csv.DictReader(io.StringIO((tmp / "rows.csv").read_text())))
+        assert len(rows) == 2
+        for row in rows:
+            error = float(row["error"])
+            assert (math.isfinite(error) and row["reason"] == "") or (
+                math.isnan(error) and row["reason"] != ""), row
 
 
 class TestConfigRoot:

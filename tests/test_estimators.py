@@ -452,7 +452,7 @@ class TestTruncatedTikhonov:
         a = fit_truncated_tikhonov(X, spec, 0.1, gram=gram)
         b = fit_truncated_tikhonov(X, spec, 0.1)
         assert np.array_equal(a.coeffs, b.coeffs)
-        assert gram.eigensystem().dim == 7
+        assert len(gram.eigensystem().values) == 7
         with pytest.raises(InputError):
             fit_truncated_tikhonov(X, spec, 0.1, gram=ImplicitGram(spec, X))
 
@@ -1088,6 +1088,13 @@ class TestNystrom:
         with pytest.raises(NumericError, match="spectral filter returned non-finite values"):
             fit_nystrom(SMALL, [0, 2, 4], cf(), lambda s: np.full_like(s, np.inf))
 
+    def test_coefficients_that_overflow_are_a_numeric_error(self):
+        # at bandwidth 100, L's clipped eigenvalue 0 gets the finite weight
+        # 1/lam = 1e308, and c overflows; the constructor refuses it, and
+        # numpy warns of nothing (pytest turns a RuntimeWarning into an error)
+        with pytest.raises(NumericError, match="^fitted state is not finite: offset 0.0, "):
+            fit_nystrom(SMALL, np.arange(6), cf("imq", 100.0), TruncatedTikhonov(1e-308))
+
     def test_bad_subsets_rejected(self):
         rng = np.random.default_rng(65)
         X, spec = random_instance(rng, M=6, d=2)
@@ -1287,6 +1294,16 @@ class TestPredict:
         with pytest.raises(InputError, match=match):
             FittedScoreEstimator(cf(), X, np.ones(size), TruncatedTikhonov(0.1),
                                  subset_indices=idx)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("idx", [None, [2, 0]], ids=["samples", "subset"])
+    def test_constructor_refuses_a_non_finite_coefficient(self, bad, idx):
+        X = np.arange(6.0).reshape(3, 2)
+        C = np.ones((3 if idx is None else 2, 2))
+        C[1, 0] = bad
+        with pytest.raises(NumericError, match="^fitted state is not finite: offset 0.0, "
+                                               f"1 of {C.size} coefficients non-finite$"):
+            FittedScoreEstimator(cf(), X, C, TruncatedTikhonov(0.1), subset_indices=idx)
 
 
 # ======================================================================

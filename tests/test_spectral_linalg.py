@@ -112,7 +112,7 @@ def _amax(A):
 def test_reduced_eigensystem_matches_eigh(n):
     K = _sym_matrix(n)
     red, ref = sym_eig(K, _reduced=True), sym_eig(K)
-    assert isinstance(red, TridiagonalEigen) and red.dim == n
+    assert isinstance(red, TridiagonalEigen) and len(red.values) == n
     top = max(1.0, _amax(ref.values))
     assert np.all(np.diff(red.values) <= 0)
     assert _amax(red.values - ref.values) <= 1e-14 * top
@@ -188,7 +188,7 @@ def test_reduced_eigensystem_of_the_smallest_sizes(monkeypatch, via, n):
         for routine in ("dsytrd", "dstevd", "dormqr"):
             monkeypatch.setattr(spectral_linalg.lapack, routine, refuse)
     eig = gram.eigensystem() if gram is not None else sym_eig(K, _reduced=True)
-    assert isinstance(eig, TridiagonalEigen) and eig.dim == n
+    assert isinstance(eig, TridiagonalEigen) and len(eig.values) == n
     assert _amax(eig.values - np.linalg.eigvalsh(K)[::-1]) <= 1e-15 * max(1.0, _amax(K))
     H = np.arange(1.0, 2 * n + 1).reshape(n, 2)
     assert _amax(eig.lift(eig.coords(H)) - H) <= 1e-15 * max(1.0, _amax(H))
