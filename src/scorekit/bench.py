@@ -79,9 +79,9 @@ from .estimators import (
     predict,
 )
 from .kernels import (
-    DENSE_SYSTEM_LIMIT,
     MatrixKernelSpec,
     ScalarRadialKernel,
+    _dense_budget,
     assemble_gram,
     query_tables,
 )
@@ -455,9 +455,10 @@ class _Problem:
         met its target (a tikhonov one the estimate fit_tikhonov's start
         aims at, estimators._start_tol, a tikhonov_cg one its entry's tol,
         unless the basis holds that entry's max_iter vectors).
-        The cap is _TIK_IMPLICIT_MAX_ITER vectors and no more bytes than the
-        largest dense Gram the sweep accepts. Each reader takes the leading
-        part it needs, so its rows do not depend on the other entries.
+        The cap is _TIK_IMPLICIT_MAX_ITER vectors and no more bytes than
+        kernels._dense_budget(), the largest Gram kernels keeps dense by
+        choice. Each reader takes the leading part it needs, so its rows do
+        not depend on the other entries.
         """
         def shares(e):  # an entry whose kernel cannot be built shares no basis
             try:
@@ -476,7 +477,7 @@ class _Problem:
                     targets += [_start_tol(gram, _TIK_IMPLICIT_TOL) if start else e.tol] * n
                     caps += [math.inf if start else e.max_iter] * n
             stop = _shift_targets(shifts, targets, t_max - 1, caps)
-            max_dim = min(_TIK_IMPLICIT_MAX_ITER, DENSE_SYSTEM_LIMIT ** 2 // gram.dim)
+            max_dim = min(_TIK_IMPLICIT_MAX_ITER, _dense_budget() // (8 * gram.dim))
             tol = _KRYLOV_INVARIANT_REL * (gram.dim / spec.scalar.bandwidth ** 2)
             try:
                 return lanczos(gram, gram.divergence(), max_dim, tol, stop=stop)

@@ -43,7 +43,7 @@ from .kernels import (
     ScalarRadialKernel,
     _as_queries,
     _as_vector,
-    _matrix_free,
+    _gram_form,
     as_samples,
     assemble_gram,
     cross_apply,
@@ -58,6 +58,7 @@ from .spectral_linalg import (
     SPD_RESIDUAL_TOL,
     CGReport,
     LinearOperator,
+    _norm,
     check_count,
     conjugate_gradient,
     numeric_rank_mask,
@@ -284,26 +285,24 @@ def _resolve_gram(spec, X, gram):
 
 def _eigen_gram(spec, X, gram, what):
     """The dense Gram whose cached spectrum the eigen-filter fits read; a
-    matrix-free one is refused with the bytes the dense one would need."""
+    matrix-free one is refused with the bytes _gram_form gives its dense G."""
     gram = _resolve_gram(spec, X, gram)
     if isinstance(gram, ImplicitGram):
-        raise InputError(
-            f"{what} needs the dense Md x Md Gram, {gram.dim ** 2 * 8} bytes at "
-            f"Md = {gram.dim}; only the iterative and CG-based fits run matrix-free")
+        _, n, _, nbytes = _gram_form(spec, *X.shape)
+        raise InputError(f"{what} needs the dense {n} x {n} Gram, {nbytes} bytes; "
+                         f"only the iterative and CG-based fits run matrix-free")
     return gram
 
 
 def _spectrum(gram):
-    """(s, eig, Y, m) of a dense Gram G, K = G (x) I_m: the eigenvalues s of
-    G/M (descending), G's cached eigensystem (DenseGram.eigensystem), the
-    coordinates Y = U^T H of h reshaped to G's rows (cached on the Gram, so
-    computed once per Gram, not once per fit), and m = dim // len(G), the
-    multiplicity of each s_j in the Md spectrum (d for a diagonal kernel's
-    scalar factor, 1 for a curl-free Gram). An eigen filter w gives C =
-    -eig.lift(w(s)[:, None] * Y).
+    """(s, eig, Y) of a dense Gram G, K = G (x) I_m: the eigenvalues s of
+    G/M (descending), each gram.m times in K's Md spectrum, G's cached
+    eigensystem (DenseGram.eigensystem) and the coordinates Y = U^T H of h
+    reshaped to G's rows (cached on the Gram, so computed once per Gram, not
+    once per fit). An eigen filter w gives C = -eig.lift(w(s)[:, None] * Y).
     """
-    eig, m = gram.eigensystem(), gram.dim // len(gram.matrix)
-    return eig.values / gram.samples.shape[0], eig, gram.divergence_coords(), m
+    eig = gram.eigensystem()
+    return eig.values / gram.samples.shape[0], eig, gram.divergence_coords()
 
 
 # ======================================================================
@@ -330,7 +329,7 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
 
     The Gram's form (assemble_gram's unless gram is given) picks the solver.
     Over a dense Gram G, K = G (x) I_m, solve_spd solves (G + M lam I) C =
-    H / lam with H = h.reshape(len(G), -1), so a diagonal kernel solves its
+    H / lam with H = h.reshape(-1, gram.m), so a diagonal kernel solves its
     M x M system with d right-hand sides. Over a matrix-free Gram the fit is
     fit_tikhonov_cg run to the same 1e-10 residual contract (cg_tol),
     raising FitError if that cannot be reached.
@@ -357,7 +356,7 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
                 f"the shifted system K + {M * lam:.3e} I is too ill-conditioned")
         return est
     G = gram.matrix
-    b = gram.divergence().reshape(len(G), -1) / lam
+    b = gram.divergence().reshape(-1, gram.m) / lam
     try:
         C = solve_spd(G, b, shift=M * lam, x0=None if x0 is None else x0.reshape(b.shape))
     except NumericError as exc:
@@ -417,9 +416,11 @@ def _galerkin_iterate(gram, h, lam, tol, max_iter, krylov):
     met, c = krylov.galerkin(shift, tol, krylov.norm_b / lam, max_iter)
     if c is None or (not met and max_iter > len(krylov.V)):
         return None
-    b = h / lam
-    rel = float(np.linalg.norm(b - (gram.matvec(c) + shift * c)) / np.linalg.norm(b))
-    if met and rel > tol:
+    # a residual past the double range gives rel = inf, refused as any miss
+    with np.errstate(over="ignore", invalid="ignore"):
+        b = h / lam
+        rel = _norm(b - (gram.matvec(c) + shift * c)) / _norm(b)
+    if met and not rel <= tol:
         return None
     return c, CGReport(met or max_iter, rel, rel <= tol)
 
@@ -432,7 +433,7 @@ def _fit_by_eigen_filter(samples, spec, scheme, gram, meta=None):
     """Coefficients c = -sum_j g(s_j) / (M s_j) u_j u_j^T h over the nonzero
     spectrum of the Gram, g the scheme's filter."""
     X = as_samples(samples)
-    s, eig, Y, _ = _spectrum(_eigen_gram(spec, X, gram, type(scheme).__name__))
+    s, eig, Y = _spectrum(_eigen_gram(spec, X, gram, type(scheme).__name__))
     mask = numeric_rank_mask(s)
     if not mask.any():
         raise FitError("kernel Gram is numerically rank zero")
@@ -474,7 +475,7 @@ def fit_spectral_cutoff(samples, spec: MatrixKernelSpec, lam: float = None,
             raise InputError(f"rank must be in [1, {X.size}], got {rank}")
         # the filter below reads the same cached spectrum
         gram = _eigen_gram(spec, X, gram, "SpectralCutoff")
-        sig, _, _, m = _spectrum(gram)
+        sig, m = _spectrum(gram)[0], gram.m
         n_nonzero = int(numeric_rank_mask(sig).sum()) * m
         if n_nonzero == 0:
             raise FitError("kernel Gram is numerically rank zero")
@@ -619,20 +620,24 @@ def _subset_index(subset_indices, M: int) -> np.ndarray:
 
 def _subset_building_blocks(samples, subset_indices, spec):
     """(X, idx) and the _subset_spectrum of subset X[idx]: none of it depends
-    on the scheme, so a caller fitting several on one subset builds it once."""
+    on the scheme, so a caller fitting several on one subset builds it once.
+    Its blocks take the form _gram_form gives the subset's Gram, whose rows
+    they have; a subset that form makes matrix-free is refused with its
+    bytes."""
     X = as_samples(samples)
     M, d = X.shape
     idx = _subset_index(subset_indices, M)
     Z = np.ascontiguousarray(X[idx])
     N = idx.size
-    if _matrix_free(spec, N, d):
+    form = _gram_form(spec, N, d)
+    if not form.dense:
         raise InputError(
-            f"a curl-free subset of N={N} at d={d} needs two dense Nd x Nd blocks of "
-            f"{(N * d) ** 2 * 8} bytes each, over the dense system limit")
-    # cross_gram blocks: N x N for a diagonal kernel (its scalar factor), Nd x Nd
-    # for a curl-free one, h_Z reshaped to their rows; K_XZ comes in row chunks
-    # of X so the cross Gram of all M samples is never materialized at once
-    n = N * (d if spec.kind == "curl_free" else 1)
+            f"a curl-free subset of N={N} at d={d} needs two dense {form.n} x {form.n} "
+            f"blocks of {form.nbytes} bytes each, over the dense system limit")
+    # cross_gram blocks have the subset Gram's n rows, h_Z reshaped to them;
+    # K_XZ comes in row chunks of X, n / N rows of it per sample, so the cross
+    # Gram of all M samples is never materialized at once
+    n = form.n
     chunk = max(1, int(8e6 // (n * (n // N))))
     row_blocks = (cross_gram(spec, X[lo:lo + chunk], Z) for lo in range(0, M, chunk))
     return (X, idx) + _subset_spectrum(cross_gram(spec, Z, Z), row_blocks,

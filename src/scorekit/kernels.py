@@ -27,6 +27,7 @@ the scalar kernel, so every field in its span is a gradient field.
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dsymv
@@ -38,7 +39,7 @@ FAMILIES = ("imq", "gaussian")
 KINDS = ("diagonal", "curl_free")
 
 # a curl-free Gram at d > 1 of more than this many rows (Md) is matrix-free
-# (_matrix_free): dense it would take (Md)^2 * 8 bytes, 128 MB at the limit
+# (_gram_form): dense it would take (Md)^2 * 8 bytes, 128 MB at the limit
 DENSE_SYSTEM_LIMIT = 4096
 
 # entries (8 bytes each) of one block of a Q x M table pass: query_tables
@@ -290,6 +291,33 @@ def h_vector(spec: MatrixKernelSpec, samples, _gram=None) -> np.ndarray:
 # Gram matrices: dense and implicit (matrix-free) forms
 # ======================================================================
 
+class _GramForm(NamedTuple):
+    dense: bool   # whether assemble_gram holds G; else the Gram is matrix-free
+    n: int        # G's rows, K = G (x) I_m
+    m: int        # the multiplicity of each of G's eigenvalues in K's
+    nbytes: int   # 8 n^2, G's bytes dense
+
+
+def _dense_budget() -> int:
+    """Bytes of the largest Gram _gram_form keeps dense where it has the
+    choice: DENSE_SYSTEM_LIMIT rows, read when called."""
+    return 8 * DENSE_SYSTEM_LIMIT ** 2
+
+
+def _gram_form(spec: MatrixKernelSpec, M: int, d: int) -> _GramForm:
+    """The one rule for the form of spec's Gram over M samples in d
+    dimensions. K = G (x) I_m: a diagonal kernel K = k I_d has its scalar
+    M x M factor G = k and m = d, a curl-free one the whole Md x Md Gram and
+    m = 1, a scalar M x M kernel at d = 1. G has n = Md / m rows and takes
+    8 n^2 bytes. A scalar M x M Gram (n = M) is dense at every M; a curl-free
+    one at d > 1 is dense up to _dense_budget() bytes and matrix-free past it.
+    """
+    m = d if spec.kind == "diagonal" else 1
+    n = M * d // m
+    nbytes = 8 * n * n
+    return _GramForm(n == M or nbytes <= _dense_budget(), n, m, nbytes)
+
+
 class _Gram:
     """What both Gram forms share: spec, samples and the cached h."""
 
@@ -315,12 +343,12 @@ class _Gram:
 
 
 class DenseGram(_Gram):
-    """A Gram held as a matrix G with K = G (x) I_m: the scalar M x M
-    factor k of a diagonal kernel (m = d), the whole Md x Md matrix of a
-    curl-free one (m = 1).
+    """A Gram held as a matrix G with K = G (x) I_m, G n x n and n, m
+    _gram_form's: the scalar M x M factor k of a diagonal kernel (m = d),
+    the whole Md x Md matrix of a curl-free one (m = 1). m is stored.
 
-    A hand-built one copies its matrix and checks it: G must have that
-    shape and be exactly symmetric (check_symmetric, which also refuses a
+    A hand-built one, at any size, copies its matrix and checks it: G must
+    be n x n and exactly symmetric (check_symmetric, which also refuses a
     non-finite entry), or InputError is raised. assemble_gram's Grams are
     exactly symmetric by construction, built for this Gram alone, and skip
     the check and the copy (_symmetric=True).
@@ -331,11 +359,11 @@ class DenseGram(_Gram):
     here (matvec, solve_spd) reads the lower triangle.
     """
 
-    __slots__ = ("matrix", "_eig", "_coords")
+    __slots__ = ("matrix", "m", "_eig", "_coords")
 
     def __init__(self, spec, samples, matrix, _symmetric: bool = False):
         X = as_samples(samples)
-        n = X.size if spec.kind == "curl_free" else X.shape[0]
+        _, n, m, _ = _gram_form(spec, *X.shape)
         if not _symmetric:
             matrix = np.array(matrix, dtype=np.float64, order="C")
             if matrix.shape != (n, n):
@@ -344,7 +372,7 @@ class DenseGram(_Gram):
                                  f"{matrix.shape}")
             check_symmetric(matrix, 0.0, "Gram matrix")
         super().__init__(spec, X)
-        self.matrix = matrix
+        self.matrix, self.m = matrix, m
         self._eig = None
         self._coords = None
 
@@ -357,9 +385,9 @@ class DenseGram(_Gram):
         if b.shape[0] != self.dim:
             raise InputError(f"vector length {b.shape[0]} != Gram dimension {self.dim}")
         G = self.matrix
-        if b.size == len(G):
+        if self.m == 1:
             return dsymv(1.0, G.T, b)
-        return (G @ b.reshape(len(G), -1)).ravel()
+        return (G @ b.reshape(-1, self.m)).ravel()
 
     def eigensystem(self):
         """Cached spectrum of G, values descending, from sym_eig on G itself,
@@ -374,8 +402,7 @@ class DenseGram(_Gram):
         values, coords and lift."""
         if self._eig is None:
             from .spectral_linalg import sym_eig
-            self._eig = sym_eig(self.matrix, _reduced=self.dim == len(self.matrix),
-                                _in_place=True)
+            self._eig = sym_eig(self.matrix, _reduced=self.m == 1, _in_place=True)
         return self._eig
 
     def divergence_coords(self) -> np.ndarray:
@@ -384,7 +411,7 @@ class DenseGram(_Gram):
         shares."""
         if self._coords is None:
             eig = self.eigensystem()
-            Y = eig.coords(self.divergence().reshape(len(self.matrix), -1))
+            Y = eig.coords(self.divergence().reshape(-1, self.m))
             Y.setflags(write=False)
             self._coords = Y
         return self._coords
@@ -443,19 +470,13 @@ def cross_gram(spec: MatrixKernelSpec, rows, cols) -> np.ndarray:
     return out.reshape(P * d, Q * d)
 
 
-def _matrix_free(spec: MatrixKernelSpec, M: int, d: int) -> bool:
-    """Whether spec's Gram over M samples in d dimensions is matrix-free:
-    curl-free at d > 1 with Md > DENSE_SYSTEM_LIMIT. Every other Gram, a
-    scalar M x M kernel among them, is dense."""
-    return spec.kind == "curl_free" and d > 1 and M * d > DENSE_SYSTEM_LIMIT
-
-
 def assemble_gram(spec: MatrixKernelSpec, samples):
-    """The Gram of spec over the samples, in the one form _matrix_free
-    picks: an ImplicitGram where it holds, else a DenseGram, of the scalar
-    M x M factor k of a diagonal kernel K = k I_d or of the whole curl-free
-    Gram. A caller who wants the matrix-free form at any size builds
-    ImplicitGram(spec, X).
+    """The Gram of spec over the samples, in the one form _gram_form picks:
+    a DenseGram of its n x n matrix G where that is dense (the scalar M x M
+    factor k of a diagonal kernel K = k I_d, or the whole curl-free Gram),
+    else an ImplicitGram. A dense G that numpy cannot allocate raises a
+    MemoryError naming the rule's 8 n^2 bytes. A caller who wants the
+    matrix-free form at any size builds ImplicitGram(spec, X).
 
     At d = 1 a curl-free Gram is the scalar kernel -2 phi'(u) - 4 phi''(u) u
     of query_tables(spec, X, X), built in h_vector's pass, which reads the
@@ -467,9 +488,9 @@ def assemble_gram(spec: MatrixKernelSpec, samples):
     """
     X = as_samples(samples)
     M, d = X.shape
-    if _matrix_free(spec, M, d):
+    form = _gram_form(spec, M, d)
+    if not form.dense:
         return ImplicitGram(spec, X)
-    n = M * d if spec.kind == "curl_free" else M
     h = None
     try:
         if spec.kind == "curl_free" and d == 1:
@@ -478,7 +499,7 @@ def assemble_gram(spec: MatrixKernelSpec, samples):
         else:
             K = cross_gram(spec, X, X)
     except MemoryError as exc:
-        raise MemoryError(f"dense Gram for M={M}, d={d} needs ~{n * n * 8} bytes") from exc
+        raise MemoryError(f"dense Gram for M={M}, d={d} needs ~{form.nbytes} bytes") from exc
     if spec.kind == "curl_free" and d > 1:
         step = max(1, 2 ** 20 // (M * d))
         for lo in range(0, M * d, step):

@@ -5,6 +5,7 @@ All routines are deterministic: the only randomness (the power-iteration
 start vector) uses a fixed internal seed.
 """
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -210,11 +211,13 @@ def sym_eig(K: np.ndarray, _reduced: bool = False, _in_place: bool = False):
 
 @np.errstate(over="ignore")
 def _norm(v: np.ndarray) -> float:
-    """||v||_2, rescaled by max|v| where the plain sum of squares overflows."""
+    """||v||_2, rescaled by max|v| where the plain sum of squares overflows
+    or underflows: below 1e-150 the squares that matter may be subnormal."""
     out = float(np.linalg.norm(v))
-    if out == np.inf and np.all(np.isfinite(v)):
-        scale = float(np.abs(v).max())
-        out = scale * float(np.linalg.norm(v / scale))
+    if (out == np.inf or out < 1e-150) and np.all(np.isfinite(v)):
+        scale = float(np.abs(v).max(initial=0.0))
+        if scale > 0.0:
+            out = scale * float(np.linalg.norm(v / scale))
     return out
 
 
@@ -346,6 +349,12 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
     On hitting the recurrence tolerance the true residual is recomputed; the
     iteration continues if the recurrence had drifted. Returns (x, CGReport).
     A non-finite operator output or inner product raises NumericError.
+
+    CG runs on b and x0 scaled by 2^-e, ||b|| = f 2^e with f in [0.5, 1)
+    (math.frexp), and scales x back, so its squared norms stay finite for
+    any ||b|| below DBL_MAX. A power of two scales every product and sum of
+    a linear op exactly, so x and the report keep the bits of an unscaled
+    run wherever neither run leaves the normal double range.
     """
     if tol <= 0.0:
         raise InputError("tol must be positive")
@@ -353,18 +362,20 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
     b, nb = _rhs(op, b)
     if nb == 0.0:
         return np.zeros_like(b), CGReport(0, 0.0, True)
+    e = math.frexp(nb)[1]
+    b, nb = np.ldexp(b, -e), math.ldexp(nb, -e)
 
     if x0 is None:
         x = np.zeros_like(b)
         r = b.copy()
     else:
-        x = np.asarray(x0, dtype=np.float64).ravel().copy()
+        x = np.ldexp(np.asarray(x0, dtype=np.float64).ravel(), -e)
         r = b - op.matvec(x)
     p = r.copy()
     rs = _cg_dot(r, r, 0)
     rel = np.sqrt(rs) / nb
     if rel <= tol:
-        return x, CGReport(0, rel, True)
+        return np.ldexp(x, e), CGReport(0, rel, True)
 
     it = 0
     while it < max_iter:
@@ -386,14 +397,14 @@ def conjugate_gradient(op, b: np.ndarray, tol: float = 1e-8,
             rs_new = _cg_dot(r, r, it)
             rel = np.sqrt(rs_new) / nb
             if rel <= tol:
-                return x, CGReport(it, rel, True)
+                return np.ldexp(x, e), CGReport(it, rel, True)
             p = r.copy()
             rs = rs_new
             continue
         beta = rs_new / rs
         p = r + beta * p
         rs = rs_new
-    return x, CGReport(max_iter, rel, False)
+    return np.ldexp(x, e), CGReport(max_iter, rel, False)
 
 
 def _project_out(V, w):

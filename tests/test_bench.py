@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -700,9 +701,9 @@ class TestMatrixFreeTikhonov:
 
 
 def set_dense_limit(monkeypatch, limit):
-    """Move the dense limit for assemble_gram's policy and the Krylov cap."""
+    """Move the dense limit of kernels' one rule, which assemble_gram's
+    form and the Krylov cap both read."""
     monkeypatch.setattr(kernels, "DENSE_SYSTEM_LIMIT", limit)
-    monkeypatch.setattr(bench, "DENSE_SYSTEM_LIMIT", limit)
 
 
 def no_basis(*args, **kwargs):
@@ -1099,6 +1100,19 @@ class TestGalerkinCells:
             if est.scheme.lam >= 1e-2:
                 assert np.linalg.norm(est.coeffs - public.coeffs) \
                     <= 1e-8 * np.linalg.norm(public.coeffs)
+
+    def test_an_overflowing_residual_records_no_warning(self):
+        # h / lam is about 1e300, so the squares of its norm overflow a double
+        cfg = parse_experiment_config(base_config(
+            distribution="gaussian", dimensions=[2], sample_sizes=[12], seeds=[0],
+            eval_size=8, estimators=[{"id": "tikhonov_cg", "kind": "curl_free",
+                                      "bandwidth": 1.0, "lambdas": [1e-300]}]))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            (row,) = run_grid_rows(cfg)
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert (math.isfinite(row.error) and row.reason == "") or (
+            math.isnan(row.error) and row.reason != ""), row
 
     @pytest.mark.parametrize("form", sorted(SHAPES))
     def test_a_cell_costs_one_gram_product_beyond_the_basis(self, monkeypatch, form):

@@ -352,6 +352,18 @@ class TestFitExitContract:
             assert err == ""
             load_estimator(tmp_path / "est.bin")
 
+    @pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
+    def test_cg_solves_a_right_hand_side_whose_squared_norm_overflows(self, tmp_path, capsys,
+                                                                       kind):
+        # h / lam is about 1e300: CG runs on it scaled by a power of two and
+        # converges (26 iterations curl-free) where ||h / lam||^2 overflows
+        cfg = write_fit_config(tmp_path, np.random.default_rng(0).normal(size=(12, 2)), {
+            "id": "tikhonov_cg", "kind": kind, "family": "imq", "bandwidth": 1.0,
+            "lambdas": [1e-300]})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "est.bin")]) == 0
+        assert capsys.readouterr().err == ""
+        assert load_estimator(tmp_path / "est.bin").scheme.lam == 1e-300
+
     @pytest.mark.parametrize("kind, family", OVERFLOWING_NYSTROM_FITS)
     def test_overflowing_coefficients_are_one_numeric_failure(self, tmp_path, capsys, kind,
                                                               family):
@@ -382,7 +394,8 @@ PREDICTED_FITS = [
 
 class TestCommandProperties:
     """`scorekit predict` and `grid-exp` keep the exit-code contract over
-    drawn inputs. Warnings are ignored as in TestFitExitContract."""
+    drawn inputs. predict's warnings are ignored as in TestFitExitContract;
+    a sweep records none."""
 
     @pytest.fixture(scope="class")
     def estimator_files(self, tmp_path_factory):
@@ -439,9 +452,10 @@ class TestCommandProperties:
             "estimators": [{"id": "oracle"},
                            {"id": eid, "kind": kind, "family": family,
                             "bandwidth": bandwidth, **grid}]})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", RuntimeWarning)
             assert main(["grid-exp", "--config", cfg, "--out", str(tmp / "rows.csv")]) == 0
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         rows = list(csv.DictReader(io.StringIO((tmp / "rows.csv").read_text())))
         assert len(rows) == 2
         for row in rows:

@@ -688,19 +688,11 @@ class TestSizeRefusal:
 
 class TestScalarGramsStayDense:
     """At d = 1 a curl-free Gram is a scalar M x M kernel, dense at every M
-    like a diagonal one: over a dense limit lowered to 64 it is still a
-    DenseGram, and the fits that need it dense run there and give the bits
-    they give at the default limit. At d = 2 the limit still holds."""
+    like a diagonal one: over a dense limit lowered to 64 the fits that need
+    it dense run there and give the bits they give at the default limit.
+    test_one_rule_gives_the_form_rows_multiplicity_and_bytes checks the form."""
 
     LIMIT, M = 64, 80
-
-    def test_only_the_curl_free_gram_at_d_above_one_goes_matrix_free(self, monkeypatch):
-        rng = np.random.default_rng(92)
-        monkeypatch.setattr(kernels, "DENSE_SYSTEM_LIMIT", self.LIMIT)
-        X1, X2 = rng.normal(size=(self.M, 1)), rng.normal(size=(self.LIMIT // 2 + 1, 2))
-        assert isinstance(assemble_gram(cf(), X1), kernels.DenseGram)
-        assert isinstance(assemble_gram(diag(), X2), kernels.DenseGram)
-        assert isinstance(assemble_gram(cf(), X2), ImplicitGram)
 
     @pytest.mark.parametrize("fit", [
         lambda X, spec: fit_truncated_tikhonov(X, spec, 0.1),
@@ -713,6 +705,41 @@ class TestScalarGramsStayDense:
         monkeypatch.setattr(kernels, "DENSE_SYSTEM_LIMIT", self.LIMIT)
         est = fit(X, cf("imq", 0.8))
         assert est.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+@pytest.mark.parametrize("M", [3, 9], ids=["M<limit", "M>limit"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["diagonal", "curl_free"])
+def test_one_rule_gives_the_form_rows_multiplicity_and_bytes(monkeypatch, kind, d, M):
+    """K = G (x) I_m over a dense limit lowered to 8 rows: a diagonal kernel
+    has its scalar M x M factor and m = d, a curl-free one its Md x Md Gram
+    and m = 1; a scalar M x M Gram is dense at every M, a curl-free one at
+    d > 1 only up to the limit. Every refusal names G's 8 n^2 bytes."""
+    monkeypatch.setattr(kernels, "DENSE_SYSTEM_LIMIT", 8)
+    m = d if kind == "diagonal" else 1
+    n = M * d // m
+    dense = n == M or n <= 8
+    need = f"{8 * n * n} bytes"
+    spec = MatrixKernelSpec(kind, ScalarRadialKernel("imq", 1.0))
+    X = np.random.default_rng(M * d).normal(size=(M, d))
+    gram = assemble_gram(spec, X)
+    with pytest.raises(InputError, match=f"dense {n} x {n} Gram, {need}"):
+        fit_truncated_tikhonov(X, spec, 0.1, gram=ImplicitGram(spec, X))
+    if not dense:
+        assert isinstance(gram, ImplicitGram)
+        with pytest.raises(InputError, match=need):
+            fit_spectral_cutoff(X, spec, lam=0.1)
+        with pytest.raises(InputError, match=need):
+            fit_nystrom(X, np.arange(M), spec, TruncatedTikhonov(0.1))
+        return
+    assert isinstance(gram, DenseGram) and gram.matrix.shape == (n, n) and gram.m == m
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(kernels, "cross_gram", no_memory)
+    monkeypatch.setattr(kernels, "h_vector", no_memory)
+    with pytest.raises(MemoryError, match=f"~{need}"):
+        assemble_gram(spec, X)
 
 
 # ======================================================================

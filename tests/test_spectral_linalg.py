@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from scorekit import InputError, NumericError, MatrixKernelSpec, ScalarRadialKernel, assemble_gram
-from scorekit.kernels import DenseGram
+from scorekit.kernels import DenseGram, ImplicitGram
 from scorekit import estimators, spectral_linalg
 from scorekit.spectral_linalg import (
     SPD_RESIDUAL_TOL,
@@ -456,6 +456,28 @@ def test_cg_restarts_where_the_recurrence_drifted():
     true = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert rep.residual == pytest.approx(true, rel=1e-6)
     assert rep.converged and true <= tol
+
+
+@pytest.mark.parametrize("start", [False, True], ids=["cold", "x0"])
+@pytest.mark.parametrize("k", [-600, -1, 1, 600])
+@pytest.mark.parametrize("form", ["matrix", "implicit"])
+def test_cg_of_b_times_a_power_of_two_keeps_its_bits(form, k, start):
+    # CG runs on b scaled to a norm in [0.5, 1), so b 2^k gives x 2^k and the
+    # same report bit for bit, also where ||b 2^k||^2 leaves the double range
+    rng = np.random.default_rng(19)
+    if form == "matrix":
+        G = rng.standard_normal((20, 20))
+        op = LinearOperator.from_matrix(G @ G.T + 20 * np.eye(20))
+    else:
+        spec = MatrixKernelSpec("curl_free", ScalarRadialKernel("imq", 1.0))
+        gram = ImplicitGram(spec, rng.standard_normal((10, 2)))
+        op = LinearOperator(20, lambda v: gram.matvec(v) + 0.1 * v)
+    b, x0 = rng.standard_normal(20), rng.standard_normal(20) if start else None
+    for tol in (1e-4, 1e-10):
+        x, rep = conjugate_gradient(op, b, tol=tol, max_iter=200, x0=x0)
+        xk, repk = conjugate_gradient(op, np.ldexp(b, k), tol=tol, max_iter=200,
+                                      x0=None if x0 is None else np.ldexp(x0, k))
+        assert repk == rep and np.ldexp(xk, -k).tobytes() == x.tobytes()
 
 
 # ======================================================================
