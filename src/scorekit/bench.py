@@ -18,16 +18,16 @@ zeta(Q), or a Nystrom subset), and the lam-independent Nystrom blocks. These
 shared values come from the same calls on the same arrays, so sharing them
 changes no row. The curl-free Tikhonov and Tikhonov-CG grids and the
 nu-method path are different. One KrylovBasis of K and h, over the Gram of
-either form, serves all three: each Tikhonov fit is handed the basis and
-makes its own start, its Galerkin solution at the first step whose
-residual estimate meets a target 100x below the residual the fit checks
-(estimators._start_tol), each Tikhonov-CG cell returns its
-Galerkin iterate at the first step whose estimate meets the cell's tol and
-checks it with one Gram product, and the nu-method recursion runs on its
-tridiagonal matrix where it spans the iterates. Over a dense Gram
-solve_spd checks the start with one Gram product, returns it if it meets
-1e-10 and factors the shifted Gram otherwise; over a matrix-free Gram CG
-checks it against 1e-8 and iterates on if it falls short. Those rows
+either form, serves all three where two or more solves read it: each
+Tikhonov fit is handed the basis and makes its own start, its Galerkin
+solution at the first step whose residual estimate meets
+estimators._start_tol, each Tikhonov-CG cell returns its Galerkin iterate
+at the first step whose estimate meets the cell's tol and checks it with
+one Gram product, and the nu-method recursion runs on its tridiagonal
+matrix where it spans the iterates. Every Tikhonov fit meets one residual,
+1e-10: solve_spd checks a dense start with one Gram product, returns it if
+it meets 1e-10 and factors the shifted Gram otherwise; CG checks a
+matrix-free start and iterates on if it falls short. Those rows
 differ from independent solves and the direct recursion in their last
 digits (on the benchmark workloads, under 1e-5 relative for tikhonov and
 1e-11 for nu_method) while each still meets its residual tolerance. The
@@ -42,8 +42,8 @@ needs it, so a `.timings.csv` row is not the cost of that cell alone.
 Each estimator id is one REGISTRY entry: its config keys, its one-point
 fit over a _Problem's shared Gram and Nystrom blocks, and for landweber
 and nu_method the snapshot path the sweep runs. `scorekit fit` calls the
-one-point fit without the sweep's opts (the bases and CG budget above),
-so it returns what the public fit returns. One loop (_fit_cells) times
+same one-point fit on a one-point problem, which builds no basis, so it
+returns what the public fit returns. One loop (_fit_cells) times
 every fit of the sweep and records a contract error (InputError,
 NumericError or MemoryError: a bad lambda, a singular subset, CG running
 out of iterations) as a row with error = nan and the exception text in the
@@ -104,10 +104,8 @@ LAMBDA_GRID = tuple(10.0 ** -k for k in range(0, 9))
 ITERATION_GRID = tuple(range(20, 101, 10))
 FRACTION_GRID = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99)
 
-# the "exact" Tikhonov fit on large matrix-free systems: tight tolerance,
-# capped budget; cells whose lambda is too small to converge report failure
-_TIK_IMPLICIT_TOL = 1e-8
-_TIK_IMPLICIT_MAX_ITER = 800
+# the most vectors a problem's Krylov basis holds
+_KRYLOV_MAX_DIM = 800
 
 # the Krylov space counts as invariant once beta_k <= this * tr K (>= ||K||_2,
 # K PSD): Md / sigma^2, each curl-free diagonal entry being -2 phi'(0) = 1 / sigma^2
@@ -446,16 +444,16 @@ class _Problem:
 
     def krylov(self, spec: MatrixKernelSpec):
         """The KrylovBasis of a curl-free spec's Gram, of either form,
-        started at h; None for a diagonal spec or if the run fails, and
-        then every reader solves without it.
-
-        One basis serves the curl-free tikhonov, tikhonov_cg and nu_method
-        entries of spec. It stops at invariance, at its cap, or once it
-        holds the nu-method's t_max - 1 vectors and every shift M lam has
-        met its target (a tikhonov one the estimate fit_tikhonov's start
-        aims at, estimators._start_tol, a tikhonov_cg one its entry's tol,
-        unless the basis holds that entry's max_iter vectors).
-        The cap is _TIK_IMPLICIT_MAX_ITER vectors and no more bytes than
+        started at h, that the spec's curl-free entries read: one solve per
+        tikhonov or tikhonov_cg grid point, one per nu_method entry with
+        t_max > 1. None for a diagonal spec, for fewer than two solves (so
+        `scorekit fit` gets the public fit) or if the run fails, and then
+        every reader solves without it. The basis stops at invariance, at
+        its cap, or once it holds the nu-method's t_max - 1 vectors and
+        every shift M lam has met its target (a tikhonov one the estimate
+        fit_tikhonov's start aims at, estimators._start_tol, a tikhonov_cg
+        one its entry's tol, unless the basis holds its max_iter vectors).
+        The cap is _KRYLOV_MAX_DIM vectors and no more bytes than
         kernels._dense_budget(), the largest Gram kernels keeps dense by
         choice. Each reader takes the leading part it needs, so its rows do
         not depend on the other entries.
@@ -474,10 +472,12 @@ class _Problem:
                 elif e.id in ("tikhonov", "tikhonov_cg"):
                     start, n = e.id == "tikhonov", len(e.grid)
                     shifts += [self.M * p["lam"] for _, p in e.grid]
-                    targets += [_start_tol(gram, _TIK_IMPLICIT_TOL) if start else e.tol] * n
+                    targets += [_start_tol(gram) if start else e.tol] * n
                     caps += [math.inf if start else e.max_iter] * n
+            if len(shifts) + (t_max > 1) < 2:
+                return None
             stop = _shift_targets(shifts, targets, t_max - 1, caps)
-            max_dim = min(_TIK_IMPLICIT_MAX_ITER, _dense_budget() // (8 * gram.dim))
+            max_dim = min(_KRYLOV_MAX_DIM, _dense_budget() // (8 * gram.dim))
             tol = _KRYLOV_INVARIANT_REL * (gram.dim / spec.scalar.bandwidth ** 2)
             try:
                 return lanczos(gram, gram.divergence(), max_dim, tol, stop=stop)
@@ -495,10 +495,9 @@ class EstimatorDef:
     """What one estimator id means. Its callables call the public fits by
     their module-global names, so a tracer or test that swaps one sees it."""
 
-    keys: tuple                # its config keys beside _COMMON_KEYS, of _KEY_FIELDS
-    fit: object                # (problem, entry, spec, i, **opts) -> fit at grid point i
-    path: object = None        # (problem, entry, spec, ts) -> fits at each t, from one run
-    sweep_opts: object = None  # (problem, entry, spec, i) -> opts the sweep gives fit
+    keys: tuple          # its config keys beside _COMMON_KEYS, of _KEY_FIELDS
+    fit: object          # (problem, entry, spec, i) -> fit at grid point i
+    path: object = None  # (problem, entry, spec, ts) -> fits at each t, from one run
 
 
 def _fit_spectral_cutoff(problem, entry, spec, i):
@@ -529,17 +528,13 @@ def _fit_nystrom(problem, entry, spec, i):
 REGISTRY = {
     "tikhonov": EstimatorDef(
         ("lambdas",),
-        lambda p, e, spec, i, **opts: fit_tikhonov(
-            p.X, spec, e.grid[i][1]["lam"], gram=p.gram(spec), **opts),
-        sweep_opts=lambda p, e, spec, i: dict(
-            cg_tol=_TIK_IMPLICIT_TOL, cg_max_iter=_TIK_IMPLICIT_MAX_ITER,
-            _krylov=p.krylov(spec))),
+        lambda p, e, spec, i: fit_tikhonov(
+            p.X, spec, e.grid[i][1]["lam"], gram=p.gram(spec), _krylov=p.krylov(spec))),
     "tikhonov_cg": EstimatorDef(
         ("lambdas", "tol", "max_iter"),
-        lambda p, e, spec, i, **opts: fit_tikhonov_cg(
+        lambda p, e, spec, i: fit_tikhonov_cg(
             p.X, spec, e.grid[i][1]["lam"], tol=e.tol, max_iter=e.max_iter,
-            gram=p.gram(spec), **opts),
-        sweep_opts=lambda p, e, spec, i: {"_krylov": p.krylov(spec)}),
+            gram=p.gram(spec), _krylov=p.krylov(spec))),
     "truncated_tikhonov": EstimatorDef(
         ("lambdas",),
         lambda p, e, spec, i: fit_truncated_tikhonov(
@@ -579,8 +574,7 @@ def _fit_cells(entry: EstimatorEntry, problem: _Problem, spec: MatrixKernelSpec)
         for i in range(len(entry.grid)):
             t0, est, reason = _now_ms(), None, ""
             try:
-                opts = how.sweep_opts(problem, entry, spec, i) if how.sweep_opts else {}
-                est = how.fit(problem, entry, spec, i, **opts)
+                est = how.fit(problem, entry, spec, i)
             except _CONTRACT_ERRORS as exc:
                 reason = _reason(exc)
             yield i, _Cell(reason=reason, fit_ms=_now_ms() - t0), est

@@ -59,6 +59,10 @@ def _cmd_fit(args) -> None:
     problem = _Problem(X, (entry,), 0 if args.seed is None else args.seed)
     est = fit(problem, entry, problem.spec(entry), 0)
     del problem  # its Gram must not outlive the fit
+    try:  # a fit that exits 0 predicts finite scores at its samples
+        predict(est, X)
+    except NumericError as exc:
+        raise NumericError(f"at the samples: {exc}") from None
     save_estimator(est, args.out)
 
 

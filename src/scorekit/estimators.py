@@ -253,16 +253,18 @@ def predict(est: FittedScoreEstimator, queries, _shared=None) -> np.ndarray:
     one block; zeta is computed only where a != 0, and then the basis is the
     sample set. _shared, when given, is query_tables(est.kernel, queries,
     est.basis), built once by a caller predicting several fits on one
-    basis; it stands in for the chunks."""
+    basis; it stands in for the chunks. Overflow warnings are off: the
+    NumericError on a non-finite value is the only report."""
     Q = _as_queries(np.atleast_2d(np.asarray(queries, dtype=np.float64)), est.dim)
     with_zeta = est.offset != 0.0
     step = max(1, Q.shape[0] if _shared else BLOCK_ENTRIES // est.basis.shape[0])
     out = np.empty_like(Q)
-    for lo in range(0, Q.shape[0], step):
-        q = Q[lo:lo + step]
-        z, tables = _shared or query_tables(est.kernel, q, est.basis, zeta=with_zeta)
-        part = cross_apply(est.kernel, q, est.basis, est.coeffs, _tables=tables)
-        out[lo:lo + step] = est.offset * z + part if with_zeta else part
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, Q.shape[0], step):
+            q = Q[lo:lo + step]
+            z, tables = _shared or query_tables(est.kernel, q, est.basis, zeta=with_zeta)
+            part = cross_apply(est.kernel, q, est.basis, est.coeffs, _tables=tables)
+            out[lo:lo + step] = est.offset * z + part if with_zeta else part
     if not np.all(np.isfinite(out)):
         raise NumericError("prediction produced non-finite values")
     return out
@@ -309,30 +311,31 @@ def _spectrum(gram):
 # Tikhonov
 # ======================================================================
 
-# fit_tikhonov's Krylov start aims this factor below the residual the fit
-# checks. At lam = 1e-8 the shifted Gram's condition number is ~3e7, so
-# starts that only just met 1e-10 moved conv-1d benchmark rows by up to
-# 3.7e-4 relative from factored solves; at 1e-12 they move by under 1e-5.
+# fit_tikhonov's Krylov start over a dense Gram aims this factor below
+# SPD_RESIDUAL_TOL, as a miss costs a Cholesky: at lam = 1e-8 the shifted
+# Gram's condition number is ~3e7, so starts that only just met 1e-10 moved
+# conv-1d benchmark rows by up to 3.7e-4 relative from factored solves (at
+# 1e-12, under 1e-5). A matrix-free miss costs a few CG steps: no margin.
 _KRYLOV_START_MARGIN = 100
+_CG_MIN_ITER = 1000  # fit_tikhonov's matrix-free CG budget is max(this, 4M)
 
 
-def _start_tol(gram, cg_tol: float) -> float:
-    """The Lanczos residual estimate fit_tikhonov's start aims at over gram:
-    _KRYLOV_START_MARGIN below solve_spd's residual dense, cg_tol matrix-free."""
-    return (cg_tol if isinstance(gram, ImplicitGram) else SPD_RESIDUAL_TOL) / _KRYLOV_START_MARGIN
+def _start_tol(gram) -> float:
+    """The Lanczos residual estimate fit_tikhonov's start aims at over gram."""
+    return SPD_RESIDUAL_TOL / (1 if isinstance(gram, ImplicitGram) else _KRYLOV_START_MARGIN)
 
 
 def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
-                 cg_tol: float = 1e-10, cg_max_iter: int = None,
                  _krylov=None) -> FittedScoreEstimator:
-    """Solve (K + M lam I) c = h / lam; predictions carry a = -1/lam.
+    """Solve (K + M lam I) c = h / lam to the relative residual
+    SPD_RESIDUAL_TOL (1e-10); predictions carry a = -1/lam.
 
     The Gram's form (assemble_gram's unless gram is given) picks the solver.
     Over a dense Gram G, K = G (x) I_m, solve_spd solves (G + M lam I) C =
     H / lam with H = h.reshape(-1, gram.m), so a diagonal kernel solves its
     M x M system with d right-hand sides. Over a matrix-free Gram the fit is
-    fit_tikhonov_cg run to the same 1e-10 residual contract (cg_tol),
-    raising FitError if that cannot be reached.
+    fit_tikhonov_cg to the same residual within max(_CG_MIN_ITER, 4M)
+    iterations, raising FitError if that cannot be reached.
     _krylov, a KrylovBasis of lanczos(gram, h, ...), gives the start c =
     (||h|| / lam) V_k^T (T_k + M lam I)^-1 e_1, k the first step whose
     residual estimate meets _start_tol (else the last): solve_spd returns it
@@ -343,16 +346,14 @@ def fit_tikhonov(samples, spec: MatrixKernelSpec, lam: float, gram=None,
     M = X.shape[0]
     gram = _resolve_gram(spec, X, gram)
     x0 = None if _krylov is None else _krylov.galerkin(
-        M * lam, _start_tol(gram, cg_tol), _krylov.norm_b / lam)[1]
+        M * lam, _start_tol(gram), _krylov.norm_b / lam)[1]
     if isinstance(gram, ImplicitGram):
-        if cg_max_iter is None:
-            cg_max_iter = max(1000, 4 * M)
-        est = fit_tikhonov_cg(X, spec, lam, tol=cg_tol, max_iter=cg_max_iter, gram=gram,
-                              x0=x0)
+        est = fit_tikhonov_cg(X, spec, lam, tol=SPD_RESIDUAL_TOL,
+                              max_iter=max(_CG_MIN_ITER, 4 * M), gram=gram, x0=x0)
         if not est.meta["cg_converged"]:
             raise FitError(
                 f"tikhonov CG stopped at relative residual {est.meta['cg_residual']:.3e} "
-                f"after {est.meta['cg_iterations']} iterations (target {cg_tol:.1e}); "
+                f"after {est.meta['cg_iterations']} iterations (target {SPD_RESIDUAL_TOL:.0e}); "
                 f"the shifted system K + {M * lam:.3e} I is too ill-conditioned")
         return est
     G = gram.matrix

@@ -654,7 +654,7 @@ class TestMatrixFreeTikhonov:
         assert all(r.reason == "" for r in rows)
         for est in fits:
             assert est.meta["mode"] == "implicit"
-            assert self.true_residual(est) <= 1e-8
+            assert self.true_residual(est) <= 1e-10
 
     def test_one_shifted_run_serves_the_grid(self, monkeypatch):
         # one Lanczos run per matrix-free problem gives every lam its start
@@ -674,7 +674,7 @@ class TestMatrixFreeTikhonov:
         assert len(runs) == 1 and isinstance(runs[0], kernels.ImplicitGram)
         [(shifts, (target,))] = targets
         assert np.array_equal(shifts, 256 * np.asarray(LAMBDA_GRID))
-        assert target == bench._TIK_IMPLICIT_TOL / 100
+        assert target == spectral_linalg.SPD_RESIDUAL_TOL
         # the starts meet the CG tolerance; no fit iterates further
         assert all(est.meta["cg_iterations"] == 0 for est in fits)
 
@@ -688,7 +688,7 @@ class TestMatrixFreeTikhonov:
         rows, fits = self.run(monkeypatch, lambdas=[1.0, 1e-3])
         assert all(r.reason == "" for r in rows)
         assert all(est.meta["cg_iterations"] > 0 for est in fits)
-        assert all(self.true_residual(est) <= 1e-8 for est in fits)
+        assert all(self.true_residual(est) <= 1e-10 for est in fits)
 
     def test_failed_shifted_run_falls_back_to_cold_starts(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -697,7 +697,7 @@ class TestMatrixFreeTikhonov:
         rows, fits = self.run(monkeypatch, lambdas=[1.0, 1e-3])
         assert all(r.reason == "" for r in rows)
         assert all(est.meta["cg_iterations"] > 0 for est in fits)
-        assert all(self.true_residual(est) <= 1e-8 for est in fits)
+        assert all(self.true_residual(est) <= 1e-10 for est in fits)
 
 
 def set_dense_limit(monkeypatch, limit):
@@ -800,7 +800,7 @@ class TestDenseTikhonov:
         assert sorted(dim for dim, *_ in runs) == sorted(
             2 * M for M in self.SIZES for _ in self.SEEDS)
         for _, max_dim, rel_tol, stop in runs:
-            assert max_dim == bench._TIK_IMPLICIT_MAX_ITER
+            assert max_dim == bench._KRYLOV_MAX_DIM
             assert rel_tol == pytest.approx(1e-14) and stop is not None
         # each start aims 100x below the residual solve_spd checks
         assert targets == [spectral_linalg.SPD_RESIDUAL_TOL / 100] * len(runs)
@@ -836,6 +836,8 @@ class TestKrylovBasis:
     # at d=2, M <= 128), so the nu-method entry lengthens the basis
     NU = {"id": "nu_method", "kind": "curl_free", "iterations": [1, 3, 10, 31, 100, 200]}
     CG = {"id": "tikhonov_cg", "kind": "curl_free"}
+    # the second solve that makes a nu-method entry read a basis
+    TIK1 = {"id": "tikhonov", "kind": "curl_free", "lambdas": [1.0]}
 
     @staticmethod
     def config(entries, d=2, sizes=(64, 128)):
@@ -863,12 +865,17 @@ class TestKrylovBasis:
     def test_one_basis_serves_both_entries_and_each_reads_its_own_part(self, monkeypatch):
         # the three readers in either config order, over the d=2 bases and
         # the non-invariant d=8 one: each entry's rows are those it gives
-        # run alone, bit for bit
+        # as the only other reader of a basis, bit for bit (alone, a
+        # nu-method entry is one solve, which reads none)
         stable_fields = TestGridExperiment.stable_fields
         runs, _ = self.recorded(monkeypatch)
+
+        def alone_rows(e, d, sizes):
+            entries = [e, self.TIK1] if e is self.NU else [e]
+            return [row for row in stable_fields(run_grid_rows(self.config(entries, d, sizes)))
+                    if row[0] == e["id"]]
         for d, sizes in ((2, (64, 128)), (8, (64,))):
-            alone = {e["id"]: stable_fields(run_grid_rows(self.config([e], d, sizes)))
-                     for e in (self.TIK, self.CG, self.NU)}
+            alone = {e["id"]: alone_rows(e, d, sizes) for e in (self.TIK, self.CG, self.NU)}
             for order in ((self.TIK, self.CG, self.NU), (self.NU, self.CG, self.TIK)):
                 del runs[:]
                 both = stable_fields(run_grid_rows(self.config(list(order), d, sizes)))
@@ -881,14 +888,15 @@ class TestKrylovBasis:
     def test_nu_method_rows_match_the_direct_recursion(self, monkeypatch):
         # a d=1 Gram is numerically low rank: its Krylov space becomes
         # invariant well before t_max - 1 vectors
-        cfg = self.config([self.NU], d=1)
+        cfg = self.config([self.NU, self.TIK1], d=1)
         runs, _ = self.recorded(monkeypatch)
-        rows = run_grid_rows(cfg)
+        rows = [r for r in run_grid_rows(cfg) if r.estimator == "nu_method"]
         assert len(runs) == 4
         for _, tol, V, _, beta in runs:
             assert beta <= tol and len(V) < max(self.NU["iterations"]) - 1
         monkeypatch.setattr(bench, "lanczos", no_basis)  # the direct recursion
-        direct = run_grid_rows(cfg)
+        direct = [r for r in run_grid_rows(cfg) if r.estimator == "nu_method"]
+        assert len(rows) == len(direct) == 4 * len(self.NU["iterations"])
         for r, ref in zip(rows, direct):
             assert r.reason == ref.reason == ""
             assert abs(r.error - ref.error) <= 1e-9 * abs(ref.error)
@@ -896,14 +904,18 @@ class TestKrylovBasis:
     def test_a_basis_cut_short_leaves_the_nu_method_on_k(self, monkeypatch):
         # capped below t_max - 1 vectors and not invariant, the basis cannot
         # span the late iterates: the recursion runs on K, row for row
-        cfg = self.config([self.NU], d=8, sizes=(64,))
-        monkeypatch.setattr(bench, "_TIK_IMPLICIT_MAX_ITER", 20)
+        cfg = self.config([self.NU, self.TIK1], d=8, sizes=(64,))
+        monkeypatch.setattr(bench, "_KRYLOV_MAX_DIM", 20)
         runs, _ = self.recorded(monkeypatch)
-        rows = TestGridExperiment.stable_fields(run_grid_rows(cfg))
+
+        def nu_rows():
+            return [row for row in TestGridExperiment.stable_fields(run_grid_rows(cfg))
+                    if row[0] == "nu_method"]
+        rows = nu_rows()
         assert [len(V) for _, _, V, _, _ in runs] == [20, 20]
         assert all(beta > tol for _, tol, _, _, beta in runs)
         monkeypatch.setattr(bench, "lanczos", no_basis)
-        assert rows == TestGridExperiment.stable_fields(run_grid_rows(cfg))
+        assert rows == nu_rows()
 
     def test_non_invariant_basis(self, monkeypatch):
         # a full-rank d=8 Gram: the basis stops at the Tikhonov targets or
@@ -936,6 +948,7 @@ class TestSharedKrylovEngine:
 
     TIK = {"id": "tikhonov", "kind": "curl_free"}
     NU = {"id": "nu_method", "kind": "curl_free", "iterations": [1, 3, 10, 31, 100]}
+    CG = {"id": "tikhonov_cg", "kind": "curl_free"}
 
     @staticmethod
     def problem(entries, d=2, M=64):
@@ -946,9 +959,12 @@ class TestSharedKrylovEngine:
 
     @pytest.mark.parametrize("d, M", [(1, 256), (2, 128), (8, 64)])
     def test_both_forms_give_the_same_starts_and_snapshots(self, monkeypatch, d, M):
-        # the forms' start targets differ (solve_spd checks 1e-10, CG 1e-8);
-        # at one target the two bases agree
-        monkeypatch.setattr(bench, "_TIK_IMPLICIT_TOL", spectral_linalg.SPD_RESIDUAL_TOL)
+        # the forms' start targets differ (a dense start aims 100x below
+        # 1e-10, a matrix-free one at it); at one target the two bases agree
+        def dense_target(gram):
+            return spectral_linalg.SPD_RESIDUAL_TOL / estimators._KRYLOV_START_MARGIN
+        monkeypatch.setattr(bench, "_start_tol", dense_target)
+        monkeypatch.setattr(estimators, "_start_tol", dense_target)
         starts, paths = [], []
         for limit, form in ((M * d, kernels.DenseGram), (M * d - 1, kernels.ImplicitGram)):
             set_dense_limit(monkeypatch, limit)
@@ -967,6 +983,35 @@ class TestSharedKrylovEngine:
         for a, b in zip(*paths):
             assert a.offset == b.offset
             assert np.linalg.norm(a.coeffs - b.coeffs) <= 1e-9 * np.linalg.norm(a.coeffs)
+
+    # a solve reads the basis per tikhonov or tikhonov_cg grid point, and
+    # per nu_method entry with t_max > 1, over the one spec
+    @pytest.mark.parametrize("entries, n_runs", [
+        ([dict(TIK, lambdas=[0.01])], 0),
+        ([dict(CG, lambdas=[0.01])], 0),
+        ([dict(NU, iterations=[10])], 0),
+        ([dict(NU, iterations=[1]), dict(TIK, lambdas=[0.01])], 0),
+        ([dict(TIK, lambdas=[0.01]), dict(CG, lambdas=[0.01], bandwidth=2.0)], 0),
+        ([dict(TIK, lambdas=[1.0, 0.01])], 1),
+        ([dict(CG, lambdas=[1.0, 0.01])], 1),
+        ([dict(TIK, lambdas=[0.01]), dict(CG, lambdas=[0.01])], 1),
+        ([dict(NU, iterations=[2]), dict(TIK, lambdas=[0.01])], 1),
+    ], ids=["tikhonov", "tikhonov_cg", "nu_method", "nu_method-t1-and-tikhonov",
+            "two-specs", "tikhonov-2", "tikhonov_cg-2", "tikhonov-and-tikhonov_cg",
+            "nu_method-and-tikhonov"])
+    def test_a_basis_is_built_for_two_solves_or_more(self, monkeypatch, entries, n_runs):
+        runs, orig = [], bench.lanczos
+
+        def counted(*args, **kwargs):
+            runs.append(orig(*args, **kwargs))
+            return runs[-1]
+        monkeypatch.setattr(bench, "lanczos", counted)
+        problem, parsed = self.problem(entries)
+        for entry in parsed:
+            spec = problem.spec(entry)
+            assert (problem.krylov(spec) is None) == (n_runs == 0)
+            assert all(cell.reason == "" for _, cell, _ in bench._fit_cells(entry, problem, spec))
+        assert len(runs) == n_runs
 
     @pytest.mark.parametrize("family", ["imq", "gaussian"])
     def test_both_forms_get_the_same_invariance_tolerance(self, monkeypatch, family):
@@ -1014,7 +1059,7 @@ class TestSharedKrylovEngine:
         assert any(est.meta["cg_iterations"] > 0 for est in fits)
         for est in fits:
             assert est.meta["mode"] == "implicit"
-            assert TestMatrixFreeTikhonov.true_residual(est) <= 1e-8
+            assert TestMatrixFreeTikhonov.true_residual(est) <= 1e-10
 
     def test_diagonal_nu_method_reads_no_basis(self, monkeypatch):
         set_dense_limit(monkeypatch, 64)  # curl-free: matrix-free
@@ -1156,7 +1201,7 @@ class TestGalerkinCells:
             return dataclasses.replace(basis, V=basis.V * (1.0 + 1e-3))
         if how == "short":
             # two vectors: no cell's estimate meets tol, and max_iter is 40
-            monkeypatch.setattr(bench, "_TIK_IMPLICIT_MAX_ITER", 2)
+            monkeypatch.setattr(bench, "_KRYLOV_MAX_DIM", 2)
         else:
             monkeypatch.setattr(bench, "lanczos", failed if how == "failed" else drifted)
         # CG converges at both lams in 3 to 22 iterations
@@ -1180,16 +1225,14 @@ class TestTikhonovStarts:
         spec = problem.spec(tik)
         gram, basis = problem.gram(spec), problem.krylov(spec)
         assert isinstance(gram, TestGalerkinCells.GRAM[form]) and basis is not None
-        target = estimators._start_tol(gram, bench._TIK_IMPLICIT_TOL)
+        target = estimators._start_tol(gram)
         cells = list(bench._fit_cells(tik, problem, spec))
         assert [tik.grid[i][1]["lam"] for i, _, _ in cells] == list(LAMBDA_GRID)
         for i, cell, est in cells:
             lam = tik.grid[i][1]["lam"]
             assert cell.reason == ""
             assert basis.galerkin(M * lam, target, basis.norm_b / lam)[0] > 0
-            ref = estimators.fit_tikhonov(
-                problem.X, spec, lam, gram=gram, cg_tol=bench._TIK_IMPLICIT_TOL,
-                cg_max_iter=bench._TIK_IMPLICIT_MAX_ITER, _krylov=basis)
+            ref = estimators.fit_tikhonov(problem.X, spec, lam, gram=gram, _krylov=basis)
             assert est.offset == ref.offset
             assert est.coeffs.tobytes() == ref.coeffs.tobytes()
             assert est.meta == ref.meta

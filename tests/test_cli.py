@@ -17,7 +17,13 @@ from scorekit import bench
 from scorekit.bench import SummaryRow, write_summary_csv
 from scorekit.cli import main
 from scorekit.errors import InputError
-from scorekit.estimators import fit_nu_method, fit_tikhonov, fit_tikhonov_cg, load_estimator
+from scorekit.estimators import (
+    fit_nu_method,
+    fit_tikhonov,
+    fit_tikhonov_cg,
+    load_estimator,
+    predict,
+)
 from scorekit.kernels import MatrixKernelSpec, ScalarRadialKernel
 from scorekit.oracles import (
     load_samples_csv,
@@ -268,7 +274,10 @@ def overflowing_nystrom_examples(test):
     for kind, family in OVERFLOWING_NYSTROM_FITS:
         test = example(eid="nystrom", kind=kind, family=family, bandwidth=100.0,
                        lam=1e-308, t=1)(test)
-    return test
+    # finite coefficients (max|c| = 6.4e307) whose prediction at the samples
+    # overflows
+    return example(eid="nystrom", kind="curl_free", family="gaussian", bandwidth=1e5,
+                   lam=1e-308, t=1)(test)
 
 
 class TestFitExitContract:
@@ -305,8 +314,9 @@ class TestFitExitContract:
         if code:
             assert err.getvalue().splitlines()[-1].startswith(
                 ("scorekit: error:", "scorekit: numeric failure:"))
-        else:
-            load_estimator(tmp / "est.bin")
+        else:  # a file that loads, and finite predictions at the samples
+            est = load_estimator(tmp / "est.bin")
+            assert np.all(np.isfinite(predict(est, est.samples)))
 
     @pytest.mark.parametrize("eid", ["tikhonov", "tikhonov_cg"])
     @pytest.mark.parametrize("kind, bandwidth", sorted({(k, bw) for _, k, bw in TINY_LAM_FITS}
@@ -381,6 +391,22 @@ class TestFitExitContract:
         assert len(err.splitlines()) == 1
         assert err.startswith("scorekit: numeric failure: fitted state is not finite")
 
+    def test_a_prediction_at_the_samples_that_overflows_is_one_numeric_failure(self, tmp_path,
+                                                                                capsys):
+        # the coefficients are finite (max|c| = 6.4e307), but K(X, Z) c
+        # overflows: no file is written whose predictions at the samples
+        # predict would refuse, and numpy prints nothing
+        cfg = write_fit_config(tmp_path, np.random.default_rng(0).normal(size=(12, 2)), {
+            "id": "nystrom", "kind": "curl_free", "family": "gaussian", "bandwidth": 1e5,
+            "lambdas": [1e-308]})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["fit", "--config", cfg, "--out", str(tmp_path / "est.bin")])
+        assert [str(w.message) for w in caught] == []
+        assert code == 2 and not (tmp_path / "est.bin").exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "scorekit: numeric failure: at the samples: prediction produced non-finite values"]
+
 
 # estimator files for the predict property: a zeta term over the samples,
 # and a subset basis
@@ -394,8 +420,7 @@ PREDICTED_FITS = [
 
 class TestCommandProperties:
     """`scorekit predict` and `grid-exp` keep the exit-code contract over
-    drawn inputs. predict's warnings are ignored as in TestFitExitContract;
-    a sweep records none."""
+    drawn inputs, and neither records a RuntimeWarning."""
 
     @pytest.fixture(scope="class")
     def estimator_files(self, tmp_path_factory):
@@ -419,9 +444,10 @@ class TestCommandProperties:
                                           "estimator": str(estimator_files[which]),
                                           "queries": "q.csv"})
         err = io.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
-            warnings.simplefilter("ignore", RuntimeWarning)
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
             code = main(["predict", "--config", cfg, "--out", str(tmp / "s.csv")])
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert code in (0, 1, 2)
         if code:
             assert err.getvalue().splitlines()[-1].startswith(
@@ -716,27 +742,22 @@ class TestNonUtf8Input:
 
 
 class TestCliMatchesSweep:
-    """Where `scorekit fit` and the sweep take the same path, the CLI's saved
-    fit equals the sweep's one-point fit bit for bit. Not covered here,
-    because the sweep passes these fits its own opts on purpose:
-    - curl-free tikhonov: the sweep starts each fit from a shared Lanczos
-      basis and runs matrix-free CG to 1e-8, not 1e-10;
-    - curl-free tikhonov_cg: the sweep returns the Galerkin iterate on a
-      shared Lanczos basis, not CG's iterate;
-    - curl-free nu_method: the sweep runs the recursion on a Lanczos basis.
-    For those the CLI must return the public fit itself (test below).
-    """
+    """The CLI's saved fit equals the sweep's one-point fit bit for bit, for
+    every id and kind: a one-point problem builds no Lanczos basis, and the
+    sweep passes its fits nothing that `scorekit fit` does not. A curl-free
+    Tikhonov, Tikhonov-CG or nu-method fit from the CLI is therefore also
+    the public fit itself (last test)."""
 
-    CASES = [("diagonal", {"id": "tikhonov", "lambdas": [0.01]}),
-             ("diagonal", {"id": "tikhonov_cg", "lambdas": [0.01]})] + [
-        (kind, entry) for kind in ("diagonal", "curl_free") for entry in (
-            {"id": "truncated_tikhonov", "lambdas": [0.01]},
-            {"id": "spectral_cutoff", "fractions": [0.5]},
-            {"id": "spectral_cutoff", "lambdas": [0.01]},
-            {"id": "nystrom", "lambdas": [0.01], "subset_fraction": 0.5},
-        )] + [(kind, {"id": "landweber", "iterations": [10]})
-              for kind in ("diagonal", "curl_free")] + [
-        ("diagonal", {"id": "nu_method", "iterations": [10]})]
+    CASES = [(kind, entry) for kind in ("diagonal", "curl_free") for entry in (
+        {"id": "tikhonov", "lambdas": [0.01]},
+        {"id": "tikhonov_cg", "lambdas": [0.01]},
+        {"id": "truncated_tikhonov", "lambdas": [0.01]},
+        {"id": "spectral_cutoff", "fractions": [0.5]},
+        {"id": "spectral_cutoff", "lambdas": [0.01]},
+        {"id": "nystrom", "lambdas": [0.01], "subset_fraction": 0.5},
+        {"id": "landweber", "iterations": [10]},
+        {"id": "nu_method", "iterations": [10]},
+    )]
 
     @staticmethod
     def fit_by_cli(tmp_path, X, entry, seed=0):
@@ -752,18 +773,29 @@ class TestCliMatchesSweep:
         assert np.array_equal(fitted.coeffs, ref.coeffs)
         assert np.array_equal(fitted.basis, ref.basis)
 
-    @pytest.mark.parametrize("kind, entry", CASES, ids=[
-        f"{kind}-{entry['id']}-{next(k for k in entry if k != 'id')}" for kind, entry in CASES])
-    def test_cli_fit_equals_the_sweep_fit(self, tmp_path, kind, entry):
-        d, M, seed = 2, 24, 3
-        entry = dict(entry, kind=kind)
+    @classmethod
+    def assert_cli_fit_is_the_sweep_fit(cls, tmp_path, entry, d, M, seed=3):
         X = sample(make_grid_distribution(d, 0), M,
                    np.random.SeedSequence(seed, spawn_key=(1, d, M)))
         parsed = bench._parse_estimator(entry, "estimator")
         problem = bench._Problem(X, (parsed,), seed)
         [(_, cell, swept)] = bench._fit_cells(parsed, problem, problem.spec(parsed))
         assert cell.reason == ""
-        self.assert_same_fit(self.fit_by_cli(tmp_path, X, entry, seed), swept)
+        cls.assert_same_fit(cls.fit_by_cli(tmp_path, X, entry, seed), swept)
+
+    @pytest.mark.parametrize("kind, entry", CASES, ids=[
+        f"{kind}-{entry['id']}-{next(k for k in entry if k != 'id')}" for kind, entry in CASES])
+    def test_cli_fit_equals_the_sweep_fit(self, tmp_path, kind, entry):
+        self.assert_cli_fit_is_the_sweep_fit(tmp_path, dict(entry, kind=kind), d=2, M=24)
+
+    # Md = 4160 is over the dense limit: the matrix-free Gram
+    @pytest.mark.parametrize("entry", [{"id": "tikhonov", "lambdas": [0.01]},
+                                       {"id": "tikhonov_cg", "lambdas": [0.01]},
+                                       {"id": "nu_method", "iterations": [10]}],
+                             ids=["tikhonov", "tikhonov_cg", "nu_method"])
+    def test_matrix_free_cli_fit_equals_the_sweep_fit(self, tmp_path, entry):
+        self.assert_cli_fit_is_the_sweep_fit(tmp_path, dict(entry, kind="curl_free"),
+                                             d=32, M=130)
 
     # Md = 4160 is over the dense limit: the matrix-free CG fit
     @pytest.mark.parametrize("entry, M, d, fit, mode", [

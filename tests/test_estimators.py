@@ -127,14 +127,13 @@ class TestArguments:
         lambda: fit_spectral_cutoff(SMALL, cf(), rank=True),
         lambda: fit_tikhonov_cg(SMALL, cf(), 0.1, max_iter=2.5),
         lambda: fit_tikhonov_cg(SMALL, cf(), 0.1, max_iter=True),
-        lambda: fit_tikhonov(SMALL, cf(), 0.1, gram=ImplicitGram(cf(), SMALL), cg_max_iter=2.5),
         lambda: conjugate_gradient(LinearOperator(3, lambda v: v), np.ones(3), max_iter=2.5),
         lambda: conjugate_gradient(LinearOperator(3, lambda v: v), np.ones(3), max_iter=0),
     ], ids=["Landweber-float", "Landweber-bool", "NuMethod-float", "SpectralCutoff-float",
             "SpectralCutoff-bool", "landweber_path", "nu_method_path-bool",
             "fit_landweber", "fit_nu_method", "fit_spectral_cutoff-float",
             "fit_spectral_cutoff-bool", "fit_tikhonov_cg-float", "fit_tikhonov_cg-bool",
-            "fit_tikhonov-matrix-free", "conjugate_gradient-float", "conjugate_gradient-zero"])
+            "conjugate_gradient-float", "conjugate_gradient-zero"])
     def test_a_count_that_is_not_an_integer_is_refused(self, call):
         # a float or a bool would be truncated, or saved in a file that
         # load_estimator refuses
@@ -398,11 +397,13 @@ class TestTikhonovCG:
         assert est.meta["cg_converged"] is True
         assert "warnings" not in est.meta
 
-    def test_strict_implicit_fit_raises_on_budget_exhaustion(self):
+    def test_strict_implicit_fit_raises_on_budget_exhaustion(self, monkeypatch):
+        # the budget is max(_CG_MIN_ITER, 4M) = 120 steps; 1e-10 takes 238
+        monkeypatch.setattr(estimators, "_CG_MIN_ITER", 1)
         rng = np.random.default_rng(15)
         X, spec = random_instance(rng, M=30, d=2, kind="curl_free")
-        with pytest.raises(FitError):
-            fit_tikhonov(X, spec, 1e-7, gram=ImplicitGram(spec, X), cg_max_iter=2)
+        with pytest.raises(FitError, match=r"after 120 iterations \(target 1e-10\)"):
+            fit_tikhonov(X, spec, 1e-7, gram=ImplicitGram(spec, X))
 
 
 # ======================================================================
@@ -1155,9 +1156,16 @@ class TestPredict:
     def test_non_finite_output_is_a_numeric_error(self):
         X, spec = SMALL, cf()
         est = FittedScoreEstimator(spec, X, np.full((6, 2), 1e308), TruncatedTikhonov(0.1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericError, match="prediction produced non-finite values"):
-                est.predict(np.zeros((3, 2)))
+        # the error is the only report: a RuntimeWarning would fail the test
+        with pytest.raises(NumericError, match="prediction produced non-finite values"):
+            est.predict(np.zeros((3, 2)))
+
+    def test_a_query_whose_squared_distances_overflow_is_a_numeric_error(self):
+        # zeta multiplies d3phi(inf) = 0 by inf; the score there is 0 to
+        # double precision, but predict refuses it without a warning
+        est = fit_tikhonov(SMALL, cf(bw=1.0), 0.01)
+        with pytest.raises(NumericError, match="prediction produced non-finite values"):
+            est.predict(np.array([[3.9e217, 0.05]]))
 
     def test_dimension_mismatch_rejected(self):
         rng = np.random.default_rng(70)
