@@ -24,8 +24,11 @@ The curl-free kernel equals the mixed second derivatives d/dx_i d/dy_j of
 the scalar kernel, so every field in its span is a gradient field.
 """
 
+import contextvars
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -45,6 +48,15 @@ DENSE_SYSTEM_LIMIT = 4096
 # entries (8 bytes each) of one block of a Q x M table pass: query_tables
 # fills its tables and predict takes its query chunks this many at a time
 BLOCK_ENTRIES = 2 ** 17
+
+# writers of a query_tables pass of _SPLIT_MIN_BLOCKS blocks or more: the
+# calling thread and one helper when this process may use two CPUs or more;
+# a shorter pass stays on the calling thread. Each writer holds its own
+# one-block work arrays, so the cap of two keeps the pass's temporaries at
+# two blocks' work sets whatever the machine's CPU count.
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+_SPLIT_MIN_BLOCKS = 8
 
 
 # ======================================================================
@@ -159,13 +171,15 @@ def _as_queries(Xq, d: int) -> np.ndarray:
     return np.ascontiguousarray(q)
 
 
-def sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+def sq_dists(A: np.ndarray, B: np.ndarray, out: np.ndarray = None,
+             work: np.ndarray = None) -> np.ndarray:
     """All pairwise squared Euclidean distances, clipped at zero; out, a
-    len(A) x len(B) array, receives them instead of a new one."""
+    len(A) x len(B) array, receives them instead of a new one, and work,
+    another such array, the product A B^T instead of a temporary."""
     aa = np.einsum("ij,ij->i", A, A)
     bb = np.einsum("ij,ij->i", B, B)
     out = np.add(aa[:, None], bb[None, :], out=out)
-    ab = A @ B.T
+    ab = np.matmul(A, B.T, out=work)
     ab *= 2.0
     out -= ab
     np.maximum(out, 0.0, out=out)
@@ -183,6 +197,44 @@ def scalar_gram(kernel: ScalarRadialKernel, X: np.ndarray, Y: np.ndarray = None)
 # query tables and the divergence field zeta
 # ======================================================================
 
+def _fill_blocks(fill, starts: range) -> None:
+    """fill(starts): the row blocks at these starts, each filled whole by
+    one writer through its own work arrays.
+
+    A pass of _SPLIT_MIN_BLOCKS blocks or more is split among W = _WORKERS
+    writers: writer w takes blocks w, w + W, w + 2W, ..., the calling
+    thread is writer 0 and each other is a helper thread started for this
+    pass in a copy of the caller's context, so the caller's np.errstate
+    holds in every block. Every helper has stopped before this returns or
+    raises; the caller's exception comes first, then the lowest helper's.
+    """
+    W = _WORKERS if len(starts) >= _SPLIT_MIN_BLOCKS else 1
+    if W == 1:
+        fill(starts)
+        return
+    errors = [None] * W
+
+    def writer(w):
+        try:
+            fill(starts[w::W])
+        except BaseException as error:
+            errors[w] = error
+    helpers = []
+    try:
+        for w in range(1, W):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(writer, w),
+                                 name="scorekit-tables")
+            t.start()
+            helpers.append(t)
+        fill(starts[::W])
+    finally:
+        for t in helpers:
+            t.join()
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def query_tables(spec: MatrixKernelSpec, queries, samples, zeta: bool = True,
                  cross: bool = True, _out=None) -> tuple:
     """(z, tables) from one U = sq_dists(queries, samples), phi'' shared.
@@ -195,12 +247,17 @@ def query_tables(spec: MatrixKernelSpec, queries, samples, zeta: bool = True,
     tables, receives them.
 
     Only z and the tables are allocated whole. They are filled in blocks of
-    query rows through work arrays of one block, allocated once and reused
-    by every block, so the temporaries stay O(BLOCK_ENTRIES) whatever Q: one
-    block of all Q rows when Q x M <= BLOCK_ENTRIES (every predict chunk),
-    else of max(8, BLOCK_ENTRIES // M) rows rounded down to a multiple of
-    the 8 rows BLAS groups, so that a block's products round as one whole
-    pass's would. The arrays are not validated; callers pass checked ones.
+    query rows through work arrays of one block, allocated once per writer
+    and reused by each of its blocks, so the temporaries stay
+    O(BLOCK_ENTRIES) per writer whatever Q: one block of all Q rows when
+    Q x M <= BLOCK_ENTRIES (every predict chunk), else of
+    max(8, BLOCK_ENTRIES // M) rows rounded down to a multiple of the 8 rows
+    BLAS groups, so that a block's products round as one whole pass's would.
+    A pass of _SPLIT_MIN_BLOCKS blocks or more is filled by two writers on
+    a machine of two usable CPUs or more (_fill_blocks). Each block is computed whole by one writer,
+    exactly as on one thread, into rows no other writer touches, so every
+    output bit is the same whatever the writers. The arrays are not
+    validated; callers pass checked ones.
     """
     Q = queries.shape[0]
     M, d = samples.shape
@@ -212,45 +269,50 @@ def query_tables(spec: MatrixKernelSpec, queries, samples, zeta: bool = True,
         tables = _out or tuple(np.empty((Q, M)) for _ in range(2 if curl and d > 1 else 1))
     step = max(1, Q) if Q * M <= BLOCK_ENTRIES else max(8, BLOCK_ENTRIES // M // 8 * 8)
 
-    def work(needed):
-        return np.empty((min(step, Q), M)) if needed else None
-    U_w, W_w = work(True), work(zeta)
-    T_w = work(curl and (zeta or d == 1))
-    # phi'' is written straight into its output table when there is one
-    P2_w = work(curl and not cross)
-    for lo in range(0, Q, step):
-        hi = min(lo + step, Q)
-        n = hi - lo
-        U = sq_dists(queries[lo:hi], samples, out=U_w[:n])
-        p2 = None
-        if curl:
-            p2 = k.d2phi(U, out=tables[-1][lo:hi] if P2_w is None else P2_w[:n])
-        if zeta:
-            W = W_w[:n]
+    def fill(starts):
+        def work(needed):
+            return np.empty((min(step, Q), M)) if needed else None
+        U_w, W_w = work(True), work(zeta)
+        T_w = work(curl and (zeta or d == 1))
+        # phi'' is written straight into its output table when there is one
+        P2_w = work(curl and not cross)
+        # sq_dists' A B^T goes where the block writes only after reading U
+        AB_w = W_w if zeta else T_w if T_w is not None else work(True)
+        for lo in starts:
+            hi = min(lo + step, Q)
+            n = hi - lo
+            U = sq_dists(queries[lo:hi], samples, out=U_w[:n], work=AB_w[:n])
+            p2 = None
+            if curl:
+                p2 = k.d2phi(U, out=tables[-1][lo:hi] if P2_w is None else P2_w[:n])
+            if zeta:
+                W = W_w[:n]
+                if p2 is None:
+                    k.dphi(U, out=W)
+                    W *= 2.0 / M
+                else:
+                    T = T_w[:n]
+                    np.multiply(U, 2.0, out=W)
+                    W *= k.d3phi(U, out=T)
+                    W += np.multiply(p2, d + 2, out=T)
+                    W *= -4.0 / M
+                zq = np.matmul(W, samples, out=z[lo:hi])
+                zq -= W.sum(axis=1)[:, None] * queries[lo:hi]
+            if not cross:
+                continue
             if p2 is None:
-                k.dphi(U, out=W)
-                W *= 2.0 / M
+                k.phi(U, out=tables[0][lo:hi])
+            elif d > 1:
+                k.dphi(U, out=tables[0][lo:hi])
             else:
-                T = T_w[:n]
-                np.multiply(U, 2.0, out=W)
-                W *= k.d3phi(U, out=T)
-                W += np.multiply(p2, d + 2, out=T)
-                W *= -4.0 / M
-            zq = np.matmul(W, samples, out=z[lo:hi])
-            zq -= W.sum(axis=1)[:, None] * queries[lo:hi]
-        if not cross:
-            continue
-        if p2 is None:
-            k.phi(U, out=tables[0][lo:hi])
-        elif d > 1:
-            k.dphi(U, out=tables[0][lo:hi])
-        else:
-            # in place over phi'', which zeta has read
-            p2 *= U
-            p2 *= -4.0
-            P1 = k.dphi(U, out=T_w[:n])
-            P1 *= 2.0
-            p2 -= P1
+                # in place over phi'', which zeta has read
+                p2 *= U
+                p2 *= -4.0
+                P1 = k.dphi(U, out=T_w[:n])
+                P1 *= 2.0
+                p2 -= P1
+
+    _fill_blocks(fill, range(0, Q, step))
     return z, tables
 
 

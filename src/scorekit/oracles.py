@@ -190,24 +190,109 @@ def _pair_sq_dists(X: np.ndarray) -> np.ndarray:
     return out
 
 
+# pairs the d = 1 median enumerates once its bracket holds this few
+_GAP_PAIRS = 2 ** 14
+
+
+def _as_bits(t) -> int:
+    return int(np.float64(t).view(np.int64))
+
+
+def _first_above(s: np.ndarray, t: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per row i of the sorted s, the first j in [lo_i, hi_i] with j = hi_i
+    or fl(s_j - s_i) > t, by one binary search per row, all rows at once;
+    fl(s_j - s_i) grows with j, so the rows' pairs above t are a suffix."""
+    last = s.size - 1
+    for _ in range(int((hi - lo).max()).bit_length()):
+        mid = (lo + hi) >> 1
+        ok = (s[np.minimum(mid, last)] - s <= t) & (mid < hi)
+        lo = np.where(ok, mid + 1, lo)
+        hi = np.where(ok, hi, mid)
+    return lo
+
+
+@np.errstate(over="ignore")
+def _middle_gaps(x: np.ndarray) -> tuple:
+    """The lower and upper middle (equal for an odd count) of the N =
+    M(M-1)/2 gaps fl(s_j - s_i), j > i, of the sorted samples s: the
+    distances |fl(x_a - x_b)| of all pairs, as fl(a - b) = -fl(b - a).
+
+    A bracket (t_lo, t_hi] of doubles, held as their bit patterns, which
+    order nonnegative doubles as their values, keeps both middles inside
+    it; row i's pairs in it are those with j in [a_i, b_i). Each step
+    splits it at the weighted median of the rows' middle gaps, so that at
+    least a quarter of its pairs leave, counts the pairs at most t by
+    _first_above and keeps the side that holds the middles. A bracket of
+    one double holds only that value; one of _GAP_PAIRS pairs or fewer is
+    enumerated and partitioned.
+    """
+    s = np.sort(x)
+    M = s.size
+    N = M * (M - 1) // 2
+    k = N // 2
+    r = k - 1 + N % 2           # the lower middle's rank
+    rows = np.arange(M)
+    a, b = rows + 1, np.full(M, M)
+    n_lo, n_hi = 0, N           # pairs at most t_lo, at most t_hi
+    # -1 is below every gap; + 0.0 turns a largest gap of -0.0 into +0.0
+    lo_bits, hi_bits = -1, _as_bits(s[-1] - s[0] + 0.0)
+    while n_hi - n_lo > _GAP_PAIRS and hi_bits - lo_bits > 1:
+        live = np.flatnonzero(a < b)
+        gaps = s[(a[live] + b[live] - 1) >> 1] - s[live]
+        order = np.argsort(gaps)
+        weight = np.cumsum((b - a)[live][order])
+        pivot = gaps[order[np.searchsorted(weight, weight[-1] / 2)]]
+        mid = min(max(_as_bits(pivot), lo_bits + 1), hi_bits - 1)
+        t = np.int64(mid).view(np.float64)
+        c = _first_above(s, t, a, b)
+        n = n_lo + int((c - a).sum())
+        if n <= r:
+            lo_bits, a, n_lo = mid, c, n
+        elif n > k:
+            hi_bits, b, n_hi = mid, c, n
+        else:                   # n = k, N even: the middles straddle t
+            below, above = c > rows + 1, c < M
+            return ((s[c[below] - 1] - s[below]).max(), (s[c[above]] - s[above]).min())
+    if hi_bits - lo_bits <= 1:
+        t = np.int64(hi_bits).view(np.float64)
+        return t, t
+    width = b - a
+    gaps = s[np.arange(n_hi - n_lo) + np.repeat(a - (np.cumsum(width) - width), width)]
+    gaps -= np.repeat(s, width)
+    gaps.partition([r - n_lo, k - n_lo])
+    return gaps[r - n_lo], gaps[k - n_lo]
+
+
 def median_bandwidth(samples) -> float:
     """Median of all M(M-1)/2 pairwise Euclidean distances, equal bit for
     bit to float(np.median(scipy.spatial.distance.pdist(X))).
 
-    sqrt keeps order, so the median is selected in place among the squared
-    distances (no second M(M-1)/2 array), and only the one or two middle
-    values are square-rooted; two are averaged as np.median averages them.
-    One partition at k leaves the k-th smallest at k and the (k-1)-th as the
-    largest before it, which costs half of np.median's partition at [k-1, k].
+    sqrt keeps order, so the one or two middle squared distances are
+    selected and only they are square-rooted; two are averaged as
+    np.median averages them. At d = 1 they are the squares of the middle
+    gaps of the sorted samples (_middle_gaps), found in O(M) memory:
+    squaring keeps order too, even where it overflows or underflows. At
+    d > 1 they are selected in place among _pair_sq_dists (no second
+    M(M-1)/2 array): one partition at k leaves the k-th smallest at k and
+    the (k-1)-th as the largest before it, which costs half of np.median's
+    partition at [k-1, k].
     """
     X = as_samples(samples)
-    if X.shape[0] < 2:
+    M, d = X.shape
+    if M < 2:
         raise InputError("median_bandwidth needs at least 2 samples")
-    sq = _pair_sq_dists(X)
-    k = sq.size // 2
-    sq.partition(k)
-    med = float(np.sqrt(sq[k]) if sq.size % 2
-                else (np.sqrt(sq[:k].max()) + np.sqrt(sq[k])) / 2)
+    odd = M * (M - 1) // 2 % 2
+    if d == 1:
+        lo, hi = _middle_gaps(X[:, 0])
+        with np.errstate(over="ignore"):
+            lo, hi = lo * lo, hi * hi
+    else:
+        sq = _pair_sq_dists(X)
+        k = sq.size // 2
+        sq.partition(k)
+        hi = sq[k]
+        lo = hi if odd else sq[:k].max()
+    med = float(np.sqrt(hi) if odd else (np.sqrt(lo) + np.sqrt(hi)) / 2)
     if med <= 0.0:
         raise DegenerateDataError("all samples coincide; bandwidth undefined")
     return med

@@ -589,8 +589,8 @@ class TestProblemSharing:
 
         orig_sq = kernels.sq_dists
 
-        def sq_dists(A, B, out=None):
-            out = orig_sq(A, B, out)
+        def sq_dists(A, B, out=None, work=None):
+            out = orig_sq(A, B, out, work)
             if cross_shape(out.shape):
                 cross[out.shape[1]] = cross.get(out.shape[1], 0) + 1
             return out

@@ -1,4 +1,7 @@
 import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -684,6 +687,192 @@ def test_cross_apply_shape_validation():
     sp = spec("diagonal", imq())
     with pytest.raises(InputError):
         cross_apply(sp, np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((2, 2)))
+
+
+# ======================================================================
+# split table passes: whole row blocks on kernels._WORKERS writers
+# ======================================================================
+
+def serial_then_split(monkeypatch, fn):
+    """fn() on the calling thread alone (_WORKERS = 1), then with two
+    writers per pass of _SPLIT_MIN_BLOCKS blocks or more."""
+    out = []
+    for workers in (1, 2):
+        monkeypatch.setattr(kernels, "_WORKERS", workers)
+        out.append(fn())
+    return out
+
+
+def block_count(Q, M):
+    step = Q if Q * M <= kernels.BLOCK_ENTRIES else max(8, kernels.BLOCK_ENTRIES // M // 8 * 8)
+    return -(-Q // step)
+
+
+# every pass has _SPLIT_MIN_BLOCKS blocks or more; each Q but 4096 leaves a
+# short last block (1000 = 7 x 128 + 104 at M = 1024, 3500 = 8 x 432 + 44
+# at M = 300, 2000 = 7 x 256 + 208 and 2100 = 8 x 256 + 52 at M = 512)
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+@pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
+@pytest.mark.parametrize("Q, M, d", [(4096, 4096, 1), (1000, 1024, 1), (3500, 300, 3),
+                                     (2000, 512, 16), (2100, 512, 64)])
+def test_split_query_tables_equal_serial_bits(monkeypatch, family, kind, Q, M, d):
+    assert block_count(Q, M) >= kernels._SPLIT_MIN_BLOCKS
+    rng = np.random.default_rng(Q + M + d)
+    X, Xq = rng.standard_normal((M, d)), rng.standard_normal((Q, d))
+    sp = spec(kind, ScalarRadialKernel(family, 0.6 * np.sqrt(d)))
+    for zeta_, cross in ((True, True), (True, False), (False, True)):
+        (z, tables), (pz, ptables) = serial_then_split(
+            monkeypatch, lambda: query_tables(sp, Xq, X, zeta=zeta_, cross=cross))
+        assert (z is None and pz is None) or np.array_equal(z, pz)
+        assert (tables is None and ptables is None) or all(
+            np.array_equal(t, p) for t, p in zip(tables, ptables, strict=True))
+
+
+@pytest.mark.parametrize("family", ["gaussian", "imq"])
+@pytest.mark.parametrize("kind", ["curl_free", "diagonal"])
+@pytest.mark.parametrize("M, d", [(4096, 1), (1000, 1), (1024, 3), (1024, 16), (1024, 64)])
+def test_split_h_and_d1_gram_equal_serial_bits(monkeypatch, family, kind, M, d):
+    assert block_count(M, M) >= kernels._SPLIT_MIN_BLOCKS
+    X = np.random.default_rng(M + d).standard_normal((M, d))
+    sp = spec(kind, ScalarRadialKernel(family, 0.6 * np.sqrt(d)))
+    h, ph = serial_then_split(monkeypatch, lambda: h_vector(sp, X))
+    assert np.array_equal(h, ph)
+    if d == 1:
+        g, pg = serial_then_split(monkeypatch, lambda: assemble_gram(sp, X))
+        assert np.array_equal(g.matrix, pg.matrix)
+        assert np.array_equal(g.divergence(), pg.divergence())
+
+
+def test_concurrent_split_passes_on_many_writers_keep_every_bit(monkeypatch):
+    """Eight writers per pass (past the cap of two, to stress the split),
+    two callers at once and a 1 us switch interval: a block lost, written
+    twice or read through another writer's work arrays would move some
+    bit."""
+    rng = np.random.default_rng(8)
+    X, Xq = rng.standard_normal((1024, 1)), rng.standard_normal((2000, 1))
+    specs = [spec("curl_free", imq(0.5)), spec("diagonal", gauss(0.5))]
+    monkeypatch.setattr(kernels, "_WORKERS", 1)
+    want = [query_tables(sp, Xq, X) for sp in specs]
+    monkeypatch.setattr(kernels, "_WORKERS", 8)
+    got = [[] for _ in specs]
+
+    def caller(i):
+        for _ in range(3):
+            got[i].append(query_tables(specs[i], Xq, X))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=caller, args=(i,)) for i in range(len(specs))]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in callers)
+    finally:
+        sys.setswitchinterval(interval)
+    for (z, tables), runs in zip(want, got, strict=True):
+        assert len(runs) == 3
+        for pz, ptables in runs:
+            assert np.array_equal(z, pz)
+            assert all(np.array_equal(t, p) for t, p in zip(tables, ptables, strict=True))
+
+
+def writer_threads(monkeypatch, first_waits: bool = False):
+    """The thread of each sq_dists call, one per block. With first_waits,
+    the first block of each of two writers waits for the other's, so a
+    split pass has both fill at least one block."""
+    threads = []
+    barrier = threading.Barrier(2, timeout=60)
+    inner = kernels.sq_dists
+
+    def spy(*args, **kwargs):
+        me = threading.get_ident()
+        if first_waits and me not in threads:
+            threads.append(me)
+            barrier.wait()
+        else:
+            threads.append(me)
+        return inner(*args, **kwargs)
+    monkeypatch.setattr(kernels, "sq_dists", spy)
+    return threads
+
+
+def test_a_pass_below_the_gate_stays_on_the_calling_thread(monkeypatch):
+    X = np.random.default_rng(0).standard_normal((4096, 1))
+    Xq = X[:32 * (kernels._SPLIT_MIN_BLOCKS - 1)]
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    threads = writer_threads(monkeypatch)
+    query_tables(spec("curl_free", imq()), Xq, X)
+    assert len(threads) == block_count(len(Xq), len(X)) == kernels._SPLIT_MIN_BLOCKS - 1
+    assert set(threads) == {threading.get_ident()}
+
+
+def far_block_pass(monkeypatch):
+    """A curl-free pass of 8 blocks of 32 rows on two writers, each writer
+    filling at least one, with the query 1e200 in block 1 only: the helper
+    thread's first. Its squared distances overflow to inf, and zeta's
+    2 U phi'''(U) is inf * 0 (the far-query FOUND: NaN, 'invalid')."""
+    rng = np.random.default_rng(5)
+    X, Xq = rng.standard_normal((4096, 1)), rng.standard_normal((256, 1))
+    Xq[40] = 1e200
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    threads = writer_threads(monkeypatch, first_waits=True)
+    return lambda: (query_tables(spec("curl_free", imq()), Xq, X), threads)
+
+
+def test_split_blocks_raise_under_the_callers_errstate(monkeypatch):
+    run = far_block_pass(monkeypatch)
+    with np.errstate(all="raise"), pytest.raises(FloatingPointError):
+        run()
+
+
+def test_split_blocks_stay_silent_under_the_callers_errstate(monkeypatch):
+    run = far_block_pass(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="ignore"):
+            (z, _), threads = run()
+    assert len(set(threads)) == 2
+    assert np.isnan(z[40]).all() and np.isfinite(np.delete(z, 40, axis=0)).all()
+
+
+@pytest.mark.parametrize("raiser", ["caller", "worker"])
+def test_a_raising_block_raises_once_every_writer_has_stopped(monkeypatch, raiser):
+    """One writer raises at its first block while the other sleeps 10 ms
+    in each of its 8 blocks: the exception comes out of query_tables only
+    after the sleeper has filled its share, and nothing runs after it."""
+    X = np.random.default_rng(6).standard_normal((4096, 1))
+    monkeypatch.setattr(kernels, "_WORKERS", 2)
+    caller = threading.get_ident()
+    lock, live, calls = threading.Lock(), [0], []
+    inner = kernels.ScalarRadialKernel.d2phi
+
+    class Boom(Exception):
+        pass
+
+    def d2phi(self, u, out=None):
+        with lock:
+            live[0] += 1
+        try:
+            if (threading.get_ident() == caller) == (raiser == "caller"):
+                raise Boom
+            time.sleep(0.01)
+            return inner(self, u, out)
+        finally:
+            with lock:
+                live[0] -= 1
+                calls.append(threading.get_ident())
+
+    monkeypatch.setattr(kernels.ScalarRadialKernel, "d2phi", d2phi)
+    writer_threads(monkeypatch, first_waits=True)
+    with pytest.raises(Boom):
+        query_tables(spec("curl_free", imq()), X[:16 * 32], X)
+    assert live[0] == 0
+    sleeper = [t for t in calls if (t == caller) != (raiser == "caller")]
+    assert len(sleeper) == 8 and len(calls) == 9
+    time.sleep(0.05)
+    assert len(calls) == 9
 
 
 # ======================================================================

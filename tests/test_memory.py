@@ -5,6 +5,9 @@ what they allocate now, so a return to full-size temporaries fails here.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -73,6 +76,19 @@ def test_query_tables_hold_their_outputs_and_one_block(Q, M, d):
     assert peak_bytes(lambda: query_tables(spec, queries, X)) <= outputs + 8 * MB
 
 
+def test_table_writers_stay_two_on_a_many_cpu_machine():
+    """Each writer of a split query_tables pass holds its own block work
+    set, so the bounds here hold only while the writers are capped: a
+    process that may use 64 CPUs still splits a pass between two."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: set(range(64)); "
+            f"os.cpu_count = lambda: 64; sys.path.insert(0, {src!r}); "
+            "from scorekit import kernels; print(kernels._WORKERS)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "2"
+
+
 def test_d1_sweep_holds_no_whole_query_temporaries():
     """conv-exp's estimators at d = 1, M = 2048, eval_size 1024: with the
     shared tables built from whole Q x M temporaries the sweep peaked at
@@ -92,6 +108,14 @@ def test_median_bandwidth_holds_no_copy_of_the_distances():
     """np.median without overwrite_input copied pdist's output: 2x it."""
     M = 2048
     assert peak_bytes(lambda: median_bandwidth(samples(M, 3))) <= 1.25 * (M * (M - 1) // 2) * 8
+
+
+def test_d1_median_bandwidth_holds_no_pair_array():
+    """At d = 1 the median comes from the sorted samples: the 4096 x 1
+    squared distances took 67 MB; a few arrays of M and a bracket of at
+    most _GAP_PAIRS pairs stay under 1 MB."""
+    X = samples(4096, 1)
+    assert peak_bytes(lambda: median_bandwidth(X)) < MB
 
 
 @pytest.mark.parametrize("kind", ["curl_free", "diagonal"])

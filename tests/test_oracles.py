@@ -322,6 +322,87 @@ class TestMedianBandwidth:
         with pytest.raises(DegenerateDataError):
             median_bandwidth(np.ones((5, 2)))
 
+
+# every d = 1 case is checked with the default enumeration size, with none
+# (the bracket narrows to one double or splits between the two middles)
+# and with 8 pairs
+D1_ENUMERATION = [None, 0, 8]
+
+
+def d1_median_matches_pdist(monkeypatch, x, gap_pairs):
+    """The median is pdist's bit for bit; where that is 0 (the middle
+    squares underflow), DegenerateDataError is raised as at d > 1."""
+    if gap_pairs is not None:
+        monkeypatch.setattr(oracles, "_GAP_PAIRS", gap_pairs)
+    X = np.asarray(x, dtype=float).reshape(-1, 1)
+    want = float(np.median(pdist(X)))
+    if want > 0.0:
+        assert median_bandwidth(X) == want
+    else:
+        with pytest.raises(DegenerateDataError):
+            median_bandwidth(X)
+
+
+class TestMedianBandwidthAtD1:
+    """At d = 1 the median comes from the sorted samples' gaps, not from
+    the M(M-1)/2 squared distances; pdist stays the reference."""
+
+    @pytest.mark.parametrize("gap_pairs", D1_ENUMERATION)
+    @pytest.mark.parametrize("M", [2, 3, 4, 5, 6, 7, 8, 9])   # 1 to 36 pairs, both parities
+    def test_small_sample_counts(self, monkeypatch, gap_pairs, M):
+        x = sample(standard_gaussian(1), M, M)
+        d1_median_matches_pdist(monkeypatch, x, gap_pairs)
+
+    @pytest.mark.parametrize("gap_pairs", D1_ENUMERATION)
+    @pytest.mark.parametrize("x", [
+        [0.0, 0.0, 1.0],                     # 3 pairs: 0, 1, 1
+        [5.0, 5.0, 5.0, 6.0],                # 6 pairs: the middles are 0 and 1
+        [-0.0, 0.0, 1.0, 1.0],               # signed zeros tie
+        np.repeat([0.0, 1.0], 200),          # two values: the middle gap ties 40,000 times
+        np.repeat(np.arange(7.0), 3),        # duplicate points on a grid
+        np.arange(3000.0),                   # every gap k occurs 3000 - k times
+        np.r_[np.zeros(3000), 1.0],          # nearly all pairs coincide
+    ])
+    def test_ties_and_duplicate_points(self, monkeypatch, gap_pairs, x):
+        d1_median_matches_pdist(monkeypatch, x, gap_pairs)
+
+    @pytest.mark.parametrize("gap_pairs", D1_ENUMERATION)
+    @pytest.mark.parametrize("M", [1000, 1001, 1024, 2000, 2001])
+    def test_negative_values_and_both_parities(self, monkeypatch, gap_pairs, M):
+        x = sample(standard_gaussian(1), M, M) - 3.0
+        assert (x < 0).mean() > 0.9
+        d1_median_matches_pdist(monkeypatch, x, gap_pairs)
+
+    @pytest.mark.parametrize("gap_pairs", D1_ENUMERATION)
+    @pytest.mark.parametrize("x", [
+        [1e300, -1e300, 0.0],                # the gaps overflow to inf
+        [1e300, -1e300, 0.0, 5e299],
+        [1.7e308, -1.7e308, 1e308, -1e308, 0.0],
+        [3e154, -2e154, 1e200, 1.0, 1e-200, -1e150],   # squares of 3e154 overflow
+        [0.0, 1e-160, 3e-160, 1.0, 2.0, 4.0, 7.0],   # gaps below 1e-154: squares underflow
+        np.r_[np.arange(40) * 5e-324, 1e-3 * np.arange(40)],   # subnormal gaps
+        [1e-300, 2e-300, 0.0, 3e-310],       # every square underflows: degenerate
+        np.arange(3000) * 5e-324,
+        np.arange(3000) * 1e154,
+    ])
+    def test_extreme_magnitudes(self, monkeypatch, gap_pairs, x):
+        d1_median_matches_pdist(monkeypatch, x, gap_pairs)
+
+    @pytest.mark.parametrize("gap_pairs", D1_ENUMERATION)
+    @pytest.mark.parametrize("M", [13, 2000])
+    def test_values_over_many_decades(self, monkeypatch, gap_pairs, M):
+        rng = np.random.default_rng(M)
+        x = 10.0 ** rng.uniform(-300, 300, M) * rng.choice([-1.0, 1.0], M)
+        d1_median_matches_pdist(monkeypatch, x, gap_pairs)
+
+    @pytest.mark.parametrize("gap_pairs", D1_ENUMERATION)
+    def test_identical_samples_degenerate(self, monkeypatch, gap_pairs):
+        if gap_pairs is not None:
+            monkeypatch.setattr(oracles, "_GAP_PAIRS", gap_pairs)
+        for x in (np.ones((5, 1)), np.full((3000, 1), -2.5), np.zeros((2, 1))):
+            with pytest.raises(DegenerateDataError):
+                median_bandwidth(x)
+
     def test_needs_two_samples(self):
         with pytest.raises(InputError):
             median_bandwidth(np.zeros((1, 3)))
