@@ -719,7 +719,11 @@ def recover_log_density(est: FittedScoreEstimator, query) -> float:
     t = np.einsum("ij,ij->i", B, C)
     vals = -2.0 * np.sum(P1 * (pts @ C.T - t[None, :]), axis=1)
     if est.offset != 0.0:
-        vals = est.offset * (2.0 * est.dim * P1 + 4.0 * U * k.d2phi(U)).mean(axis=1) + vals
+        # u phi''(u) has the limit 0 at u = inf, where phi''(inf) = 0 and the
+        # product would be inf * 0 = nan; there it is left at phi''(inf)
+        G = k.d2phi(U)
+        np.multiply(4.0 * U, G, out=G, where=U < np.inf)
+        vals = est.offset * (2.0 * est.dim * P1 + G).mean(axis=1) + vals
     return float(vals[0] - vals[1])
 
 

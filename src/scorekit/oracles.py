@@ -5,8 +5,7 @@ squared-error metric used by the benchmark harness.
 Every randomized routine is a pure function of (inputs, seed).
 """
 
-import contextlib
-import io
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,33 +341,83 @@ def _header(d) -> str:
     return ",".join(f"x{i + 1}" for i in range(d))
 
 
+# values in one block of rows that the samples CSV writer formats and the
+# reader parses (64 KB as doubles)
+_CSV_BLOCK = 2 ** 13
+
+
 def save_samples_csv(samples, path) -> None:
     """Write samples with an x1..xd header and 17-significant-digit floats,
-    in csv.writer's bytes (no field needs a quote) as one string."""
+    in csv.writer's bytes (no field needs a quote). Rows are formatted and
+    written in blocks of about _CSV_BLOCK values, so the writer holds one
+    block's text and floats beside the samples, whatever their count."""
     X = as_samples(samples)
     M, d = X.shape
-    text = _header(d) + "\r\n" + (
-        ",".join(["%.17g"] * d) + "\r\n") * M % tuple(X.ravel().tolist())
+    rows = max(1, _CSV_BLOCK // d)
+    row = ",".join(["%.17g"] * d) + "\r\n"
     with atomic_open(path, "w", newline="") as f:
-        f.write(text)
+        f.write(_header(d) + "\r\n")
+        for lo in range(0, M, rows):
+            block = X[lo:lo + rows]
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
+def _line_blocks(f, d):
+    """The lines of the binary file f from where it stands, as lists of
+    about _CSV_BLOCK values' rows."""
+    rows = max(1, _CSV_BLOCK // d)
+    while lines := list(itertools.islice(f, rows)):
+        yield lines
+
+
+def _loadtxt_blocks(f, d):
+    """The d-column rows after the header line f has just read: a first
+    pass checks each block and counts the lines, a second parses each block
+    by np.loadtxt into one array. None where the record reader must decide:
+    a byte outside ASCII, a quote, a '#', a line that is blank or starts
+    with '\\r', no row at all, or a block np.loadtxt refuses or reads to
+    another shape."""
+    start, n = f.tell(), 0
+    for lines in _line_blocks(f, d):
+        block = b"".join(lines)
+        if (not block.isascii() or b'"' in block or b"#" in block
+                or block[:1] in (b"\n", b"\r") or b"\n\n" in block or b"\n\r" in block):
+            return None
+        n += len(lines)
+    if not n:
+        return None
+    X = np.empty((n, d))
+    f.seek(start)
+    pos = 0
+    for lines in _line_blocks(f, d):
+        try:
+            Y = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if Y.shape != (len(lines), d):
+            return None
+        X[pos:pos + len(Y)] = Y
+        pos += len(Y)
+    return X
 
 
 def load_samples_csv(path) -> np.ndarray:
-    """Read a sample matrix written by save_samples_csv: np.loadtxt parses
-    a file free of quotes, '#' and blank lines, and the line reader every
-    other file and any np.loadtxt rejects, wording every error."""
-    text = read_text(path)
-    head, _, body = text.partition("\n")
-    d = head.count(",") + 1
-    if (head.removesuffix("\r") == _header(d)
-            and body[:1] not in ("", "\n", "\r")
-            and not any(s in body for s in ('"', "#", "\n\n", "\n\r"))):
-        with contextlib.suppress(ValueError):
-            X = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, ndmin=2)
-            if X.shape[1] == d:
+    """Read a sample matrix written by save_samples_csv. A file of ASCII
+    rows free of quotes, '#' and blank lines is read in blocks of about
+    _CSV_BLOCK values and parsed by np.loadtxt into the result, so the
+    reader holds that array and one block, whatever the file's size. Any
+    other file, and any block np.loadtxt rejects, goes whole through the
+    line reader, which words every error."""
+    with open(path, "rb") as f:
+        head = f.readline()
+        d = head.count(b",") + 1
+        if head.removesuffix(b"\n").removesuffix(b"\r") == _header(d).encode():
+            X = _loadtxt_blocks(f, d)
+            if X is not None:
                 return as_samples(X)
     # a header of n fields joins to _header(n) only if no field holds a comma
-    rows = read_csv_records(text, path, lambda h: None if ",".join(h) == _header(len(h))
+    rows = read_csv_records(read_text(path), path,
+                            lambda h: None if ",".join(h) == _header(len(h))
                             else f"expected header {_header(len(h))!r}, got {','.join(h)!r}",
                             lambda r: [float(v) for v in r])
     if not rows:

@@ -4,7 +4,7 @@ The four radial derivative bodies as written one per order, phi and its
 derivatives at one u as a tuple, pointwise kernel blocks, the whole-array curl-free cross Gram, the
 curl-free cross product from the two tables phi'(U) and phi''(U), a
 matrix-backed operator, spectral calculus through a full eigensystem, the
-append-and-refit score heuristic, the line-by-line CSV reader, a
+append-and-refit score heuristic, the line-by-line CSV reader and csv.writer's samples file, a
 diagonal kernel's Md x Md Kronecker Gram and Nystrom blocks, eigen-filter
 coefficients through np.linalg.eigh of the Md x Md Gram and the mixture
 log-likelihoods from a (Q, K, d) difference array, the Lanczos stop rule
@@ -315,6 +315,16 @@ def load_samples_csv_lines(path) -> np.ndarray:
     if not rows:
         raise InputError(f"{path}: no sample rows")
     return as_samples(np.asarray(rows))
+
+
+def csv_writer_reference(X, path) -> None:
+    """oracles.save_samples_csv as it wrote every file before it formatted
+    strings itself: csv.writer, row by row."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow([f"x{i + 1}" for i in range(X.shape[1])])
+        for row in X:
+            w.writerow([f"{v:.17g}" for v in row])
 
 
 def component_logliks_broadcast(dist, X) -> np.ndarray:

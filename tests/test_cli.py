@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scorekit import bench
+from scorekit import bench, oracles
 from scorekit.bench import SummaryRow, write_summary_csv
 from scorekit.cli import main
 from scorekit.errors import InputError
@@ -35,7 +35,7 @@ from scorekit.oracles import (
 )
 
 from estimator_files import CORRUPT, pack
-from helpers import forbid_big_cross_grams
+from helpers import csv_writer_reference, forbid_big_cross_grams
 
 
 def write_fit_config(tmp_path, X, entry):
@@ -87,6 +87,38 @@ class TestFitPredict:
         s_csv = tmp_path / "scores.csv"
         assert main(["predict", "--config", pcfg, "--out", str(s_csv)]) == 0
         assert np.array_equal(load_samples_csv(s_csv), est.predict(Q))
+
+    def predict_queries(self, tmp_path, Q):
+        assert main(["fit", "--config", fit_config(tmp_path), "--out",
+                     str(tmp_path / "est.bin")]) == 0
+        save_samples_csv(Q, tmp_path / "q.csv")
+        cfg = write_json(tmp_path / "p.json", {
+            "schema_version": 1, "estimator": "est.bin", "queries": "q.csv"})
+        return ["predict", "--config", cfg, "--out", str(tmp_path / "scores.csv")]
+
+    def test_predict_over_several_blocks_writes_csv_writers_bytes(self, tmp_path,
+                                                                  samples_csv):
+        """Three whole blocks of queries and a partial one, read and written
+        in blocks: the bytes csv.writer gives for predict's scores."""
+        Q = sample(standard_gaussian(2), 3 * (oracles._CSV_BLOCK // 2) + 37, 7)
+        assert main(self.predict_queries(tmp_path, Q)) == 0
+        csv_writer_reference(predict(load_estimator(tmp_path / "est.bin"), Q),
+                             tmp_path / "ref.csv")
+        assert (tmp_path / "scores.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_a_bad_field_on_the_last_line_is_exit_1_naming_it(self, tmp_path, samples_csv,
+                                                               capsys):
+        Q = sample(standard_gaussian(2), 3 * (oracles._CSV_BLOCK // 2) + 37, 8)
+        argv = self.predict_queries(tmp_path, Q)
+        with open(tmp_path / "q.csv", "a", newline="") as f:
+            f.write("0.5,abc\r\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"scorekit: error: {tmp_path / 'q.csv'}: line {len(Q) + 2}: "
+            "could not convert string to float: 'abc'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert "scores.csv" not in before
 
     def test_fit_each_scheme(self, tmp_path, samples_csv):
         schemes = [

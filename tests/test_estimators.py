@@ -1388,6 +1388,27 @@ class TestGradientField:
             right = recover_log_density(est, np.array([x]))
             assert left == pytest.approx(right, abs=1e-12)
 
+    @pytest.mark.parametrize("family", ["imq", "gaussian"])
+    @pytest.mark.parametrize("bw", [1.0, 0.3])
+    def test_a_far_query_takes_the_potentials_limit(self, family, bw):
+        """At (1e200, 0) every squared distance U is inf, where 4 U phi''(U)
+        has the limit 0 (inf * 0 gave nan and a RuntimeWarning): the value
+        is the one at (1e10, 0), with no warning. At (3, 1) U is finite and
+        the value keeps the bits of the unguarded product."""
+        rng = np.random.default_rng(86)
+        X = rng.normal(size=(12, 2))
+        est = fit_tikhonov(X, cf(family, bw), 0.01)
+        assert est.offset != 0.0
+        far = recover_log_density(est, np.array([1e200, 0.0]))
+        assert far == recover_log_density(est, np.array([1e10, 0.0]))
+        k, B, C = est.kernel.scalar, est.basis, est.coeffs
+        pts = np.array([[3.0, 1.0], X[0]])
+        U = kernels.sq_dists(pts, B)
+        P1 = k.dphi(U)
+        vals = -2.0 * np.sum(P1 * (pts @ C.T - np.einsum("ij,ij->i", B, C)[None, :]), axis=1)
+        vals = est.offset * (2.0 * 2 * P1 + 4.0 * U * k.d2phi(U)).mean(axis=1) + vals
+        assert recover_log_density(est, np.array([3.0, 1.0])) == vals[0] - vals[1]
+
     def test_diagonal_kernel_rejected(self):
         rng = np.random.default_rng(84)
         X, spec = random_instance(rng, M=5, d=2, kind="diagonal")

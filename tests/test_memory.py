@@ -22,6 +22,7 @@ from scorekit import (
     fit_nu_method,
     fit_truncated_tikhonov,
     h_vector,
+    load_samples_csv,
     median_bandwidth,
     save_samples_csv,
 )
@@ -116,6 +117,24 @@ def test_d1_median_bandwidth_holds_no_pair_array():
     most _GAP_PAIRS pairs stay under 1 MB."""
     X = samples(4096, 1)
     assert peak_bytes(lambda: median_bandwidth(X)) < MB
+
+
+def test_load_samples_csv_holds_its_array_and_one_block(tmp_path):
+    """The 6.4 MB file's bytes, its text, a copy of the body and a StringIO
+    of it at 4 bytes a character peaked at 39.8 MB for this 2.4 MB array."""
+    X = samples(20000, 16)
+    path = tmp_path / "q.csv"
+    save_samples_csv(X, path)
+    out = []
+    assert peak_bytes(lambda: out.append(load_samples_csv(path))) <= X.nbytes + 2 * MB
+    assert np.array_equal(out[0], X)
+
+
+def test_save_samples_csv_holds_one_block(tmp_path):
+    """Formatting the whole file as one string from a tuple of all 320,000
+    values peaked at 18.7 MB."""
+    X = samples(20000, 16)
+    assert peak_bytes(lambda: save_samples_csv(X, tmp_path / "q.csv")) < 2 * MB
 
 
 @pytest.mark.parametrize("kind", ["curl_free", "diagonal"])

@@ -1,7 +1,7 @@
 """Tests for the synthetic ground-truth module: mixtures, analytic scores,
 seeded sampling, bandwidth heuristic, error metric, CSV exchange."""
 
-import csv
+import contextlib
 import math
 import os
 import tempfile
@@ -14,6 +14,7 @@ from scipy.spatial.distance import pdist
 from scipy.special import logsumexp, softmax
 
 from scorekit import oracles
+from scorekit.cli import main
 from scorekit.errors import DegenerateDataError, InputError
 from scorekit.kernels import MatrixKernelSpec, ScalarRadialKernel
 from scorekit.estimators import fit_truncated_tikhonov
@@ -35,6 +36,7 @@ from scorekit.oracles import (
 
 from helpers import (
     component_logliks_broadcast,
+    csv_writer_reference,
     load_samples_csv_lines,
     peak_bytes,
     stein_heuristic_scores,
@@ -522,15 +524,6 @@ class TestCsv:
             load_samples_csv(path)
 
 
-# the writer before it formatted one string: csv.writer, row by row
-def csv_writer_reference(X, path):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow([f"x{i + 1}" for i in range(X.shape[1])])
-        for row in X:
-            w.writerow([f"{v:.17g}" for v in row])
-
-
 EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 2.0 ** 53, 1.0, -7.0)
 csv_values = st.one_of(
     st.sampled_from(EDGE_VALUES),
@@ -569,12 +562,37 @@ def read_outcome(read, path):
     return "array", X.shape, X.tobytes()
 
 
+# every CSV property is checked with the default block, with one row per
+# block and with blocks of 5 values (5 to 1 rows at d = 1 to 4), so that
+# the matrices span several blocks
+CSV_BLOCKS = [None, 1, 5]
+
+
+@contextlib.contextmanager
+def csv_block(block):
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(oracles, "_CSV_BLOCK", block)
+        yield
+
+
+def write_csv_rows(path, rows, newline="\n", final_newline=True):
+    text = newline.join(",".join(r) for r in rows) + (newline if final_newline else "")
+    with open(path, "w", newline="") as f:
+        f.write(text)
+
+
+def csv_rows(X):
+    return [[f"x{i + 1}" for i in range(X.shape[1])]] + [[f"{v:.17g}" for v in r] for r in X]
+
+
 class TestCsvProperties:
 
+    @pytest.mark.parametrize("block", CSV_BLOCKS)
     @settings(max_examples=200, deadline=None)
     @given(X=csv_matrices())
-    def test_writer_bytes_match_csv_writer(self, X):
-        with tempfile.TemporaryDirectory() as tmp:
+    def test_writer_bytes_match_csv_writer(self, block, X):
+        with tempfile.TemporaryDirectory() as tmp, csv_block(block):
             ours, ref = os.path.join(tmp, "a.csv"), os.path.join(tmp, "b.csv")
             save_samples_csv(X, ours)
             csv_writer_reference(X, ref)
@@ -582,23 +600,58 @@ class TestCsvProperties:
                 assert a.read() == b.read()
             assert np.array_equal(load_samples_csv(ours), X)
 
+    @pytest.mark.parametrize("block", CSV_BLOCKS)
     @settings(max_examples=400, deadline=None)
     @given(X=csv_matrices(), defect=st.sampled_from(sorted(CSV_DEFECTS)),
            at=st.integers(1, 6), newline=st.sampled_from(["\n", "\r\n"]),
            final_newline=st.booleans())
-    def test_reader_agrees_with_line_reader(self, X, defect, at, newline, final_newline):
-        rows = [[f"x{i + 1}" for i in range(X.shape[1])]]
-        rows += [[f"{v:.17g}" for v in row] for row in X]
-        rows = CSV_DEFECTS[defect](rows, min(at, len(rows) - 1))
-        text = newline.join(",".join(r) for r in rows) + (newline if final_newline else "")
-        with tempfile.TemporaryDirectory() as tmp:
+    def test_reader_agrees_with_line_reader(self, block, X, defect, at, newline,
+                                            final_newline):
+        rows = CSV_DEFECTS[defect](csv_rows(X), min(at, X.shape[0]))
+        with tempfile.TemporaryDirectory() as tmp, csv_block(block):
             path = os.path.join(tmp, "s.csv")
-            with open(path, "w", newline="") as f:
-                f.write(text)
+            write_csv_rows(path, rows, newline, final_newline)
             expected = read_outcome(load_samples_csv_lines, path)
             assert read_outcome(load_samples_csv, path) == expected
             if defect in ("none", "blank line", "quoted field", "quoted header"):
                 assert expected[0] == "array"
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("defect", sorted(set(CSV_DEFECTS) - {"header only", "quoted header"}))
+    def test_a_defect_in_the_last_block_gives_the_line_readers_outcome(self, tmp_path,
+                                                                       defect, newline):
+        """Blocks of one row at d = 3: the first blocks pass every check,
+        and the defect on row 9 sends the whole file to the line reader."""
+        X = sample(make_grid_distribution(3, 1), 10, 2)
+        path = tmp_path / "s.csv"
+        write_csv_rows(path, CSV_DEFECTS[defect](csv_rows(X), 9), newline)
+        with csv_block(3):
+            expected = read_outcome(load_samples_csv_lines, path)
+            assert read_outcome(load_samples_csv, path) == expected
+        if defect == "none":
+            assert expected == ("array", X.shape, X.tobytes())
+        elif defect not in ("blank line", "quoted field"):
+            assert expected[0] == "error" and f"{path}: line 10: " in expected[1]
+
+    @pytest.mark.parametrize("block", CSV_BLOCKS)
+    def test_a_non_utf8_byte_after_the_first_block_is_exit_1_naming_the_file(
+            self, tmp_path, capsys, block):
+        X = sample(standard_gaussian(2), 24, 3)
+        path = tmp_path / "samples.csv"
+        save_samples_csv(X, path)
+        raw = path.read_bytes()
+        at = raw.index(b"\n", len(raw) * 3 // 4) + 1   # the start of a late line
+        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        (tmp_path / "fit.json").write_text(
+            '{"schema_version": 1, "samples": "samples.csv", '
+            '"estimator": {"id": "tikhonov", "kind": "curl_free", "lambdas": [0.01]}}')
+        out = tmp_path / "e.bin"
+        with csv_block(block):
+            with pytest.raises(InputError, match=f"not UTF-8 text: invalid start byte at byte {at}$"):
+                load_samples_csv(path)
+            assert main(["fit", "--config", str(tmp_path / "fit.json"), "--out", str(out)]) == 1
+        assert f"scorekit: error: {path}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
 
 
 # ======================================================================
